@@ -605,6 +605,13 @@ func campaignVerdict(failedCells, quarantined int, storageDegraded bool, storage
 	return &partialFailure{"campaign degraded: " + strings.Join(parts, "; ")}
 }
 
+// progressEvery is the cadence of the stderr throughput line.
+const progressEvery = 2 * time.Second
+
+// printProgress writes one campaign snapshot to stderr as its
+// throughput line.
+func printProgress(p sched.Progress) { fmt.Fprintln(os.Stderr, p) }
+
 // writeCampaignArtifact publishes the campaign report atomically
 // through the canonical core encoding, so `campaign -out` files and
 // serve job reports for the same spec are byte-identical.
@@ -697,7 +704,8 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	faultModel := ff.model(*seed)
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		opts.Report = func(line string) { fmt.Fprintln(os.Stderr, line) }
+		opts.OnProgress = printProgress
+		opts.ProgressEvery = progressEvery
 	}
 	// With -workers-addr the campaign coordinates `mcmutants work`
 	// processes over HTTP instead of executing cells itself; the merged
@@ -995,7 +1003,8 @@ func cmdTune(ctx context.Context, args []string) error {
 	}
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		opts.Report = func(line string) { fmt.Fprintln(os.Stderr, line) }
+		opts.OnProgress = printProgress
+		opts.ProgressEvery = progressEvery
 	}
 	ds, err := tuning.RunCampaignCtx(ctx, cfg, suite.Mutants, opts)
 	if err != nil {

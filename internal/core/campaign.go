@@ -57,16 +57,12 @@ type CampaignOptions struct {
 	// OnProgress, when non-nil, receives cumulative structured campaign
 	// snapshots — one every ProgressEvery plus a final settled one
 	// before the campaign returns (see sched.Progress). The serve
-	// subsystem's SSE hub and metrics feed from this hook.
+	// subsystem's SSE hub and metrics feed from this hook, and the CLI
+	// prints each snapshot's String as its throughput line.
 	OnProgress func(sched.Progress)
 	// ProgressEvery is the OnProgress cadence; zero means
 	// sched.DefaultProgressEvery.
 	ProgressEvery time.Duration
-	// Report, when non-nil, receives throughput lines (cells/sec,
-	// instances/sec, per-device utilization) at most every ReportEvery
-	// (default 2s).
-	Report      func(string)
-	ReportEvery time.Duration
 	// Dist, when non-nil, runs the campaign distributed: no cell
 	// executes in this process. A coordinator is registered on the hub,
 	// worker processes lease cell ranges and deliver result segments,
@@ -111,13 +107,6 @@ func applyCampaignOptions[R any](o CampaignOptions, spec sched.Spec, opts *sched
 		opts.OnCellStart = func(c sched.Cell) {
 			progress(fmt.Sprintf("%s on %s", c.Key, c.Device))
 		}
-	}
-	if o.Report != nil {
-		every := o.ReportEvery
-		if every <= 0 {
-			every = 2 * time.Second
-		}
-		opts.Reporter = sched.NewReporter(o.Report, every)
 	}
 	closer := func() {}
 	if o.Resume && o.CheckpointPath == "" {

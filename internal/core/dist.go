@@ -316,19 +316,7 @@ func runDistCampaign[R any](ctx context.Context, spec sched.Spec, o CampaignOpti
 			return
 		}
 		lastEmit = now
-		p := sched.Progress{
-			Campaign:       spec.Name,
-			Total:          st.Total,
-			Done:           st.Done,
-			Executed:       st.Done - st.Replayed - st.CacheHits,
-			Replayed:       st.Replayed,
-			CacheHits:      st.CacheHits,
-			ElapsedSeconds: time.Since(start).Seconds(),
-		}
-		if p.ElapsedSeconds > 0 {
-			p.CellsPerSec = float64(p.Executed) / p.ElapsedSeconds
-		}
-		o.OnProgress(p)
+		o.OnProgress(sched.LiveProgress(spec.Name, st.Total, st.Done, st.Replayed, st.CacheHits, time.Since(start).Seconds()))
 	}
 	coord, err := dist.NewCoordinator(name, spec, d.Descriptor, seed, dist.CoordinatorOptions{
 		LeaseTTL:     d.LeaseTTL,
@@ -380,27 +368,7 @@ func runDistCampaign[R any](ctx context.Context, spec sched.Spec, o CampaignOpti
 				}
 			}
 		}
-		p := sched.Progress{
-			Campaign:        spec.Name,
-			Total:           len(spec.Cells),
-			Done:            rep.Executed + rep.Replayed + rep.Quarantined + rep.CacheHits,
-			Executed:        rep.Executed,
-			Replayed:        rep.Replayed,
-			Failed:          rep.Failed,
-			Quarantined:     rep.Quarantined,
-			Interrupted:     rep.Interrupted,
-			Retried:         rep.Retried,
-			Instances:       inst,
-			CacheHits:       rep.CacheHits,
-			ElapsedSeconds:  rep.WallSeconds,
-			Final:           true,
-			Health:          rep.Health,
-			StorageDegraded: rep.StorageDegraded,
-		}
-		if p.ElapsedSeconds > 0 {
-			p.CellsPerSec = float64(p.Executed) / p.ElapsedSeconds
-			p.InstancesPerSec = float64(p.Instances) / p.ElapsedSeconds
-		}
+		p := sched.FinalProgress(rep, inst, rep.WallSeconds)
 		progMu.Lock()
 		progDone = true
 		o.OnProgress(p)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -309,5 +310,84 @@ func TestWorkSpecDescriptorRoundTrip(t *testing.T) {
 		if a[i].Campaign != b[i].Campaign {
 			t.Fatalf("unit %d campaign name drift: %q vs %q", i, a[i].Campaign, b[i].Campaign)
 		}
+	}
+}
+
+// TestFinalProgressLocalMatchesDistributed: the Final progress snapshot
+// of a local campaign and of the same campaign coordinated across 1 and
+// 2 worker shards agree on every settled counter. Host-time fields —
+// elapsed time, both rates and per-device busy time — are excluded.
+func TestFinalProgressLocalMatchesDistributed(t *testing.T) {
+	fm := gpu.UniformFaults(5, 0.05)
+	ws := WorkSpec{
+		Kind:    "conformance",
+		Devices: []string{"AMD", "Intel"},
+		Envs:    []string{"pte"},
+		Iters:   2,
+		Seed:    13,
+		Faults:  &fm,
+		Retries: 1,
+	}
+	st, err := NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs, err := ws.envParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := ws.Descriptor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var localFinal sched.Progress
+	for _, tc := range []struct {
+		name   string
+		shards int // 0 runs locally
+	}{
+		{"local", 0},
+		{"dist-1", 1},
+		{"dist-2", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var finals []sched.Progress
+			opts := CampaignOptions{
+				Workers: 3, Retries: ws.Retries, Collect: true,
+				OnProgress: func(p sched.Progress) {
+					if p.Final {
+						finals = append(finals, p)
+					}
+				},
+			}
+			campaign := func() error {
+				_, err := st.CheckFleetConformanceCtx(context.Background(), ws.platforms(), envs[0], ws.Iters, ws.Seed, opts)
+				return err
+			}
+			if tc.shards == 0 {
+				err = campaign()
+			} else {
+				hub := dist.NewHub()
+				opts.Dist = &DistOptions{Hub: hub, Name: "conformance", Descriptor: desc, LeaseTTL: 30 * time.Second, RangeCells: 3}
+				err = runDistributed(t, hub, ws, tc.shards, 2, campaign)
+			}
+			if err != nil {
+				t.Fatalf("campaign: %v", err)
+			}
+			if len(finals) != 1 {
+				t.Fatalf("%d final snapshots, want 1", len(finals))
+			}
+			got := finals[0]
+			got.ElapsedSeconds, got.CellsPerSec, got.InstancesPerSec, got.DeviceBusy = 0, 0, 0, nil
+			if got.Done != got.Total || got.Executed != got.Total || got.Instances == 0 {
+				t.Fatalf("final snapshot does not cover the campaign: %+v", got)
+			}
+			if tc.shards == 0 {
+				localFinal = got
+				return
+			}
+			if !reflect.DeepEqual(got, localFinal) {
+				t.Fatalf("settled counters differ:\nlocal:       %+v\ndistributed: %+v", localFinal, got)
+			}
+		})
 	}
 }

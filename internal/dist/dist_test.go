@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"reflect"
@@ -365,4 +366,49 @@ func TestCoordinatorSeeding(t *testing.T) {
 		t.Fatalf("Replayed = %d, want %d", rep.Replayed, len(seed))
 	}
 	requireSameReport(t, "seeded", full, rep)
+}
+
+// TestWorkerUnknownCampaignFailsFast: once the coordinator unregisters
+// the campaign, the worker's next RPC fails with ErrUnknownCampaign
+// immediately — no backoff retries against a campaign that cannot come
+// back — over both the in-process and the HTTP transport.
+func TestWorkerUnknownCampaignFailsFast(t *testing.T) {
+	spec := distSpec(6)
+	for _, transport := range []string{"local", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			coord, err := NewCoordinator("gone", spec, nil, nil, CoordinatorOptions{LeaseTTL: time.Hour, RangeCells: 3})
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			hub := NewHub()
+			if err := hub.Register("gone", coord); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
+			tr := hub.LocalTransport("gone")
+			if transport == "http" {
+				srv := httptest.NewServer(hub)
+				defer srv.Close()
+				tr = &HTTPTransport{BaseURL: srv.URL, Campaign: "gone"}
+			}
+			inner := SchedRunner(spec, distExec, SchedRunnerOptions{Retries: testRetries, Sleep: func(time.Duration) {}})
+			// The campaign finishes without this worker mid-lease: its
+			// delivery is the first RPC to find the campaign gone.
+			run := func(ctx context.Context, cells []sched.Cell, onCellStart func()) ([]sched.Segment, error) {
+				hub.Unregister("gone")
+				return inner(ctx, cells, onCellStart)
+			}
+			sleeps := 0
+			w := NewWorker(tr, spec, run, WorkerOptions{
+				ID:    "w0",
+				Sleep: func(time.Duration) { sleeps++ },
+			})
+			err = w.Run(context.Background())
+			if !errors.Is(err, ErrUnknownCampaign) {
+				t.Fatalf("Run = %v, want ErrUnknownCampaign", err)
+			}
+			if sleeps != 0 {
+				t.Fatalf("worker slept %d times retrying an unregistered campaign, want 0", sleeps)
+			}
+		})
+	}
 }

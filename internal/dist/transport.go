@@ -32,6 +32,15 @@ func (e *RPCError) Error() string {
 	return fmt.Sprintf("dist: rpc failed: status %d: %s", e.Status, e.Msg)
 }
 
+// Unwrap maps a 404 to ErrUnknownCampaign: the hub answers 404 exactly
+// when no coordinator is registered under the campaign name.
+func (e *RPCError) Unwrap() error {
+	if e.Status == http.StatusNotFound {
+		return ErrUnknownCampaign
+	}
+	return nil
+}
+
 // localTransport resolves the coordinator through the hub on every
 // call, so a worker outlives register/unregister cycles the same way
 // an HTTP client would (it just starts seeing errors).

@@ -134,9 +134,10 @@ func NewWorker(t Transport, spec sched.Spec, run RunRange, opts WorkerOptions) *
 	return &Worker{transport: t, spec: spec, run: run, opts: opts}
 }
 
-// rpc runs one RPC with bounded, jittered retries. Crash simulation
-// and context cancellation are terminal; everything else (network
-// faults, 5xx, hub lookup races) retries up to MaxRPCAttempts.
+// rpc runs one RPC with bounded, jittered retries. Crash simulation,
+// an unknown campaign (the coordinator has unregistered it, so no
+// retry can succeed) and context cancellation are terminal; everything
+// else (network faults, 5xx) retries up to MaxRPCAttempts.
 func (w *Worker) rpc(ctx context.Context, purpose string, f func() error) error {
 	max := w.opts.maxRPCAttempts()
 	var lastErr error
@@ -144,6 +145,9 @@ func (w *Worker) rpc(ctx context.Context, purpose string, f func() error) error 
 		err := f()
 		if err == nil || errors.Is(err, ErrWorkerCrashed) {
 			return err
+		}
+		if errors.Is(err, ErrUnknownCampaign) {
+			return fmt.Errorf("dist: worker %s: %s: %w", w.opts.ID, purpose, err)
 		}
 		if ctx.Err() != nil {
 			return fmt.Errorf("dist: worker %s: %s interrupted: %w", w.opts.ID, purpose, ctx.Err())

@@ -297,22 +297,21 @@ type selfTransient struct{ ok bool }
 func (e *selfTransient) Error() string   { return "self-classified" }
 func (e *selfTransient) Transient() bool { return e.ok }
 
-// TestReporterQuarantineCounters: the final reporter line carries the
+// TestReporterQuarantineCounters: the final progress line carries the
 // settled retried/quarantined/failed counts.
 func TestReporterQuarantineCounters(t *testing.T) {
 	spec := testSpec(20)
 	var lines []string
-	rep := NewReporter(func(s string) { lines = append(lines, s) }, 0)
 	_, err := Run(spec, failingDeviceExec, Options[int]{
-		Workers:  1,
-		Breaker:  &BreakerOptions{Threshold: 3, Cooldown: 2},
-		Reporter: rep,
+		Workers:    1,
+		Breaker:    &BreakerOptions{Threshold: 3, Cooldown: 2},
+		OnProgress: func(p Progress) { lines = append(lines, p.String()) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) == 0 {
-		t.Fatal("reporter emitted nothing")
+		t.Fatal("no progress line emitted")
 	}
 	last := lines[len(lines)-1]
 	for _, want := range []string{"5 quarantined", "5 FAILED", "done"} {

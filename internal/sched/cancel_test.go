@@ -260,30 +260,29 @@ func TestInterruptResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReporterHeartbeatStopsOnInterrupt: the heartbeat ticker goroutine
-// is torn down by the campaign context on a drain — RunContext must not
-// leak it, interrupted or not.
+// TestReporterHeartbeatStopsOnInterrupt: the OnProgress ticker
+// goroutine is joined on a drain — RunContext must not leak it,
+// interrupted or not.
 func TestReporterHeartbeatStopsOnInterrupt(t *testing.T) {
 	spec := testSpec(6)
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		rep := NewReporter(func(string) {}, time.Millisecond)
 		ran := 0
 		_, err := RunContext(ctx, spec, func(_ context.Context, c Cell, _ *xrand.Rand) (int, error) {
 			ran++
 			if ran == 2 {
 				cancel()
 			}
-			time.Sleep(2 * time.Millisecond) // let the heartbeat actually tick
+			time.Sleep(2 * time.Millisecond) // let the ticker actually tick
 			return 1, nil
-		}, Options[int]{Workers: 1, Reporter: rep})
+		}, Options[int]{Workers: 1, OnProgress: func(Progress) {}, ProgressEvery: time.Millisecond})
 		cancel()
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	// The heartbeat goroutine is joined before finish() returns, so any
+	// The ticker goroutine is joined before finish() returns, so any
 	// residue here is a real leak; allow scheduler noise to settle.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -297,12 +296,11 @@ func TestReporterHeartbeatStopsOnInterrupt(t *testing.T) {
 	}
 }
 
-// TestInterruptedReporterLine: the final reporter summary names the
+// TestInterruptedReporterLine: the final progress line names the
 // interrupted count and ends with "interrupted", not "done".
 func TestInterruptedReporterLine(t *testing.T) {
 	spec := testSpec(6)
 	var lines []string
-	rep := NewReporter(func(s string) { lines = append(lines, s) }, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
@@ -312,12 +310,12 @@ func TestInterruptedReporterLine(t *testing.T) {
 			cancel()
 		}
 		return 1, nil
-	}, Options[int]{Workers: 1, Reporter: rep})
+	}, Options[int]{Workers: 1, OnProgress: func(p Progress) { lines = append(lines, p.String()) }})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatal(err)
 	}
 	if len(lines) == 0 {
-		t.Fatal("reporter emitted nothing")
+		t.Fatal("no progress line emitted")
 	}
 	last := lines[len(lines)-1]
 	for _, want := range []string{"4 interrupted", "interrupted"} {

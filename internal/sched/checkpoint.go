@@ -29,7 +29,7 @@ import (
 // malformed line with data after it, or any record failing its
 // checksum, is mid-file corruption and resuming fails with
 // ErrCheckpointCorrupt instead of silently resuming over bad data.
-// Records written before checksumming (no "crc" field) still load.
+// A record without a "crc" field fails verification the same way.
 //
 // Durability: the header is published atomically (write temp → fsync →
 // rename → fsync dir), so a file at the checkpoint path always begins
@@ -38,7 +38,7 @@ import (
 // (bounded loss; lost cells re-run on resume), and on resume the
 // replayed cells are compacted into a fresh sealed segment, so a
 // repeatedly-crashed-and-resumed campaign's checkpoint does not grow
-// without bound and legacy or torn bytes do not accumulate.
+// without bound and torn bytes do not accumulate.
 //
 // A persistently failing disk (ENOSPC, EIO) degrades the checkpoint to
 // in-memory operation instead of killing the campaign: recording
@@ -114,10 +114,10 @@ func crcHex(value []byte) string {
 type checkpointRecord struct {
 	Key   string          `json:"key"`
 	Value json.RawMessage `json:"value"`
-	// CRC is the Castagnoli CRC-32 of Value, hex-encoded. Optional on
-	// load for backward compatibility with pre-checksum files; always
-	// written, and verified when present.
-	CRC string `json:"crc,omitempty"`
+	// CRC is the Castagnoli CRC-32 of Value, hex-encoded. Always
+	// written; on load a missing CRC fails verification like a wrong
+	// one.
+	CRC string `json:"crc"`
 }
 
 // OpenCheckpoint opens (or creates) a checkpoint for the spec on the
@@ -226,7 +226,7 @@ func (c *Checkpoint) load(campaign string) (order []string, found bool, err erro
 			torn = lineNo // torn tail if the scan ends here, corruption otherwise
 			continue
 		}
-		if rec.CRC != "" && crcHex(rec.Value) != rec.CRC {
+		if crcHex(rec.Value) != rec.CRC {
 			return nil, false, fmt.Errorf("sched: checkpoint %s: record %q (line %d) fails its checksum: %w; delete the file or rerun without -resume",
 				c.path, rec.Key, lineNo, ErrCheckpointCorrupt)
 		}
@@ -259,10 +259,9 @@ func scanErr(path string, sc *bufio.Scanner, line int) error {
 // rotate compacts the loaded records into a fresh sealed segment —
 // header plus one checksummed line per done cell, in on-disk order —
 // published atomically over the old file, then reopens it for
-// appending. Rotation drops torn tails, duplicate keys and legacy
-// un-checksummed encodings, so resuming many times cannot grow the
-// checkpoint beyond its live contents; a crash mid-rotation leaves the
-// previous file intact.
+// appending. Rotation drops torn tails and duplicate keys, so resuming
+// many times cannot grow the checkpoint beyond its live contents; a
+// crash mid-rotation leaves the previous file intact.
 func (c *Checkpoint) rotate(campaign string, order []string) error {
 	err := diskio.WriteAtomic(c.fs, c.path, func(w io.Writer) error {
 		bw := bufio.NewWriter(w)

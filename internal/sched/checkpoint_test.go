@@ -238,9 +238,9 @@ func TestCheckpointMidFileTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyRecordsWithoutCRC: records written before the
-// per-record checksum existed (no "crc" field) still load, so old
-// checkpoints remain resumable.
+// TestCheckpointLegacyRecordsWithoutCRC: a record with no "crc" field
+// fails verification exactly like a record whose checksum mismatches —
+// resuming refuses the file with a line-numbered ErrCheckpointCorrupt.
 func TestCheckpointLegacyRecordsWithoutCRC(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.ckpt")
@@ -254,8 +254,7 @@ func TestCheckpointLegacyRecordsWithoutCRC(t *testing.T) {
 	}
 	ck.Close()
 
-	// Strip every crc field, simulating a checkpoint from the previous
-	// format.
+	// Strip every crc field.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -272,19 +271,15 @@ func TestCheckpointLegacyRecordsWithoutCRC(t *testing.T) {
 	}
 
 	ck2, err := OpenCheckpoint(path, spec, true)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
+	if err == nil {
+		ck2.Close()
+		t.Fatal("checkpoint with un-checksummed records accepted")
 	}
-	defer ck2.Close()
-	if ck2.Completed() != 4 {
-		t.Fatalf("Completed = %d, want 4", ck2.Completed())
+	if !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("err = %v, want ErrCheckpointCorrupt", err)
 	}
-	rep, err := Run(spec, drawValue, Options[cellValue]{Checkpoint: ck2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Replayed != 4 {
-		t.Fatalf("Replayed = %d, want 4", rep.Replayed)
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("error does not name the first un-checksummed line: %v", err)
 	}
 }
 

@@ -368,9 +368,8 @@ func TestCheckpointOversizedLineReportedAsCorruption(t *testing.T) {
 
 // TestCheckpointRotationCompacts: resuming rewrites the file as a fresh
 // sealed segment — torn tails dropped, duplicate keys deduplicated to
-// the last value, legacy un-checksummed records re-encoded with CRCs —
-// so a repeatedly crashed-and-resumed campaign's checkpoint stays at
-// its live size.
+// the last value — so a repeatedly crashed-and-resumed campaign's
+// checkpoint stays at its live size.
 func TestCheckpointRotationCompacts(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.ckpt")
@@ -384,17 +383,13 @@ func TestCheckpointRotationCompacts(t *testing.T) {
 	}
 	ck.Close()
 
-	// Rough the file up: strip the CRC from one record (legacy format),
-	// append a duplicate of cell-000 with a different value, then a torn
-	// tail.
+	// Rough the file up: append a duplicate of cell-000 with a different
+	// value, then a torn tail.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if i := strings.Index(lines[1], `,"crc":"`); i >= 0 {
-		lines[1] = lines[1][:i] + "}"
-	}
 	dupVal := []byte(`{"key":"cell-000","draw":1}`)
 	dup := fmt.Sprintf(`{"key":"cell-000","value":%s,"crc":"%s"}`, dupVal, crcHex(dupVal))
 	lines = append(lines, dup, `{"key":"torn`)
@@ -416,7 +411,7 @@ func TestCheckpointRotationCompacts(t *testing.T) {
 	ck2.Close()
 
 	// The rotated file is canonical: header plus exactly one checksummed
-	// line per cell, no torn bytes, no legacy records.
+	// line per cell, no torn bytes.
 	rotated, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

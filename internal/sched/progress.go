@@ -1,257 +1,234 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Reporter streams campaign throughput: cells/sec, instances/sec, and
-// each device's share of the fleet's busy time. It is safe for use
-// from every worker goroutine.
+// Progress is one structured snapshot of a running campaign and the
+// only place the campaign counter set is defined: the scheduler's live
+// tracker fills it, the distributed coordinator reports through it,
+// multi-campaign consumers fold it with Add, and String renders it as
+// the human-readable throughput line. Snapshots are cumulative: every
+// counter covers the campaign from its start, so a consumer may drop
+// intermediate snapshots and still hold a correct view.
 //
-// With a positive interval the reporter also runs a heartbeat ticker
-// that emits a line every interval even when no cell completes, so
-// long cells keep streaming liveness. The heartbeat goroutine is tied
-// to the campaign context — cancelling the campaign tears it down with
-// everything else — and finish/stop additionally wait for it to exit,
-// so an interrupted campaign never leaks the ticker goroutine.
-type Reporter struct {
-	out      func(string)
-	interval time.Duration
-
-	mu           sync.Mutex
-	name         string
-	total        int
-	done         int
-	nReplayed    int
-	failed       int
-	nQuarantined int
-	nInterrupted int
-	retries      int
-	instances    int
-	cacheHits    int
-	cacheMisses  int
-	cacheCorrupt int
-	cacheDegrade bool
-	deviceBusy   map[string]time.Duration
-	start        time.Time
-	lastEmit     time.Time
-	now          func() time.Time // test hook
-
-	stopHB func()        // cancels the heartbeat ctx; nil when none running
-	hbDone chan struct{} // closed when the heartbeat goroutine exits
+// Done is monotonically non-decreasing across the snapshots of one
+// campaign. The final snapshot (Final true) carries the settled
+// post-campaign verdicts — under a circuit breaker these can differ
+// from live counts, because a speculatively-executed cell may be
+// quarantined after the fact — plus the per-device Health summary.
+type Progress struct {
+	// Campaign is the spec name; Total the cell count.
+	Campaign string `json:"campaign"`
+	Total    int    `json:"total"`
+	// Done counts resolved cells: executed (ok or failed), replayed
+	// from the checkpoint, or skipped by an open circuit breaker.
+	// Interrupted and aborted cells are not done.
+	Done int `json:"done"`
+	// Executed, Replayed, Failed, Quarantined, Interrupted and Retried
+	// mirror the Report counters of the same names.
+	Executed    int `json:"executed"`
+	Replayed    int `json:"replayed"`
+	Failed      int `json:"failed"`
+	Quarantined int `json:"quarantined"`
+	Interrupted int `json:"interrupted"`
+	Retried     int `json:"retried"`
+	// Instances accumulates Options.Instances over succeeded cells.
+	Instances int `json:"instances"`
+	// ElapsedSeconds is host time since the campaign began;
+	// CellsPerSec and InstancesPerSec are the throughput over it.
+	ElapsedSeconds  float64 `json:"elapsed_seconds"`
+	CellsPerSec     float64 `json:"cells_per_sec"`
+	InstancesPerSec float64 `json:"instances_per_sec"`
+	// DeviceBusy is each device's accumulated cell wall time in
+	// seconds — the raw feed behind the utilization part of String.
+	DeviceBusy map[string]float64 `json:"device_busy,omitempty"`
+	// CacheHits, CacheMisses and CacheCorrupt mirror the Report's
+	// result-cache counters: cells served from the cache, consultations
+	// that found nothing, and entries that failed verification. They
+	// are observability only and never appear in campaign artifacts.
+	CacheHits    int `json:"cache_hits,omitempty"`
+	CacheMisses  int `json:"cache_misses,omitempty"`
+	CacheCorrupt int `json:"cache_corrupt,omitempty"`
+	// CacheDegraded is set on the final snapshot when the result cache
+	// hit a persistent storage failure and switched to pass-through.
+	// Unlike StorageDegraded it never affects exit status or readiness.
+	CacheDegraded bool `json:"cache_degraded,omitempty"`
+	// Final marks the last snapshot of the campaign, emitted after the
+	// verdicts settle and before RunContext returns.
+	Final bool `json:"final"`
+	// Health is the per-device fleet summary; populated on the final
+	// snapshot when the campaign ran with a circuit breaker.
+	Health []DeviceHealth `json:"health,omitempty"`
+	// StorageDegraded is set on the final snapshot when the checkpoint
+	// degraded to in-memory operation (see Report.StorageDegraded).
+	StorageDegraded bool `json:"storage_degraded,omitempty"`
 }
 
-// NewReporter builds a reporter that emits a line via out at most once
-// per interval (plus a final summary). A zero interval emits on every
-// completed cell and runs no heartbeat.
-func NewReporter(out func(string), interval time.Duration) *Reporter {
-	return &Reporter{out: out, interval: interval, now: time.Now}
-}
+// DefaultProgressEvery is the OnProgress snapshot cadence when
+// Options.ProgressEvery is unset.
+const DefaultProgressEvery = time.Second
 
-func (p *Reporter) begin(ctx context.Context, name string, total int) {
-	p.mu.Lock()
-	p.name = name
-	p.total = total
-	p.done, p.nReplayed, p.failed, p.instances = 0, 0, 0, 0
-	p.nQuarantined, p.nInterrupted, p.retries = 0, 0, 0
-	p.cacheHits, p.cacheMisses, p.cacheCorrupt, p.cacheDegrade = 0, 0, 0, false
-	p.deviceBusy = map[string]time.Duration{}
-	p.start = p.now()
-	p.lastEmit = time.Time{}
-	var hbCtx context.Context
-	if p.out != nil && p.interval > 0 {
-		// Derive the heartbeat's lifetime from the campaign ctx so an
-		// interrupted campaign cancels it even before finish runs.
-		hbCtx, p.stopHB = context.WithCancel(ctx)
-		p.hbDone = make(chan struct{})
+// Rate is the shared throughput computation for progress surfaces: n
+// events over elapsed seconds, and 0 when no time has measurably
+// passed. A job finishing entirely from cache or checkpoint replay can
+// complete within one clock granule; dividing by a clamped epsilon
+// there reports an absurd finite rate (n × 1e9), so zero-elapsed
+// yields the only honest answer — no measured throughput.
+func Rate(n int, elapsedSeconds float64) float64 {
+	if elapsedSeconds <= 0 {
+		return 0
 	}
-	done := p.hbDone
-	p.mu.Unlock()
-	if hbCtx != nil {
-		go p.heartbeat(hbCtx, done)
-	}
+	return float64(n) / elapsedSeconds
 }
 
-// heartbeat emits a progress line every interval until its context — a
-// child of the campaign context — is cancelled.
-func (p *Reporter) heartbeat(ctx context.Context, done chan struct{}) {
-	defer close(done)
-	tick := time.NewTicker(p.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			p.mu.Lock()
-			line := p.line()
-			p.lastEmit = p.now()
-			p.mu.Unlock()
-			p.out(line)
+// setElapsed records the host time the snapshot covers and recomputes
+// both throughputs over it.
+func (p *Progress) setElapsed(seconds float64) {
+	p.ElapsedSeconds = seconds
+	p.CellsPerSec = Rate(p.Executed, seconds)
+	p.InstancesPerSec = Rate(p.Instances, seconds)
+}
+
+// FinalProgress is the settled snapshot of a finished campaign: the
+// report's post-pass verdicts, the instances its executed cells
+// produced, and the throughput over elapsedSeconds of host time. Local
+// and distributed campaigns both end their progress streams with it.
+func FinalProgress[R any](rep *Report[R], instances int, elapsedSeconds float64) Progress {
+	return settledCounters(rep).final(rep.Spec.Name, len(rep.Spec.Cells), instances, elapsedSeconds)
+}
+
+// LiveProgress is a running snapshot for a campaign whose only live
+// view is its resolved cells: done of total, of which replayed came
+// from a checkpoint and cacheHits from a result cache, the rest
+// executed. The distributed coordinator reports this way until its
+// segments are assembled into a Report.
+func LiveProgress(campaign string, total, done, replayed, cacheHits int, elapsedSeconds float64) Progress {
+	p := Progress{Campaign: campaign, Total: total, Done: done, Replayed: replayed, CacheHits: cacheHits,
+		Executed: done - replayed - cacheHits}
+	p.setElapsed(elapsedSeconds)
+	return p
+}
+
+// Add folds q into p, for consumers that report several campaigns as
+// one (a multi-device job): counters and elapsed time sum, degraded
+// flags OR, per-device busy times merge, health summaries append, and
+// both rates are recomputed over the summed time. Campaign, Total and
+// Final stay p's — the caller names the folded scope and decides when
+// it is final. Add never writes into a map or slice either snapshot
+// already holds, so snapshots handed out earlier stay intact.
+func (p *Progress) Add(q Progress) {
+	p.Done += q.Done
+	p.Executed += q.Executed
+	p.Replayed += q.Replayed
+	p.Failed += q.Failed
+	p.Quarantined += q.Quarantined
+	p.Interrupted += q.Interrupted
+	p.Retried += q.Retried
+	p.Instances += q.Instances
+	p.CacheHits += q.CacheHits
+	p.CacheMisses += q.CacheMisses
+	p.CacheCorrupt += q.CacheCorrupt
+	p.CacheDegraded = p.CacheDegraded || q.CacheDegraded
+	p.StorageDegraded = p.StorageDegraded || q.StorageDegraded
+	if len(p.DeviceBusy) == 0 {
+		p.DeviceBusy = q.DeviceBusy
+	} else if len(q.DeviceBusy) > 0 {
+		merged := make(map[string]float64, len(p.DeviceBusy)+len(q.DeviceBusy))
+		for d, v := range p.DeviceBusy {
+			merged[d] = v
 		}
+		for d, v := range q.DeviceBusy {
+			merged[d] += v
+		}
+		p.DeviceBusy = merged
 	}
+	p.Health = append(p.Health[:len(p.Health):len(p.Health)], q.Health...)
+	p.setElapsed(p.ElapsedSeconds + q.ElapsedSeconds)
 }
 
-// stop shuts the heartbeat down and waits for its goroutine to exit.
-// It is idempotent and safe when no heartbeat was started.
-func (p *Reporter) stop() {
-	p.mu.Lock()
-	cancel, done := p.stopHB, p.hbDone
-	p.stopHB, p.hbDone = nil, nil
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
+// Mark folds the snapshot into one monotone progress mark for stall
+// detection. Every counter here advances exactly when a cell resolves
+// (executes, replays, quarantines, retries, or is served from cache),
+// so a frozen mark means the campaign is not moving — whether the
+// wedge is a device, a retry livelock, or a distributed coordinator
+// whose workers vanished. Elapsed time and rates are deliberately
+// excluded: they advance on every snapshot.
+func (p Progress) Mark() uint64 {
+	return uint64(p.Done) + uint64(p.Executed) + uint64(p.Replayed) +
+		uint64(p.Failed) + uint64(p.Quarantined) + uint64(p.Retried) +
+		uint64(p.Instances) + uint64(p.CacheHits) + uint64(p.CacheMisses) +
+		uint64(p.CacheCorrupt)
 }
 
-func (p *Reporter) replayed(Cell) {
-	p.mu.Lock()
-	p.nReplayed++
-	p.done++
-	p.mu.Unlock()
-}
-
-// cacheHit records a cell served from the result cache: done without
-// executing. Misses and corruptions surface on the final line via the
-// settled report counters — a miss just means the cell executes.
-func (p *Reporter) cacheHit(Cell) {
-	p.mu.Lock()
-	p.cacheHits++
-	p.done++
-	p.mu.Unlock()
-}
-
-// quarantined records a cell skipped by an open circuit breaker.
-func (p *Reporter) quarantined(Cell) {
-	p.mu.Lock()
-	p.done++
-	p.nQuarantined++
-	p.mu.Unlock()
-}
-
-// interrupted records a cell abandoned by campaign cancellation. The
-// cell is pending, not done: it will run again on resume.
-func (p *Reporter) interrupted(Cell) {
-	p.mu.Lock()
-	p.nInterrupted++
-	p.mu.Unlock()
-}
-
-func (p *Reporter) cellDone(c Cell, wall time.Duration, instances int, ok bool, retries int) {
-	p.mu.Lock()
-	p.done++
-	p.instances += instances
-	p.retries += retries
-	if !ok {
-		p.failed++
-	}
-	if c.Device != "" {
-		p.deviceBusy[c.Device] += wall
-	}
-	emit := p.lastEmit.IsZero() || p.now().Sub(p.lastEmit) >= p.interval
-	var line string
-	if emit {
-		p.lastEmit = p.now()
-		line = p.line()
-	}
-	p.mu.Unlock()
-	if emit && p.out != nil {
-		p.out(line)
-	}
-}
-
-// finish stops the heartbeat and renders the final summary line. The
-// authoritative counters come from the settled report — under a circuit
-// breaker, live counts can differ from the deterministic post-pass
-// verdicts (a cell may have executed speculatively and been quarantined
-// after the fact).
-func (p *Reporter) finish(rep reportCounters) {
-	p.stop()
-	p.mu.Lock()
-	p.failed, p.nQuarantined, p.retries = rep.failed, rep.quarantined, rep.retried
-	p.nInterrupted = rep.interrupted
-	p.cacheHits, p.cacheMisses, p.cacheCorrupt = rep.cacheHits, rep.cacheMisses, rep.cacheCorrupt
-	p.cacheDegrade = rep.cacheDegraded
-	line := p.line()
-	if rep.interrupted > 0 {
-		line += " interrupted"
-	} else {
-		line += " done"
-	}
-	p.mu.Unlock()
-	if p.out != nil {
-		p.out(line)
-	}
-}
-
-// line renders one progress line; the caller holds p.mu.
-func (p *Reporter) line() string {
-	elapsed := p.now().Sub(p.start).Seconds()
-	executed := p.done - p.nReplayed - p.cacheHits
-	cellsPerSec := Rate(executed, elapsed)
+// String renders the snapshot as one throughput line: resolved cells,
+// the non-zero outcome counters, cells/s and instances/s, the cache
+// tally, and each device's share of the fleet's busy time. A Final
+// snapshot ends in " done", or " interrupted" when cells were left
+// pending.
+func (p Progress) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d/%d cells", p.name, p.done, p.total)
-	if p.nReplayed > 0 {
-		fmt.Fprintf(&b, " (%d replayed)", p.nReplayed)
+	fmt.Fprintf(&b, "%s: %d/%d cells", p.Campaign, p.Done, p.Total)
+	if p.Replayed > 0 {
+		fmt.Fprintf(&b, " (%d replayed)", p.Replayed)
 	}
-	if p.retries > 0 {
-		fmt.Fprintf(&b, " %d retried", p.retries)
+	if p.Retried > 0 {
+		fmt.Fprintf(&b, " %d retried", p.Retried)
 	}
-	if p.nQuarantined > 0 {
-		fmt.Fprintf(&b, " %d quarantined", p.nQuarantined)
+	if p.Quarantined > 0 {
+		fmt.Fprintf(&b, " %d quarantined", p.Quarantined)
 	}
-	if p.nInterrupted > 0 {
-		fmt.Fprintf(&b, " %d interrupted", p.nInterrupted)
+	if p.Interrupted > 0 {
+		fmt.Fprintf(&b, " %d interrupted", p.Interrupted)
 	}
-	if p.failed > 0 {
-		fmt.Fprintf(&b, " %d FAILED", p.failed)
+	if p.Failed > 0 {
+		fmt.Fprintf(&b, " %d FAILED", p.Failed)
 	}
-	fmt.Fprintf(&b, " | %.1f cells/s", cellsPerSec)
-	if p.instances > 0 {
-		fmt.Fprintf(&b, ", %.0f instances/s", Rate(p.instances, elapsed))
+	fmt.Fprintf(&b, " | %.1f cells/s", p.CellsPerSec)
+	if p.Instances > 0 {
+		fmt.Fprintf(&b, ", %.0f instances/s", p.InstancesPerSec)
 	}
-	if p.cacheHits > 0 || p.cacheMisses > 0 || p.cacheCorrupt > 0 {
-		fmt.Fprintf(&b, " | cache %d hit %d miss", p.cacheHits, p.cacheMisses)
-		if p.cacheCorrupt > 0 {
-			fmt.Fprintf(&b, " %d corrupt", p.cacheCorrupt)
+	if p.CacheHits > 0 || p.CacheMisses > 0 || p.CacheCorrupt > 0 {
+		fmt.Fprintf(&b, " | cache %d hit %d miss", p.CacheHits, p.CacheMisses)
+		if p.CacheCorrupt > 0 {
+			fmt.Fprintf(&b, " %d corrupt", p.CacheCorrupt)
 		}
 	}
-	if p.cacheDegrade {
+	if p.CacheDegraded {
 		b.WriteString(" | cache degraded")
 	}
 	if util := p.utilization(); util != "" {
 		fmt.Fprintf(&b, " | %s", util)
 	}
+	switch {
+	case p.Final && p.Interrupted > 0:
+		b.WriteString(" interrupted")
+	case p.Final:
+		b.WriteString(" done")
+	}
 	return b.String()
 }
 
-// utilization renders each device's share of total busy time; the
-// caller holds p.mu.
-func (p *Reporter) utilization() string {
-	if len(p.deviceBusy) == 0 {
-		return ""
-	}
-	var total time.Duration
-	for _, d := range p.deviceBusy {
-		total += d
+// utilization renders each device's share of total busy time.
+func (p Progress) utilization() string {
+	var total float64
+	for _, busy := range p.DeviceBusy {
+		total += busy
 	}
 	if total <= 0 {
 		return ""
 	}
-	devs := make([]string, 0, len(p.deviceBusy))
-	for d := range p.deviceBusy {
+	devs := make([]string, 0, len(p.DeviceBusy))
+	for d := range p.DeviceBusy {
 		devs = append(devs, d)
 	}
 	sort.Strings(devs)
 	parts := make([]string, 0, len(devs))
 	for _, d := range devs {
-		parts = append(parts, fmt.Sprintf("%s %.0f%%", d, 100*float64(p.deviceBusy[d])/float64(total)))
+		parts = append(parts, fmt.Sprintf("%s %.0f%%", d, 100*p.DeviceBusy[d]/total))
 	}
 	return "util " + strings.Join(parts, " ")
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -65,21 +64,15 @@ func TestInstantJobSnapshotRates(t *testing.T) {
 	}
 }
 
-// TestReporterInstantLine: the text reporter's rate under a frozen
-// clock is 0.0 cells/s, not a screenful of digits.
+// TestReporterInstantLine: the progress line of a campaign that took
+// no measurable time reads 0.0 cells/s, not a screenful of digits.
 func TestReporterInstantLine(t *testing.T) {
-	var lines []string
-	r := NewReporter(func(s string) { lines = append(lines, s) }, 0)
-	frozen := time.Now()
-	r.now = func() time.Time { return frozen }
-	r.begin(context.Background(), "instant", 2)
-	r.cellDone(Cell{Device: "AMD"}, 0, 3, true, 0)
-	r.finish(reportCounters{executed: 2})
-	if len(lines) == 0 {
-		t.Fatal("no lines emitted")
-	}
-	last := lines[len(lines)-1]
+	rep := &Report[int]{Spec: Spec{Name: "instant", Cells: make([]Cell, 2)}, Executed: 2}
+	last := FinalProgress(rep, 3, 0).String()
 	if !strings.Contains(last, "0.0 cells/s") {
 		t.Fatalf("instant-run summary line reports a phantom rate: %q", last)
+	}
+	if !strings.HasSuffix(last, " done") {
+		t.Fatalf("final line does not end in done: %q", last)
 	}
 }

@@ -21,8 +21,9 @@
 //   - Resumability and observability. Completed cells are checkpointed
 //     as JSONL records under a manifest hash of the campaign spec, so
 //     an interrupted campaign resumes by replaying done cells instead
-//     of re-running them, and a progress reporter streams cells/sec,
-//     instances/sec and per-device utilization.
+//     of re-running them, and OnProgress streams cumulative snapshots
+//     (cells/sec, instances/sec, per-device busy time) that render as
+//     one throughput line.
 //
 // Campaigns are cancellable: RunContext threads a context through the
 // pool, workers check it between cells, retry backoff waits on it, and
@@ -165,9 +166,6 @@ type Options[R any] struct {
 	// a cell must produce the same value. Required whenever Cache is
 	// set and the exec is not a pure function of (spec, cell, rng).
 	CacheSalt string
-	// Reporter, when non-nil, receives completion events and streams
-	// throughput lines.
-	Reporter *Reporter
 	// OnCellStart, when non-nil, is called as each cell begins
 	// executing (not for replayed cells). Calls are serialized, so the
 	// callback may mutate shared state without its own locking.
@@ -185,7 +183,7 @@ type Options[R any] struct {
 	// emitted regardless.
 	ProgressEvery time.Duration
 	// Instances extracts a cell result's instance count for the
-	// reporter's instances/sec stream. Optional.
+	// Progress.Instances counter and its instances/sec rate. Optional.
 	Instances func(R) int
 	// NewWorkerExec, when non-nil, builds a private Exec per worker
 	// goroutine, letting executors carry reusable scratch (warm devices,
@@ -254,8 +252,8 @@ type Report[R any] struct {
 	// entries that failed verification (quarantined and recomputed).
 	// They are observability only — no campaign artifact encodes them,
 	// which is what keeps warm and cold runs byte-identical.
-	CacheHits   int
-	CacheMisses int
+	CacheHits    int
+	CacheMisses  int
 	CacheCorrupt int
 	// CacheDegraded is true when the result cache hit a persistent
 	// storage failure and switched to pass-through: results are
@@ -332,12 +330,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	}
 	rep := &Report[R]{Spec: spec, Results: make([]CellResult[R], len(spec.Cells))}
 	start := time.Now()
-	if opts.Reporter != nil {
-		opts.Reporter.begin(ctx, spec.Name, len(spec.Cells))
-		// finish() also stops the heartbeat; the defer covers the early
-		// error returns below so the ticker goroutine can never leak.
-		defer opts.Reporter.stop()
-	}
 	var prog *progressTracker
 	if opts.OnProgress != nil {
 		every := opts.ProgressEvery
@@ -348,12 +340,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 		// finish() emits the final snapshot on the ordinary return path;
 		// the defer only guarantees the ticker goroutine cannot outlive
 		// an early error return.
-		defer func() {
-			if prog.stopTick != nil {
-				prog.stopTick()
-				<-prog.tickDone
-			}
-		}()
+		defer prog.stop()
 	}
 	// A breaker implies collect: device failures feed the breaker
 	// instead of aborting the campaign.
@@ -378,9 +365,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				rep.Results[i].Replayed = true
 				rep.Replayed++
 				breaker.resolve(cell.Device, i, true)
-				if opts.Reporter != nil {
-					opts.Reporter.replayed(cell)
-				}
 				if prog != nil {
 					prog.cellReplayed()
 				}
@@ -414,9 +398,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					mu.Lock()
 					rep.Interrupted++
 					mu.Unlock()
-					if opts.Reporter != nil {
-						opts.Reporter.interrupted(cell)
-					}
 					if prog != nil {
 						prog.cellInterrupted()
 					}
@@ -438,9 +419,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					mu.Lock()
 					rep.Quarantined++
 					mu.Unlock()
-					if opts.Reporter != nil {
-						opts.Reporter.quarantined(cell)
-					}
 					if prog != nil {
 						prog.cellQuarantined()
 					}
@@ -485,9 +463,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 							mu.Unlock()
 							breaker.resolve(cell.Device, i, rep.Results[i].Err == nil)
 							if rep.Results[i].Err == nil {
-								if opts.Reporter != nil {
-									opts.Reporter.cacheHit(cell)
-								}
 								if prog != nil {
 									prog.cellCacheHit()
 								}
@@ -533,9 +508,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					mu.Lock()
 					rep.Interrupted++
 					mu.Unlock()
-					if opts.Reporter != nil {
-						opts.Reporter.interrupted(cell)
-					}
 					if prog != nil {
 						prog.cellInterrupted()
 					}
@@ -579,9 +551,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					}
 				}
 				breaker.resolve(cell.Device, i, rep.Results[i].Err == nil)
-				if opts.Reporter != nil {
-					opts.Reporter.cellDone(cell, wall, instances, rep.Results[i].Err == nil, attempts-1)
-				}
 				if prog != nil {
 					prog.cellDone(cell, wall, instances, rep.Results[i].Err == nil, attempts-1)
 				}
@@ -624,22 +593,8 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 			rep.CacheErr = derr.Error()
 		}
 	}
-	counters := reportCounters{
-		executed: rep.Executed, replayed: rep.Replayed,
-		failed: rep.Failed, quarantined: rep.Quarantined,
-		interrupted: rep.Interrupted, retried: rep.Retried,
-		health:          rep.Health,
-		storageDegraded: rep.StorageDegraded,
-		cacheHits:       rep.CacheHits,
-		cacheMisses:     rep.CacheMisses,
-		cacheCorrupt:    rep.CacheCorrupt,
-		cacheDegraded:   rep.CacheDegraded,
-	}
-	if opts.Reporter != nil {
-		opts.Reporter.finish(counters)
-	}
 	if prog != nil {
-		prog.finish(counters)
+		prog.finish(settledCounters(rep))
 	}
 	if !collect && abortCause != nil {
 		return rep, abortCause

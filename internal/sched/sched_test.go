@@ -217,16 +217,11 @@ func TestOnCellStartAndReporter(t *testing.T) {
 	var mu sync.Mutex
 	var started []string
 	var lines []string
-	rep := NewReporter(func(s string) {
-		mu.Lock()
-		lines = append(lines, s)
-		mu.Unlock()
-	}, 0)
 	_, err := Run(spec, func(_ context.Context, _ Cell, rng *xrand.Rand) (int, error) {
 		return 100, nil
 	}, Options[int]{
-		Workers:  4,
-		Reporter: rep,
+		Workers:    4,
+		OnProgress: func(p Progress) { lines = append(lines, p.String()) },
 		OnCellStart: func(c Cell) {
 			mu.Lock()
 			started = append(started, c.Key)
@@ -241,7 +236,7 @@ func TestOnCellStartAndReporter(t *testing.T) {
 		t.Fatalf("OnCellStart fired %d times, want 12", len(started))
 	}
 	if len(lines) == 0 {
-		t.Fatal("reporter emitted nothing")
+		t.Fatal("no progress line emitted")
 	}
 	last := lines[len(lines)-1]
 	for _, want := range []string{"unit: 12/12 cells", "cells/s", "instances/s", "util", "AMD", "Intel", "done"} {

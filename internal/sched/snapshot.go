@@ -5,123 +5,33 @@ import (
 	"time"
 )
 
-// Progress is one structured snapshot of a running campaign — the
-// machine-readable sibling of the Reporter's text lines, built for
-// consumers that stream campaign state elsewhere (the serve subsystem's
-// SSE hub, metrics scrapers). Snapshots are cumulative: every counter
-// covers the campaign from its start, so a consumer may drop
-// intermediate snapshots and still hold a correct view.
-//
-// Done is monotonically non-decreasing across the snapshots of one
-// campaign. The final snapshot (Final true) carries the settled
-// post-campaign verdicts — under a circuit breaker these can differ
-// from live counts, because a speculatively-executed cell may be
-// quarantined after the fact — plus the per-device Health summary.
-type Progress struct {
-	// Campaign is the spec name; Total the cell count.
-	Campaign string `json:"campaign"`
-	Total    int    `json:"total"`
-	// Done counts resolved cells: executed (ok or failed), replayed
-	// from the checkpoint, or skipped by an open circuit breaker.
-	// Interrupted and aborted cells are not done.
-	Done int `json:"done"`
-	// Executed, Replayed, Failed, Quarantined, Interrupted and Retried
-	// mirror the Report counters of the same names.
-	Executed    int `json:"executed"`
-	Replayed    int `json:"replayed"`
-	Failed      int `json:"failed"`
-	Quarantined int `json:"quarantined"`
-	Interrupted int `json:"interrupted"`
-	Retried     int `json:"retried"`
-	// Instances accumulates Options.Instances over succeeded cells.
-	Instances int `json:"instances"`
-	// ElapsedSeconds is host time since the campaign began;
-	// CellsPerSec and InstancesPerSec are the throughput over it.
-	ElapsedSeconds  float64 `json:"elapsed_seconds"`
-	CellsPerSec     float64 `json:"cells_per_sec"`
-	InstancesPerSec float64 `json:"instances_per_sec"`
-	// DeviceBusy is each device's accumulated cell wall time in
-	// seconds — the raw feed behind the Reporter's utilization line.
-	DeviceBusy map[string]float64 `json:"device_busy,omitempty"`
-	// CacheHits, CacheMisses and CacheCorrupt mirror the Report's
-	// result-cache counters: cells served from the cache, consultations
-	// that found nothing, and entries that failed verification. They
-	// are observability only and never appear in campaign artifacts.
-	CacheHits    int `json:"cache_hits,omitempty"`
-	CacheMisses  int `json:"cache_misses,omitempty"`
-	CacheCorrupt int `json:"cache_corrupt,omitempty"`
-	// CacheDegraded is set on the final snapshot when the result cache
-	// hit a persistent storage failure and switched to pass-through.
-	// Unlike StorageDegraded it never affects exit status or readiness.
-	CacheDegraded bool `json:"cache_degraded,omitempty"`
-	// Final marks the last snapshot of the campaign, emitted after the
-	// verdicts settle and before RunContext returns.
-	Final bool `json:"final"`
-	// Health is the per-device fleet summary; populated on the final
-	// snapshot when the campaign ran with a circuit breaker.
-	Health []DeviceHealth `json:"health,omitempty"`
-	// StorageDegraded is set on the final snapshot when the checkpoint
-	// degraded to in-memory operation (see Report.StorageDegraded).
-	StorageDegraded bool `json:"storage_degraded,omitempty"`
-}
-
-// DefaultProgressEvery is the OnProgress snapshot cadence when
-// Options.ProgressEvery is unset.
-const DefaultProgressEvery = time.Second
-
-// Rate is the shared throughput computation for progress surfaces: n
-// events over elapsed seconds, and 0 when no time has measurably
-// passed. A job finishing entirely from cache or checkpoint replay can
-// complete within one clock granule; dividing by a clamped epsilon
-// there reports an absurd finite rate (n × 1e9), so zero-elapsed
-// yields the only honest answer — no measured throughput.
-func Rate(n int, elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
-		return 0
-	}
-	return float64(n) / elapsedSeconds
-}
-
 // progressTracker accumulates live counters and drives the OnProgress
 // callback: a ticker goroutine emits periodic snapshots, and finish
-// (called after the campaign settles, with the ticker already stopped)
-// emits the final one. All callback invocations are serialized — the
-// ticker goroutine is joined before the final emit — so OnProgress
-// needs no locking of its own and the Final snapshot is always the
-// last delivered.
+// (called after the campaign settles) joins the ticker and emits the
+// final one. All callback invocations are serialized — the ticker
+// goroutine is joined before the final emit — so OnProgress needs no
+// locking of its own and the Final snapshot is always the last
+// delivered.
 type progressTracker struct {
-	mu         sync.Mutex
-	cb         func(Progress)
-	campaign   string
-	total      int
-	start      time.Time
-	now        func() time.Time
-	executed   int
-	replayed   int
-	failed     int
-	quarantine int
-	interrupts int
-	retried    int
-	instances  int
-	cacheHits  int
-	cacheMiss  int
-	cacheBad   int
-	deviceBusy map[string]time.Duration
+	mu    sync.Mutex
+	cb    func(Progress)
+	start time.Time
+	now   func() time.Time
+	// live holds the running counters and per-device busy seconds;
+	// snapshot stamps elapsed time and rates onto a copy.
+	live Progress
 
 	stopTick func()        // cancels the ticker goroutine; nil when none
 	tickDone chan struct{} // closed when the ticker goroutine exits
 }
 
 // newProgressTracker starts the tracker and, with a positive interval,
-// its ticker goroutine. done is a channel the ticker selects on so the
-// campaign context tears it down alongside everything else.
+// its ticker goroutine.
 func newProgressTracker(cb func(Progress), campaign string, total int, every time.Duration) *progressTracker {
 	t := &progressTracker{
-		cb:         cb,
-		campaign:   campaign,
-		total:      total,
-		now:        time.Now,
-		deviceBusy: map[string]time.Duration{},
+		cb:   cb,
+		now:  time.Now,
+		live: Progress{Campaign: campaign, Total: total, DeviceBusy: map[string]float64{}},
 	}
 	t.start = t.now()
 	if every > 0 {
@@ -148,52 +58,50 @@ func (t *progressTracker) tick(every time.Duration, stop chan struct{}) {
 	}
 }
 
+// stop joins the ticker goroutine. It is idempotent and safe when no
+// ticker was started.
+func (t *progressTracker) stop() {
+	if t.stopTick != nil {
+		t.stopTick()
+		<-t.tickDone
+	}
+}
+
 // snapshot assembles a cumulative Progress from the live counters.
 func (t *progressTracker) snapshot() Progress {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := Progress{
-		Campaign:     t.campaign,
-		Total:        t.total,
-		Done:         t.executed + t.replayed + t.quarantine + t.cacheHits,
-		Executed:     t.executed,
-		Replayed:     t.replayed,
-		Failed:       t.failed,
-		Quarantined:  t.quarantine,
-		Interrupted:  t.interrupts,
-		Retried:      t.retried,
-		Instances:    t.instances,
-		CacheHits:    t.cacheHits,
-		CacheMisses:  t.cacheMiss,
-		CacheCorrupt: t.cacheBad,
-	}
-	p.ElapsedSeconds = t.now().Sub(t.start).Seconds()
-	p.CellsPerSec = Rate(t.executed, p.ElapsedSeconds)
-	p.InstancesPerSec = Rate(t.instances, p.ElapsedSeconds)
-	if len(t.deviceBusy) > 0 {
-		p.DeviceBusy = make(map[string]float64, len(t.deviceBusy))
-		for d, busy := range t.deviceBusy {
-			p.DeviceBusy[d] = busy.Seconds()
+	p := t.live
+	p.DeviceBusy = nil
+	if len(t.live.DeviceBusy) > 0 {
+		p.DeviceBusy = make(map[string]float64, len(t.live.DeviceBusy))
+		for d, busy := range t.live.DeviceBusy {
+			p.DeviceBusy[d] = busy
 		}
 	}
+	p.setElapsed(t.now().Sub(t.start).Seconds())
 	return p
 }
 
 func (t *progressTracker) cellReplayed() {
 	t.mu.Lock()
-	t.replayed++
+	t.live.Replayed++
+	t.live.Done++
 	t.mu.Unlock()
 }
 
 func (t *progressTracker) cellQuarantined() {
 	t.mu.Lock()
-	t.quarantine++
+	t.live.Quarantined++
+	t.live.Done++
 	t.mu.Unlock()
 }
 
+// cellInterrupted records a cell abandoned by cancellation: pending,
+// not done.
 func (t *progressTracker) cellInterrupted() {
 	t.mu.Lock()
-	t.interrupts++
+	t.live.Interrupted++
 	t.mu.Unlock()
 }
 
@@ -201,7 +109,8 @@ func (t *progressTracker) cellInterrupted() {
 // toward Done without counting as executed.
 func (t *progressTracker) cellCacheHit() {
 	t.mu.Lock()
-	t.cacheHits++
+	t.live.CacheHits++
+	t.live.Done++
 	t.mu.Unlock()
 }
 
@@ -211,64 +120,86 @@ func (t *progressTracker) cellCacheHit() {
 func (t *progressTracker) cellCacheMiss(corrupt bool) {
 	t.mu.Lock()
 	if corrupt {
-		t.cacheBad++
+		t.live.CacheCorrupt++
 	} else {
-		t.cacheMiss++
+		t.live.CacheMisses++
 	}
 	t.mu.Unlock()
 }
 
 func (t *progressTracker) cellDone(c Cell, wall time.Duration, instances int, ok bool, retries int) {
 	t.mu.Lock()
-	t.executed++
-	t.instances += instances
-	t.retried += retries
+	t.live.Executed++
+	t.live.Done++
+	t.live.Instances += instances
+	t.live.Retried += retries
 	if !ok {
-		t.failed++
+		t.live.Failed++
 	}
 	if c.Device != "" {
-		t.deviceBusy[c.Device] += wall
+		t.live.DeviceBusy[c.Device] += wall.Seconds()
 	}
 	t.mu.Unlock()
 }
 
-// finish joins the ticker goroutine, overlays the settled report
-// verdicts, and emits the final snapshot. It runs after applyBreaker,
-// so under a circuit breaker the Final counters are the authoritative
-// post-pass ones. Done stays monotonic: every cell is by now executed,
-// replayed, quarantined, interrupted or aborted, and Done counts
-// exactly the first three — the same population the live counter grew
-// over.
-func (t *progressTracker) finish(rep reportCounters) {
-	if t.stopTick != nil {
-		t.stopTick()
-		<-t.tickDone
-	}
-	t.mu.Lock()
-	t.executed = rep.executed
-	t.replayed = rep.replayed
-	t.failed = rep.failed
-	t.quarantine = rep.quarantined
-	t.interrupts = rep.interrupted
-	t.retried = rep.retried
-	t.cacheHits = rep.cacheHits
-	t.cacheMiss = rep.cacheMisses
-	t.cacheBad = rep.cacheCorrupt
-	t.mu.Unlock()
-	p := t.snapshot()
-	p.Final = true
-	p.Health = rep.health
-	p.StorageDegraded = rep.storageDegraded
-	p.CacheDegraded = rep.cacheDegraded
+// finish joins the ticker goroutine and emits the final snapshot: the
+// settled report verdicts over the live instance count, busy times and
+// elapsed time. It runs after applyBreaker, so under a circuit breaker
+// the Final counters are the authoritative post-pass ones. Done stays
+// monotonic: every cell is by now executed, replayed, quarantined,
+// interrupted or aborted, and Done counts exactly the first three —
+// the same population the live counter grew over.
+func (t *progressTracker) finish(rc reportCounters) {
+	t.stop()
+	live := t.snapshot()
+	p := rc.final(live.Campaign, live.Total, live.Instances, live.ElapsedSeconds)
+	p.DeviceBusy = live.DeviceBusy
 	t.cb(p)
 }
 
-// reportCounters carries the settled aggregates finish overlays onto
-// the final snapshot and the Reporter's summary line.
+// reportCounters carries a finished campaign's settled aggregates.
 type reportCounters struct {
 	executed, replayed, failed, quarantined, interrupted, retried int
 	cacheHits, cacheMisses, cacheCorrupt                          int
 	health                                                        []DeviceHealth
 	storageDegraded                                               bool
 	cacheDegraded                                                 bool
+}
+
+// settledCounters extracts a finished report's settled aggregates.
+func settledCounters[R any](rep *Report[R]) reportCounters {
+	return reportCounters{
+		executed: rep.Executed, replayed: rep.Replayed,
+		failed: rep.Failed, quarantined: rep.Quarantined,
+		interrupted: rep.Interrupted, retried: rep.Retried,
+		cacheHits: rep.CacheHits, cacheMisses: rep.CacheMisses, cacheCorrupt: rep.CacheCorrupt,
+		health:          rep.Health,
+		storageDegraded: rep.StorageDegraded,
+		cacheDegraded:   rep.CacheDegraded,
+	}
+}
+
+// final renders the settled aggregates as a campaign's Final snapshot.
+func (rc reportCounters) final(campaign string, total, instances int, elapsedSeconds float64) Progress {
+	p := Progress{
+		Campaign:        campaign,
+		Total:           total,
+		Done:            rc.executed + rc.replayed + rc.quarantined + rc.cacheHits,
+		Executed:        rc.executed,
+		Replayed:        rc.replayed,
+		Failed:          rc.failed,
+		Quarantined:     rc.quarantined,
+		Interrupted:     rc.interrupted,
+		Retried:         rc.retried,
+		Instances:       instances,
+		CacheHits:       rc.cacheHits,
+		CacheMisses:     rc.cacheMisses,
+		CacheCorrupt:    rc.cacheCorrupt,
+		CacheDegraded:   rc.cacheDegraded,
+		Final:           true,
+		Health:          rc.health,
+		StorageDegraded: rc.storageDegraded,
+	}
+	p.setElapsed(elapsedSeconds)
+	return p
 }

@@ -196,58 +196,22 @@ type execResult struct {
 // job totals with Final set only on the last campaign's settlement.
 type progressAggregator struct {
 	out       func(sched.Progress)
-	jobID     string
-	total     int
 	campaigns int
 
 	finished int
-	base     sched.Progress
+	// base is the job-level fold of every settled campaign; its
+	// Campaign and Total name the job.
+	base sched.Progress
 }
 
 // hook returns the OnProgress callback to hand the next campaign.
 func (a *progressAggregator) hook() func(sched.Progress) {
 	return func(p sched.Progress) {
-		q := p
-		q.Campaign = a.jobID
-		q.Total = a.total
-		q.Done += a.base.Done
-		q.Executed += a.base.Executed
-		q.Replayed += a.base.Replayed
-		q.Failed += a.base.Failed
-		q.Quarantined += a.base.Quarantined
-		q.Interrupted += a.base.Interrupted
-		q.Retried += a.base.Retried
-		q.Instances += a.base.Instances
-		q.CacheHits += a.base.CacheHits
-		q.CacheMisses += a.base.CacheMisses
-		q.CacheCorrupt += a.base.CacheCorrupt
-		q.CacheDegraded = p.CacheDegraded || a.base.CacheDegraded
-		q.ElapsedSeconds += a.base.ElapsedSeconds
-		// Rates must describe the aggregated scope, not the current
-		// campaign's: recompute them from the job totals the same way
-		// the tracker does (cumulative count over elapsed time).
-		q.CellsPerSec = sched.Rate(q.Executed, q.ElapsedSeconds)
-		q.InstancesPerSec = sched.Rate(q.Instances, q.ElapsedSeconds)
-		if len(a.base.DeviceBusy) > 0 {
-			merged := make(map[string]float64, len(a.base.DeviceBusy)+len(p.DeviceBusy))
-			for d, v := range a.base.DeviceBusy {
-				merged[d] = v
-			}
-			for d, v := range p.DeviceBusy {
-				merged[d] += v
-			}
-			q.DeviceBusy = merged
-		}
-		if len(a.base.Health) > 0 {
-			q.Health = append(append([]sched.DeviceHealth(nil), a.base.Health...), p.Health...)
-		}
-		q.StorageDegraded = p.StorageDegraded || a.base.StorageDegraded
+		q := a.base
+		q.Add(p)
 		if p.Final {
 			a.finished++
-			base := q
-			base.Final = false
-			base.Health = append([]sched.DeviceHealth(nil), q.Health...)
-			a.base = base
+			a.base = q
 		}
 		q.Final = p.Final && a.finished == a.campaigns
 		a.out(q)
@@ -264,9 +228,8 @@ func (s *Server) execute(ctx context.Context, job *Job, eff guard.Budget, onProg
 	js := job.Spec
 	agg := &progressAggregator{
 		out:       onProgress,
-		jobID:     job.ID,
-		total:     job.Cells,
 		campaigns: 1,
+		base:      sched.Progress{Campaign: job.ID, Total: job.Cells},
 	}
 	opts := core.CampaignOptions{
 		Workers:        s.cfg.JobWorkers,

@@ -34,18 +34,13 @@ type metrics struct {
 	jobsPoisoned    int64
 	// perJob remembers each live job's last cumulative snapshot so a
 	// new snapshot contributes only its delta to the counters.
-	perJob map[string]cellCounts
-}
-
-type cellCounts struct {
-	executed, replayed, retried, quarantined int
-	cacheHits, cacheMisses, cacheCorrupt     int
+	perJob map[string]sched.Progress
 }
 
 func newMetrics() *metrics {
 	return &metrics{
 		jobsCompleted: map[JobState]int64{},
-		perJob:        map[string]cellCounts{},
+		perJob:        map[string]sched.Progress{},
 	}
 }
 
@@ -56,23 +51,14 @@ func (m *metrics) observe(id string, p sched.Progress) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	prev := m.perJob[id]
-	cur := cellCounts{
-		executed:     p.Executed,
-		replayed:     p.Replayed,
-		retried:      p.Retried,
-		quarantined:  p.Quarantined,
-		cacheHits:    p.CacheHits,
-		cacheMisses:  p.CacheMisses,
-		cacheCorrupt: p.CacheCorrupt,
-	}
-	m.cellsExec += max64(0, cur.executed-prev.executed)
-	m.cellsReplayed += max64(0, cur.replayed-prev.replayed)
-	m.cellsRetried += max64(0, cur.retried-prev.retried)
-	m.cellsQuar += max64(0, cur.quarantined-prev.quarantined)
-	m.cacheHits += max64(0, cur.cacheHits-prev.cacheHits)
-	m.cacheMisses += max64(0, cur.cacheMisses-prev.cacheMisses)
-	m.cacheCorrupt += max64(0, cur.cacheCorrupt-prev.cacheCorrupt)
-	m.perJob[id] = cur
+	m.cellsExec += max64(0, p.Executed-prev.Executed)
+	m.cellsReplayed += max64(0, p.Replayed-prev.Replayed)
+	m.cellsRetried += max64(0, p.Retried-prev.Retried)
+	m.cellsQuar += max64(0, p.Quarantined-prev.Quarantined)
+	m.cacheHits += max64(0, p.CacheHits-prev.CacheHits)
+	m.cacheMisses += max64(0, p.CacheMisses-prev.CacheMisses)
+	m.cacheCorrupt += max64(0, p.CacheCorrupt-prev.CacheCorrupt)
+	m.perJob[id] = p
 }
 
 func max64(a, b int) int64 {

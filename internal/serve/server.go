@@ -556,7 +556,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.mu.Lock()
 		rj.last = p
 		s.mu.Unlock()
-		s.watchdog.Observe(id, progressMark(p))
+		s.watchdog.Observe(id, p.Mark())
 		s.metrics.observe(id, p)
 		if data, err := json.Marshal(p); err == nil {
 			s.hub.publish(id, event{name: "progress", data: data})
@@ -646,20 +646,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			j.Summary = summary
 		})
 	}
-}
-
-// progressMark folds a cumulative snapshot into the watchdog's
-// monotone progress mark. Every counter here advances exactly when a
-// cell resolves (executes, replays, quarantines, retries, or is served
-// from cache), so a frozen mark means the job is not moving — whether
-// the wedge is a device, a retry livelock, or a distributed
-// coordinator whose workers vanished. Elapsed time and rates are
-// deliberately excluded: they advance on every snapshot.
-func progressMark(p sched.Progress) uint64 {
-	return uint64(p.Done) + uint64(p.Executed) + uint64(p.Replayed) +
-		uint64(p.Failed) + uint64(p.Quarantined) + uint64(p.Retried) +
-		uint64(p.Instances) + uint64(p.CacheHits) + uint64(p.CacheMisses) +
-		uint64(p.CacheCorrupt)
 }
 
 // finishJob applies a terminal transition, bumps the completion

@@ -158,14 +158,14 @@ func TestCampaignResumeRejectsChangedConfig(t *testing.T) {
 	}
 }
 
-// TestCampaignReporterStreams checks the throughput stream surfaces
+// TestCampaignReporterStreams checks the progress line surfaces
 // cells, instance rates and device utilization.
 func TestCampaignReporterStreams(t *testing.T) {
 	cfg, tests := campaignConfig()
 	var lines []string
 	_, err := RunCampaign(cfg, tests, RunOptions{
-		Workers: 2,
-		Report:  func(s string) { lines = append(lines, s) },
+		Workers:    2,
+		OnProgress: func(p sched.Progress) { lines = append(lines, p.String()) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -150,8 +150,8 @@ func TestCancelChaosResumeByteIdentical(t *testing.T) {
 		partial, err := RunCampaignCtx(ctx, cfg, tests, RunOptions{
 			Workers:        2,
 			CheckpointPath: ckpt,
-			Report:         func(string) {},
-			ReportEvery:    time.Millisecond,
+			OnProgress:     func(sched.Progress) {},
+			ProgressEvery:  time.Millisecond,
 			Progress: func(string) {
 				if started++; started == cancelAt {
 					cancel()

@@ -285,11 +285,6 @@ type RunOptions struct {
 	// ProgressEvery is the OnProgress cadence; zero means
 	// sched.DefaultProgressEvery.
 	ProgressEvery time.Duration
-	// Report, when non-nil, receives throughput lines (cells/sec,
-	// instances/sec, per-device utilization) at most every
-	// ReportEvery (default 2s).
-	Report      func(string)
-	ReportEvery time.Duration
 	// Retries and Backoff configure transient-failure handling per
 	// cell.
 	Retries int
@@ -592,13 +587,6 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 			w := work[c.Key]
 			progress(fmt.Sprintf("%s on %s: %s (%d iterations)", w.envID, w.device, w.test.Name, w.iters))
 		}
-	}
-	if opts.Report != nil {
-		every := opts.ReportEvery
-		if every <= 0 {
-			every = 2 * time.Second
-		}
-		schedOpts.Reporter = sched.NewReporter(opts.Report, every)
 	}
 	if opts.Resume && opts.CheckpointPath == "" {
 		return nil, fmt.Errorf("tuning: Resume requires CheckpointPath")

@@ -210,7 +210,7 @@ func GCD(a, b uint64) uint64 {
 
 // Coprime returns a value p in [2, n) with gcd(p, n) == 1, chosen
 // uniformly among candidates. For n <= 2 it returns 1 (the identity
-// permutation multiplier). The result is the multiplier for the parallel
+// permutation multiplier); for n == 3 the only candidate is 2. The result is the multiplier for the parallel
 // permutation function v -> (v*p) mod n used by the PTE thread/instance
 // assignment (Section 4.1 of the paper); the paper notes simple mappings
 // such as v -> v+1 are ineffective, so candidates near 1 and n-1 are
@@ -218,6 +218,9 @@ func GCD(a, b uint64) uint64 {
 func (r *Rand) Coprime(n uint64) uint64 {
 	if n <= 2 {
 		return 1
+	}
+	if n == 3 {
+		return 2
 	}
 	// Rejection sample; density of coprimes is at least ~1/log log n,
 	// so this terminates quickly. Cap attempts for safety.
