@@ -5,10 +5,12 @@ package repro
 // classification and histogram accumulation — is designed to be
 // allocation-free once a Runner is warm: every buffer it needs lives
 // in runner- or device-owned scratch that is reset in place each
-// iteration. BenchmarkSteadyStateAllocs measures exactly that loop
-// and CI fails if it ever reports a nonzero allocs/op, so an
-// accidental escape or map growth on the hot path cannot land
-// silently. BENCH_hotpath.json (regenerated by TestEmitHotpathBench)
+// iteration. BenchmarkSteadyStateAllocs measures exactly that loop,
+// BenchmarkLoweredSteadyStateAllocs the same loop behind the
+// fence-dropping Vulkan lowering every conformance cell runs, and CI
+// fails if either ever reports a nonzero allocs/op, so an accidental
+// escape or map growth on the hot path cannot land silently.
+// BENCH_hotpath.json (regenerated by TestEmitHotpathBench)
 // records the before/after numbers for the optimization.
 
 import (
@@ -24,13 +26,16 @@ import (
 	"repro/internal/mutation"
 	"repro/internal/resultcache"
 	"repro/internal/tuning"
+	"repro/internal/wgsl"
 	"repro/internal/xrand"
 )
 
 // warmRunner builds a Runner for the MP mutant in the stressed PTE
 // environment and runs it until every arena has grown to its working
 // size and the classifier memo and histogram key set are populated.
-func warmRunner(tb testing.TB) (*harness.Runner, *harness.Result, func(int, *xrand.Rand) error) {
+// With lowered set, every program first goes through the AMD profile's
+// fence-dropping Vulkan toolchain, as in a -fence-bug conformance cell.
+func warmRunner(tb testing.TB, lowered bool) func(int, *xrand.Rand) error {
 	tb.Helper()
 	s := mutation.MustGenerate()
 	test, ok := s.ByName("MP")
@@ -49,6 +54,9 @@ func warmRunner(tb testing.TB) (*harness.Runner, *harness.Result, func(int, *xra
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if lowered {
+		r.Lower = wgsl.NewToolchain(prof, wgsl.DriverFenceDropping).LowerFunc()
+	}
 	res := &harness.Result{}
 	run := func(iters int, rng *xrand.Rand) error {
 		return r.RunInto(context.Background(), res, test, iters, rng)
@@ -59,7 +67,7 @@ func warmRunner(tb testing.TB) (*harness.Runner, *harness.Result, func(int, *xra
 			tb.Fatal(err)
 		}
 	}
-	return r, res, run
+	return run
 }
 
 // BenchmarkSteadyStateAllocs measures the warm campaign loop: a reused
@@ -69,8 +77,16 @@ func warmRunner(tb testing.TB) (*harness.Runner, *harness.Result, func(int, *xra
 // first-sight map inserts (a genuinely novel outcome key still costs
 // one amortized map entry; that is by design and not steady-state
 // cost). The CI bench gate requires 0 allocs/op here.
-func BenchmarkSteadyStateAllocs(b *testing.B) {
-	_, _, run := warmRunner(b)
+func BenchmarkSteadyStateAllocs(b *testing.B) { benchSteadyState(b, false) }
+
+// BenchmarkLoweredSteadyStateAllocs is BenchmarkSteadyStateAllocs with
+// the fence-dropping Vulkan lowering installed as Runner.Lower: the
+// path every conformance cell, serve job and dist worker runs. The CI
+// bench gate requires 0 allocs/op here too; it has no ns/op budget.
+func BenchmarkLoweredSteadyStateAllocs(b *testing.B) { benchSteadyState(b, true) }
+
+func benchSteadyState(b *testing.B, lowered bool) {
+	run := warmRunner(b, lowered)
 	rng := xrand.New(1)
 	state := *rng
 	b.ReportAllocs()
@@ -90,17 +106,19 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	_, _, run := warmRunner(t)
-	rng := xrand.New(1)
-	state := *rng
-	allocs := testing.AllocsPerRun(20, func() {
-		*rng = state
-		if err := run(2, rng); err != nil {
-			t.Fatal(err)
+	for _, lowered := range []bool{false, true} {
+		run := warmRunner(t, lowered)
+		rng := xrand.New(1)
+		state := *rng
+		allocs := testing.AllocsPerRun(20, func() {
+			*rng = state
+			if err := run(2, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm RunInto (lowered=%v): %v allocs/run, want 0", lowered, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm RunInto: %v allocs/run, want 0", allocs)
 	}
 }
 

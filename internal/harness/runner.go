@@ -24,7 +24,9 @@ type Runner struct {
 	Params Params
 	// Lower, when set, post-processes every generated thread program —
 	// the hook through which the wgsl toolchain's backend lowering
-	// (including defective driver builds) is applied.
+	// (including defective driver builds) is applied. It gets
+	// runner-owned buffers, rebuilt every iteration, and may rewrite
+	// them in place (wgsl's hook does); it must not retain them.
 	Lower func(gpu.Program) gpu.Program
 	// Classifier memoizes outcome classification; nil means the
 	// process-wide shared classifier, so classifications are reused

@@ -19,6 +19,7 @@ package wgsl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/gpu"
@@ -61,8 +62,9 @@ func NewToolchain(p gpu.Profile, v DriverVersion) *Toolchain {
 type Pass interface {
 	// Name identifies the pass in lowering logs.
 	Name() string
-	// Apply transforms the program. Implementations must not mutate
-	// the input slice.
+	// Apply lowers the program in place and returns it or, when it
+	// drops instructions, its prefix p[:k]; no pass inserts any, so
+	// none allocates. The caller must own p.
 	Apply(gpu.Program) gpu.Program
 }
 
@@ -89,23 +91,29 @@ func (tc *Toolchain) Passes() []Pass {
 	}
 }
 
-// Lower runs the pipeline over a program and returns the result plus
-// the pass names applied (for diagnostics).
+// Lower runs the pipeline over a copy of p and returns the result plus
+// the pass names applied (for diagnostics). p itself is never mutated.
 func (tc *Toolchain) Lower(p gpu.Program) (gpu.Program, []string) {
-	names := make([]string, 0, 4)
-	out := p
-	for _, pass := range tc.Passes() {
+	passes := tc.Passes()
+	names := make([]string, len(passes))
+	out := slices.Clone(p)
+	for i, pass := range passes {
 		out = pass.Apply(out)
-		names = append(names, pass.Name())
+		names[i] = pass.Name()
 	}
 	return out, names
 }
 
-// LowerFunc adapts the toolchain to the harness's program hook.
+// LowerFunc adapts the toolchain to the harness's program hook. It
+// resolves the pipeline once; the hook lowers in place (see Pass), so
+// it must only be handed buffers the caller owns, like harness.Runner's.
 func (tc *Toolchain) LowerFunc() func(gpu.Program) gpu.Program {
+	passes := tc.Passes()
 	return func(p gpu.Program) gpu.Program {
-		out, _ := tc.Lower(p)
-		return out
+		for _, pass := range passes {
+			p = pass.Apply(p)
+		}
+		return p
 	}
 }
 
@@ -129,14 +137,12 @@ type annotateBarrierSemantics struct{}
 func (annotateBarrierSemantics) Name() string { return "annotate-barrier-semantics" }
 
 func (annotateBarrierSemantics) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	for i := range out {
-		if out[i].Op == gpu.OpFence {
-			out[i].Imm = semAcquireRelease | semStorageBuffer
+	for i := range p {
+		if p[i].Op == gpu.OpFence {
+			p[i].Imm = semAcquireRelease | semStorageBuffer
 		}
 	}
-	return out
+	return p
 }
 
 // spirvMemorySemantics models the SPIR-V consumer; the defective
@@ -152,17 +158,15 @@ func (s spirvMemorySemantics) Name() string {
 }
 
 func (s spirvMemorySemantics) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
 	if !s.drop {
-		return out
+		return p
 	}
-	for i := range out {
-		if out[i].Op == gpu.OpFence {
-			out[i].Imm = 0 // semantics lost in the IR round-trip
+	for i := range p {
+		if p[i].Op == gpu.OpFence {
+			p[i].Imm = 0 // semantics lost in the IR round-trip
 		}
 	}
-	return out
+	return p
 }
 
 // encodeFences materializes annotated fences: a fence without
@@ -172,7 +176,7 @@ type encodeFences struct{}
 func (encodeFences) Name() string { return "encode-fences" }
 
 func (encodeFences) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, 0, len(p))
+	out := p[:0] // compacts in place: the write index never passes the read index
 	for _, in := range p {
 		if in.Op == gpu.OpFence {
 			if in.Imm&semAcquireRelease == 0 {
@@ -191,11 +195,7 @@ type mslThreadgroupLowering struct{}
 
 func (mslThreadgroupLowering) Name() string { return "msl-threadgroup-lowering" }
 
-func (mslThreadgroupLowering) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	return out
-}
+func (mslThreadgroupLowering) Apply(p gpu.Program) gpu.Program { return p }
 
 // hlslDeviceMemoryBarrier is the Direct3D path: fences map onto
 // DeviceMemoryBarrier and survive unchanged.
@@ -203,11 +203,7 @@ type hlslDeviceMemoryBarrier struct{}
 
 func (hlslDeviceMemoryBarrier) Name() string { return "hlsl-device-memory-barrier" }
 
-func (hlslDeviceMemoryBarrier) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, len(p))
-	copy(out, p)
-	return out
-}
+func (hlslDeviceMemoryBarrier) Apply(p gpu.Program) gpu.Program { return p }
 
 // foldRedundantFences removes immediately repeated fences, a standard
 // legal cleanup every backend performs.
@@ -216,7 +212,7 @@ type foldRedundantFences struct{}
 func (foldRedundantFences) Name() string { return "fold-redundant-fences" }
 
 func (foldRedundantFences) Apply(p gpu.Program) gpu.Program {
-	out := make(gpu.Program, 0, len(p))
+	out := p[:0] // compacts in place, like encodeFences
 	for _, in := range p {
 		if in.Op == gpu.OpFence && len(out) > 0 && out[len(out)-1].Op == gpu.OpFence {
 			continue

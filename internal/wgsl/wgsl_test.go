@@ -1,6 +1,7 @@
 package wgsl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,6 +85,112 @@ func TestLoweringDoesNotMutateInput(t *testing.T) {
 	for i := range in {
 		if in[i] != fenced[i] {
 			t.Fatal("Lower mutated its input")
+		}
+	}
+}
+
+// referenceLower is the copy-per-pass pipeline the passes implemented
+// before they worked in place: every stage reads its input and builds a
+// fresh output. It is written out independently of the Pass types so
+// the in-place pipeline is checked against the semantics, not against
+// itself.
+func referenceLower(tc *Toolchain, p gpu.Program) gpu.Program {
+	stage := func(in gpu.Program, f func(gpu.Instr, gpu.Program) (gpu.Instr, bool)) gpu.Program {
+		out := make(gpu.Program, 0, len(in))
+		for _, i := range in {
+			if i, keep := f(i, out); keep {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	if tc.Backend == gpu.Vulkan {
+		p = stage(p, func(i gpu.Instr, _ gpu.Program) (gpu.Instr, bool) { // annotate
+			if i.Op == gpu.OpFence {
+				i.Imm = semAcquireRelease | semStorageBuffer
+			}
+			return i, true
+		})
+		p = stage(p, func(i gpu.Instr, _ gpu.Program) (gpu.Instr, bool) { // SPIR-V consumer
+			if i.Op == gpu.OpFence && tc.Driver == DriverFenceDropping {
+				i.Imm = 0
+			}
+			return i, true
+		})
+		p = stage(p, func(i gpu.Instr, _ gpu.Program) (gpu.Instr, bool) { // encode
+			if i.Op != gpu.OpFence {
+				return i, true
+			}
+			keep := i.Imm&semAcquireRelease != 0
+			i.Imm = 0
+			return i, keep
+		})
+	}
+	return stage(p, func(i gpu.Instr, out gpu.Program) (gpu.Instr, bool) { // fold
+		return i, i.Op != gpu.OpFence || len(out) == 0 || out[len(out)-1].Op != gpu.OpFence
+	})
+}
+
+// randomProgram draws a program mixing memory, stress, barrier and
+// fence instructions. Fences are common enough that leading, trailing
+// and adjacent runs of them all occur across seeds, and every field is
+// randomized so a pass that clobbers the wrong instruction shows up.
+func randomProgram(rng *xrand.Rand) gpu.Program {
+	ops := []gpu.Op{gpu.OpLoad, gpu.OpStore, gpu.OpExchange, gpu.OpBarrier, gpu.OpStressLoad, gpu.OpStressStore}
+	p := make(gpu.Program, rng.Intn(24))
+	for i := range p {
+		op := ops[rng.Intn(len(ops))]
+		if rng.Bool(0.45) {
+			op = gpu.OpFence
+		}
+		p[i] = gpu.Instr{Op: op, Addr: rng.Uint32() % 64, Imm: rng.Uint32() % 4, Reg: uint16(rng.Intn(4))}
+	}
+	return p
+}
+
+// TestInPlaceLoweringMatchesReference checks, for every backend and
+// driver, that the in-place LowerFunc hook, the copying Lower and the
+// copy-per-pass reference agree on edge-case and seeded random
+// programs, that the hook really works in place, and that Lower leaves
+// its input untouched.
+func TestInPlaceLoweringMatchesReference(t *testing.T) {
+	store := gpu.Instr{Op: gpu.OpStore, Addr: 3, Imm: 1}
+	fence := gpu.Instr{Op: gpu.OpFence}
+	progs := []gpu.Program{
+		nil,
+		{},
+		{fence},
+		{fence, fence, fence},
+		{fence, fence, store},
+		{store, fence, fence},
+		{fence, store, fence, fence, store, fence},
+		{{Op: gpu.OpStressLoad, Addr: 9}, fence, {Op: gpu.OpStressStore, Addr: 9, Imm: 1}, fence},
+	}
+	rng := xrand.New(15)
+	for i := 0; i < 500; i++ {
+		progs = append(progs, randomProgram(rng))
+	}
+	for _, backend := range []gpu.Backend{gpu.Vulkan, gpu.Metal, gpu.HLSL} {
+		for _, driver := range []DriverVersion{DriverConformant, DriverFenceDropping} {
+			tc := &Toolchain{Backend: backend, Driver: driver}
+			hook := tc.LowerFunc()
+			for i, p := range progs {
+				want := referenceLower(tc, p)
+				orig := slices.Clone(p)
+				lowered, _ := tc.Lower(p)
+				if !slices.Equal(p, orig) {
+					t.Fatalf("%v/%v prog %d: Lower mutated its input", backend, driver, i)
+				}
+				buf := slices.Clone(p)
+				hooked := hook(buf)
+				if !slices.Equal(lowered, want) || !slices.Equal(hooked, want) {
+					t.Fatalf("%v/%v prog %d: %v\nreference %v\nLower     %v\nhook      %v",
+						backend, driver, i, p, want, lowered, hooked)
+				}
+				if len(hooked) > 0 && &hooked[0] != &buf[0] {
+					t.Fatalf("%v/%v prog %d: hook reallocated instead of lowering in place", backend, driver, i)
+				}
+			}
 		}
 	}
 }
@@ -205,14 +312,28 @@ func TestEmitShaderMentionsMutant(t *testing.T) {
 	}
 }
 
+// BenchmarkLowerVulkan times the copying Lower and the in-place hook
+// the harness runs. The hook re-lowers a buffer refilled from the
+// source program each op, as the Runner does, and reports 0 allocs/op.
 func BenchmarkLowerVulkan(b *testing.B) {
 	tc := &Toolchain{Backend: gpu.Vulkan, Driver: DriverConformant}
 	prog := make(gpu.Program, 0, 64)
 	for i := 0; i < 20; i++ {
 		prog = append(prog, gpu.Instr{Op: gpu.OpStore, Addr: uint32(i), Imm: 1}, gpu.Instr{Op: gpu.OpFence})
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tc.Lower(prog)
-	}
+	b.Run("Lower", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tc.Lower(prog)
+		}
+	})
+	b.Run("LowerFunc", func(b *testing.B) {
+		hook := tc.LowerFunc()
+		buf := make(gpu.Program, len(prog))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(buf, prog)
+			hook(buf)
+		}
+	})
 }
