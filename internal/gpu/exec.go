@@ -20,6 +20,11 @@ package gpu
 //     roll up into per-CU counters and a live-CU count, replacing the
 //     O(all warps × all threads) anyRunnable rescan every CU did every
 //     tick;
+//   - a per-warp blocked lane mask: a lane whose head step cannot issue
+//     until one of its in-flight ops completes (a memory op against a
+//     full MaxOutstanding queue, a fence or barrier waiting on outst >
+//     0) is set in it and skipped by the issue loop until complete()
+//     clears it, so a saturated warp costs nothing per tick;
 //   - a timing wheel (calendar queue) for completion events in place
 //     of the binary heap: O(1) push, O(1) drain of the current tick's
 //     bucket, and a bitmap scan to fast-forward e.now across idle gaps;
@@ -249,7 +254,11 @@ type exec struct {
 	// warps with a nonzero mask, liveCUs counts CUs with a nonzero
 	// count. The scheduler consults masks and counters instead of
 	// rescanning threads, and the issue loop walks only set bits.
+	// blocked marks runnable lanes whose head step waits on their own
+	// in-flight ops; it narrows the issue scan but never the scheduler's
+	// candidate draw, so RNG consumption does not depend on it.
 	warpMask   []uint64
+	blocked    []uint64
 	cuWarps    [][]int32
 	cuFree     []int32
 	cuRunnable []int32
@@ -503,11 +512,12 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	}
 	if cap(e.warpMask) < f.nWarps {
 		e.warpMask = make([]uint64, f.nWarps)
+		e.blocked = make([]uint64, f.nWarps)
 	}
 	e.warpMask = e.warpMask[:f.nWarps]
-	for w := range e.warpMask {
-		e.warpMask[w] = 0
-	}
+	e.blocked = e.blocked[:f.nWarps]
+	clear(e.warpMask)
+	clear(e.blocked)
 
 	for tid, p := range spec.Programs {
 		nregs := int(e.outst[tid])
@@ -728,10 +738,14 @@ func (e *exec) run() error {
 	return nil
 }
 
-// issueWarp walks the drawn warp's runnable threads in lane order,
-// issuing at most one instruction per thread. The runnable mask makes
-// done and barrier-parked lanes — the dominant case in the steady
-// state — cost nothing: the loop touches only set bits. The mask is
+// issueWarp walks the drawn warp's runnable, unblocked threads in lane
+// order, issuing at most one instruction per thread. The runnable mask
+// makes done and barrier-parked lanes cost nothing, and the blocked
+// mask does the same for lanes waiting on their own in-flight ops —
+// together the dominant cases in the steady state: the loop touches
+// only lanes that can issue, plus each lane's first failed try. A
+// failed try has no side effects and only a completion can undo it, so
+// skipping the repeats changes nothing observable. The masks are
 // re-read every step because a barrier retiring mid-warp releases
 // parked lanes; the passed boundary restricts the re-read to lanes
 // after the releasing one, matching the old sequential scan, where
@@ -741,7 +755,7 @@ func (e *exec) issueWarp(w, c int32) bool {
 	start := e.frame.warpStart[w]
 	var passed uint64 // lanes at or below the scan point
 	for {
-		m := e.warpMask[w] &^ passed
+		m := e.warpMask[w] &^ e.blocked[w] &^ passed
 		if m == 0 {
 			return issued
 		}
@@ -752,6 +766,7 @@ func (e *exec) issueWarp(w, c int32) bool {
 		in := &e.code[ip]
 		if in.flags&stepMem != 0 {
 			if e.outst[tid] >= e.maxOutstanding {
+				e.blocked[w] |= 1 << uint(lane)
 				continue
 			}
 			e.issueMem(tid, ip, in)
@@ -760,6 +775,8 @@ func (e *exec) issueWarp(w, c int32) bool {
 		}
 		if e.issueSync(tid, ip, in) {
 			issued = true
+		} else {
+			e.blocked[w] |= 1 << uint(lane)
 		}
 	}
 }
@@ -930,6 +947,11 @@ func (e *exec) complete(tid, code int32) {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: code - e.ipStart[tid], Kind: TraceComplete, Op: in.op, Addr: in.addr, Value: traced})
 	}
 	e.outst[tid]--
+	// The head step may now issue. Clearing unconditionally is safe: a
+	// lane still waiting (a fence with ops left) just re-blocks on its
+	// next visit.
+	w := e.frame.warpOf[tid]
+	e.blocked[w] &^= 1 << uint(tid-e.frame.warpStart[w])
 	e.inFlight--
 	e.lineInFlight[in.line]--
 	e.stats.MemOps++
