@@ -208,13 +208,17 @@ func GCD(a, b uint64) uint64 {
 	return a
 }
 
-// Coprime returns a value p in [2, n) with gcd(p, n) == 1, chosen
-// uniformly among candidates. For n <= 2 it returns 1 (the identity
-// permutation multiplier); for n == 3 the only candidate is 2. The result is the multiplier for the parallel
-// permutation function v -> (v*p) mod n used by the PTE thread/instance
-// assignment (Section 4.1 of the paper); the paper notes simple mappings
-// such as v -> v+1 are ineffective, so candidates near 1 and n-1 are
-// excluded when enough candidates exist.
+// Coprime returns a multiplier p in [2, n) with gcd(p, n) == 1, for the
+// parallel permutation function v -> (v*p) mod n used by the PTE
+// thread/instance assignment (Section 4.1 of the paper). For n <= 2 it
+// returns 1 (the identity permutation multiplier), and for n == 3 the
+// only candidate, 2. Otherwise p is rejection-sampled uniformly from
+// [2, n-1), or from [3, n-2) when n > 8: the paper notes simple
+// mappings such as v -> v+1 are ineffective, so near-identity
+// multipliers are excluded when enough candidates exist. If sampling
+// finds nothing, a linear scan returns the smallest coprime from the
+// range's low end up to n-1; for n = 4 and n = 6, whose sample range
+// holds no coprime, that is n-1.
 func (r *Rand) Coprime(n uint64) uint64 {
 	if n <= 2 {
 		return 1
@@ -234,8 +238,10 @@ func (r *Rand) Coprime(n uint64) uint64 {
 			return p
 		}
 	}
-	// Fall back to a linear scan (n has many prime factors).
-	for p := lo; p < hi; p++ {
+	// Fall back to a linear scan (n has many prime factors). It runs to
+	// n, past the sample range, because for n = 4 and n = 6 the only
+	// coprime in [2, n) is n-1.
+	for p := lo; p < n; p++ {
 		if GCD(p, n) == 1 {
 			return p
 		}

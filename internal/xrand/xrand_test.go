@@ -244,6 +244,22 @@ func TestCoprimeProperty(t *testing.T) {
 	}
 }
 
+// TestCoprimeExhaustive checks every n in [0, 4096]: the multiplier is
+// coprime to n, and in [2, n) once n >= 3. Unlike the property test it
+// never depends on which sizes testing/quick happens to draw.
+func TestCoprimeExhaustive(t *testing.T) {
+	r := New(41)
+	for n := uint64(0); n <= 4096; n++ {
+		p := r.Coprime(n)
+		if GCD(p, n) != 1 {
+			t.Fatalf("Coprime(%d) = %d shares a factor with n", n, p)
+		}
+		if n >= 3 && (p < 2 || p >= n) {
+			t.Fatalf("Coprime(%d) = %d outside [2, %d)", n, p, n)
+		}
+	}
+}
+
 func TestCoprimePermutes(t *testing.T) {
 	// (v*p) mod n must be a bijection on [0, n) when gcd(p, n) == 1.
 	r := New(31)
