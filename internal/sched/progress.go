@@ -98,7 +98,27 @@ func (p *Progress) setElapsed(seconds float64) {
 // produced, and the throughput over elapsedSeconds of host time. Local
 // and distributed campaigns both end their progress streams with it.
 func FinalProgress[R any](rep *Report[R], instances int, elapsedSeconds float64) Progress {
-	return settledCounters(rep).final(rep.Spec.Name, len(rep.Spec.Cells), instances, elapsedSeconds)
+	p := Progress{
+		Campaign:        rep.Spec.Name,
+		Total:           len(rep.Spec.Cells),
+		Done:            rep.Executed + rep.Replayed + rep.Quarantined + rep.CacheHits,
+		Executed:        rep.Executed,
+		Replayed:        rep.Replayed,
+		Failed:          rep.Failed,
+		Quarantined:     rep.Quarantined,
+		Interrupted:     rep.Interrupted,
+		Retried:         rep.Retried,
+		Instances:       instances,
+		CacheHits:       rep.CacheHits,
+		CacheMisses:     rep.CacheMisses,
+		CacheCorrupt:    rep.CacheCorrupt,
+		CacheDegraded:   rep.CacheDegraded,
+		Final:           true,
+		Health:          rep.Health,
+		StorageDegraded: rep.StorageDegraded,
+	}
+	p.setElapsed(elapsedSeconds)
+	return p
 }
 
 // LiveProgress is a running snapshot for a campaign whose only live

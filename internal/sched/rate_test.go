@@ -49,7 +49,9 @@ func TestInstantJobSnapshotRates(t *testing.T) {
 		t.Fatalf("instant-job rates = %v cells/s, %v instances/s; want 0",
 			p.CellsPerSec, p.InstancesPerSec)
 	}
-	tr.finish(reportCounters{executed: 1, replayed: 1, cacheHits: 2})
+	rep := &Report[int]{Spec: Spec{Name: "instant", Cells: make([]Cell, 4)},
+		Executed: 1, Replayed: 1, CacheHits: 2}
+	tr.finish(FinalProgress(rep, 0, 0))
 	final := got[len(got)-1]
 	if !final.Final {
 		t.Fatal("no final snapshot")

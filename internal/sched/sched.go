@@ -594,7 +594,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 		}
 	}
 	if prog != nil {
-		prog.finish(settledCounters(rep))
+		prog.finish(FinalProgress(rep, 0, 0))
 	}
 	if !collect && abortCause != nil {
 		return rep, abortCause

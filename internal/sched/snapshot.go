@@ -142,64 +142,19 @@ func (t *progressTracker) cellDone(c Cell, wall time.Duration, instances int, ok
 	t.mu.Unlock()
 }
 
-// finish joins the ticker goroutine and emits the final snapshot: the
-// settled report verdicts over the live instance count, busy times and
-// elapsed time. It runs after applyBreaker, so under a circuit breaker
-// the Final counters are the authoritative post-pass ones. Done stays
-// monotonic: every cell is by now executed, replayed, quarantined,
-// interrupted or aborted, and Done counts exactly the first three —
-// the same population the live counter grew over.
-func (t *progressTracker) finish(rc reportCounters) {
+// finish joins the ticker goroutine and emits the final snapshot: p is
+// the settled snapshot FinalProgress builds from the report, completed
+// here with the live instance count, busy times and elapsed time. It
+// runs after applyBreaker, so under a circuit breaker the Final
+// counters are the authoritative post-pass ones. Done stays monotonic:
+// every cell is by now executed, replayed, quarantined, interrupted or
+// aborted, and Done counts exactly the first three — the same
+// population the live counter grew over.
+func (t *progressTracker) finish(p Progress) {
 	t.stop()
 	live := t.snapshot()
-	p := rc.final(live.Campaign, live.Total, live.Instances, live.ElapsedSeconds)
+	p.Instances = live.Instances
+	p.setElapsed(live.ElapsedSeconds)
 	p.DeviceBusy = live.DeviceBusy
 	t.cb(p)
-}
-
-// reportCounters carries a finished campaign's settled aggregates.
-type reportCounters struct {
-	executed, replayed, failed, quarantined, interrupted, retried int
-	cacheHits, cacheMisses, cacheCorrupt                          int
-	health                                                        []DeviceHealth
-	storageDegraded                                               bool
-	cacheDegraded                                                 bool
-}
-
-// settledCounters extracts a finished report's settled aggregates.
-func settledCounters[R any](rep *Report[R]) reportCounters {
-	return reportCounters{
-		executed: rep.Executed, replayed: rep.Replayed,
-		failed: rep.Failed, quarantined: rep.Quarantined,
-		interrupted: rep.Interrupted, retried: rep.Retried,
-		cacheHits: rep.CacheHits, cacheMisses: rep.CacheMisses, cacheCorrupt: rep.CacheCorrupt,
-		health:          rep.Health,
-		storageDegraded: rep.StorageDegraded,
-		cacheDegraded:   rep.CacheDegraded,
-	}
-}
-
-// final renders the settled aggregates as a campaign's Final snapshot.
-func (rc reportCounters) final(campaign string, total, instances int, elapsedSeconds float64) Progress {
-	p := Progress{
-		Campaign:        campaign,
-		Total:           total,
-		Done:            rc.executed + rc.replayed + rc.quarantined + rc.cacheHits,
-		Executed:        rc.executed,
-		Replayed:        rc.replayed,
-		Failed:          rc.failed,
-		Quarantined:     rc.quarantined,
-		Interrupted:     rc.interrupted,
-		Retried:         rc.retried,
-		Instances:       instances,
-		CacheHits:       rc.cacheHits,
-		CacheMisses:     rc.cacheMisses,
-		CacheCorrupt:    rc.cacheCorrupt,
-		CacheDegraded:   rc.cacheDegraded,
-		Final:           true,
-		Health:          rc.health,
-		StorageDegraded: rc.storageDegraded,
-	}
-	p.setElapsed(elapsedSeconds)
-	return p
 }
