@@ -33,7 +33,10 @@ import (
 // and fence/barrier-heavy control flow — warm (device reuse) as well
 // as fresh. The mo1-* entries (one op in flight per thread, 64-lane
 // warps) came later: they were captured from the executor as it stood
-// just before the issue loop learned to skip blocked lanes.
+// just before the issue loop learned to skip blocked lanes. The
+// poloc-*, sparse-*, waves-M1-* and multiwarp-* entries were captured
+// from the executor as it stood before program order per location and
+// live-CU tracking moved to decode-time links and a bitmap.
 
 // goldenHasher accumulates a deterministic fingerprint.
 type goldenHasher struct {
@@ -251,6 +254,58 @@ func wavesSpec(wgs, wgSize int) LaunchSpec {
 	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: 16, Programs: progs}
 }
 
+// poLocChainSpec gives every thread a long program-order-per-location
+// chain: it cycles through 8–12 distinct addresses, three rounds over
+// each, mixing loads, stores, stress ops and exchanges, so every
+// same-address predecessor sits 8–12 steps back. Every fifth thread
+// carries a fence whose Addr lies past MemWords (legal: only memory ops
+// are bounds-checked).
+func poLocChainSpec(wgs, wgSize int) LaunchSpec {
+	const memWords = 64
+	ops := [...]Op{OpLoad, OpStore, OpStressLoad, OpLoad, OpExchange, OpStressStore, OpLoad}
+	progs := make([]Program, wgs*wgSize)
+	for tid := range progs {
+		k := 8 + tid%5
+		base := tid * 7
+		var p Program
+		for round := 0; round < 3; round++ {
+			for i := 0; i < k; i++ {
+				op := ops[(round*k+i+tid)%len(ops)]
+				p = append(p, Instr{Op: op, Addr: uint32((base + i*5) % memWords),
+					Imm: uint32(tid<<8 | round<<4 | i), Reg: uint16(i % 3)})
+			}
+			if tid%5 == 0 && round == 1 {
+				p = append(p, Instr{Op: OpFence, Addr: memWords + 1000})
+			}
+		}
+		progs[tid] = p
+	}
+	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: memWords, Programs: progs}
+}
+
+// multiWarpBarrierSpec runs one to four barrier phases per thread, the
+// count set by the lane's warp within its workgroup (8-lane warps), so
+// some resident warps finish or park at a barrier while their
+// neighbours still run.
+func multiWarpBarrierSpec(wgs, wgSize int) LaunchSpec {
+	const memWords = 48
+	progs := make([]Program, wgs*wgSize)
+	for tid := range progs {
+		lane := tid % wgSize
+		var p Program
+		for ph := 0; ph <= (lane/8)%4; ph++ {
+			p = append(p,
+				Instr{Op: OpStore, Addr: uint32((tid + ph) % memWords), Imm: uint32(tid<<4 | ph)},
+				Instr{Op: OpStressLoad, Addr: uint32((tid * 3) % memWords)},
+				Instr{Op: OpBarrier},
+				Instr{Op: OpLoad, Addr: uint32((tid + ph + 1) % memWords), Reg: uint16(ph)},
+			)
+		}
+		progs[tid] = p
+	}
+	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: memWords, Programs: progs}
+}
+
 // regroup packs a spec's threads into workgroups of wgSize threads, so
 // per-thread programs land in full-width warps.
 func regroup(spec LaunchSpec, wgSize int) LaunchSpec {
@@ -348,6 +403,33 @@ func goldenScenarios() []goldenScenario {
 	out = append(out,
 		goldenScenario{name: "mo1-traced-fence-barrier", profile: "AMD", tune: serial,
 			seed: 63, runs: 2, traced: true, spec: fenceBarrierSpec(3, 64)},
+	)
+	// Where per-location and per-CU bookkeeping works hardest: long
+	// po-loc chains (a 16-deep outstanding queue keeps predecessors 8–12
+	// steps back in flight, so the po-loc bump and, under a low pressure
+	// gate, the coherence defect fire against them), CUs that
+	// are mostly empty or go dark and relight as waves admit, and
+	// multi-warp CUs whose warps park at barriers unevenly.
+	rr := Bugs{CoherenceRR: true, CoherenceRRProb: 0.4, CoherenceRRPressure: 2}
+	deepQueue := func(p *Profile) { p.MaxOutstanding = 16 }
+	oneWG := func(p *Profile) { p.MaxWGPerCU = 1 }
+	out = append(out,
+		goldenScenario{name: "poloc-chains", profile: "Intel", tune: deepQueue, seed: 71, runs: 2,
+			spec: poLocChainSpec(6, 8)},
+		goldenScenario{name: "poloc-chains-rr", profile: "NVIDIA", tune: deepQueue, bugs: rr, seed: 72, runs: 3,
+			spec: poLocChainSpec(8, 16)},
+		goldenScenario{name: "poloc-chains-rr-traced", profile: "AMD", tune: deepQueue, bugs: rr, seed: 73, runs: 2,
+			traced: true, spec: poLocChainSpec(4, 8)},
+		goldenScenario{name: "sparse-M1", profile: "M1", seed: 74, runs: 3,
+			spec: mixedSpec(3, 32)},
+		goldenScenario{name: "sparse-M1-wide", profile: "M1", seed: 75, runs: 2,
+			spec: wavesSpec(100, 4)},
+		goldenScenario{name: "waves-M1-relight", profile: "M1", tune: oneWG, seed: 76, runs: 2,
+			spec: wavesSpec(300, 32)},
+		goldenScenario{name: "multiwarp-barrier-Intel", profile: "Intel", seed: 77, runs: 3,
+			spec: multiWarpBarrierSpec(12, 32)},
+		goldenScenario{name: "multiwarp-barrier-Intel-waves", profile: "Intel", seed: 78, runs: 2,
+			spec: multiWarpBarrierSpec(120, 32)},
 	)
 	// Fault injection: the per-run fault draws precede execution, so
 	// the error/result sequence pins the fault RNG stream too.
