@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/xrand"
@@ -511,6 +512,35 @@ func TestValidateErrors(t *testing.T) {
 	bad.MemWords = 0
 	if _, err := d.Run(bad, xrand.New(1)); err == nil {
 		t.Error("Run accepted invalid spec")
+	}
+}
+
+// TestValidateRejectsUnknownOpcodes: an opcode past OpStressStore is
+// an error naming the thread and instruction, from Validate and from
+// Run, instead of decoding as some other op at run time. Fences and
+// barriers keep their unchecked Addr.
+func TestValidateRejectsUnknownOpcodes(t *testing.T) {
+	d := dev(t, intelProfile(), Bugs{})
+	for _, op := range []Op{7, 8, 255} {
+		s := twoThreadSpec(1, Program{{Op: OpStore, Addr: 0, Imm: 1}},
+			Program{{Op: OpFence}, {Op: op, Addr: 8, Reg: 0}})
+		want := fmt.Sprintf("gpu: thread 1 instr 1: unknown opcode %d", op)
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Errorf("op %d: Validate = %v, want %q", op, err, want)
+		}
+		if _, err := d.Run(s, xrand.New(1)); err == nil || err.Error() != want {
+			t.Errorf("op %d: Run = %v, want %q", op, err, want)
+		}
+	}
+	for op := OpLoad; op <= OpStressStore; op++ {
+		addr := uint32(0)
+		if !op.IsMemory() {
+			addr = 1 << 20
+		}
+		s := twoThreadSpec(1, Program{{Op: op, Addr: addr}})
+		if err := s.Validate(); err != nil {
+			t.Errorf("%v: Validate rejected a known opcode: %v", op, err)
+		}
 	}
 }
 

@@ -129,6 +129,10 @@ func (s *LaunchSpec) Validate() error {
 	}
 	for tid, p := range s.Programs {
 		for i, in := range p {
+			if in.Op > OpStressStore {
+				return fmt.Errorf("gpu: thread %d instr %d: unknown opcode %d",
+					tid, i, uint8(in.Op))
+			}
 			if in.Op.IsMemory() && int(in.Addr) >= s.MemWords {
 				return fmt.Errorf("gpu: thread %d instr %d: address %d out of %d words",
 					tid, i, in.Addr, s.MemWords)
