@@ -13,13 +13,14 @@ package gpu
 //     done are parallel slices indexed by thread ID) so the scheduler
 //     walks contiguous memory;
 //   - a precompiled step table: each instruction is decoded once per
-//     launch into a stepInstr carrying its cache line, base latency and
-//     dispatch flags, so issue and completion never switch on the op
-//     or divide by the line size;
+//     launch into a stepInstr carrying its cache line, base latency,
+//     dispatch flags and po-loc link (the thread's previous memory step
+//     at the same address), so issue and completion never switch on the
+//     op, divide by the line size or search for a location;
 //   - incremental runnable-warp tracking: per-warp runnable counters
-//     roll up into per-CU counters and a live-CU count, replacing the
+//     roll up into per-CU counters and a live-CU bitmap, replacing the
 //     O(all warps × all threads) anyRunnable rescan every CU did every
-//     tick;
+//     tick, and the scheduler visits only the bitmap's set bits;
 //   - a per-warp blocked lane mask: a lane whose head step cannot issue
 //     until one of its in-flight ops completes (a memory op against a
 //     full MaxOutstanding queue, a fence or barrier waiting on outst >
@@ -72,23 +73,18 @@ const (
 
 // stepInstr is one decoded instruction in the per-launch step table:
 // the line index and base latency are precomputed so the issue path
-// performs no division and no op switch.
+// performs no division and no op switch. pred is the step index of the
+// same thread's previous memory step at the same address, or -1, so
+// program order per location needs no lookup at issue.
 type stepInstr struct {
 	addr    uint32
 	line    uint32
 	imm     uint32
 	baseLat int32
+	pred    int32
 	reg     uint16
 	op      Op
 	flags   stepFlags
-}
-
-// locAssign remembers the latest assigned completion time per address a
-// thread has touched, for program-order-per-location enforcement.
-type locAssign struct {
-	addr   uint32
-	isLoad bool
-	time   int64
 }
 
 // wheelEvent is one pending memory completion: the issuing thread and
@@ -229,8 +225,13 @@ type exec struct {
 
 	// Step table: decoded instructions for every thread, concatenated.
 	// ipStart[tid]..ipEnd[tid] is thread tid's window; ip[tid] is its
-	// program counter as an absolute index into code.
+	// program counter as an absolute index into code. locTime[ip], set
+	// when memory step ip issues, is the latest completion time assigned
+	// at its address; the next step there reads it through pred. lastAt
+	// is decode scratch: per address, 1 + its latest memory step so far.
 	code    []stepInstr
+	locTime []int64
+	lastAt  []int32
 	ipStart []int32
 	ip      []int32
 	ipEnd   []int32
@@ -239,7 +240,6 @@ type exec struct {
 	outst     []int32
 	atBarrier []bool
 	done      []bool
-	locs      [][]locAssign
 	regs      [][]uint32 // per-thread windows into regArena; also the result
 	regArena  []uint32
 
@@ -251,9 +251,9 @@ type exec struct {
 	// Per-warp and per-CU incremental runnable tracking. A thread is
 	// runnable iff ip < ipEnd && !atBarrier; warpMask holds one bit per
 	// lane (warps never exceed 64 lanes), cuRunnable counts resident
-	// warps with a nonzero mask, liveCUs counts CUs with a nonzero
-	// count. The scheduler consults masks and counters instead of
-	// rescanning threads, and the issue loop walks only set bits.
+	// warps with a nonzero mask, and cuLive has bit c set iff
+	// cuRunnable[c] > 0. The scheduler walks live bits instead of
+	// rescanning CUs and threads, and the issue loop walks only set bits.
 	// blocked marks runnable lanes whose head step waits on their own
 	// in-flight ops; it narrows the issue scan but never the scheduler's
 	// candidate draw, so RNG consumption does not depend on it.
@@ -262,7 +262,7 @@ type exec struct {
 	cuWarps    [][]int32
 	cuFree     []int32
 	cuRunnable []int32
-	liveCUs    int
+	cuLive     []uint64
 
 	caches []cuCache // stale-cache defect state; nil when bug disabled
 
@@ -380,6 +380,7 @@ func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
 		e.cuWarps = make([][]int32, p.CUs)
 		e.cuFree = make([]int32, p.CUs)
 		e.cuRunnable = make([]int32, p.CUs)
+		e.cuLive = make([]uint64, (p.CUs+63)/64)
 		if d.bugs.StaleCache {
 			e.caches = make([]cuCache, p.CUs)
 			for i := range e.caches {
@@ -392,20 +393,20 @@ func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
 	return e
 }
 
-// growI32 re-slices s to length n, growing capacity as needed. The
+// grow re-slices s to length n, growing capacity as needed. The
 // contents are unspecified; callers must fill every element.
-func growI32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
+// growZero is grow with every element zeroed.
+func growZero[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
 }
 
 // reset prepares the executor for one launch, reusing every allocation
@@ -420,12 +421,8 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	e.rng = rng
 	e.spec = spec
 
-	if cap(e.mem) < spec.MemWords {
-		e.mem = make([]uint32, spec.MemWords)
-	} else {
-		e.mem = e.mem[:spec.MemWords]
-		clear(e.mem)
-	}
+	e.mem = growZero(e.mem, spec.MemWords)
+	e.lastAt = growZero(e.lastAt, spec.MemWords)
 
 	f := e.frame
 	if f == nil || f.workgroups != spec.Workgroups || f.wgSize != spec.WorkgroupSize {
@@ -438,50 +435,58 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	// Decode every program into the step table in one fused pass that
 	// also computes register demand (the old reset scanned each program
 	// twice more for NumRegs).
-	e.ipStart = growI32(e.ipStart, nThreads)
-	e.ip = growI32(e.ip, nThreads)
-	e.ipEnd = growI32(e.ipEnd, nThreads)
-	e.outst = growI32(e.outst, nThreads)
-	e.atBarrier = growBool(e.atBarrier, nThreads)
-	e.done = growBool(e.done, nThreads)
-	if cap(e.regs) < nThreads {
-		e.regs = make([][]uint32, nThreads)
-	}
-	e.regs = e.regs[:nThreads]
-	if cap(e.locs) < nThreads {
-		grown := make([][]locAssign, nThreads)
-		copy(grown, e.locs[:cap(e.locs)])
-		e.locs = grown
-	}
-	e.locs = e.locs[:nThreads]
+	e.ipStart = grow(e.ipStart, nThreads)
+	e.ip = grow(e.ip, nThreads)
+	e.ipEnd = grow(e.ipEnd, nThreads)
+	e.outst = grow(e.outst, nThreads)
+	e.atBarrier = grow(e.atBarrier, nThreads)
+	e.done = grow(e.done, nThreads)
+	e.regs = grow(e.regs, nThreads)
 
 	total := 0
 	for _, p := range spec.Programs {
 		total += len(p)
 	}
 	if cap(e.code) < total {
-		e.code = make([]stepInstr, total)
+		// Kernelgen redraws stress programs every launch, so the step
+		// count drifts upward; 25% headroom keeps regrowth rare.
+		e.code = make([]stepInstr, total, total+total/4)
+		e.locTime = make([]int64, total, total+total/4)
 	}
 	e.code = e.code[:total]
+	e.locTime = e.locTime[:total]
 
 	// One fused per-instruction pass decodes into the step table and
 	// computes register demand together (the old reset walked every
-	// program once for NumRegs and again to build thread state).
+	// program once for NumRegs and again to build thread state) and
+	// links memory steps to their po-loc predecessors. A thread's steps
+	// are contiguous, so a lastAt entry past its start is its own. Only
+	// memory steps touch lastAt: Validate bounds no other op's Addr.
 	lw := e.lineWords
 	totalRegs := 0
 	pos := int32(0)
 	for tid, p := range spec.Programs {
-		e.ipStart[tid] = pos
+		start := pos
+		e.ipStart[tid] = start
 		n := int32(0)
 		for _, in := range p {
+			fl := e.opFlags[in.Op&7]
+			pred := int32(-1)
+			if fl&stepMem != 0 {
+				if at := e.lastAt[in.Addr]; at > start {
+					pred = at - 1
+				}
+				e.lastAt[in.Addr] = pos + 1
+			}
 			e.code[pos] = stepInstr{
 				addr:    in.Addr,
 				line:    in.Addr / lw,
 				imm:     in.Imm,
 				baseLat: e.opLat[in.Op&7],
+				pred:    pred,
 				reg:     in.Reg,
 				op:      in.Op,
-				flags:   e.opFlags[in.Op&7],
+				flags:   fl,
 			}
 			if (in.Op == OpLoad || in.Op == OpExchange) && int32(in.Reg)+1 > n {
 				n = int32(in.Reg) + 1
@@ -493,31 +498,16 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		e.outst[tid] = n
 		totalRegs += int(n)
 	}
-	if cap(e.regArena) < totalRegs {
-		e.regArena = make([]uint32, totalRegs)
-	} else {
-		e.regArena = e.regArena[:totalRegs]
-		clear(e.regArena)
-	}
+	e.regArena = growZero(e.regArena, totalRegs)
 
 	e.retired = 0
 	regOff := 0
-	e.wgCU = growI32(e.wgCU, spec.Workgroups)
-	e.wgActive = growI32(e.wgActive, spec.Workgroups)
-	e.wgArrived = growI32(e.wgArrived, spec.Workgroups)
+	e.wgCU = grow(e.wgCU, spec.Workgroups)
+	e.wgActive = growZero(e.wgActive, spec.Workgroups)
+	e.wgArrived = growZero(e.wgArrived, spec.Workgroups)
 	copy(e.wgCU, f.wgCU0)
-	for wg := range e.wgActive {
-		e.wgActive[wg] = 0
-		e.wgArrived[wg] = 0
-	}
-	if cap(e.warpMask) < f.nWarps {
-		e.warpMask = make([]uint64, f.nWarps)
-		e.blocked = make([]uint64, f.nWarps)
-	}
-	e.warpMask = e.warpMask[:f.nWarps]
-	e.blocked = e.blocked[:f.nWarps]
-	clear(e.warpMask)
-	clear(e.blocked)
+	e.warpMask = growZero(e.warpMask, f.nWarps)
+	e.blocked = growZero(e.blocked, f.nWarps)
 
 	for tid, p := range spec.Programs {
 		nregs := int(e.outst[tid])
@@ -532,7 +522,6 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		} else {
 			e.regs[tid] = nil
 		}
-		e.locs[tid] = e.locs[tid][:0]
 		if len(p) == 0 {
 			e.done[tid] = true
 			e.retired++
@@ -546,13 +535,10 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 
 	// CU state: copy the cached admission plan and roll runnable
 	// counters up from the warps.
-	e.liveCUs = 0
+	clear(e.cuLive)
 	for c := range e.cuWarps {
 		init := f.cuWarps0[c]
-		if cap(e.cuWarps[c]) < len(init) {
-			e.cuWarps[c] = make([]int32, len(init))
-		}
-		e.cuWarps[c] = e.cuWarps[c][:len(init)]
+		e.cuWarps[c] = grow(e.cuWarps[c], len(init))
 		copy(e.cuWarps[c], init)
 		e.cuFree[c] = f.cuFree0[c]
 		run := int32(0)
@@ -563,7 +549,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		}
 		e.cuRunnable[c] = run
 		if run > 0 {
-			e.liveCUs++
+			e.cuLive[c>>6] |= 1 << (uint(c) & 63)
 		}
 		if e.caches != nil {
 			cc := &e.caches[c]
@@ -575,10 +561,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		}
 	}
 
-	if cap(e.pendingWGs) < len(f.pending0) {
-		e.pendingWGs = make([]int32, len(f.pending0))
-	}
-	e.pendingWGs = e.pendingWGs[:len(f.pending0)]
+	e.pendingWGs = grow(e.pendingWGs, len(f.pending0))
 	copy(e.pendingWGs, f.pending0)
 	e.pendingHead = 0
 
@@ -599,13 +582,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	e.now = 0
 	e.inFlight = 0
 
-	lines := (spec.MemWords + int(lw) - 1) / int(lw)
-	if cap(e.lineInFlight) < lines {
-		e.lineInFlight = make([]int32, lines)
-	} else {
-		e.lineInFlight = e.lineInFlight[:lines]
-		clear(e.lineInFlight)
-	}
+	e.lineInFlight = growZero(e.lineInFlight, (spec.MemWords+int(lw)-1)/int(lw))
 	e.stats = RunStats{}
 }
 
@@ -633,7 +610,7 @@ func (e *exec) decRunnable(tid int32) {
 		c := e.wgCU[e.frame.warpWG[w]]
 		e.cuRunnable[c]--
 		if e.cuRunnable[c] == 0 {
-			e.liveCUs--
+			e.cuLive[c>>6] &^= 1 << (uint(c) & 63)
 		}
 	}
 }
@@ -645,7 +622,7 @@ func (e *exec) incRunnable(tid int32) {
 	if e.warpMask[w] == 0 {
 		c := e.wgCU[e.frame.warpWG[w]]
 		if e.cuRunnable[c] == 0 {
-			e.liveCUs++
+			e.cuLive[c>>6] |= 1 << (uint(c) & 63)
 		}
 		e.cuRunnable[c]++
 	}
@@ -700,23 +677,30 @@ func (e *exec) run() error {
 				}
 			}
 		}
+		// Visit live CUs in ascending index order, one candidate draw
+		// each. Issuing on CU c changes only CU c's counters, so the
+		// copied word still names exactly the CUs that are live when
+		// the walk reaches them.
 		issued := false
-		if e.liveCUs > 0 {
-			for c := range e.cuWarps {
-				if e.cuRunnable[c] == 0 {
-					continue
-				}
-				cand := e.candBuf[:0]
-				for _, w := range e.cuWarps[c] {
-					if e.warpMask[w] != 0 {
-						cand = append(cand, w)
+		for wi, live := range e.cuLive {
+			for live != 0 {
+				c := wi<<6 + bits.TrailingZeros64(live)
+				live &= live - 1
+				cand := e.cuWarps[c]
+				if int(e.cuRunnable[c]) != len(cand) {
+					cand = e.candBuf[:0]
+					for _, w := range e.cuWarps[c] {
+						if e.warpMask[w] != 0 {
+							cand = append(cand, w)
+						}
 					}
+					e.candBuf = cand
 				}
-				e.candBuf = cand
 				// cuRunnable > 0 guarantees candidates; Intn(0) would
-				// panic loudly on a bookkeeping bug.
+				// panic loudly on a bookkeeping bug. A drawn warp whose
+				// runnable lanes are all blocked cannot issue.
 				w := cand[e.rng.Intn(len(cand))]
-				if e.issueWarp(w, int32(c)) {
+				if e.warpMask[w]&^e.blocked[w] != 0 && e.issueWarp(w) {
 					issued = true
 				}
 			}
@@ -750,7 +734,7 @@ func (e *exec) run() error {
 // parked lanes; the passed boundary restricts the re-read to lanes
 // after the releasing one, matching the old sequential scan, where
 // earlier lanes had already taken (and failed) their turn this tick.
-func (e *exec) issueWarp(w, c int32) bool {
+func (e *exec) issueWarp(w int32) bool {
 	issued := false
 	start := e.frame.warpStart[w]
 	var passed uint64 // lanes at or below the scan point
@@ -838,32 +822,20 @@ func (e *exec) issueMem(tid, ip int32, in *stepInstr) {
 	if ct <= e.now {
 		ct = e.now + 1
 	}
-	isLoad := in.flags&stepLoadLike != 0
-	locs := e.locs[tid]
-	var prev *locAssign
-	for i := range locs {
-		if locs[i].addr == in.addr {
-			prev = &locs[i]
-			break
-		}
-	}
-	if prev != nil {
-		if ct <= prev.time {
-			if isLoad && prev.isLoad && e.coherenceRRFires(line) {
+	var prev int64 // ct > 0, so max(prev, ct) = ct with no predecessor
+	if pred := in.pred; pred >= 0 {
+		prev = e.locTime[pred]
+		if ct <= prev {
+			if in.flags&e.code[pred].flags&stepLoadLike != 0 && e.coherenceRRFires(line) {
 				// Injected defect: the second load completes before the
 				// first, violating program order per location.
 				e.stats.RelaxedRR++
 			} else {
-				ct = prev.time + 1
+				ct = prev + 1
 			}
 		}
-		if ct > prev.time {
-			prev.time = ct
-		}
-		prev.isLoad = isLoad
-	} else {
-		e.locs[tid] = append(locs, locAssign{addr: in.addr, isLoad: isLoad, time: ct})
 	}
+	e.locTime[ip] = max(prev, ct)
 	e.pushEvent(ct, tid, ip)
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: ip - e.ipStart[tid], Kind: TraceIssue, Op: in.op, Addr: in.addr})
@@ -1103,7 +1075,7 @@ func (e *exec) admit(wg, c int32) {
 		e.cuWarps[c] = append(e.cuWarps[c], w)
 		if e.warpMask[w] != 0 {
 			if e.cuRunnable[c] == 0 {
-				e.liveCUs++
+				e.cuLive[c>>6] |= 1 << (uint(c) & 63)
 			}
 			e.cuRunnable[c]++
 		}
