@@ -266,27 +266,29 @@ func TestEmitHotpathBench(t *testing.T) {
 			{
 				Name: "Fig4PTEAssignment",
 				Unit: "one Run(test, 1, rng) call: fresh Result + one PTE launch",
-				// Measured immediately before the blocked-lane mask, on the
-				// same machine as "after".
-				Before: &hotpathNumbers{AllocsPerOp: 16, BytesPerOp: 1033, NsPerOp: 547283},
+				// Measured immediately before the po-loc links and live-CU
+				// bitmap, on the same machine as "after".
+				Before: &hotpathNumbers{AllocsPerOp: 15, BytesPerOp: 941, NsPerOp: 448590},
 				After:  fig4,
 				History: []hotpathPoint{
 					{Label: "alloc-heavy baseline", hotpathNumbers: hotpathNumbers{AllocsPerOp: 4498, BytesPerOp: 270552, NsPerOp: 1426526}},
 					{Label: "scratch-reuse", hotpathNumbers: hotpathNumbers{AllocsPerOp: 20, BytesPerOp: 1335, NsPerOp: 1102618}},
 					{Label: "data-oriented executor", hotpathNumbers: hotpathNumbers{AllocsPerOp: 14, BytesPerOp: 891, NsPerOp: 403673}},
-					{Label: "blocked-lane mask", hotpathNumbers: fig4},
+					{Label: "blocked-lane mask", hotpathNumbers: hotpathNumbers{AllocsPerOp: 15, BytesPerOp: 907, NsPerOp: 426893}},
+					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: fig4},
 				},
 				Note: "remaining allocations are the fresh Result/Histogram the public Run API returns",
 			},
 			{
 				Name:   "SteadyStateAllocs",
 				Unit:   "one RunInto of 4 launches on a warm Runner with a reused Result",
-				Before: &hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 2251590},
+				Before: &hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1643332},
 				After:  steady,
 				History: []hotpathPoint{
 					{Label: "scratch-reuse", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 12, NsPerOp: 4839242}},
 					{Label: "data-oriented executor", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1529026}},
-					{Label: "blocked-lane mask", hotpathNumbers: steady},
+					{Label: "blocked-lane mask", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1644682}},
+					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: steady},
 				},
 				Note: "RunInto was added by the scratch-reuse optimization; the pre-change loop cost is the Fig4 alloc-heavy baseline per launch",
 			},
@@ -297,7 +299,8 @@ func TestEmitHotpathBench(t *testing.T) {
 				After:  cal,
 				History: []hotpathPoint{
 					{Label: "data-oriented executor", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 14017}},
-					{Label: "blocked-lane mask", hotpathNumbers: cal},
+					{Label: "blocked-lane mask", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 19290}},
+					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: cal},
 				},
 				Note: "pure reference workload, no simulator code; CI normalizes the other benchmarks' ns/op by this",
 			},
