@@ -153,7 +153,7 @@ func fig5Dataset(b *testing.B) *tuning.Dataset {
 	cfg.Environments = 3
 	cfg.SITEIterations = 12
 	cfg.PTEIterations = 2
-	ds, err := tuning.Run(cfg, suite.Mutants, nil)
+	ds, err := tuning.RunCampaign(cfg, suite.Mutants, tuning.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/gpu"
@@ -170,12 +171,10 @@ func cmdWork(ctx context.Context, args []string) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	wait := func() error {
-		select {
-		case <-ctx.Done():
+		if (clock.System{}).Sleep(ctx, *poll) != nil {
 			return &interruptedRun{"work: interrupted"}
-		case <-time.After(*poll):
-			return nil
 		}
+		return nil
 	}
 
 	// units caches locally-rebuilt campaigns by manifest: rebuilding
@@ -194,7 +193,7 @@ func cmdWork(ctx context.Context, args []string) error {
 		if cache != nil {
 			wo.Cache = cache
 		}
-		planned, err := core.DistWorkOpts(ws, wo)
+		planned, err := core.DistWork(ws, wo)
 		if err != nil {
 			return core.WorkUnit{}, err
 		}

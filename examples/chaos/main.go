@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 		Collect: true,
 		Breaker: &sched.BreakerOptions{Threshold: 3, Cooldown: 2},
 	}
-	reports, err := study.CheckFleetConformance(platforms, env, 8, 7, opts)
+	reports, err := study.CheckFleetConformanceCtx(context.Background(), platforms, env, 8, 7, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	cfg.PTEIterations = 3
 	cfg.Devices = []string{"AMD", "Intel"}
 	fmt.Println("tuning environments over the 32-mutant suite...")
-	ds, err := tuning.Run(cfg, suite.Mutants, nil)
+	ds, err := tuning.RunCampaign(cfg, suite.Mutants, tuning.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

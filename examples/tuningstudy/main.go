@@ -27,7 +27,7 @@ func main() {
 	cfg.SITEIterations = 30
 	cfg.PTEIterations = 4
 	fmt.Fprintln(os.Stderr, "running the tuning study (4 families x 4 devices x 32 mutants)...")
-	ds, err := tuning.Run(cfg, suite.Mutants, nil)
+	ds, err := tuning.RunCampaign(cfg, suite.Mutants, tuning.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func (st *Study) evaluateCampaign(p Platform, envs []harness.Params, seed uint64
 	return spec, work, nil
 }
 
-// EvaluateSpec returns the scheduler spec EvaluateEnvironments runs for
+// EvaluateSpec returns the scheduler spec EvaluateEnvironmentsCtx runs for
 // the platform with numEnvs environments, without executing anything.
 // Its Manifest() identifies the campaign's cell grid — the serve
 // subsystem derives idempotent job IDs from it, and it is the manifest
@@ -213,18 +213,11 @@ func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations i
 	}
 }
 
-// EvaluateEnvironments runs every mutant in every environment on the
-// platform as one campaign and scores the ensemble: per-mutant results
-// are merged across environments (a mutant counts as killed when any
-// environment kills it), the multi-environment generalization of the
-// paper's single-environment mutation score. It is
-// EvaluateEnvironmentsCtx under context.Background().
-func (st *Study) EvaluateEnvironments(p Platform, envs []harness.Params, iterations int, seed uint64, opts CampaignOptions) (*EnvScore, error) {
-	return st.EvaluateEnvironmentsCtx(context.Background(), p, envs, iterations, seed, opts)
-}
-
-// EvaluateEnvironmentsCtx is EvaluateEnvironments under a context.
-// Cancellation drains the campaign: in-flight cells finish or are
+// EvaluateEnvironmentsCtx runs every mutant in every environment on
+// the platform as one campaign and scores the ensemble: per-mutant
+// results are merged across environments (a mutant counts as killed
+// when any environment kills it), the multi-environment generalization
+// of the paper's single-environment mutation score. Cancellation drains the campaign: in-flight cells finish or are
 // abandoned, completed cells are checkpointed, and the partial score is
 // returned with Interrupted set alongside an error wrapping
 // sched.ErrInterrupted.
@@ -310,7 +303,7 @@ func (st *Study) fleetConformanceCampaign(platforms []Platform, seed uint64) (sc
 	return spec, work, nil
 }
 
-// FleetConformanceSpec returns the scheduler spec CheckFleetConformance
+// FleetConformanceSpec returns the scheduler spec CheckFleetConformanceCtx
 // runs for the platforms, without executing anything. Its Manifest()
 // identifies the campaign's cell grid — the serve subsystem derives
 // idempotent job IDs from it, and it is the manifest a checkpoint
@@ -350,18 +343,11 @@ func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, i
 	}
 }
 
-// CheckFleetConformance runs the conformance suite on every platform
-// as one campaign and returns one report per platform, in input order.
-// This is the fleet-wide version of CheckConformance: all
+// CheckFleetConformanceCtx runs the conformance suite on every
+// platform as one campaign and returns one report per platform, in
+// input order. This is the fleet-wide version of CheckConformance: all
 // (platform, test) cells share the scheduler's pool, so a slow device
-// does not serialize the rest of the fleet. It is
-// CheckFleetConformanceCtx under context.Background().
-func (st *Study) CheckFleetConformance(platforms []Platform, env harness.Params, iterations int, seed uint64, opts CampaignOptions) ([]*ConformanceReport, error) {
-	return st.CheckFleetConformanceCtx(context.Background(), platforms, env, iterations, seed, opts)
-}
-
-// CheckFleetConformanceCtx is CheckFleetConformance under a context.
-// Cancellation drains the campaign and returns the partial reports —
+// does not serialize the rest of the fleet. Cancellation drains the campaign and returns the partial reports —
 // interrupted findings marked pending, report Interrupted set — with an
 // error wrapping sched.ErrInterrupted.
 func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platform, env harness.Params, iterations int, seed uint64, opts CampaignOptions) ([]*ConformanceReport, error) {

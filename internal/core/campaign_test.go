@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func fleet() []Platform {
 // nowhere else.
 func TestFleetConformanceAcrossPlatforms(t *testing.T) {
 	s := study(t)
-	reports, err := s.CheckFleetConformance(fleet(), testEnv(), 10, 11, CampaignOptions{Workers: 4})
+	reports, err := s.CheckFleetConformanceCtx(context.Background(), fleet(), testEnv(), 10, 11, CampaignOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestFleetConformanceAcrossPlatforms(t *testing.T) {
 // what the fleet campaign finds.
 func TestFleetConformanceDeterministic(t *testing.T) {
 	s := study(t)
-	serial, err := s.CheckFleetConformance(fleet(), testEnv(), 4, 23, CampaignOptions{Workers: 1})
+	serial, err := s.CheckFleetConformanceCtx(context.Background(), fleet(), testEnv(), 4, 23, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := s.CheckFleetConformance(fleet(), testEnv(), 4, 23, CampaignOptions{Workers: 8})
+	parallel, err := s.CheckFleetConformanceCtx(context.Background(), fleet(), testEnv(), 4, 23, CampaignOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestEvaluateEnvironmentsMergesAcrossEnvs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := s.EvaluateEnvironments(Platform{Device: "AMD"}, envs, 3, 42, CampaignOptions{Workers: 4})
+	multi, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "AMD"}, envs, 3, 42, CampaignOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestEvaluateEnvironmentsMergesAcrossEnvs(t *testing.T) {
 func TestEvaluateEnvironmentsDeterministic(t *testing.T) {
 	s := study(t)
 	envs := []harness.Params{harness.SITEBaseline(), testEnv()}
-	a, err := s.EvaluateEnvironments(Platform{Device: "Intel"}, envs, 2, 9, CampaignOptions{Workers: 1})
+	a, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "Intel"}, envs, 2, 9, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.EvaluateEnvironments(Platform{Device: "Intel"}, envs, 2, 9, CampaignOptions{Workers: 8})
+	b, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "Intel"}, envs, 2, 9, CampaignOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +154,18 @@ func TestEvaluateEnvironmentsDeterministic(t *testing.T) {
 func TestFleetConformanceCheckpointResume(t *testing.T) {
 	s := study(t)
 	platforms := fleet()[:2]
-	clean, err := s.CheckFleetConformance(platforms, testEnv(), 3, 5, CampaignOptions{Workers: 2})
+	clean, err := s.CheckFleetConformanceCtx(context.Background(), platforms, testEnv(), 3, 5, CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
 	// First pass writes the checkpoint to completion; second pass must
 	// replay every cell without executing any.
-	if _, err := s.CheckFleetConformance(platforms, testEnv(), 3, 5, CampaignOptions{Workers: 2, CheckpointPath: ckpt}); err != nil {
+	if _, err := s.CheckFleetConformanceCtx(context.Background(), platforms, testEnv(), 3, 5, CampaignOptions{Workers: 2, CheckpointPath: ckpt}); err != nil {
 		t.Fatal(err)
 	}
 	executed := 0
-	resumed, err := s.CheckFleetConformance(platforms, testEnv(), 3, 5, CampaignOptions{
+	resumed, err := s.CheckFleetConformanceCtx(context.Background(), platforms, testEnv(), 3, 5, CampaignOptions{
 		Workers: 2, CheckpointPath: ckpt, Resume: true,
 		Progress: func(string) { executed++ },
 	})
@@ -183,7 +184,7 @@ func TestFleetConformanceCheckpointResume(t *testing.T) {
 		}
 	}
 	// A different seed must refuse the stale checkpoint.
-	_, err = s.CheckFleetConformance(platforms, testEnv(), 3, 6, CampaignOptions{CheckpointPath: ckpt, Resume: true})
+	_, err = s.CheckFleetConformanceCtx(context.Background(), platforms, testEnv(), 3, 6, CampaignOptions{CheckpointPath: ckpt, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different campaign spec") {
 		t.Fatalf("stale checkpoint accepted: %v", err)
 	}

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -123,10 +124,10 @@ func (s *EnvScore) Score() float64 {
 
 // EvaluateEnvironment runs every mutant in the environment on the
 // platform and scores the environment, the core MC Mutants loop. It is
-// EvaluateEnvironments on a single environment with default campaign
+// EvaluateEnvironmentsCtx on a single environment with default campaign
 // options (serial, no checkpoint).
 func (st *Study) EvaluateEnvironment(p Platform, env harness.Params, iterations int, seed uint64) (*EnvScore, error) {
-	return st.EvaluateEnvironments(p, []harness.Params{env}, iterations, seed, CampaignOptions{})
+	return st.EvaluateEnvironmentsCtx(context.Background(), p, []harness.Params{env}, iterations, seed, CampaignOptions{})
 }
 
 // Finding is one conformance test's result on a platform.
@@ -202,10 +203,10 @@ func (r *ConformanceReport) Buggy() []Finding {
 
 // CheckConformance runs all 20 conformance tests on the platform in
 // the environment, explaining each discovered violation. It is
-// CheckFleetConformance on a single-platform fleet with default
+// CheckFleetConformanceCtx on a single-platform fleet with default
 // campaign options (serial, no checkpoint).
 func (st *Study) CheckConformance(p Platform, env harness.Params, iterations int, seed uint64) (*ConformanceReport, error) {
-	reports, err := st.CheckFleetConformance([]Platform{p}, env, iterations, seed, CampaignOptions{})
+	reports, err := st.CheckFleetConformanceCtx(context.Background(), []Platform{p}, env, iterations, seed, CampaignOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func TestCurateCTS(t *testing.T) {
 	cfg.SITEIterations = 4
 	cfg.PTEIterations = 2
 	cfg.Devices = []string{"AMD", "Intel"}
-	ds, err := tuning.Run(cfg, tests, nil)
+	ds, err := tuning.RunCampaign(cfg, tests, tuning.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,15 +120,13 @@ type WorkUnit struct {
 	Run      dist.RunRange
 }
 
-// DistWorkOptions tunes the worker side of DistWorkOpts beyond what
-// the descriptor dictates: pool size, fake clocks, and the worker's
-// local result cache. None of it affects results — any combination
-// yields segments byte-identical to a local run.
+// DistWorkOptions tunes the worker side of DistWork beyond what the
+// descriptor dictates: pool size and the worker's local result cache.
+// None of it affects results — any combination yields segments
+// byte-identical to a local run.
 type DistWorkOptions struct {
 	// Parallel bounds the worker-side scheduler pool; < 1 means serial.
 	Parallel int
-	// Sleep overrides retry waiting (tests inject fake clocks).
-	Sleep func(time.Duration)
 	// Cache, when non-nil, is this worker's local result cache. The
 	// salt is derived from the canonical descriptor (WorkSpec.CacheSalt),
 	// so every worker and the submitting side address the same entries;
@@ -138,17 +136,10 @@ type DistWorkOptions struct {
 }
 
 // DistWork plans the work units a WorkSpec describes: one fleet unit
-// for conformance, one unit per device for evaluate. parallel bounds
-// the worker-side scheduler pool (any value yields identical results);
-// sleep overrides retry waiting (tests inject fake clocks, nil means
-// real time). The mcmutants work verb matches each advertised campaign
-// to a unit by spec manifest.
-func DistWork(ws WorkSpec, parallel int, sleep func(time.Duration)) ([]WorkUnit, error) {
-	return DistWorkOpts(ws, DistWorkOptions{Parallel: parallel, Sleep: sleep})
-}
-
-// DistWorkOpts is DistWork with the full option set.
-func DistWorkOpts(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
+// for conformance, one unit per device for evaluate. The mcmutants
+// work verb matches each advertised campaign to a unit by spec
+// manifest.
+func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 	st, err := NewStudy()
 	if err != nil {
 		return nil, err
@@ -172,7 +163,6 @@ func DistWorkOpts(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 		Retries:     ws.Retries,
 		Backoff:     time.Duration(ws.BackoffMS) * time.Millisecond,
 		CellTimeout: time.Duration(ws.CellTimeoutMS) * time.Millisecond,
-		Sleep:       wo.Sleep,
 		Cache:       wo.Cache,
 		CacheSalt:   salt,
 	}
@@ -226,8 +216,6 @@ type DistOptions struct {
 	// WorkerBreaker sets per-worker quarantine thresholds; the zero
 	// value uses sched's defaults.
 	WorkerBreaker sched.BreakerOptions
-	// Now overrides the coordinator clock (tests inject fakes).
-	Now func() time.Time
 	// Logf, when non-nil, receives coordination events.
 	Logf func(format string, args ...any)
 }
@@ -324,7 +312,6 @@ func runDistCampaign[R any](ctx context.Context, spec sched.Spec, o CampaignOpti
 		MaxReissues:  d.MaxReissues,
 		StallTimeout: d.StallTimeout,
 		Breaker:      d.WorkerBreaker,
-		Now:          d.Now,
 		Logf:         d.Logf,
 		OnStatus:     onStatus,
 		OnSegment: func(seg sched.Segment) {

@@ -30,7 +30,7 @@ func encodeArtifact(t *testing.T, a *CampaignArtifact) []byte {
 // when the campaign call returns.
 func runDistributed(t *testing.T, hub *dist.Hub, ws WorkSpec, workers, parallel int, campaign func() error) error {
 	t.Helper()
-	units, err := DistWork(ws, parallel, nil)
+	units, err := DistWork(ws, DistWorkOptions{Parallel: parallel})
 	if err != nil {
 		t.Fatalf("DistWork: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestDistributedConformanceArtifactParity(t *testing.T) {
 	}
 	platforms := ws.platforms()
 
-	local, err := st.CheckFleetConformance(platforms, envs[0], ws.Iters, ws.Seed, CampaignOptions{Workers: 3})
+	local, err := st.CheckFleetConformanceCtx(context.Background(), platforms, envs[0], ws.Iters, ws.Seed, CampaignOptions{Workers: 3})
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	p := ws.platforms()[0]
 	breaker := &sched.BreakerOptions{}
 
-	local, err := st.EvaluateEnvironments(p, envs, ws.Iters, ws.Seed, CampaignOptions{
+	local, err := st.EvaluateEnvironmentsCtx(context.Background(), p, envs, ws.Iters, ws.Seed, CampaignOptions{
 		Workers: 3, Retries: ws.Retries, Collect: true, Breaker: breaker,
 	})
 	if err != nil {
@@ -234,7 +234,7 @@ func TestDistributedResumeSeedsCheckpoint(t *testing.T) {
 	}
 	envs, _ := ws.envParams()
 	platforms := ws.platforms()
-	local, err := st.CheckFleetConformance(platforms, envs[0], ws.Iters, ws.Seed, CampaignOptions{Workers: 2})
+	local, err := st.CheckFleetConformanceCtx(context.Background(), platforms, envs[0], ws.Iters, ws.Seed, CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
@@ -292,11 +292,11 @@ func TestWorkSpecDescriptorRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	a, err := DistWork(ws, 1, nil)
+	a, err := DistWork(ws, DistWorkOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DistWork(back, 1, nil)
+	b, err := DistWork(back, DistWorkOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,36 +4,38 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // chaosKind builds one FaultPlan per fault family, keyed by the RPC
 // ordinal the fault fires at.
 type chaosKind struct {
 	name string
-	plan func(n int, clock *fakeClock) FaultPlan
+	plan func(n int, clk *clock.Fake) FaultPlan
 }
 
 func chaosKinds() []chaosKind {
 	return []chaosKind{
-		{"drop", func(n int, _ *fakeClock) FaultPlan {
+		{"drop", func(n int, _ *clock.Fake) FaultPlan {
 			return FaultPlan{DropAt: map[int]bool{n: true}}
 		}},
-		{"lose-reply", func(n int, _ *fakeClock) FaultPlan {
+		{"lose-reply", func(n int, _ *clock.Fake) FaultPlan {
 			return FaultPlan{LoseReplyAt: map[int]bool{n: true}}
 		}},
-		{"duplicate", func(n int, _ *fakeClock) FaultPlan {
+		{"duplicate", func(n int, _ *clock.Fake) FaultPlan {
 			return FaultPlan{DuplicateAt: map[int]bool{n: true}}
 		}},
-		{"delay", func(n int, clock *fakeClock) FaultPlan {
+		{"delay", func(n int, clk *clock.Fake) FaultPlan {
 			// The RPC succeeds but the worker stalls long past the
 			// lease TTL before seeing the response — the coordinator
 			// re-issues work the stalled worker still holds.
-			return FaultPlan{DelayAt: map[int]bool{n: true}, Delay: func() { clock.Advance(5 * time.Second) }}
+			return FaultPlan{DelayAt: map[int]bool{n: true}, Delay: func() { clk.Advance(5 * time.Second) }}
 		}},
-		{"crash", func(n int, _ *fakeClock) FaultPlan {
+		{"crash", func(n int, _ *clock.Fake) FaultPlan {
 			return FaultPlan{CrashAt: n}
 		}},
-		{"partition", func(n int, _ *fakeClock) FaultPlan {
+		{"partition", func(n int, _ *clock.Fake) FaultPlan {
 			return FaultPlan{PartitionFrom: n}
 		}},
 	}
@@ -76,7 +78,7 @@ func TestChaosFaultAtEveryRPCBoundary(t *testing.T) {
 		for _, kind := range chaosKinds() {
 			for n := 1; n <= maxOps; n++ {
 				label := fmt.Sprintf("shards=%d fault=%s rpc=%d", shards, kind.name, n)
-				var clock *fakeClock
+				var clk *clock.Fake
 				run := distRun{
 					spec:        spec,
 					workers:     shards + 1,
@@ -85,12 +87,12 @@ func TestChaosFaultAtEveryRPCBoundary(t *testing.T) {
 						if i != 0 {
 							return inner
 						}
-						return NewFaultTransport(inner, kind.plan(n, clock))
+						return NewFaultTransport(inner, kind.plan(n, clk))
 					},
 				}
 				// The fault plan may need the run's clock; distRun owns
 				// it, so thread it through a hook.
-				got, st := run.runWithClock(t, func(c *fakeClock) { clock = c })
+				got, st := run.runWithClock(t, func(c *clock.Fake) { clk = c })
 				requireSameReport(t, label, want, got)
 				if !st.Complete {
 					t.Fatalf("%s: campaign did not complete: %+v", label, st)

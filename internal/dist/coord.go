@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/sched"
 )
 
@@ -34,9 +35,9 @@ type CoordinatorOptions struct {
 	// waits with work outstanding and no worker RPC at all before it
 	// marks every unresolved cell lost and completes degraded.
 	StallTimeout time.Duration
-	// Now is the clock; nil means time.Now. Deterministic tests
-	// inject a fake.
-	Now func() time.Time
+	// Clock reads lease deadlines and stall times; nil means the
+	// system clock. Deterministic tests inject clock.Fake.
+	Clock clock.Clock
 	// OnSegment, when non-nil, observes each segment the first time
 	// it is accepted (never duplicates, never replayed seeds at
 	// construction). The distributed campaign runner checkpoints
@@ -69,13 +70,6 @@ func (o CoordinatorOptions) maxReissues() int {
 		return 5
 	}
 	return o.MaxReissues
-}
-
-func (o CoordinatorOptions) now() time.Time {
-	if o.Now != nil {
-		return o.Now()
-	}
-	return time.Now()
 }
 
 // lease is one outstanding range.
@@ -129,6 +123,9 @@ func NewCoordinator(name string, spec sched.Spec, desc json.RawMessage, seed map
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Clock == nil {
+		opts.Clock = clock.System{}
+	}
 	c := &Coordinator{
 		name:         name,
 		spec:         spec,
@@ -139,7 +136,7 @@ func NewCoordinator(name string, spec sched.Spec, desc json.RawMessage, seed map
 		leases:       map[string]*lease{},
 		workers:      map[string]*workerState{},
 		reissueCount: map[int]int{},
-		lastActivity: opts.now(),
+		lastActivity: opts.Clock.Now(),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for i, cell := range spec.Cells {
@@ -165,7 +162,7 @@ func NewCoordinator(name string, spec sched.Spec, desc json.RawMessage, seed map
 func (c *Coordinator) Info() *WorkInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastActivity = c.opts.now()
+	c.lastActivity = c.opts.Clock.Now()
 	return &WorkInfo{
 		Name:       c.name,
 		Campaign:   c.spec.Name,
@@ -181,7 +178,7 @@ func (c *Coordinator) Info() *WorkInfo {
 // Acquire hands the worker a leased range, a wait hint, or done.
 func (c *Coordinator) Acquire(req AcquireRequest) *AcquireResponse {
 	c.mu.Lock()
-	now := c.opts.now()
+	now := c.opts.Clock.Now()
 	c.lastActivity = now
 	c.sweepLocked(now)
 	resp := c.acquireLocked(req, now)
@@ -233,7 +230,7 @@ func (c *Coordinator) acquireLocked(req AcquireRequest, now time.Time) *AcquireR
 // longer the worker's and it must stop executing the range.
 func (c *Coordinator) Renew(req RenewRequest) *RenewResponse {
 	c.mu.Lock()
-	now := c.opts.now()
+	now := c.opts.Clock.Now()
 	c.lastActivity = now
 	c.sweepLocked(now)
 	l := c.leases[req.Lease]
@@ -254,7 +251,7 @@ func (c *Coordinator) Renew(req RenewRequest) *RenewResponse {
 // and duplicates are discarded by cell identity, first-wins.
 func (c *Coordinator) Deliver(req DeliverRequest) *DeliverResponse {
 	c.mu.Lock()
-	now := c.opts.now()
+	now := c.opts.Clock.Now()
 	c.lastActivity = now
 	c.sweepLocked(now)
 	resp := &DeliverResponse{State: DeliverOK}
@@ -318,7 +315,7 @@ func (c *Coordinator) acceptLocked(seg sched.Segment) bool {
 // loop calls it on a timer so expiry does not depend on RPC traffic.
 func (c *Coordinator) Sweep() {
 	c.mu.Lock()
-	c.sweepLocked(c.opts.now())
+	c.sweepLocked(c.opts.Clock.Now())
 	c.finishLocked()
 	st := c.statusLocked()
 	c.mu.Unlock()

@@ -10,37 +10,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/sched"
 	"repro/internal/xrand"
 )
 
-// fakeClock is a deterministic clock shared by the coordinator and
-// the workers: Sleep advances it instantly, so waits (acquire polls,
-// retry backoffs) are what move time forward. Lease expiry then
+// newFakeClock is the deterministic clock shared by the coordinator
+// and the workers: Sleep advances it instantly, so waits (acquire
+// polls, retry backoffs) are what move time forward. Lease expiry then
 // depends only on the interleaving of coordination events, not on
 // host speed.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_700_000_000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Sleep(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func (c *fakeClock) Advance(d time.Duration) { c.Sleep(d) }
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Unix(1_700_000_000, 0)) }
 
 // distSpec builds a deterministic campaign across three devices.
 func distSpec(cells int) sched.Spec {
@@ -84,7 +64,7 @@ func baselineReport(t *testing.T, spec sched.Spec) *sched.Report[distVal] {
 		MaxRetries: testRetries,
 		Backoff:    time.Millisecond,
 		Collect:    true,
-		Sleep:      func(time.Duration) {},
+		Clock:      newFakeClock(),
 	})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
@@ -159,11 +139,11 @@ func (d distRun) run(t *testing.T) (*sched.Report[distVal], Status) {
 	return d.runWithClock(t, nil)
 }
 
-func (d distRun) runWithClock(t *testing.T, onClock func(*fakeClock)) (*sched.Report[distVal], Status) {
+func (d distRun) runWithClock(t *testing.T, onClock func(*clock.Fake)) (*sched.Report[distVal], Status) {
 	t.Helper()
-	clock := newFakeClock()
+	clk := newFakeClock()
 	if onClock != nil {
-		onClock(clock)
+		onClock(clk)
 	}
 	ttl := d.leaseTTL
 	if ttl <= 0 {
@@ -177,7 +157,7 @@ func (d distRun) runWithClock(t *testing.T, onClock func(*fakeClock)) (*sched.Re
 		LeaseTTL:    ttl,
 		RangeCells:  rc,
 		MaxReissues: d.maxReissues,
-		Now:         clock.Now,
+		Clock:       clk,
 		OnStatus:    d.onStatus,
 	})
 	if err != nil {
@@ -198,14 +178,13 @@ func (d distRun) runWithClock(t *testing.T, onClock func(*fakeClock)) (*sched.Re
 		w := NewWorker(tr, d.spec,
 			SchedRunner(d.spec, distExec, SchedRunnerOptions{
 				Parallel: 2, Retries: testRetries, Backoff: time.Millisecond,
-				Sleep: func(time.Duration) {},
+				Clock: newFakeClock(),
 			}),
 			WorkerOptions{
 				ID:          fmt.Sprintf("w%d", i),
 				RPCBackoff:  50 * time.Millisecond,
 				AcquireWait: 100 * time.Millisecond,
-				Sleep:       clock.Sleep,
-				Now:         clock.Now,
+				Clock:       clk,
 			})
 		wg.Add(1)
 		go func() {
@@ -276,7 +255,7 @@ func TestDistributedOverHTTP(t *testing.T) {
 		w := NewWorker(&HTTPTransport{BaseURL: srv.URL, Campaign: "http-test"}, spec,
 			SchedRunner(spec, distExec, SchedRunnerOptions{
 				Parallel: 2, Retries: testRetries, Backoff: time.Millisecond,
-				Sleep: func(time.Duration) {},
+				Clock: newFakeClock(),
 			}),
 			WorkerOptions{ID: fmt.Sprintf("hw%d", i), AcquireWait: 20 * time.Millisecond})
 		wg.Add(1)
@@ -310,7 +289,7 @@ func TestManifestMismatchRefused(t *testing.T) {
 	hub.Register("mm", coord)
 	skewed := distSpec(7) // one extra cell: different grid
 	w := NewWorker(hub.LocalTransport("mm"), skewed, SchedRunner(skewed, distExec, SchedRunnerOptions{}),
-		WorkerOptions{ID: "skew", Sleep: func(time.Duration) {}})
+		WorkerOptions{ID: "skew", Clock: newFakeClock()})
 	if err := w.Run(context.Background()); err == nil {
 		t.Fatal("skewed worker accepted work")
 	}
@@ -336,9 +315,9 @@ func TestCoordinatorSeeding(t *testing.T) {
 			seed[s.Key] = s
 		}
 	}
-	clock := newFakeClock()
+	clk := newFakeClock()
 	coord, err := NewCoordinator("seeded", spec, nil, seed, CoordinatorOptions{
-		Now: clock.Now, RangeCells: 2,
+		Clock: clk, RangeCells: 2,
 	})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
@@ -348,8 +327,8 @@ func TestCoordinatorSeeding(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	w := NewWorker(hub.LocalTransport("seeded"), spec,
-		SchedRunner(spec, distExec, SchedRunnerOptions{Parallel: 2, Retries: testRetries, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}),
-		WorkerOptions{ID: "w0", Sleep: clock.Sleep, Now: clock.Now})
+		SchedRunner(spec, distExec, SchedRunnerOptions{Parallel: 2, Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock()}),
+		WorkerOptions{ID: "w0", Clock: clk})
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
 	if err := coord.Wait(ctx); err != nil {
@@ -390,24 +369,22 @@ func TestWorkerUnknownCampaignFailsFast(t *testing.T) {
 				defer srv.Close()
 				tr = &HTTPTransport{BaseURL: srv.URL, Campaign: "gone"}
 			}
-			inner := SchedRunner(spec, distExec, SchedRunnerOptions{Retries: testRetries, Sleep: func(time.Duration) {}})
+			inner := SchedRunner(spec, distExec, SchedRunnerOptions{Retries: testRetries, Clock: newFakeClock()})
 			// The campaign finishes without this worker mid-lease: its
 			// delivery is the first RPC to find the campaign gone.
 			run := func(ctx context.Context, cells []sched.Cell, onCellStart func()) ([]sched.Segment, error) {
 				hub.Unregister("gone")
 				return inner(ctx, cells, onCellStart)
 			}
-			sleeps := 0
-			w := NewWorker(tr, spec, run, WorkerOptions{
-				ID:    "w0",
-				Sleep: func(time.Duration) { sleeps++ },
-			})
+			clk := newFakeClock()
+			start := clk.Now()
+			w := NewWorker(tr, spec, run, WorkerOptions{ID: "w0", Clock: clk})
 			err = w.Run(context.Background())
 			if !errors.Is(err, ErrUnknownCampaign) {
 				t.Fatalf("Run = %v, want ErrUnknownCampaign", err)
 			}
-			if sleeps != 0 {
-				t.Fatalf("worker slept %d times retrying an unregistered campaign, want 0", sleeps)
+			if slept := clk.Now().Sub(start); slept != 0 {
+				t.Fatalf("worker slept %v retrying an unregistered campaign, want 0", slept)
 			}
 		})
 	}

@@ -5,20 +5,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/sched"
 )
 
 // leaseCoord builds a coordinator driven entirely by direct calls
 // under a fake clock — no goroutines, no timers.
-func leaseCoord(t *testing.T, spec sched.Spec, opts CoordinatorOptions) (*Coordinator, *fakeClock) {
+func leaseCoord(t *testing.T, spec sched.Spec, opts CoordinatorOptions) (*Coordinator, *clock.Fake) {
 	t.Helper()
-	clock := newFakeClock()
-	opts.Now = clock.Now
+	clk := newFakeClock()
+	opts.Clock = clk
 	c, err := NewCoordinator("lease", spec, nil, nil, opts)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	return c, clock
+	return c, clk
 }
 
 // runRange executes cells by index against the shared deterministic
@@ -31,7 +32,7 @@ func runRange(t *testing.T, spec sched.Spec, cells []int) []sched.Segment {
 		sc[i] = spec.Cells[ci]
 	}
 	run := SchedRunner(spec, distExec, SchedRunnerOptions{
-		Retries: testRetries, Backoff: time.Millisecond, Sleep: func(time.Duration) {},
+		Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock(),
 	})
 	segs, err := run(context.Background(), sc, nil)
 	if err != nil {
@@ -49,7 +50,7 @@ func TestLeaseExpiryBounded(t *testing.T) {
 	const ttl = 10 * time.Second
 	spec := distSpec(8)
 	want := baselineReport(t, spec)
-	coord, clock := leaseCoord(t, spec, CoordinatorOptions{LeaseTTL: ttl, RangeCells: 4})
+	coord, clk := leaseCoord(t, spec, CoordinatorOptions{LeaseTTL: ttl, RangeCells: 4})
 
 	// Worker A leases the first range, B the second; B finishes.
 	la := coord.Acquire(AcquireRequest{Worker: "A"})
@@ -65,26 +66,26 @@ func TestLeaseExpiryBounded(t *testing.T) {
 	}
 
 	// A renews just inside the deadline; the renewal restarts the TTL.
-	clock.Advance(ttl - time.Second)
+	clk.Advance(ttl - time.Second)
 	if !coord.Renew(RenewRequest{Worker: "A", Lease: la.Lease.ID}).OK {
 		t.Fatal("in-deadline renew refused")
 	}
-	renewedAt := clock.Now()
+	renewedAt := clk.Now()
 
 	// A now partitions (no more renewals). One instant before the
 	// deadline its range must NOT be re-issued…
-	clock.Advance(ttl - time.Millisecond)
+	clk.Advance(ttl - time.Millisecond)
 	if resp := coord.Acquire(AcquireRequest{Worker: "B"}); resp.State != StateWait {
 		t.Fatalf("range re-issued before the lease deadline: %+v", resp)
 	}
 	// …and at the deadline it must be: the bound is exactly one TTL
 	// after the last renewal.
-	clock.Advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	resp := coord.Acquire(AcquireRequest{Worker: "B"})
 	if resp.State != StateLease {
 		t.Fatalf("range not re-issued at the lease deadline: %+v", resp)
 	}
-	if got := clock.Now().Sub(renewedAt); got != ttl {
+	if got := clk.Now().Sub(renewedAt); got != ttl {
 		t.Fatalf("re-issue observed %v after last renewal, want exactly %v", got, ttl)
 	}
 	if len(resp.Lease.Cells) != 4 || resp.Lease.Cells[0] != la.Lease.Cells[0] {
@@ -130,10 +131,10 @@ func TestZombieDeliveryBeforeReissueIsAccepted(t *testing.T) {
 	const ttl = 10 * time.Second
 	spec := distSpec(4)
 	want := baselineReport(t, spec)
-	coord, clock := leaseCoord(t, spec, CoordinatorOptions{LeaseTTL: ttl, RangeCells: 4})
+	coord, clk := leaseCoord(t, spec, CoordinatorOptions{LeaseTTL: ttl, RangeCells: 4})
 
 	la := coord.Acquire(AcquireRequest{Worker: "A"})
-	clock.Advance(ttl)
+	clk.Advance(ttl)
 	// The lease is expired (sweep runs on the zombie's own delivery),
 	// but nothing has been re-issued yet: the segments are novel.
 	zr := coord.Deliver(DeliverRequest{Worker: "A", Lease: la.Lease.ID, Segments: runRange(t, spec, la.Lease.Cells)})
@@ -156,7 +157,7 @@ func TestZombieDeliveryBeforeReissueIsAccepted(t *testing.T) {
 func TestWorkerQuarantine(t *testing.T) {
 	const ttl = 10 * time.Second
 	spec := distSpec(30)
-	coord, clock := leaseCoord(t, spec, CoordinatorOptions{
+	coord, clk := leaseCoord(t, spec, CoordinatorOptions{
 		LeaseTTL: ttl, RangeCells: 2, MaxReissues: 1000,
 		Breaker: sched.BreakerOptions{Threshold: 3, Cooldown: 2},
 	})
@@ -167,7 +168,7 @@ func TestWorkerQuarantine(t *testing.T) {
 		if resp.State != StateLease {
 			t.Fatalf("acquire %d = %+v", i, resp)
 		}
-		clock.Advance(ttl)
+		clk.Advance(ttl)
 		coord.Sweep()
 	}
 	if coord.Status().Quarantined != 1 {
@@ -204,7 +205,7 @@ func TestWorkerQuarantine(t *testing.T) {
 func TestReissueExhaustionDegrades(t *testing.T) {
 	const ttl = 10 * time.Second
 	spec := distSpec(4)
-	coord, clock := leaseCoord(t, spec, CoordinatorOptions{
+	coord, clk := leaseCoord(t, spec, CoordinatorOptions{
 		LeaseTTL: ttl, RangeCells: 4, MaxReissues: 2,
 		Breaker: sched.BreakerOptions{Threshold: 100, Cooldown: 1},
 	})
@@ -219,7 +220,7 @@ func TestReissueExhaustionDegrades(t *testing.T) {
 		if resp.State != StateLease {
 			t.Fatalf("acquire %d = %+v", i, resp)
 		}
-		clock.Advance(ttl)
+		clk.Advance(ttl)
 	}
 	st := coord.Status()
 	if !st.Complete || st.Lost != 4 {
@@ -241,15 +242,15 @@ func TestReissueExhaustionDegrades(t *testing.T) {
 // contacts completes degraded instead of waiting forever.
 func TestStallDegrades(t *testing.T) {
 	spec := distSpec(5)
-	coord, clock := leaseCoord(t, spec, CoordinatorOptions{
+	coord, clk := leaseCoord(t, spec, CoordinatorOptions{
 		LeaseTTL: time.Second, StallTimeout: 30 * time.Second,
 	})
-	clock.Advance(29 * time.Second)
+	clk.Advance(29 * time.Second)
 	coord.Sweep()
 	if st := coord.Status(); st.Stalled || st.Complete {
 		t.Fatalf("stalled early: %+v", st)
 	}
-	clock.Advance(time.Second)
+	clk.Advance(time.Second)
 	coord.Sweep()
 	st := coord.Status()
 	if !st.Stalled || !st.Complete || st.Lost != 5 {

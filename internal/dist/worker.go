@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/sched"
 )
 
@@ -28,8 +29,8 @@ type SchedRunnerOptions struct {
 	Retries     int
 	Backoff     time.Duration
 	CellTimeout time.Duration
-	// Sleep overrides retry waiting (tests inject fake clocks).
-	Sleep func(time.Duration)
+	// Clock waits out retry backoffs; nil means the system clock.
+	Clock clock.Clock
 	// Cache, when non-nil, is the worker's local result cache; CacheSalt
 	// must be derived from the campaign descriptor so every worker (and
 	// the submitting side) addresses the same entries. Hits are tagged
@@ -51,7 +52,7 @@ func SchedRunner[R any](spec sched.Spec, exec sched.Exec[R], opts SchedRunnerOpt
 			Backoff:     opts.Backoff,
 			CellTimeout: opts.CellTimeout,
 			Collect:     true,
-			Sleep:       opts.Sleep,
+			Clock:       opts.Clock,
 			Cache:       opts.Cache,
 			CacheSalt:   opts.CacheSalt,
 		}
@@ -72,29 +73,22 @@ type WorkerOptions struct {
 	// ID names the worker to the coordinator (lease ownership,
 	// quarantine). Required.
 	ID string
-	// MaxRPCAttempts bounds retries of one RPC before the worker
-	// gives up on the coordinator. < 1 means 8.
-	MaxRPCAttempts int
 	// RPCBackoff is the base retry backoff, doubled per attempt with
 	// split-seed jitter (sched.Spec.RetryBackoff). <= 0 means 100ms.
 	RPCBackoff time.Duration
 	// AcquireWait is the fallback poll interval when the coordinator
 	// says wait without a hint. <= 0 means 250ms.
 	AcquireWait time.Duration
-	// Sleep overrides waiting; Now overrides the renewal clock. Tests
-	// inject fakes; nil means real time.
-	Sleep func(time.Duration)
-	Now   func() time.Time
+	// Clock paces waits and lease renewal; nil means the system
+	// clock. Tests inject clock.Fake.
+	Clock clock.Clock
 	// Logf, when non-nil, receives worker events.
 	Logf func(format string, args ...any)
 }
 
-func (o WorkerOptions) maxRPCAttempts() int {
-	if o.MaxRPCAttempts < 1 {
-		return 8
-	}
-	return o.MaxRPCAttempts
-}
+// maxRPCAttempts bounds tries of one RPC before the worker gives up
+// on the coordinator.
+const maxRPCAttempts = 8
 
 func (o WorkerOptions) rpcBackoff() time.Duration {
 	if o.RPCBackoff <= 0 {
@@ -108,13 +102,6 @@ func (o WorkerOptions) acquireWait() time.Duration {
 		return 250 * time.Millisecond
 	}
 	return o.AcquireWait
-}
-
-func (o WorkerOptions) now() time.Time {
-	if o.Now != nil {
-		return o.Now()
-	}
-	return time.Now()
 }
 
 // Worker drains one campaign: acquire a leased range, execute it
@@ -131,17 +118,19 @@ type Worker struct {
 // rebuilt locally (its manifest is verified against the
 // coordinator's); run executes leased cells.
 func NewWorker(t Transport, spec sched.Spec, run RunRange, opts WorkerOptions) *Worker {
+	if opts.Clock == nil {
+		opts.Clock = clock.System{}
+	}
 	return &Worker{transport: t, spec: spec, run: run, opts: opts}
 }
 
 // rpc runs one RPC with bounded, jittered retries. Crash simulation,
 // an unknown campaign (the coordinator has unregistered it, so no
 // retry can succeed) and context cancellation are terminal; everything
-// else (network faults, 5xx) retries up to MaxRPCAttempts.
+// else (network faults, 5xx) retries up to maxRPCAttempts.
 func (w *Worker) rpc(ctx context.Context, purpose string, f func() error) error {
-	max := w.opts.maxRPCAttempts()
 	var lastErr error
-	for attempt := 0; attempt < max; attempt++ {
+	for attempt := 0; attempt < maxRPCAttempts; attempt++ {
 		err := f()
 		if err == nil || errors.Is(err, ErrWorkerCrashed) {
 			return err
@@ -153,25 +142,12 @@ func (w *Worker) rpc(ctx context.Context, purpose string, f func() error) error 
 			return fmt.Errorf("dist: worker %s: %s interrupted: %w", w.opts.ID, purpose, ctx.Err())
 		}
 		lastErr = err
-		if attempt+1 < max {
+		if attempt+1 < maxRPCAttempts {
 			wait := w.spec.RetryBackoff(fmt.Sprintf("dist-rpc/%s/%s", w.opts.ID, purpose), attempt, w.opts.rpcBackoff())
-			w.sleep(ctx, wait)
+			w.opts.Clock.Sleep(ctx, wait)
 		}
 	}
-	return fmt.Errorf("dist: worker %s: %s failed after %d attempts: %w", w.opts.ID, purpose, max, lastErr)
-}
-
-func (w *Worker) sleep(ctx context.Context, d time.Duration) {
-	if w.opts.Sleep != nil {
-		w.opts.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
+	return fmt.Errorf("dist: worker %s: %s failed after %d attempts: %w", w.opts.ID, purpose, maxRPCAttempts, lastErr)
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -233,7 +209,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// Jitter the poll so a fleet of waiting workers does not
 			// stampede the coordinator in lockstep.
 			wait = w.spec.RetryBackoff(fmt.Sprintf("dist-wait/%s/%d", w.opts.ID, waitSeq), 0, wait)
-			w.sleep(ctx, wait)
+			w.opts.Clock.Sleep(ctx, wait)
 		case StateLease:
 			if err := w.runLease(ctx, ttl, resp.Lease); err != nil {
 				return err
@@ -262,14 +238,14 @@ func (w *Worker) runLease(ctx context.Context, ttl time.Duration, l *Lease) erro
 	// scheduler drains and the rest is re-issued.
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	lastRenew := w.opts.now()
+	lastRenew := w.opts.Clock.Now()
 	renewSeq := 0
 	onCellStart := func() {
 		if ttl <= 0 || rctx.Err() != nil {
 			return
 		}
 		threshold := w.spec.RetryBackoff(fmt.Sprintf("dist-renew/%s/%d", l.ID, renewSeq), 0, ttl/3)
-		if w.opts.now().Sub(lastRenew) < threshold {
+		if w.opts.Clock.Now().Sub(lastRenew) < threshold {
 			return
 		}
 		renewSeq++
@@ -281,7 +257,7 @@ func (w *Worker) runLease(ctx context.Context, ttl time.Duration, l *Lease) erro
 			}
 			return err
 		})
-		lastRenew = w.opts.now()
+		lastRenew = w.opts.Clock.Now()
 		if err != nil || !resp.OK {
 			w.logf("dist: worker %s lost lease %s; draining", w.opts.ID, l.ID)
 			cancel()

@@ -30,7 +30,7 @@ func randomSpec(r *xrand.Rand, memWords, wgs, wgSize int) LaunchSpec {
 			switch k := r.Intn(12); {
 			case k == 0:
 				p = append(p, Instr{Op: OpFence, Addr: uint32(memWords + r.Intn(1000))})
-			case k == 1 && i < n-1: // a trailing barrier never retires its thread
+			case k == 1:
 				p = append(p, Instr{Op: OpBarrier, Addr: uint32(memWords + r.Intn(1000))})
 			default:
 				addr := r.Intn(hot)

@@ -1026,6 +1026,8 @@ func (e *exec) maybeRetire(tid int32) {
 
 // releaseBarrierIfReady releases a workgroup barrier once every still
 // active thread has arrived, restoring released threads' runnability.
+// A thread whose program ends in the barrier retires on release; the
+// nested release check in maybeRetire sees wgArrived == 0 and returns.
 func (e *exec) releaseBarrierIfReady(wg int32) {
 	if e.wgArrived[wg] == 0 || e.wgArrived[wg] < e.wgActive[wg] {
 		return
@@ -1038,6 +1040,8 @@ func (e *exec) releaseBarrierIfReady(wg int32) {
 			e.atBarrier[tid] = false
 			if e.ip[tid] < e.ipEnd[tid] {
 				e.incRunnable(tid)
+			} else {
+				e.maybeRetire(tid)
 			}
 		}
 	}

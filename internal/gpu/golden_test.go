@@ -36,7 +36,9 @@ import (
 // just before the issue loop learned to skip blocked lanes. The
 // poloc-*, sparse-*, waves-M1-* and multiwarp-* entries were captured
 // from the executor as it stood before program order per location and
-// live-CU tracking moved to decode-time links and a bitmap.
+// live-CU tracking moved to decode-time links and a bitmap. The
+// trailing-barrier entry was captured when threads whose program ends
+// in a barrier began retiring on its release (before, they deadlocked).
 
 // goldenHasher accumulates a deterministic fingerprint.
 type goldenHasher struct {
@@ -306,6 +308,31 @@ func multiWarpBarrierSpec(wgs, wgSize int) LaunchSpec {
 	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: memWords, Programs: progs}
 }
 
+// trailingBarrierSpec ends every non-empty program in a barrier after
+// one to three store/load/barrier phases, on 12-thread workgroups (a
+// partial warp on every profile) where every fifth thread is empty, so
+// each workgroup reaches its last barrier with uneven work behind it
+// and its threads retire when that barrier releases.
+func trailingBarrierSpec(wgs int) LaunchSpec {
+	const memWords, wgSize = 32, 12
+	progs := make([]Program, wgs*wgSize)
+	for tid := range progs {
+		if tid%5 == 2 {
+			continue // empty program: retires at admission
+		}
+		var p Program
+		for ph := 0; ph <= tid%3; ph++ {
+			p = append(p,
+				Instr{Op: OpStore, Addr: uint32((tid + ph) % memWords), Imm: uint32(tid<<4 | ph)},
+				Instr{Op: OpLoad, Addr: uint32((tid*3 + ph) % memWords), Reg: uint16(ph)},
+				Instr{Op: OpBarrier},
+			)
+		}
+		progs[tid] = p
+	}
+	return LaunchSpec{WorkgroupSize: wgSize, Workgroups: wgs, MemWords: memWords, Programs: progs}
+}
+
 // regroup packs a spec's threads into workgroups of wgSize threads, so
 // per-thread programs land in full-width warps.
 func regroup(spec LaunchSpec, wgSize int) LaunchSpec {
@@ -430,6 +457,12 @@ func goldenScenarios() []goldenScenario {
 			spec: multiWarpBarrierSpec(12, 32)},
 		goldenScenario{name: "multiwarp-barrier-Intel-waves", profile: "Intel", seed: 78, runs: 2,
 			spec: multiWarpBarrierSpec(120, 32)},
+	)
+	// Programs that end in a barrier retire when it releases, across
+	// admission waves.
+	out = append(out,
+		goldenScenario{name: "trailing-barrier", profile: "AMD", seed: 79, runs: 3, traced: true,
+			spec: trailingBarrierSpec(60)},
 	)
 	// Fault injection: the per-run fault draws precede execution, so
 	// the error/result sequence pins the fault RNG stream too.

@@ -9,49 +9,7 @@
 // watchdog observes the serialized per-job Progress snapshot stream,
 // and the memory watcher's levels gate queue drain and submission.
 //
-// Every decision is a function of an injected Clock (or an injected
-// memory reader), so tests reproduce each transition deterministically
-// with FakeClock — no wall-clock sleeps anywhere.
+// Every decision is a function of an injected clock.Clock (or an
+// injected memory reader), so tests reproduce each transition
+// deterministically with clock.Fake — no wall-clock sleeps anywhere.
 package guard
-
-import (
-	"sync"
-	"time"
-)
-
-// Clock abstracts time for watchdog decisions. Production uses
-// SystemClock; tests drive transitions with FakeClock.
-type Clock interface {
-	Now() time.Time
-}
-
-// SystemClock is the real wall clock.
-type SystemClock struct{}
-
-// Now returns time.Now.
-func (SystemClock) Now() time.Time { return time.Now() }
-
-// FakeClock is a manually-advanced Clock for deterministic tests.
-type FakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// NewFakeClock starts a fake clock at the given instant.
-func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{t: start}
-}
-
-// Now returns the current fake instant.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the fake clock forward by d.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}

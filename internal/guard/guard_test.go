@@ -4,10 +4,12 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-func fakeClock() *FakeClock {
-	return NewFakeClock(time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC))
+func fakeClock() *clock.Fake {
+	return clock.NewFake(time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC))
 }
 
 // TestWatchdogStall: a frozen progress mark expires after the stall

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Watchdog supervises running jobs against their wall-deadline and
@@ -16,7 +18,7 @@ import (
 // violation. Both enforcement decisions live in Sweep, so a fake clock
 // plus a manual Sweep reproduces every transition deterministically.
 type Watchdog struct {
-	clock Clock
+	clock clock.Clock
 	// onExpire is called outside the watchdog lock, once per job —
 	// an expired job is forgotten before its callback fires.
 	onExpire func(id string, cause error)
@@ -34,11 +36,11 @@ type watch struct {
 
 // NewWatchdog builds a watchdog on the given clock. onExpire receives
 // the job ID and a cause wrapping ErrDeadlineExceeded or ErrStalled.
-func NewWatchdog(clock Clock, onExpire func(id string, cause error)) *Watchdog {
-	if clock == nil {
-		clock = SystemClock{}
+func NewWatchdog(clk clock.Clock, onExpire func(id string, cause error)) *Watchdog {
+	if clk == nil {
+		clk = clock.System{}
 	}
-	return &Watchdog{clock: clock, onExpire: onExpire, jobs: map[string]*watch{}}
+	return &Watchdog{clock: clk, onExpire: onExpire, jobs: map[string]*watch{}}
 }
 
 // Watch begins supervising a job. A zero wall or stall budget disables

@@ -93,7 +93,7 @@ func TestFig5AndFig6(t *testing.T) {
 	cfg.SITEIterations = 4
 	cfg.PTEIterations = 2
 	cfg.Devices = []string{"AMD"}
-	ds, err := tuning.Run(cfg, tests, nil)
+	ds, err := tuning.RunCampaign(cfg, tests, tuning.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

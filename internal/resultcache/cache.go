@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/diskio"
 )
 
@@ -83,9 +84,9 @@ type Options struct {
 	// MaxBytes, when positive, is the byte budget the compaction pass
 	// at Open enforces over objects/ (oldest entries evicted first).
 	MaxBytes int64
-	// Now is the recency clock for LRU mtimes; nil means time.Now.
-	// Deterministic tests inject a fake.
-	Now func() time.Time
+	// Clock stamps LRU recency mtimes; nil means the system clock.
+	// Deterministic tests inject clock.Fake.
+	Clock clock.Clock
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -107,7 +108,7 @@ type Stats struct {
 type Cache struct {
 	fsys diskio.FS
 	dir  string
-	now  func() time.Time
+	clk  clock.Clock
 
 	// locks serializes in-process same-key publication (64 stripes by
 	// the key's first hex byte). Cross-process races are resolved by
@@ -135,11 +136,11 @@ func Open(dir string, opts Options) (*Cache, error) {
 	if fsys == nil {
 		fsys = diskio.OS{}
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
+	clk := opts.Clock
+	if clk == nil {
+		clk = clock.System{}
 	}
-	c := &Cache{fsys: fsys, dir: dir, now: now}
+	c := &Cache{fsys: fsys, dir: dir, clk: clk}
 	for _, sub := range []string{objectsDir, corruptDir} {
 		if err := fsys.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			if diskio.IsStorageErr(err) {
@@ -206,7 +207,7 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 	// Refresh recency so the compaction pass sees reuse, not just
 	// publication age. Best-effort: a failed touch costs eviction
 	// fidelity, never correctness.
-	t := c.now()
+	t := c.clk.Now()
 	if err := c.fsys.Chtimes(path, t, t); err != nil && diskio.IsStorageErr(err) {
 		c.degrade(err)
 	}
@@ -302,7 +303,7 @@ func (c *Cache) Put(key string, payload []byte) {
 		}
 		return
 	}
-	t := c.now()
+	t := c.clk.Now()
 	if err := c.fsys.Chtimes(path, t, t); err != nil && diskio.IsStorageErr(err) {
 		c.degrade(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/diskio"
 )
 
@@ -200,14 +201,13 @@ func TestConcurrentSameKeyWriters(t *testing.T) {
 // budget evicts exactly the oldest entries, in a fixed order.
 func TestCompactionDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	clock := time.Unix(1_700_000_000, 0)
-	now := func() time.Time { return clock }
-	c := mustOpen(t, dir, Options{Now: now})
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	c := mustOpen(t, dir, Options{Clock: clk})
 	keys := make([]string, 5)
 	var entrySize int64
 	for i := range keys {
 		keys[i] = key(fmt.Sprintf("cell-%d", i))
-		clock = clock.Add(time.Minute)
+		clk.Advance(time.Minute)
 		c.Put(keys[i], []byte(fmt.Sprintf(`{"i":%d}`, i)))
 		info, err := os.Stat(filepath.Join(dir, "objects", keys[i]))
 		if err != nil {
@@ -217,14 +217,14 @@ func TestCompactionDeterministic(t *testing.T) {
 	}
 	// A Get refreshes recency: touch the oldest entry so it survives a
 	// pass that would otherwise evict it first.
-	clock = clock.Add(time.Hour)
+	clk.Advance(time.Hour)
 	if _, hit, _ := c.Get(keys[0]); !hit {
 		t.Fatal("warm Get missed")
 	}
 
 	// Budget for two entries: survivors must be the touched keys[0] and
 	// the most recently published keys[4].
-	c2 := mustOpen(t, dir, Options{Now: now, MaxBytes: 2 * entrySize})
+	c2 := mustOpen(t, dir, Options{Clock: clk, MaxBytes: 2 * entrySize})
 	if st := c2.Stats(); st.Evicted != 3 {
 		t.Fatalf("evicted %d entries, want 3", st.Evicted)
 	}
@@ -239,13 +239,13 @@ func TestCompactionDeterministic(t *testing.T) {
 	// Determinism: rebuilding the same directory state and compacting
 	// again evicts the same population.
 	dir2 := t.TempDir()
-	clock2 := time.Unix(1_700_000_000, 0)
-	c3 := mustOpen(t, dir2, Options{Now: func() time.Time { return clock2 }})
+	clk2 := clock.NewFake(time.Unix(1_700_000_000, 0))
+	c3 := mustOpen(t, dir2, Options{Clock: clk2})
 	for i, k := range keys {
-		clock2 = clock2.Add(time.Minute)
+		clk2.Advance(time.Minute)
 		c3.Put(k, []byte(fmt.Sprintf(`{"i":%d}`, i)))
 	}
-	clock2 = clock2.Add(time.Hour)
+	clk2.Advance(time.Hour)
 	c3.Get(keys[0])
 	c4 := mustOpen(t, dir2, Options{MaxBytes: 2 * entrySize})
 	for i, k := range keys {

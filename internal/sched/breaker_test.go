@@ -197,10 +197,21 @@ func TestBreakerImpliesCollect(t *testing.T) {
 	}
 }
 
-// TestInjectedSleepBackoff: retry backoff goes through Options.Sleep
-// with the jittered duration — base doubling per retry, scaled by the
-// deterministic ±50% factor from the cell's split-seed RNG — so tests
-// never wall-clock real sleeps.
+// sleepFunc is a Clock whose Sleep hands each wait to the function
+// instead of blocking.
+type sleepFunc func(time.Duration)
+
+func (sleepFunc) Now() time.Time { return time.Time{} }
+
+func (f sleepFunc) Sleep(ctx context.Context, d time.Duration) error {
+	f(d)
+	return ctx.Err()
+}
+
+// TestInjectedSleepBackoff: retry backoff goes through Options.Clock
+// with the jittered duration — base doubling per retry, jittered into
+// [d/2, d] by the cell's split-seed RNG — so tests never wall-clock
+// real sleeps.
 func TestInjectedSleepBackoff(t *testing.T) {
 	spec := testSpec(1)
 	base := 100 * time.Millisecond
@@ -211,7 +222,7 @@ func TestInjectedSleepBackoff(t *testing.T) {
 	}, Options[int]{
 		MaxRetries: 3,
 		Backoff:    base,
-		Sleep:      func(d time.Duration) { slept = append(slept, d) },
+		Clock:      sleepFunc(func(d time.Duration) { slept = append(slept, d) }),
 	})
 	if err == nil {
 		t.Fatal("exhausted retries did not fail")

@@ -178,9 +178,9 @@ func TestBackoffWaitInterruptible(t *testing.T) {
 	}, Options[int]{
 		MaxRetries: 5,
 		Backoff:    time.Hour, // the test would hang if the wait were not interruptible
-		Sleep: func(time.Duration) {
+		Clock: sleepFunc(func(time.Duration) {
 			cancel() // cancellation lands mid-wait
-		},
+		}),
 	})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("error does not wrap ErrInterrupted: %v", err)

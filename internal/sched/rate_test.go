@@ -5,7 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/clock"
 )
 
 // TestRateZeroElapsed: the shared rate helper reports zero throughput
@@ -31,8 +32,7 @@ func TestRateZeroElapsed(t *testing.T) {
 func TestInstantJobSnapshotRates(t *testing.T) {
 	var got []Progress
 	tr := newProgressTracker(func(p Progress) { got = append(got, p) }, "instant", 4, 0)
-	frozen := tr.start
-	tr.now = func() time.Time { return frozen }
+	tr.clk = clock.NewFake(tr.start)
 
 	// A warm run: cells resolve by replay and cache hits, plus one
 	// executed cell — the case the epsilon clamp used to blow up on.

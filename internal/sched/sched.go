@@ -44,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/xrand"
 )
 
@@ -95,23 +96,15 @@ func (s *Spec) CellRand(key string, attempt int) *xrand.Rand {
 }
 
 // RetryBackoff returns the wait before retrying a cell after failed
-// attempt (0-based): the base backoff doubled per attempt, scaled by a
-// jitter factor in [0.5, 1.5) drawn from the cell's split-seed RNG. The
-// jitter decorrelates retry timing across cells — no synchronized retry
+// attempt (0-based): clock.Backoff of the base, uncapped, with its
+// jitter u drawn from the cell's split-seed RNG. The jitter
+// decorrelates retry timing across cells — no synchronized retry
 // stampede when many workers hit a transient condition at once — while
 // staying a pure function of (seed, name, key, attempt), so retry
 // schedules are reproducible run to run.
 func (s *Spec) RetryBackoff(key string, attempt int, base time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt
-	if shift > 32 {
-		shift = 32 // doubling saturates; beyond this the jitter still varies
-	}
-	d := base << uint(shift)
-	jitter := 0.5 + xrand.NewFromPath(s.Seed, s.Name, key, fmt.Sprintf("backoff-%d", attempt)).Float64()
-	return time.Duration(float64(d) * jitter)
+	u := xrand.NewFromPath(s.Seed, s.Name, key, fmt.Sprintf("backoff-%d", attempt)).Float64()
+	return clock.Backoff(base, 0, attempt, u)
 }
 
 // Exec runs one cell attempt. The ctx is the campaign's (or, with
@@ -130,8 +123,8 @@ type Options[R any] struct {
 	// retried after its first attempt.
 	MaxRetries int
 	// Backoff is the base wait before the first retry; it doubles per
-	// retry and is jittered ±50% from the cell's split-seed RNG (see
-	// Spec.RetryBackoff). Zero means retry immediately (tests).
+	// retry and is jittered over [d/2, d] from the cell's split-seed RNG
+	// (see Spec.RetryBackoff). Zero means retry immediately (tests).
 	Backoff time.Duration
 	// CellTimeout, when positive, bounds each cell's wall-clock time:
 	// the cell's exec runs under a deadline-bounded child context and an
@@ -147,10 +140,10 @@ type Options[R any] struct {
 	// A breaker implies the collect error policy — device failures
 	// feed the breaker instead of aborting the campaign.
 	Breaker *BreakerOptions
-	// Sleep replaces the backoff wait. Tests inject a fake clock here so
-	// backoff paths run in microseconds; it receives the jittered
-	// duration. Nil means an interruptible timer wait on the context.
-	Sleep func(time.Duration)
+	// Clock waits out retry backoffs, interruptibly; nil means the
+	// system clock. Tests inject clock.Fake so backoff paths run in
+	// microseconds.
+	Clock clock.Clock
 	// Checkpoint, when non-nil, records completed cells and replays
 	// cells already done in a previous run.
 	Checkpoint *Checkpoint
@@ -327,6 +320,9 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	}
 	if workers > len(spec.Cells) {
 		workers = len(spec.Cells)
+	}
+	if opts.Clock == nil {
+		opts.Clock = clock.System{}
 	}
 	rep := &Report[R]{Spec: spec, Results: make([]CellResult[R], len(spec.Cells))}
 	start := time.Now()
@@ -630,28 +626,10 @@ func runCell[R any](ctx context.Context, spec *Spec, cell Cell, exec Exec[R], op
 			return value, attempts, err
 		}
 		if wait := spec.RetryBackoff(cell.Key, attempt, opts.Backoff); wait > 0 {
-			if !sleepInterruptible(ctx, wait, opts.Sleep) {
+			if opts.Clock.Sleep(ctx, wait) != nil {
 				return value, attempts, fmt.Errorf("sched: cell %s: retry wait interrupted: %w", cell.Key, ctx.Err())
 			}
 		}
-	}
-}
-
-// sleepInterruptible waits for d or until ctx is cancelled, reporting
-// whether the full wait elapsed. A non-nil sleep (the injected test
-// clock) replaces the timer; cancellation is still honored around it.
-func sleepInterruptible(ctx context.Context, d time.Duration, sleep func(time.Duration)) bool {
-	if sleep != nil {
-		sleep(d)
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/xrand"
 )
 
@@ -49,7 +50,7 @@ func runSeg(t *testing.T, spec Spec, breaker *BreakerOptions) *Report[segVal] {
 		Backoff:    time.Millisecond,
 		Collect:    true,
 		Breaker:    breaker,
-		Sleep:      func(time.Duration) {},
+		Clock:      clock.NewFake(time.Time{}),
 	})
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)

@@ -3,6 +3,8 @@ package sched
 import (
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // progressTracker accumulates live counters and drives the OnProgress
@@ -16,7 +18,7 @@ type progressTracker struct {
 	mu    sync.Mutex
 	cb    func(Progress)
 	start time.Time
-	now   func() time.Time
+	clk   clock.Clock
 	// live holds the running counters and per-device busy seconds;
 	// snapshot stamps elapsed time and rates onto a copy.
 	live Progress
@@ -30,10 +32,10 @@ type progressTracker struct {
 func newProgressTracker(cb func(Progress), campaign string, total int, every time.Duration) *progressTracker {
 	t := &progressTracker{
 		cb:   cb,
-		now:  time.Now,
+		clk:  clock.System{},
 		live: Progress{Campaign: campaign, Total: total, DeviceBusy: map[string]float64{}},
 	}
-	t.start = t.now()
+	t.start = t.clk.Now()
 	if every > 0 {
 		stop := make(chan struct{})
 		t.stopTick = sync.OnceFunc(func() { close(stop) })
@@ -79,7 +81,7 @@ func (t *progressTracker) snapshot() Progress {
 			p.DeviceBusy[d] = busy
 		}
 	}
-	p.setElapsed(t.now().Sub(t.start).Seconds())
+	p.setElapsed(t.clk.Now().Sub(t.start).Seconds())
 	return p
 }
 

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Client is a minimal Go client for the campaign server API — what
@@ -37,15 +39,9 @@ type Client struct {
 	// MaxRetries bounds retry attempts after the first try; 0 means 4,
 	// negative disables retrying.
 	MaxRetries int
-	// RetryBase and RetryCap shape the backoff: full jitter over an
-	// exponentially growing delay, never below RetryBase/2 nor above
-	// RetryCap. Defaults 100ms and 2s. A Retry-After header overrides
-	// the computed delay, still capped at RetryCap.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Sleep overrides backoff waiting (tests capture delays); nil means
-	// a context-aware real sleep.
-	Sleep func(time.Duration)
+	// Clock waits out backoff delays; nil means the system clock.
+	// Tests record the delays instead of sleeping.
+	Clock clock.Clock
 	// Rand is the jitter source in [0, 1); nil means math/rand.
 	Rand func() float64
 }
@@ -79,53 +75,25 @@ func (c *Client) maxRetries() int {
 	return c.MaxRetries
 }
 
+// Retry delays: full jitter over [d/2, d] of base<<attempt, where d
+// and any Retry-After the server names are capped at retryCap, so a
+// hostile or confused server cannot park the client.
+const (
+	retryBase = 100 * time.Millisecond
+	retryCap  = 2 * time.Second
+)
+
 // backoff computes the delay before retry number attempt (0-based):
-// Retry-After when the server named one, else full-jittered exponential
-// growth; both capped at RetryCap.
+// Retry-After when the server named one, else clock.Backoff.
 func (c *Client) backoff(attempt int, retryAfter string) time.Duration {
-	base, cap := c.RetryBase, c.RetryCap
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
-	if retryAfter != "" {
-		if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs >= 0 {
-			d := time.Duration(secs) * time.Second
-			if d > cap {
-				d = cap
-			}
-			return d
-		}
-	}
-	d := base << uint(attempt)
-	if d > cap || d <= 0 {
-		d = cap
+	if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs >= 0 {
+		return min(time.Duration(secs)*time.Second, retryCap)
 	}
 	rnd := c.Rand
 	if rnd == nil {
 		rnd = rand.Float64
 	}
-	// Full jitter over [d/2, d]: desynchronizes a fleet of clients
-	// hammering a recovering server without collapsing the wait to 0.
-	return d/2 + time.Duration(rnd()*float64(d/2))
-}
-
-// sleep waits out a backoff delay, returning early on ctx cancellation.
-func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	if c.Sleep != nil {
-		c.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return clock.Backoff(retryBase, retryCap, attempt, rnd())
 }
 
 // retryStatus reports response codes worth retrying: admission
@@ -170,7 +138,11 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		default:
 			return resp, nil
 		}
-		if err := c.sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
+		clk := c.Clock
+		if clk == nil {
+			clk = clock.System{}
+		}
+		if err := clk.Sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
 			return nil, err
 		}
 	}

@@ -33,6 +33,17 @@ func (h *retryHarness) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`{"jobs":[]}`))
 }
 
+// sleepFunc is a Clock whose Sleep hands each delay to the function
+// instead of waiting.
+type sleepFunc func(time.Duration)
+
+func (sleepFunc) Now() time.Time { return time.Time{} }
+
+func (f sleepFunc) Sleep(ctx context.Context, d time.Duration) error {
+	f(d)
+	return ctx.Err()
+}
+
 // retryClient builds a Client against the harness that records every
 // backoff delay instead of sleeping.
 func retryClient(t *testing.T, h http.Handler, delays *[]time.Duration) *Client {
@@ -41,7 +52,7 @@ func retryClient(t *testing.T, h http.Handler, delays *[]time.Duration) *Client 
 	t.Cleanup(hs.Close)
 	return &Client{
 		BaseURL: hs.URL,
-		Sleep:   func(d time.Duration) { *delays = append(*delays, d) },
+		Clock:   sleepFunc(func(d time.Duration) { *delays = append(*delays, d) }),
 		Rand:    func() float64 { return 1 }, // deterministic: top of the jitter window
 	}
 }
@@ -71,14 +82,13 @@ func TestClientHonorsRetryAfterCapped(t *testing.T) {
 	h := &retryHarness{refuse: 1, status: http.StatusServiceUnavailable, retryAfter: "7"}
 	var delays []time.Duration
 	c := retryClient(t, h, &delays)
-	c.RetryCap = 500 * time.Millisecond
 	if _, err := c.Jobs(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Retry-After asked for 7s; the cap wins so a hostile or confused
-	// server cannot park the client.
-	if len(delays) != 1 || delays[0] != 500*time.Millisecond {
-		t.Fatalf("delays = %v, want [500ms]", delays)
+	// Retry-After asked for 7s; the 2s cap wins so a hostile or
+	// confused server cannot park the client.
+	if len(delays) != 1 || delays[0] != 2*time.Second {
+		t.Fatalf("delays = %v, want [2s]", delays)
 	}
 }
 
@@ -139,7 +149,7 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	c := &Client{
 		BaseURL:    hs.URL,
 		HTTPClient: &http.Client{Transport: ft},
-		Sleep:      func(d time.Duration) { delays = append(delays, d) },
+		Clock:      sleepFunc(func(d time.Duration) { delays = append(delays, d) }),
 		Rand:       func() float64 { return 0 },
 	}
 	if _, err := c.Jobs(context.Background()); err != nil {
@@ -160,7 +170,7 @@ func TestClientRetryRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		BaseURL: hs.URL,
-		Sleep:   func(time.Duration) { cancel() }, // cancel during the first backoff
+		Clock:   sleepFunc(func(time.Duration) { cancel() }), // cancel during the first backoff
 	}
 	if _, err := c.Jobs(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -36,7 +36,7 @@ func pollWorker(ctx context.Context, t *testing.T, baseURL, id string) {
 				t.Errorf("worker %s: descriptor: %v", id, err)
 				return
 			}
-			units, err := core.DistWork(ws, 2, nil)
+			units, err := core.DistWork(ws, core.DistWorkOptions{Parallel: 2})
 			if err != nil {
 				t.Errorf("worker %s: plan: %v", id, err)
 				return

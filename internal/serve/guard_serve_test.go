@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/diskio"
 	"repro/internal/guard"
 )
@@ -186,7 +187,7 @@ func TestPoisonQuarantineAfterCrashLoop(t *testing.T) {
 // without killing the other job, the server, or any goroutine's
 // cleanup path.
 func TestWatchdogDeadlineAndStallFakeClock(t *testing.T) {
-	fc := guard.NewFakeClock(time.Unix(1_700_000_000, 0))
+	fc := clock.NewFake(time.Unix(1_700_000_000, 0))
 	s, c := startServer(t, Config{
 		Runners: 2, JobWorkers: 2, EnableDist: true,
 		Clock: fc, GuardEvery: time.Hour, // ticks are driven manually

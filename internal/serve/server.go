@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/diskio"
 	"repro/internal/dist"
@@ -97,8 +98,8 @@ type Config struct {
 	// drive ticks directly.
 	GuardEvery time.Duration
 	// Clock feeds the watchdog; nil means the system clock. Tests
-	// inject guard.FakeClock.
-	Clock guard.Clock
+	// inject clock.Fake.
+	Clock clock.Clock
 	// ReadMem feeds the memory watcher; nil means runtime heap stats.
 	// Tests script pressure trajectories.
 	ReadMem func() uint64
@@ -191,9 +192,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.GuardEvery <= 0 {
 		cfg.GuardEvery = time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = guard.SystemClock{}
 	}
 	if cfg.MemSoftBytes > 0 && cfg.MemHardBytes > 0 && cfg.MemSoftBytes > cfg.MemHardBytes {
 		return nil, fmt.Errorf("serve: soft watermark %d exceeds hard watermark %d", cfg.MemSoftBytes, cfg.MemHardBytes)

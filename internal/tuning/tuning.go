@@ -518,14 +518,6 @@ func CampaignSpec(cfg Config, tests []*litmus.Test) (sched.Spec, error) {
 	return spec, err
 }
 
-// Run executes a tuning run over the given tests (typically the 32
-// mutants) across all families and devices, serially. progress, when
-// non-nil, receives one line per campaign cell. Use RunCampaign for
-// parallel, checkpointed runs; Run is RunCampaign at one worker.
-func Run(cfg Config, tests []*litmus.Test, progress func(string)) (*Dataset, error) {
-	return RunCampaign(cfg, tests, RunOptions{Progress: progress})
-}
-
 // RunCampaign is RunCampaignCtx under context.Background().
 func RunCampaign(cfg Config, tests []*litmus.Test, opts RunOptions) (*Dataset, error) {
 	return RunCampaignCtx(context.Background(), cfg, tests, opts)

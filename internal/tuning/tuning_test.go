@@ -34,7 +34,7 @@ func dataset(t testing.TB) *Dataset {
 	cfg.SITEIterations = 10
 	cfg.PTEIterations = 2
 	cfg.Devices = []string{"AMD", "Intel"}
-	ds, err := Run(cfg, tests, nil)
+	ds, err := RunCampaign(cfg, tests, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunProducesCompleteGrid(t *testing.T) {
 }
 
 func TestRunRejectsEmptyTests(t *testing.T) {
-	if _, err := Run(SmallConfig(), nil, nil); err == nil {
+	if _, err := RunCampaign(SmallConfig(), nil, RunOptions{}); err == nil {
 		t.Fatal("empty test list accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestRunUnknownDevice(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Environments = 1
 	cfg.Devices = []string{"Voodoo2"}
-	if _, err := Run(cfg, []*litmus.Test{test}, nil); err == nil {
+	if _, err := RunCampaign(cfg, []*litmus.Test{test}, RunOptions{}); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -217,11 +217,11 @@ func TestDeterministicRuns(t *testing.T) {
 	cfg.SITEIterations = 5
 	cfg.PTEIterations = 2
 	cfg.Devices = []string{"AMD"}
-	a, err := Run(cfg, []*litmus.Test{test}, nil)
+	a, err := RunCampaign(cfg, []*litmus.Test{test}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, []*litmus.Test{test}, nil)
+	b, err := RunCampaign(cfg, []*litmus.Test{test}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestProgressCallback(t *testing.T) {
 	cfg.PTEIterations = 1
 	cfg.Devices = []string{"AMD"}
 	var lines int
-	if _, err := Run(cfg, []*litmus.Test{test}, func(string) { lines++ }); err != nil {
+	if _, err := RunCampaign(cfg, []*litmus.Test{test}, RunOptions{Progress: func(string) { lines++ }}); err != nil {
 		t.Fatal(err)
 	}
 	if lines != 4 { // 4 families x 1 env x 1 device
