@@ -109,7 +109,11 @@ func TestProgressInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
 	exec := func(ctx context.Context, c Cell, rng *xrand.Rand) (uint64, error) {
-		if started.Add(1) == 8 {
+		// Every exec from the eighth on cancels (cancel is idempotent):
+		// with only the eighth doing it, that exec could be descheduled
+		// between Add and cancel while the other worker ran all 32
+		// remaining cells, leaving nothing to interrupt.
+		if started.Add(1) >= 8 {
 			cancel()
 		}
 		return drawSum(ctx, c, rng)
