@@ -84,6 +84,40 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestParamsValidateEnums: every enum field accepts exactly its
+// declared constants. An unknown stress pattern used to validate and
+// then silently emit no stress (round-robin) or run as LoadLoad
+// (chunked).
+func TestParamsValidateEnums(t *testing.T) {
+	cases := []struct {
+		name  string
+		set   func(*Params, int)
+		valid []int
+	}{
+		{"Scope", func(p *Params, v int) { p.Scope = Scope(v) },
+			[]int{int(InterWorkgroup), int(IntraWorkgroup)}},
+		{"StressStrategy", func(p *Params, v int) { p.StressStrategy = StressStrategy(v) },
+			[]int{int(RoundRobin), int(Chunked)}},
+		{"MemStressPattern", func(p *Params, v int) { p.MemStressPattern = StressPattern(v) },
+			[]int{int(StoreStore), int(StoreLoad), int(LoadStore), int(LoadLoad)}},
+		{"PreStressPattern", func(p *Params, v int) { p.PreStressPattern = StressPattern(v) },
+			[]int{int(StoreStore), int(StoreLoad), int(LoadStore), int(LoadLoad)}},
+	}
+	for _, c := range cases {
+		for v := -1; v <= 9; v++ {
+			p := stressedPTE()
+			c.set(&p, v)
+			want := false
+			for _, ok := range c.valid {
+				want = want || v == ok
+			}
+			if err := p.Validate(); (err == nil) != want {
+				t.Errorf("%s=%d: Validate() = %v, want valid=%v", c.name, v, err, want)
+			}
+		}
+	}
+}
+
 func TestPresetsValidate(t *testing.T) {
 	for _, p := range []Params{SITEBaseline(), PTEBaseline(16, 32), smallPTE(), stressedPTE(), stressedSITE()} {
 		if err := p.Validate(); err != nil {

@@ -188,11 +188,20 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("harness: percentage parameter out of [0,100]")
 	case p.MemStressIters < 0 || p.PreStressIters < 0:
 		return fmt.Errorf("harness: negative stress iterations")
+	case p.Scope < InterWorkgroup || p.Scope > IntraWorkgroup:
+		return fmt.Errorf("harness: Scope=%d", p.Scope)
+	case p.StressStrategy < RoundRobin || p.StressStrategy > Chunked:
+		return fmt.Errorf("harness: StressStrategy=%d", p.StressStrategy)
+	case patternBad(p.MemStressPattern) || patternBad(p.PreStressPattern):
+		return fmt.Errorf("harness: stress pattern out of range (MemStressPattern=%d, PreStressPattern=%d)",
+			p.MemStressPattern, p.PreStressPattern)
 	}
 	return nil
 }
 
 func pctBad(v int) bool { return v < 0 || v > 100 }
+
+func patternBad(p StressPattern) bool { return p < StoreStore || p > LoadLoad }
 
 // SITEBaseline reproduces the paper's SITE Baseline environment: a
 // single test instance across 32 workgroups with no added stress
