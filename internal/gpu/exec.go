@@ -478,16 +478,18 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 				}
 				e.lastAt[in.Addr] = pos + 1
 			}
-			e.code[pos] = stepInstr{
-				addr:    in.Addr,
-				line:    in.Addr / lw,
-				imm:     in.Imm,
-				baseLat: e.opLat[in.Op&7],
-				pred:    pred,
-				reg:     in.Reg,
-				op:      in.Op,
-				flags:   fl,
-			}
+			// Field stores straight into the table: a composite literal
+			// is built in a stack temporary with narrow stores and then
+			// copied with wide loads, which stall on store forwarding.
+			st := &e.code[pos]
+			st.addr = in.Addr
+			st.line = in.Addr / lw
+			st.imm = in.Imm
+			st.baseLat = e.opLat[in.Op&7]
+			st.pred = pred
+			st.reg = in.Reg
+			st.op = in.Op
+			st.flags = fl
 			if (in.Op == OpLoad || in.Op == OpExchange) && int32(in.Reg)+1 > n {
 				n = int32(in.Reg) + 1
 			}

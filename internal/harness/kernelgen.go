@@ -85,17 +85,23 @@ type planBuilder struct {
 	rng  *xrand.Rand
 }
 
-// stressAddr picks a random address within the k-th chosen stress line.
-func (b *planBuilder) stressAddr(k int) uint32 {
-	line := b.plan.lineStarts[k%len(b.plan.lineStarts)]
-	return line + uint32(b.rng.Intn(b.p.StressLineSize))
-}
-
-// emitStress appends a stress access pattern to prog.
+// emitStress appends a stress access pattern to prog. Access j of the
+// pattern (two per iteration) hits line (base+j) mod the chosen lines,
+// at a random word within it; the line index advances by one per
+// access instead of being recomputed with a division.
 func (b *planBuilder) emitStress(prog gpu.Program, pattern StressPattern, iters int, base int) gpu.Program {
+	lines := b.plan.lineStarts
+	size := b.p.StressLineSize
+	li := base % len(lines)
 	for k := 0; k < iters; k++ {
-		a1 := b.stressAddr(base + 2*k)
-		a2 := b.stressAddr(base + 2*k + 1)
+		a1 := lines[li] + uint32(b.rng.Intn(size))
+		if li++; li == len(lines) {
+			li = 0
+		}
+		a2 := lines[li] + uint32(b.rng.Intn(size))
+		if li++; li == len(lines) {
+			li = 0
+		}
 		switch pattern {
 		case StoreStore:
 			prog = append(prog,
