@@ -199,17 +199,23 @@ func (st *Study) EvaluateSpec(p Platform, numEnvs int, seed uint64) (sched.Spec,
 	return spec, err
 }
 
-// evaluateExec returns the cell executor of an evaluation campaign —
-// shared verbatim between local runs and distributed workers, so a
-// leased cell computes exactly what a local scheduler would.
-func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations int) sched.Exec[*harness.Result] {
-	return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (*harness.Result, error) {
-		w := work[c.Key]
-		r, err := p.runner(w.env)
-		if err != nil {
-			return nil, err
+// evaluateExec returns the per-worker cell executor factory of an
+// evaluation campaign — shared verbatim between local runs and
+// distributed workers, so a leased cell computes exactly what a local
+// scheduler would. Each worker keeps one warm runner, rebuilt when the
+// environment changes (cells are env-major). Every cell gets a fresh
+// Result: it is the cell's value.
+func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations int) func() sched.Exec[*harness.Result] {
+	return func() sched.Exec[*harness.Result] {
+		warm := harness.WarmRunner[harness.Params]{New: p.runner}
+		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (*harness.Result, error) {
+			w := work[c.Key]
+			r, err := warm.Get(w.env, p.Faults)
+			if err != nil {
+				return nil, err
+			}
+			return r.RunCtx(ctx, w.mutant, iterations, rng)
 		}
-		return r.RunCtx(ctx, w.mutant, iterations, rng)
 	}
 }
 
@@ -313,33 +319,41 @@ func (st *Study) FleetConformanceSpec(platforms []Platform, seed uint64) (sched.
 	return spec, err
 }
 
-// conformanceExec returns the cell executor of a fleet conformance
-// campaign — shared verbatim between local runs and distributed
-// workers, so a leased cell computes exactly what a local scheduler
-// would.
-func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, iterations int) sched.Exec[Finding] {
-	return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Finding, error) {
-		w := work[c.Key]
-		r, err := w.platform.runner(env)
-		if err != nil {
-			return Finding{}, err
+// conformanceExec returns the per-worker cell executor factory of a
+// fleet conformance campaign — shared verbatim between local runs and
+// distributed workers, so a leased cell computes exactly what a local
+// scheduler would. Each worker keeps one warm runner, rebuilt when the
+// platform changes (cells are platform-major), and runs every cell
+// into one reused Result: a Finding copies its scalars and the
+// violation RunInto cloned, so nothing it holds is overwritten.
+func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, iterations int) func() sched.Exec[Finding] {
+	return func() sched.Exec[Finding] {
+		warm := harness.WarmRunner[Platform]{
+			New: func(p Platform) (*harness.Runner, error) { return p.runner(env) },
 		}
-		res, err := r.RunCtx(ctx, w.test, iterations, rng)
-		if err != nil {
-			return Finding{}, err
+		var res harness.Result
+		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Finding, error) {
+			w := work[c.Key]
+			r, err := warm.Get(w.platform, w.platform.Faults)
+			if err != nil {
+				return Finding{}, err
+			}
+			if err := r.RunInto(ctx, &res, w.test, iterations, rng); err != nil {
+				return Finding{}, err
+			}
+			f := Finding{
+				Test:          w.test.Name,
+				Mutator:       w.test.Mutator,
+				Instances:     res.Instances,
+				Violations:    res.Violations,
+				ViolationRate: res.ViolationRate(),
+			}
+			if res.FirstViolation != nil {
+				f.Outcome = res.FirstViolation.Key()
+				f.Explanation = explainViolation(w.test, *res.FirstViolation)
+			}
+			return f, nil
 		}
-		f := Finding{
-			Test:          w.test.Name,
-			Mutator:       w.test.Mutator,
-			Instances:     res.Instances,
-			Violations:    res.Violations,
-			ViolationRate: res.ViolationRate(),
-		}
-		if res.FirstViolation != nil {
-			f.Outcome = res.FirstViolation.Key()
-			f.Explanation = explainViolation(w.test, *res.FirstViolation)
-		}
-		return f, nil
 	}
 }
 

@@ -62,7 +62,9 @@ type Platform struct {
 	Faults gpu.FaultModel
 }
 
-// runner builds a harness runner for the platform and environment.
+// runner builds a harness runner for the platform and environment. It
+// installs no fault model: harness.WarmRunner.Get installs p.Faults on
+// every cell attempt.
 func (p Platform) runner(env harness.Params) (*harness.Runner, error) {
 	prof, ok := gpu.ProfileByName(p.Device)
 	if !ok {
@@ -70,9 +72,6 @@ func (p Platform) runner(env harness.Params) (*harness.Runner, error) {
 	}
 	dev, err := gpu.NewDevice(prof, p.Bugs)
 	if err != nil {
-		return nil, err
-	}
-	if err := dev.SetFaults(p.Faults); err != nil {
 		return nil, err
 	}
 	r, err := harness.NewRunner(dev, env)

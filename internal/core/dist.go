@@ -172,8 +172,8 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		exec := st.conformanceExec(envs[0], work, ws.Iters)
-		return []WorkUnit{{Campaign: "conformance", Spec: spec, Run: dist.SchedRunner(spec, exec, ropts)}}, nil
+		newExec := st.conformanceExec(envs[0], work, ws.Iters)
+		return []WorkUnit{{Campaign: "conformance", Spec: spec, Run: dist.SchedRunner(spec, newExec, ropts)}}, nil
 	case "evaluate":
 		units := make([]WorkUnit, 0, len(platforms))
 		for _, p := range platforms {
@@ -181,11 +181,11 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 			if err != nil {
 				return nil, err
 			}
-			exec := st.evaluateExec(p, work, ws.Iters)
+			newExec := st.evaluateExec(p, work, ws.Iters)
 			units = append(units, WorkUnit{
 				Campaign: "evaluate." + p.Device,
 				Spec:     spec,
-				Run:      dist.SchedRunner(spec, exec, ropts),
+				Run:      dist.SchedRunner(spec, newExec, ropts),
 			})
 		}
 		return units, nil
@@ -221,11 +221,12 @@ type DistOptions struct {
 }
 
 // runCampaign executes one campaign spec: locally through the
-// scheduler, or — when o.Dist is set — through a registered
-// coordinator whose cells worker processes execute. Both paths return
-// the same sched.Report shape, so assembly downstream is shared, and
-// an interruption wraps sched.ErrInterrupted either way.
-func runCampaign[R any](ctx context.Context, spec sched.Spec, exec sched.Exec[R], o CampaignOptions, schedOpts sched.Options[R]) (*sched.Report[R], error) {
+// scheduler, each worker running cells through its own exec from
+// newExec, or — when o.Dist is set — through a registered coordinator
+// whose cells worker processes execute. Both paths return the same
+// sched.Report shape, so assembly downstream is shared, and an
+// interruption wraps sched.ErrInterrupted either way.
+func runCampaign[R any](ctx context.Context, spec sched.Spec, newExec func() sched.Exec[R], o CampaignOptions, schedOpts sched.Options[R]) (*sched.Report[R], error) {
 	if o.Dist != nil {
 		return runDistCampaign[R](ctx, spec, o, schedOpts.Instances)
 	}
@@ -234,7 +235,8 @@ func runCampaign[R any](ctx context.Context, spec sched.Spec, exec sched.Exec[R]
 		return nil, err
 	}
 	defer closer()
-	return sched.RunContext(ctx, spec, exec, schedOpts)
+	schedOpts.NewWorkerExec = newExec
+	return sched.RunContext(ctx, spec, nil, schedOpts)
 }
 
 // runDistCampaign coordinates one campaign across worker processes:

@@ -53,6 +53,10 @@ func distExec(ctx context.Context, c sched.Cell, rng *xrand.Rand) (distVal, erro
 	return distVal{Key: c.Key, Draw: draw}, nil
 }
 
+// distExecs is distExec as the per-worker exec factory SchedRunner
+// takes.
+func distExecs() sched.Exec[distVal] { return distExec }
+
 const testRetries = 2
 
 // baselineReport runs the spec in-process — the single-process oracle
@@ -176,7 +180,7 @@ func (d distRun) runWithClock(t *testing.T, onClock func(*clock.Fake)) (*sched.R
 			tr = d.mkTransport(i, tr)
 		}
 		w := NewWorker(tr, d.spec,
-			SchedRunner(d.spec, distExec, SchedRunnerOptions{
+			SchedRunner(d.spec, distExecs, SchedRunnerOptions{
 				Parallel: 2, Retries: testRetries, Backoff: time.Millisecond,
 				Clock: newFakeClock(),
 			}),
@@ -253,7 +257,7 @@ func TestDistributedOverHTTP(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		w := NewWorker(&HTTPTransport{BaseURL: srv.URL, Campaign: "http-test"}, spec,
-			SchedRunner(spec, distExec, SchedRunnerOptions{
+			SchedRunner(spec, distExecs, SchedRunnerOptions{
 				Parallel: 2, Retries: testRetries, Backoff: time.Millisecond,
 				Clock: newFakeClock(),
 			}),
@@ -288,7 +292,7 @@ func TestManifestMismatchRefused(t *testing.T) {
 	hub := NewHub()
 	hub.Register("mm", coord)
 	skewed := distSpec(7) // one extra cell: different grid
-	w := NewWorker(hub.LocalTransport("mm"), skewed, SchedRunner(skewed, distExec, SchedRunnerOptions{}),
+	w := NewWorker(hub.LocalTransport("mm"), skewed, SchedRunner(skewed, distExecs, SchedRunnerOptions{}),
 		WorkerOptions{ID: "skew", Clock: newFakeClock()})
 	if err := w.Run(context.Background()); err == nil {
 		t.Fatal("skewed worker accepted work")
@@ -327,7 +331,7 @@ func TestCoordinatorSeeding(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	w := NewWorker(hub.LocalTransport("seeded"), spec,
-		SchedRunner(spec, distExec, SchedRunnerOptions{Parallel: 2, Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock()}),
+		SchedRunner(spec, distExecs, SchedRunnerOptions{Parallel: 2, Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock()}),
 		WorkerOptions{ID: "w0", Clock: clk})
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
@@ -369,7 +373,7 @@ func TestWorkerUnknownCampaignFailsFast(t *testing.T) {
 				defer srv.Close()
 				tr = &HTTPTransport{BaseURL: srv.URL, Campaign: "gone"}
 			}
-			inner := SchedRunner(spec, distExec, SchedRunnerOptions{Retries: testRetries, Clock: newFakeClock()})
+			inner := SchedRunner(spec, distExecs, SchedRunnerOptions{Retries: testRetries, Clock: newFakeClock()})
 			// The campaign finishes without this worker mid-lease: its
 			// delivery is the first RPC to find the campaign gone.
 			run := func(ctx context.Context, cells []sched.Cell, onCellStart func()) ([]sched.Segment, error) {

@@ -31,7 +31,7 @@ func runRange(t *testing.T, spec sched.Spec, cells []int) []sched.Segment {
 	for i, ci := range cells {
 		sc[i] = spec.Cells[ci]
 	}
-	run := SchedRunner(spec, distExec, SchedRunnerOptions{
+	run := SchedRunner(spec, distExecs, SchedRunnerOptions{
 		Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock(),
 	})
 	segs, err := run(context.Background(), sc, nil)

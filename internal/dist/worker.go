@@ -39,27 +39,31 @@ type SchedRunnerOptions struct {
 	CacheSalt string
 }
 
-// SchedRunner adapts a campaign's exec function into a RunRange: the
-// leased cells become a sub-spec sharing the full campaign's name and
-// seed, so every cell's split-seed RNG stream — and therefore its
-// result — is identical to a single-process run.
-func SchedRunner[R any](spec sched.Spec, exec sched.Exec[R], opts SchedRunnerOptions) RunRange {
+// SchedRunner adapts a campaign's per-worker exec factory (see
+// sched.Options.NewWorkerExec) into a RunRange: the leased cells become
+// a sub-spec sharing the full campaign's name and seed, so every
+// cell's split-seed RNG stream — and therefore its result — is
+// identical to a single-process run. Each scheduler worker builds its
+// exec once per leased range, so warm state lives for the range, not
+// for one cell.
+func SchedRunner[R any](spec sched.Spec, newExec func() sched.Exec[R], opts SchedRunnerOptions) RunRange {
 	return func(ctx context.Context, cells []sched.Cell, onCellStart func()) ([]sched.Segment, error) {
 		sub := sched.Spec{Name: spec.Name, Seed: spec.Seed, Cells: cells}
 		sopts := sched.Options[R]{
-			Workers:     opts.Parallel,
-			MaxRetries:  opts.Retries,
-			Backoff:     opts.Backoff,
-			CellTimeout: opts.CellTimeout,
-			Collect:     true,
-			Clock:       opts.Clock,
-			Cache:       opts.Cache,
-			CacheSalt:   opts.CacheSalt,
+			Workers:       opts.Parallel,
+			MaxRetries:    opts.Retries,
+			Backoff:       opts.Backoff,
+			CellTimeout:   opts.CellTimeout,
+			Collect:       true,
+			Clock:         opts.Clock,
+			Cache:         opts.Cache,
+			CacheSalt:     opts.CacheSalt,
+			NewWorkerExec: newExec,
 		}
 		if onCellStart != nil {
 			sopts.OnCellStart = func(sched.Cell) { onCellStart() }
 		}
-		rep, err := sched.RunContext(ctx, sub, exec, sopts)
+		rep, err := sched.RunContext(ctx, sub, nil, sopts)
 		if err != nil && !errors.Is(err, sched.ErrInterrupted) {
 			return nil, err
 		}

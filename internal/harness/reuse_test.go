@@ -7,6 +7,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -122,5 +123,76 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.FirstViolation, want.FirstViolation) {
 		t.Fatalf("FirstViolation diverged: %+v vs %+v", res.FirstViolation, want.FirstViolation)
+	}
+}
+
+// TestWarmRunnerOneEntry: a WarmRunner builds only when the key
+// changes, keeps a single entry, drops it when a build fails, and
+// re-installs the fault model on every Get, so a reused device starts
+// loss escalation from zero exactly like a new one.
+func TestWarmRunnerOneEntry(t *testing.T) {
+	test, ok := mutation.MustGenerate().ByName("MP")
+	if !ok {
+		t.Fatal("MP missing from suite")
+	}
+	builds := 0
+	w := WarmRunner[string]{New: func(k string) (*Runner, error) {
+		builds++
+		if k == "bad" {
+			return nil, errors.New("no such device")
+		}
+		prof, _ := gpu.ProfileByName("AMD")
+		return NewRunner(gpu.MustDevice(prof, gpu.Bugs{}), smallPTE())
+	}}
+	none := gpu.FaultModel{}
+	get := func(k string) *Runner {
+		t.Helper()
+		r, err := w.Get(k, none)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a := get("a")
+	if get("a") != a || builds != 1 {
+		t.Fatalf("same key rebuilt: %d builds", builds)
+	}
+	if get("b") == a || builds != 2 {
+		t.Fatalf("key change reused the runner: %d builds", builds)
+	}
+	get("a")
+	if builds != 3 {
+		t.Fatalf("returning to an evicted key: %d builds, want 3", builds)
+	}
+	if _, err := w.Get("bad", none); err == nil {
+		t.Fatal("failed build returned a runner")
+	}
+	get("bad2")
+	if builds != 5 {
+		t.Fatalf("failed build left an entry behind: %d builds, want 5", builds)
+	}
+
+	// Every launch fails; the second injected fault loses the device.
+	faults := gpu.FaultModel{Seed: 1, LaunchFailProb: 1, LossAfter: 1}
+	kind := func() gpu.FaultKind {
+		t.Helper()
+		r, err := w.Get("bad2", faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.RunCtx(context.Background(), test, 1, xrand.New(3))
+		var de *gpu.DeviceError
+		if !errors.As(err, &de) {
+			t.Fatalf("faulted run returned %v, want a device error", err)
+		}
+		return de.Kind
+	}
+	for i := 0; i < 3; i++ {
+		if k := kind(); k != gpu.FaultLaunch {
+			t.Fatalf("Get %d: first launch on a reused device failed with %v, want a launch fault (stale fault count)", i, k)
+		}
+	}
+	if builds != 5 {
+		t.Fatalf("fault re-installation rebuilt the runner: %d builds", builds)
 	}
 }

@@ -183,7 +183,8 @@ type Options[R any] struct {
 	// runners, iteration plans) without any cross-worker sharing. The
 	// factory is called once per worker at pool start; the Exec it
 	// returns is only ever invoked from that worker's goroutine, so it
-	// may freely mutate its own state. Cell randomness still derives
+	// may freely mutate its own state. It replaces RunContext's exec
+	// argument, which may then be nil. Cell randomness still derives
 	// purely from (seed, cell key, attempt), so campaigns remain
 	// bit-identical at every worker count.
 	NewWorkerExec func() Exec[R]
@@ -313,6 +314,9 @@ func Run[R any](spec Spec, exec Exec[R], opts Options[R]) (*Report[R], error) {
 func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Options[R]) (*Report[R], error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if exec == nil && opts.NewWorkerExec == nil {
+		return nil, fmt.Errorf("sched: campaign %q has no exec and no NewWorkerExec", spec.Name)
 	}
 	workers := opts.Workers
 	if workers < 1 {

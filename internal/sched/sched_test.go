@@ -262,9 +262,9 @@ func TestCellRandIndependentOfOrder(t *testing.T) {
 
 // TestNewWorkerExecPerWorker verifies the per-worker executor factory:
 // it is invoked exactly once per spawned worker (so worker-private
-// scratch is never shared across goroutines), and campaigns built from
-// it remain deterministic — identical to the shared-exec run — at
-// every worker count.
+// scratch is never shared across goroutines), it stands in for a nil
+// exec argument, and campaigns built from it remain deterministic —
+// identical to the shared-exec run — at every worker count.
 func TestNewWorkerExecPerWorker(t *testing.T) {
 	spec := testSpec(24)
 	base, err := Run(spec, drawSum, Options[uint64]{Workers: 1})
@@ -292,7 +292,7 @@ func TestNewWorkerExecPerWorker(t *testing.T) {
 				return sum, nil
 			}
 		}
-		rep, err := Run(spec, drawSum, opts)
+		rep, err := Run(spec, nil, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -310,5 +310,13 @@ func TestNewWorkerExecPerWorker(t *testing.T) {
 					workers, i, got[i], v)
 			}
 		}
+	}
+}
+
+// TestRunRequiresExec: a campaign with neither an exec nor a per-worker
+// factory is rejected up front instead of panicking in a worker.
+func TestRunRequiresExec(t *testing.T) {
+	if _, err := Run[uint64](testSpec(4), nil, Options[uint64]{}); err == nil {
+		t.Fatal("Run accepted a nil exec without NewWorkerExec")
 	}
 }

@@ -107,11 +107,12 @@ func TestCampaignResumeMatchesCleanRun(t *testing.T) {
 	}
 	killAfter := len(spec.Cells) / 3
 	ran := 0
+	exec := newWorkerExec(work, cfg.Faults)()
 	_, err = sched.Run(spec, func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Record, error) {
 		if ran++; ran > killAfter {
 			return Record{}, fmt.Errorf("simulated kill")
 		}
-		return runCell(ctx, work[c.Key], cfg.Faults, rng)
+		return exec(ctx, c, rng)
 	}, sched.Options[Record]{Workers: 1, Checkpoint: ck})
 	if err == nil {
 		t.Fatal("interrupted run succeeded")

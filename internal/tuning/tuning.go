@@ -371,33 +371,6 @@ func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tu
 	return spec, work, nil
 }
 
-// runCell executes one (environment, device, test) cell on a fresh
-// device — configured with the run's fault model, when any — and
-// returns its dataset record. It is the cold path; scheduled campaigns
-// run cells through per-worker scratch (workerScratch) instead, which
-// reuses warm devices and runners.
-func runCell(ctx context.Context, w tuningCell, faults *gpu.FaultModel, rng *xrand.Rand) (Record, error) {
-	prof, ok := gpu.ProfileByName(w.device)
-	if !ok {
-		return Record{}, fmt.Errorf("tuning: unknown device %q", w.device)
-	}
-	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
-	if err != nil {
-		return Record{}, err
-	}
-	if faults != nil {
-		if err := dev.SetFaults(*faults); err != nil {
-			return Record{}, err
-		}
-	}
-	runner, err := harness.NewRunner(dev, w.env)
-	if err != nil {
-		return Record{}, fmt.Errorf("tuning: %s: %w", w.envID, err)
-	}
-	var res harness.Result
-	return recordOf(ctx, w, runner, &res, rng)
-}
-
 // recordOf runs the cell on the given (possibly warm) runner, writing
 // into the caller's reusable Result, and assembles its dataset record.
 func recordOf(ctx context.Context, w tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (Record, error) {
@@ -422,33 +395,55 @@ func recordOf(ctx context.Context, w tuningCell, runner *harness.Runner, res *ha
 	}, nil
 }
 
-// runnerKey identifies one warm runner in a worker's cache: runners are
-// shared across tests but are specific to a device and environment.
+// runnerKey identifies the runner a cell needs: runners are shared
+// across tests but are specific to a device and environment.
 type runnerKey struct {
 	device string
-	envID  string
+	env    harness.Params
 }
 
-// maxWorkerRunners bounds each worker's warm-runner cache. A runner's
-// scratch retains the high-water memory of its environment (threads ×
-// programs × registers), so an unbounded cache at paper scale would
-// pin hundreds of megabytes per worker; 16 covers the common
-// device×family working set while a worker walks the campaign.
-const maxWorkerRunners = 16
+// newRunner builds a fault-free device and runner for the key;
+// harness.WarmRunner.Get installs the run's fault model.
+func newRunner(k runnerKey) (*harness.Runner, error) {
+	prof, ok := gpu.ProfileByName(k.device)
+	if !ok {
+		return nil, fmt.Errorf("tuning: unknown device %q", k.device)
+	}
+	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
+	if err != nil {
+		return nil, err
+	}
+	r, err := harness.NewRunner(dev, k.env)
+	if err != nil {
+		return nil, fmt.Errorf("tuning: %s: %w", k.device, err)
+	}
+	return r, nil
+}
 
-// workerScratch is one scheduler worker's private warm state: a bounded
-// cache of device+runner pairs keyed by (device, environment) and a
-// reusable Result. Cells that hit the cache run allocation-free in the
-// steady state. Correctness under reuse relies on two invariants: the
-// executor scratch resets consume no randomness, and SetFaults resets
-// the device's injected-fault escalation count, so a warm device is
-// draw-for-draw and state-for-state identical to a fresh one.
+// workerScratch is one scheduler worker's private warm state: one
+// runner, rebuilt when the cell's (device, environment) changes — cells
+// are ordered (family, environment, device, test), so a worker sees
+// long runs of one key — and a reusable Result. Cells on a warm runner
+// run allocation-free in the steady state. Reuse is exact because the
+// executor scratch resets consume no randomness and every cell
+// re-installs the fault model (see harness.WarmRunner.Get).
 type workerScratch struct {
-	work    map[string]tuningCell
-	faults  *gpu.FaultModel
-	runners map[runnerKey]*harness.Runner
-	order   []runnerKey // insertion order, for FIFO eviction
-	res     harness.Result
+	work   map[string]tuningCell
+	faults gpu.FaultModel
+	warm   harness.WarmRunner[runnerKey]
+	res    harness.Result
+}
+
+// newWorkerExec returns the campaign's per-worker exec factory (see
+// sched.Options.NewWorkerExec).
+func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[Record] {
+	return func() sched.Exec[Record] {
+		s := &workerScratch{work: work, warm: harness.WarmRunner[runnerKey]{New: newRunner}}
+		if faults != nil {
+			s.faults = *faults
+		}
+		return s.exec
+	}
 }
 
 // exec is the sched.Exec this worker runs cells through.
@@ -457,53 +452,11 @@ func (s *workerScratch) exec(ctx context.Context, c sched.Cell, rng *xrand.Rand)
 	if !ok {
 		return Record{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
 	}
-	runner, err := s.runner(w)
+	runner, err := s.warm.Get(runnerKey{device: w.device, env: w.env}, s.faults)
 	if err != nil {
 		return Record{}, err
 	}
 	return recordOf(ctx, w, runner, &s.res, rng)
-}
-
-// runner returns the worker's warm runner for the cell's device and
-// environment, creating (and caching) it on first use. Reused devices
-// get their fault model re-installed, which resets the fault-escalation
-// counter exactly as a fresh device would start.
-func (s *workerScratch) runner(w tuningCell) (*harness.Runner, error) {
-	key := runnerKey{device: w.device, envID: w.envID}
-	if r, ok := s.runners[key]; ok {
-		if s.faults != nil {
-			if err := r.Device.SetFaults(*s.faults); err != nil {
-				return nil, err
-			}
-		}
-		return r, nil
-	}
-	prof, ok := gpu.ProfileByName(w.device)
-	if !ok {
-		return nil, fmt.Errorf("tuning: unknown device %q", w.device)
-	}
-	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
-	if err != nil {
-		return nil, err
-	}
-	if s.faults != nil {
-		if err := dev.SetFaults(*s.faults); err != nil {
-			return nil, err
-		}
-	}
-	r, err := harness.NewRunner(dev, w.env)
-	if err != nil {
-		return nil, fmt.Errorf("tuning: %s: %w", w.envID, err)
-	}
-	if len(s.order) >= maxWorkerRunners {
-		oldest := s.order[0]
-		copy(s.order, s.order[1:])
-		s.order = s.order[:len(s.order)-1]
-		delete(s.runners, oldest)
-	}
-	s.runners[key] = r
-	s.order = append(s.order, key)
-	return r, nil
 }
 
 // CampaignSpec returns the scheduler spec RunCampaign executes for the
@@ -551,19 +504,12 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		OnProgress:    opts.OnProgress,
 		ProgressEvery: opts.ProgressEvery,
 		Instances:     func(r Record) int { return r.Instances },
-		// Each worker gets private warm scratch — devices, runners and a
-		// Result reused across that worker's cells — so the steady-state
+		// Each worker gets private warm scratch — a runner and a Result
+		// reused across that worker's cells — so the steady-state
 		// campaign loop stops allocating. Cell randomness derives purely
 		// from (seed, cell key), so which worker's scratch a cell lands
 		// on cannot change its record.
-		NewWorkerExec: func() sched.Exec[Record] {
-			s := &workerScratch{
-				work:    work,
-				faults:  cfg.Faults,
-				runners: map[runnerKey]*harness.Runner{},
-			}
-			return s.exec
-		},
+		NewWorkerExec: newWorkerExec(work, cfg.Faults),
 	}
 	if opts.Cache != nil {
 		salt, err := cacheSalt(cfg, opts)
@@ -592,9 +538,7 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		defer ck.Close()
 		schedOpts.Checkpoint = ck
 	}
-	rep, err := sched.RunContext(ctx, spec, func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Record, error) {
-		return runCell(ctx, work[c.Key], cfg.Faults, rng)
-	}, schedOpts)
+	rep, err := sched.RunContext(ctx, spec, nil, schedOpts)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, err
