@@ -199,12 +199,10 @@ func (st *Study) EvaluateSpec(p Platform, numEnvs int, seed uint64) (sched.Spec,
 	return spec, err
 }
 
-// evaluateExec returns the per-worker cell executor factory of an
-// evaluation campaign — shared verbatim between local runs and
-// distributed workers, so a leased cell computes exactly what a local
-// scheduler would. Each worker keeps one warm runner, rebuilt when the
-// environment changes (cells are env-major). Every cell gets a fresh
-// Result: it is the cell's value.
+// evaluateExec returns the per-worker exec factory of an evaluation
+// campaign, shared verbatim by local runs and distributed workers. Each
+// worker keeps one warm runner, rebuilt when the environment changes
+// (cells are env-major); each cell's fresh Result is its value.
 func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations int) func() sched.Exec[*harness.Result] {
 	return func() sched.Exec[*harness.Result] {
 		warm := harness.WarmRunner[harness.Params]{New: p.runner}
@@ -319,13 +317,11 @@ func (st *Study) FleetConformanceSpec(platforms []Platform, seed uint64) (sched.
 	return spec, err
 }
 
-// conformanceExec returns the per-worker cell executor factory of a
-// fleet conformance campaign — shared verbatim between local runs and
-// distributed workers, so a leased cell computes exactly what a local
-// scheduler would. Each worker keeps one warm runner, rebuilt when the
-// platform changes (cells are platform-major), and runs every cell
-// into one reused Result: a Finding copies its scalars and the
-// violation RunInto cloned, so nothing it holds is overwritten.
+// conformanceExec returns the per-worker exec factory of a fleet
+// conformance campaign, shared verbatim by local runs and distributed
+// workers. Each worker keeps one warm runner, rebuilt when the platform
+// changes (cells are platform-major), and one reused Result: a Finding
+// copies scalars and the violation RunInto cloned.
 func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, iterations int) func() sched.Exec[Finding] {
 	return func() sched.Exec[Finding] {
 		warm := harness.WarmRunner[Platform]{

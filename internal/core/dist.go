@@ -172,8 +172,8 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		newExec := st.conformanceExec(envs[0], work, ws.Iters)
-		return []WorkUnit{{Campaign: "conformance", Spec: spec, Run: dist.SchedRunner(spec, newExec, ropts)}}, nil
+		run := dist.SchedRunner(spec, st.conformanceExec(envs[0], work, ws.Iters), ropts)
+		return []WorkUnit{{Campaign: "conformance", Spec: spec, Run: run}}, nil
 	case "evaluate":
 		units := make([]WorkUnit, 0, len(platforms))
 		for _, p := range platforms {
@@ -181,11 +181,10 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 			if err != nil {
 				return nil, err
 			}
-			newExec := st.evaluateExec(p, work, ws.Iters)
 			units = append(units, WorkUnit{
 				Campaign: "evaluate." + p.Device,
 				Spec:     spec,
-				Run:      dist.SchedRunner(spec, newExec, ropts),
+				Run:      dist.SchedRunner(spec, st.evaluateExec(p, work, ws.Iters), ropts),
 			})
 		}
 		return units, nil
@@ -221,11 +220,11 @@ type DistOptions struct {
 }
 
 // runCampaign executes one campaign spec: locally through the
-// scheduler, each worker running cells through its own exec from
-// newExec, or — when o.Dist is set — through a registered coordinator
-// whose cells worker processes execute. Both paths return the same
-// sched.Report shape, so assembly downstream is shared, and an
-// interruption wraps sched.ErrInterrupted either way.
+// scheduler, each worker running its own exec from newExec, or — when
+// o.Dist is set — through a registered coordinator whose cells worker
+// processes execute. Both paths return the same sched.Report shape, so
+// assembly downstream is shared, and an interruption wraps
+// sched.ErrInterrupted either way.
 func runCampaign[R any](ctx context.Context, spec sched.Spec, newExec func() sched.Exec[R], o CampaignOptions, schedOpts sched.Options[R]) (*sched.Report[R], error) {
 	if o.Dist != nil {
 		return runDistCampaign[R](ctx, spec, o, schedOpts.Instances)

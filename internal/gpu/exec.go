@@ -478,9 +478,8 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 				}
 				e.lastAt[in.Addr] = pos + 1
 			}
-			// Field stores straight into the table: a composite literal
-			// is built in a stack temporary with narrow stores and then
-			// copied with wide loads, which stall on store forwarding.
+			// Store fields in place: a composite literal is built on the
+			// stack and copied with wide loads that stall on forwarding.
 			st := &e.code[pos]
 			st.addr = in.Addr
 			st.line = in.Addr / lw

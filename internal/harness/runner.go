@@ -70,12 +70,9 @@ func NewRunner(d *gpu.Device, p Params) (*Runner, error) {
 
 // WarmRunner is one scheduler worker's runner lifecycle: it keeps the
 // last Runner it built and builds another only when the requested key
-// changes. Campaign cells are ordered so that consecutive cells share a
-// key (platform-major conformance, environment-major evaluation, runs
-// of one device and environment in tuning), so a worker rebuilds only
-// at key boundaries. Keeping exactly one entry bounds what a worker
-// retains to a single runner's scratch, whatever the campaign's width.
-// Like a Runner, a WarmRunner belongs to one goroutine.
+// changes. Campaign cells run in key order, so a worker rebuilds only
+// at key boundaries, and one entry bounds what it retains to a single
+// runner's scratch. Like a Runner, it belongs to one goroutine.
 type WarmRunner[K comparable] struct {
 	// New builds the runner for a key; it need not install faults.
 	New func(K) (*Runner, error)
@@ -84,11 +81,9 @@ type WarmRunner[K comparable] struct {
 }
 
 // Get returns the runner for key, building it when key differs from the
-// previous call's. Every call installs faults on the runner's device:
-// SetFaults zeroes the injected-fault count, so each cell attempt
-// starts FaultModel.LossAfter escalation exactly where a freshly built
-// device would, and a reused device is draw-for-draw identical to a new
-// one.
+// previous call's. Every call installs faults on the device: SetFaults
+// zeroes the injected-fault count, so each cell attempt starts
+// FaultModel.LossAfter escalation exactly where a new device would.
 func (w *WarmRunner[K]) Get(key K, faults gpu.FaultModel) (*Runner, error) {
 	if w.r == nil || w.key != key {
 		w.r = nil

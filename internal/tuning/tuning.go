@@ -413,50 +413,35 @@ func newRunner(k runnerKey) (*harness.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := harness.NewRunner(dev, k.env)
-	if err != nil {
-		return nil, fmt.Errorf("tuning: %s: %w", k.device, err)
-	}
-	return r, nil
-}
-
-// workerScratch is one scheduler worker's private warm state: one
-// runner, rebuilt when the cell's (device, environment) changes — cells
-// are ordered (family, environment, device, test), so a worker sees
-// long runs of one key — and a reusable Result. Cells on a warm runner
-// run allocation-free in the steady state. Reuse is exact because the
-// executor scratch resets consume no randomness and every cell
-// re-installs the fault model (see harness.WarmRunner.Get).
-type workerScratch struct {
-	work   map[string]tuningCell
-	faults gpu.FaultModel
-	warm   harness.WarmRunner[runnerKey]
-	res    harness.Result
+	return harness.NewRunner(dev, k.env)
 }
 
 // newWorkerExec returns the campaign's per-worker exec factory (see
-// sched.Options.NewWorkerExec).
+// sched.Options.NewWorkerExec). Each worker keeps one warm runner,
+// rebuilt when the cell's (device, environment) changes — cells are
+// ordered (family, environment, device, test), so a worker sees long
+// runs of one key — and one reused Result, so cells on a warm runner
+// run allocation-free.
 func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[Record] {
+	var fm gpu.FaultModel
+	if faults != nil {
+		fm = *faults
+	}
 	return func() sched.Exec[Record] {
-		s := &workerScratch{work: work, warm: harness.WarmRunner[runnerKey]{New: newRunner}}
-		if faults != nil {
-			s.faults = *faults
+		warm := harness.WarmRunner[runnerKey]{New: newRunner}
+		var res harness.Result
+		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Record, error) {
+			w, ok := work[c.Key]
+			if !ok {
+				return Record{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
+			}
+			runner, err := warm.Get(runnerKey{device: w.device, env: w.env}, fm)
+			if err != nil {
+				return Record{}, err
+			}
+			return recordOf(ctx, w, runner, &res, rng)
 		}
-		return s.exec
 	}
-}
-
-// exec is the sched.Exec this worker runs cells through.
-func (s *workerScratch) exec(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Record, error) {
-	w, ok := s.work[c.Key]
-	if !ok {
-		return Record{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
-	}
-	runner, err := s.warm.Get(runnerKey{device: w.device, env: w.env}, s.faults)
-	if err != nil {
-		return Record{}, err
-	}
-	return recordOf(ctx, w, runner, &s.res, rng)
 }
 
 // CampaignSpec returns the scheduler spec RunCampaign executes for the
