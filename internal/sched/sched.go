@@ -315,9 +315,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if exec == nil && opts.NewWorkerExec == nil {
-		return nil, fmt.Errorf("sched: campaign %q has no exec and no NewWorkerExec", spec.Name)
-	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1

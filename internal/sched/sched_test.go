@@ -312,11 +312,3 @@ func TestNewWorkerExecPerWorker(t *testing.T) {
 		}
 	}
 }
-
-// TestRunRequiresExec: a campaign with neither an exec nor a per-worker
-// factory is rejected up front instead of panicking in a worker.
-func TestRunRequiresExec(t *testing.T) {
-	if _, err := Run[uint64](testSpec(4), nil, Options[uint64]{}); err == nil {
-		t.Fatal("Run accepted a nil exec without NewWorkerExec")
-	}
-}
