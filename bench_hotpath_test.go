@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/gpu"
@@ -246,9 +247,21 @@ func TestEmitHotpathBench(t *testing.T) {
 			NsPerOp:     r.NsPerOp(),
 		}
 	}
-	fig4 := measure(BenchmarkFig4PTEAssignment)
-	steady := measure(BenchmarkSteadyStateAllocs)
-	cal := measure(BenchmarkCalibration)
+	// The gated benchmarks run in alternated rounds, and each keeps its
+	// median-ns/op round, so drift on a shared host hits all three
+	// alike and one noisy round cannot set a CI reference.
+	const rounds = 5
+	var runs [3][rounds]hotpathNumbers
+	for i := 0; i < rounds; i++ {
+		for j, fn := range []func(*testing.B){BenchmarkFig4PTEAssignment, BenchmarkSteadyStateAllocs, BenchmarkCalibration} {
+			runs[j][i] = measure(fn)
+		}
+	}
+	median := func(rs [rounds]hotpathNumbers) hotpathNumbers {
+		sort.Slice(rs[:], func(a, b int) bool { return rs[a].NsPerOp < rs[b].NsPerOp })
+		return rs[rounds/2]
+	}
+	fig4, steady, cal := median(runs[0]), median(runs[1]), median(runs[2])
 	tuneCold := measure(BenchmarkTuneColdNoCache)
 	tuneWarm := measure(BenchmarkTuneWarmCache)
 	// History labels name the optimization that produced each point;
@@ -266,29 +279,32 @@ func TestEmitHotpathBench(t *testing.T) {
 			{
 				Name: "Fig4PTEAssignment",
 				Unit: "one Run(test, 1, rng) call: fresh Result + one PTE launch",
-				// Measured immediately before the po-loc links and live-CU
-				// bitmap, on the same machine as "after".
-				Before: &hotpathNumbers{AllocsPerOp: 15, BytesPerOp: 941, NsPerOp: 448590},
+				// Median of five runs alternated with the change, measured
+				// immediately before the warm runner per worker and the
+				// in-place step decode, on the same machine as "after".
+				Before: &hotpathNumbers{AllocsPerOp: 14, BytesPerOp: 823, NsPerOp: 395665},
 				After:  fig4,
 				History: []hotpathPoint{
 					{Label: "alloc-heavy baseline", hotpathNumbers: hotpathNumbers{AllocsPerOp: 4498, BytesPerOp: 270552, NsPerOp: 1426526}},
 					{Label: "scratch-reuse", hotpathNumbers: hotpathNumbers{AllocsPerOp: 20, BytesPerOp: 1335, NsPerOp: 1102618}},
 					{Label: "data-oriented executor", hotpathNumbers: hotpathNumbers{AllocsPerOp: 14, BytesPerOp: 891, NsPerOp: 403673}},
 					{Label: "blocked-lane mask", hotpathNumbers: hotpathNumbers{AllocsPerOp: 15, BytesPerOp: 907, NsPerOp: 426893}},
-					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: fig4},
+					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: hotpathNumbers{AllocsPerOp: 14, BytesPerOp: 846, NsPerOp: 378147}},
+					{Label: "warm runner per worker + in-place decode", hotpathNumbers: fig4},
 				},
 				Note: "remaining allocations are the fresh Result/Histogram the public Run API returns",
 			},
 			{
 				Name:   "SteadyStateAllocs",
 				Unit:   "one RunInto of 4 launches on a warm Runner with a reused Result",
-				Before: &hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1643332},
+				Before: &hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1567250},
 				After:  steady,
 				History: []hotpathPoint{
 					{Label: "scratch-reuse", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 12, NsPerOp: 4839242}},
 					{Label: "data-oriented executor", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1529026}},
 					{Label: "blocked-lane mask", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1644682}},
-					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: steady},
+					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 1548117}},
+					{Label: "warm runner per worker + in-place decode", hotpathNumbers: steady},
 				},
 				Note: "RunInto was added by the scratch-reuse optimization; the pre-change loop cost is the Fig4 alloc-heavy baseline per launch",
 			},
@@ -300,7 +316,8 @@ func TestEmitHotpathBench(t *testing.T) {
 				History: []hotpathPoint{
 					{Label: "data-oriented executor", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 14017}},
 					{Label: "blocked-lane mask", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 19290}},
-					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: cal},
+					{Label: "po-loc links + live-CU bitmap", hotpathNumbers: hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 19775}},
+					{Label: "warm runner per worker + in-place decode", hotpathNumbers: cal},
 				},
 				Note: "pure reference workload, no simulator code; CI normalizes the other benchmarks' ns/op by this",
 			},
