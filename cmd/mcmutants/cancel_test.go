@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // exit130 asserts err carries the interrupted-run exit code.
@@ -144,5 +147,54 @@ func TestCellTimeoutFlagAccepted(t *testing.T) {
 	}
 	if !strings.Contains(out, "fleet conforms") {
 		t.Errorf("bounded healthy campaign did not conform:\n%s", out)
+	}
+}
+
+// TestCellTimeoutFailsCellsNotCampaign: an expiring -cell-timeout is
+// an ordinary per-cell failure for both kinds, with or without
+// -faults: the campaign completes degraded (exit 2), publishes its
+// report, and every cell carries an error and no interruption. (1ns
+// rounds up to the spec's 1ms; 40 iterations take far longer.)
+func TestCellTimeoutFailsCellsNotCampaign(t *testing.T) {
+	for _, kind := range []string{"conformance", "evaluate"} {
+		t.Run(kind, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "report.json")
+			_, err := capture(t, func() error {
+				return run([]string{"campaign", "-kind", kind, "-devices", "AMD", "-envs", "pte",
+					"-iters", "40", "-cell-timeout", "1ns", "-quiet", "-out", out})
+			})
+			if code := exitCode(err); code != 2 {
+				t.Fatalf("exit %d (%v), want 2", code, err)
+			}
+			raw, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatalf("no report published: %v", err)
+			}
+			var art core.CampaignArtifact
+			if err := json.Unmarshal(raw, &art); err != nil {
+				t.Fatal(err)
+			}
+			cells := 0
+			for _, rep := range art.Conformance {
+				for _, f := range rep.Findings {
+					cells++
+					if f.Error == "" || f.Interrupted {
+						t.Errorf("%s: error %q, interrupted %v; want a timeout failure", f.Test, f.Error, f.Interrupted)
+					}
+				}
+			}
+			for _, e := range art.Evaluate {
+				if e.Score.Interrupted {
+					t.Errorf("%s: score marked interrupted", e.Device)
+				}
+				cells += len(e.Score.Failures)
+				if len(e.Score.Failures) != len(e.Score.PerMutant) {
+					t.Errorf("%s: %d failed cells, want all %d", e.Device, len(e.Score.Failures), len(e.Score.PerMutant))
+				}
+			}
+			if cells == 0 {
+				t.Fatal("report holds no cells")
+			}
+		})
 	}
 }

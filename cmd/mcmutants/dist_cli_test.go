@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // freeAddr reserves an ephemeral port and releases it for the campaign
@@ -26,9 +28,37 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
+// libraryArtifact renders a conformance campaign through
+// CheckFleetConformanceCtx directly, independent of the CLI's path.
+func libraryArtifact(t *testing.T, devices []string, iters int, seed uint64) []byte {
+	t.Helper()
+	study, err := core.NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := core.EnvByName("pte", 16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var platforms []core.Platform
+	for _, d := range devices {
+		platforms = append(platforms, core.Platform{Device: d})
+	}
+	reports, err := study.CheckFleetConformanceCtx(context.Background(), platforms, env, iters, seed, core.CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := (&core.CampaignArtifact{Kind: "conformance", Conformance: reports}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestCampaignDistributedByteIdentical runs the same conformance
 // campaign twice — locally, and coordinated over HTTP with two worker
-// processes — and requires the published artifacts to be byte-identical.
+// processes — and requires the published artifacts to be byte-identical
+// to each other and to the library's.
 func TestCampaignDistributedByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	localOut := filepath.Join(dir, "local.json")
@@ -85,6 +115,9 @@ func TestCampaignDistributedByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("artifacts differ:\nlocal:\n%s\ndistributed:\n%s", want, got)
+	}
+	if !bytes.Equal(got, libraryArtifact(t, []string{"AMD", "Intel"}, 2, 7)) {
+		t.Fatal("distributed artifact differs from the library artifact")
 	}
 }
 

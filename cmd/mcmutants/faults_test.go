@@ -50,10 +50,14 @@ func TestCampaignFaultInjection(t *testing.T) {
 	if !strings.Contains(err.Error(), "produced no data") {
 		t.Fatalf("unhelpful degradation message: %v", err)
 	}
-	for _, want := range []string{"NO DATA", "quarantined"} {
+	for _, want := range []string{"NO DATA", "quarantined", "ran clean"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("faulty campaign output missing %q:\n%s", want, out)
 		}
+	}
+	// Cells without data are not evidence of conformance.
+	if strings.Contains(out, "fleet conforms") {
+		t.Errorf("faulty campaign claims the fleet conforms:\n%s", out)
 	}
 	// The same chaotic campaign is byte-identical at any worker count.
 	for _, parallel := range []string{"1", "8"} {

@@ -51,7 +51,6 @@ import (
 	"repro/internal/confidence"
 	"repro/internal/core"
 	"repro/internal/diskio"
-	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/guard"
 	"repro/internal/harness"
@@ -252,11 +251,6 @@ func cmdSuite(args []string) error {
 	return nil
 }
 
-// envByName resolves an environment preset (see core.EnvByName).
-func envByName(name string, wgs, wgSize int) (harness.Params, error) {
-	return core.EnvByName(name, wgs, wgSize)
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	testName := fs.String("test", "MP", "test name from the suite")
@@ -297,7 +291,7 @@ func cmdRun(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown device %q", *device)
 	}
-	env, err := envByName(*envName, *wgs, *wgSize)
+	env, err := core.EnvByName(*envName, *wgs, *wgSize)
 	if err != nil {
 		return err
 	}
@@ -356,7 +350,7 @@ func cmdConformance(args []string) error {
 	if *staleBug {
 		p.Bugs.StaleCache = true
 	}
-	env, err := envByName("pte", 16, 32)
+	env, err := core.EnvByName("pte", 16, 32)
 	if err != nil {
 		return err
 	}
@@ -591,13 +585,13 @@ func probeOutputPaths(paths ...string) error {
 // state: nil when fully healthy, partialFailure (exit 2) when cells
 // produced no data or the checkpoint degraded to in-memory on a
 // persistent storage failure.
-func campaignVerdict(failedCells, quarantined int, storageDegraded bool, storageErr string) error {
+func campaignVerdict(res *core.WorkResult) error {
 	var parts []string
-	if failedCells > 0 {
-		parts = append(parts, fmt.Sprintf("%d cell(s) produced no data (%d quarantined)", failedCells, quarantined))
+	if res.Failed > 0 {
+		parts = append(parts, fmt.Sprintf("%d cell(s) produced no data (%d quarantined)", res.Failed, res.Quarantined))
 	}
-	if storageDegraded {
-		parts = append(parts, fmt.Sprintf("checkpoint storage degraded (%s), results not durably checkpointed", storageErr))
+	if res.StorageErr != "" {
+		parts = append(parts, fmt.Sprintf("checkpoint storage degraded (%s), results not durably checkpointed", res.StorageErr))
 	}
 	if len(parts) == 0 {
 		return nil
@@ -611,13 +605,6 @@ const progressEvery = 2 * time.Second
 // printProgress writes one campaign snapshot to stderr as its
 // throughput line.
 func printProgress(p sched.Progress) { fmt.Fprintln(os.Stderr, p) }
-
-// writeCampaignArtifact publishes the campaign report atomically
-// through the canonical core encoding, so `campaign -out` files and
-// serve job reports for the same spec are byte-identical.
-func writeCampaignArtifact(path string, a *core.CampaignArtifact) error {
-	return a.WriteAtomic(nil, path)
-}
 
 func cmdCampaign(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
@@ -643,28 +630,35 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		return err
 	}
 	// Fail fast: everything a flag can get wrong — kind, devices,
-	// environment presets, fault parameters, output and profile paths —
-	// is rejected here, to stderr with exit 1, before profiling starts,
-	// the suite generates, or any campaign work begins.
-	switch *kind {
-	case "conformance", "evaluate":
-	default:
-		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate)", *kind)
-	}
+	// environment presets, iterations, fault parameters, output and
+	// profile paths — is rejected here, to stderr with exit 1, before
+	// profiling starts, the suite generates, or any campaign work
+	// begins.
 	names, err := resolveDevices(*devices)
 	if err != nil {
 		return err
 	}
-	var envs []harness.Params
 	var envList []string
 	for _, name := range strings.Split(*envNames, ",") {
-		name = strings.TrimSpace(name)
-		env, err := envByName(name, 16, 32)
-		if err != nil {
-			return err
-		}
-		envs = append(envs, env)
-		envList = append(envList, name)
+		envList = append(envList, strings.TrimSpace(name))
+	}
+	ws := core.WorkSpec{
+		Kind:          *kind,
+		Devices:       names,
+		Envs:          envList,
+		Iters:         *iters,
+		Seed:          *seed,
+		FenceBug:      *fenceBug,
+		Retries:       *retries,
+		CellTimeoutMS: core.DurationMS(*cf.cellTimeout),
+	}
+	// Any fault model the flags set rides along: the artifact records
+	// each platform's model.
+	if fm := ff.model(*seed); fm != (gpu.FaultModel{}) {
+		ws.Faults = &fm
+	}
+	if err := ws.Validate(); err != nil {
+		return err
 	}
 	if err := ff.validate(); err != nil {
 		return err
@@ -693,15 +687,15 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	}
 	opts := core.CampaignOptions{
 		Workers:        *parallel,
-		Retries:        *retries,
-		CellTimeout:    *cf.cellTimeout,
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 		Collect:        *ff.enable,
 		Breaker:        ff.breaker(),
 		FsyncEvery:     *sf.fsyncEvery,
 	}
-	faultModel := ff.model(*seed)
+	if cache != nil {
+		opts.Cache = cache
+	}
 	if !*quiet {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 		opts.OnProgress = printProgress
@@ -710,207 +704,112 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	// With -workers-addr the campaign coordinates `mcmutants work`
 	// processes over HTTP instead of executing cells itself; the merged
 	// report is byte-identical to a local run at any worker count.
-	var hub *dist.Hub
-	var distLogf func(string, ...any)
 	if *df.addr != "" {
-		var stopHub func()
-		hub, stopHub, err = df.serveHub()
+		hub, stopHub, err := df.serveHub()
 		if err != nil {
 			return err
 		}
 		defer stopHub()
+		var logf func(string, ...any)
 		if !*quiet {
-			distLogf = func(format string, a ...any) {
+			logf = func(format string, a ...any) {
 				fmt.Fprintf(os.Stderr, "mcmutants: dist: "+format+"\n", a...)
 			}
 		}
+		opts.Dist = df.options(hub, logf)
 	}
-	ws := campaignWorkSpec(*kind, names, envList, *iters, *seed, *fenceBug, faultModel, *retries, *cf.cellTimeout)
-	switch *kind {
-	case "conformance":
-		var platforms []core.Platform
-		for _, name := range names {
-			p := core.Platform{Device: name, Faults: faultModel}
-			if *fenceBug {
-				p.Driver = wgsl.DriverFenceDropping
-			}
-			platforms = append(platforms, p)
-		}
-		if hub != nil {
-			desc, err := ws.Descriptor()
-			if err != nil {
-				return err
-			}
-			opts.Dist = df.options(hub, "conformance", desc, distLogf)
-		}
-		if cache != nil {
-			salt, err := ws.CacheSalt()
-			if err != nil {
-				return err
-			}
-			opts.Cache = cache
-			opts.CacheSalt = salt
-		}
-		reports, err := study.CheckFleetConformanceCtx(ctx, platforms, envs[0], *iters, *seed, opts)
-		interrupted := errors.Is(err, sched.ErrInterrupted)
-		if err != nil && !interrupted {
+	res, err := study.RunWorkSpec(ctx, ws, opts)
+	if err != nil {
+		return err
+	}
+	printConformance(res)
+	printEvaluate(res, len(ws.Envs))
+	if res.StorageErr != "" {
+		fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", res.StorageErr)
+	}
+	if *out != "" {
+		if err := res.Artifact.WriteAtomic(nil, *out); err != nil {
 			return err
 		}
-		storageDegraded, storageErr := false, ""
-		for _, rep := range reports {
-			if rep.StorageDegraded {
-				storageDegraded, storageErr = true, rep.StorageErr
-			}
+		fmt.Printf("wrote report to %s\n", *out)
+	}
+	if res.Interrupted {
+		msg := fmt.Sprintf("campaign interrupted: %d cell(s) pending", res.Pending)
+		if *checkpoint != "" {
+			msg += fmt.Sprintf("; resume with -checkpoint %s -resume", *checkpoint)
 		}
-		bad, failedCells, quarantined, pending := 0, 0, 0, 0
-		for _, rep := range reports {
-			buggy := rep.Buggy()
-			bad += len(buggy)
-			fmt.Printf("%-8s %d/%d conformance tests violated\n",
-				rep.Platform.Device, len(buggy), len(rep.Findings))
-			for _, f := range buggy {
-				fmt.Printf("  %-22s %d/%d (%.4g/s)\n    outcome: %s\n    cycle:   %s\n",
-					f.Test, f.Violations, f.Instances, f.ViolationRate, f.Outcome, f.Explanation)
-			}
-			for _, f := range rep.Failed() {
-				failedCells++
-				if f.Quarantined {
-					quarantined++
+		return &interruptedRun{msg}
+	}
+	return campaignVerdict(res)
+}
+
+// printConformance renders a conformance artifact's per-platform
+// findings and the fleet verdict to stdout. "fleet conforms" is said
+// only when every cell produced data.
+func printConformance(res *core.WorkResult) {
+	reports := res.Artifact.Conformance
+	if len(reports) == 0 {
+		return
+	}
+	bad, cells := 0, 0
+	for _, rep := range reports {
+		buggy := rep.Buggy()
+		bad += len(buggy)
+		cells += len(rep.Findings)
+		fmt.Printf("%-8s %d/%d conformance tests violated\n",
+			rep.Platform.Device, len(buggy), len(rep.Findings))
+		for _, f := range buggy {
+			fmt.Printf("  %-22s %d/%d (%.4g/s)\n    outcome: %s\n    cycle:   %s\n",
+				f.Test, f.Violations, f.Instances, f.ViolationRate, f.Outcome, f.Explanation)
+		}
+		for _, f := range rep.Failed() {
+			fmt.Printf("  %-22s NO DATA: %s\n", f.Test, f.Error)
+		}
+		for _, h := range rep.Health {
+			if h.Quarantined > 0 || h.Open {
+				state := "recovered"
+				if h.Open {
+					state = "still open"
 				}
-				fmt.Printf("  %-22s NO DATA: %s\n", f.Test, f.Error)
-			}
-			for _, f := range rep.Findings {
-				if f.Interrupted {
-					pending++
-				}
-			}
-			for _, h := range rep.Health {
-				if h.Quarantined > 0 || h.Open {
-					state := "recovered"
-					if h.Open {
-						state = "still open"
-					}
-					fmt.Printf("  breaker: %d/%d cells quarantined (%s)\n", h.Quarantined, h.Cells, state)
-				}
+				fmt.Printf("  breaker: %d/%d cells quarantined (%s)\n", h.Quarantined, h.Cells, state)
 			}
 		}
-		if bad > 0 {
-			fmt.Printf("\n%d violation(s) across the fleet\n", bad)
-		} else if interrupted {
-			fmt.Println("\nfleet conforms so far (run interrupted)")
-		} else {
-			fmt.Println("\nfleet conforms")
-		}
-		if storageDegraded {
-			fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", storageErr)
-		}
-		if *out != "" {
-			art := &core.CampaignArtifact{Kind: "conformance", Conformance: reports, StorageDegraded: storageDegraded}
-			if err := writeCampaignArtifact(*out, art); err != nil {
-				return err
-			}
-			fmt.Printf("wrote report to %s\n", *out)
-		}
-		if interrupted {
-			msg := fmt.Sprintf("campaign interrupted: %d cell(s) pending", pending)
-			if *checkpoint != "" {
-				msg += fmt.Sprintf("; resume with -checkpoint %s -resume", *checkpoint)
-			}
-			return &interruptedRun{msg}
-		}
-		return campaignVerdict(failedCells, quarantined, storageDegraded, storageErr)
-	case "evaluate":
-		failedCells, quarantined := 0, 0
-		storageDegraded, storageErr := false, ""
-		var entries []core.EvaluateEntry
-		publish := func() error {
-			if *out == "" {
-				return nil
-			}
-			art := &core.CampaignArtifact{Kind: "evaluate", Evaluate: entries, StorageDegraded: storageDegraded}
-			if err := writeCampaignArtifact(*out, art); err != nil {
-				return err
-			}
-			fmt.Printf("wrote report to %s\n", *out)
-			return nil
-		}
-		for _, name := range names {
-			p := core.Platform{Device: name, Faults: faultModel}
-			if *fenceBug {
-				p.Driver = wgsl.DriverFenceDropping
-			}
-			devOpts := opts
-			if devOpts.CheckpointPath != "" {
-				// One campaign per device; keep their checkpoints apart.
-				devOpts.CheckpointPath = fmt.Sprintf("%s.%s", opts.CheckpointPath, p.Device)
-			}
-			// The per-device work spec: dist advertises it so a worker's
-			// locally-planned unit manifest matches the advertised
-			// campaign exactly, and the cache salts with it so local and
-			// worker-side keys for this device's cells agree.
-			wsDev := ws
-			wsDev.Devices = []string{p.Device}
-			if hub != nil {
-				// One coordinator per device, each advertising the
-				// single-device descriptor.
-				desc, err := wsDev.Descriptor()
-				if err != nil {
-					return err
-				}
-				devOpts.Dist = df.options(hub, "evaluate."+p.Device, desc, distLogf)
-			}
-			if cache != nil {
-				salt, err := wsDev.CacheSalt()
-				if err != nil {
-					return err
-				}
-				devOpts.Cache = cache
-				devOpts.CacheSalt = salt
-			}
-			score, err := study.EvaluateEnvironmentsCtx(ctx, p, envs, *iters, *seed, devOpts)
-			interrupted := errors.Is(err, sched.ErrInterrupted)
-			if err != nil && !interrupted {
-				return err
-			}
-			if score.StorageDegraded {
-				storageDegraded, storageErr = true, score.StorageErr
-				fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", score.StorageErr)
-			}
-			entries = append(entries, core.EvaluateEntry{Device: p.Device, Score: score})
-			note := ""
-			if interrupted {
-				note = " [interrupted, partial]"
-			}
-			fmt.Printf("%-8s mutation score %.1f%% (%d/%d killed across %d environments), avg death rate %.4g/s%s\n",
-				p.Device, 100*score.Score(), score.Killed, score.Total, len(envs), score.AvgDeathRate, note)
-			if len(score.Failures) > 0 {
-				nq := 0
-				for _, cf := range score.Failures {
-					if cf.Quarantined {
-						nq++
-					}
-				}
-				failedCells += len(score.Failures)
-				quarantined += nq
-				fmt.Printf("  %d cell(s) produced no data (%d quarantined)\n", len(score.Failures), nq)
-			}
-			if interrupted {
-				if err := publish(); err != nil {
-					return err
-				}
-				msg := "campaign interrupted: per-device evaluation incomplete"
-				if opts.CheckpointPath != "" {
-					msg += fmt.Sprintf("; resume with -checkpoint %s -resume", opts.CheckpointPath)
-				}
-				return &interruptedRun{msg}
-			}
-		}
-		if err := publish(); err != nil {
-			return err
-		}
-		return campaignVerdict(failedCells, quarantined, storageDegraded, storageErr)
+	}
+	so := ""
+	if res.Interrupted {
+		so = " so far (run interrupted)"
+	}
+	switch {
+	case bad > 0:
+		fmt.Printf("\n%d violation(s) across the fleet\n", bad)
+	case res.Failed > 0:
+		fmt.Printf("\nno violations%s: %d cell(s) ran clean, %d produced no data\n",
+			so, cells-res.Failed-res.Pending, res.Failed)
 	default:
-		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate)", *kind)
+		fmt.Printf("\nfleet conforms%s\n", so)
+	}
+}
+
+// printEvaluate renders an evaluate artifact's per-device mutation
+// scores to stdout.
+func printEvaluate(res *core.WorkResult, envs int) {
+	for _, e := range res.Artifact.Evaluate {
+		score := e.Score
+		note := ""
+		if score.Interrupted {
+			note = " [interrupted, partial]"
+		}
+		fmt.Printf("%-8s mutation score %.1f%% (%d/%d killed across %d environments), avg death rate %.4g/s%s\n",
+			e.Device, 100*score.Score(), score.Killed, score.Total, envs, score.AvgDeathRate, note)
+		if len(score.Failures) > 0 {
+			nq := 0
+			for _, f := range score.Failures {
+				if f.Quarantined {
+					nq++
+				}
+			}
+			fmt.Printf("  %d cell(s) produced no data (%d quarantined)\n", len(score.Failures), nq)
+		}
 	}
 }
 

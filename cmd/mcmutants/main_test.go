@@ -446,6 +446,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"campaign", "-kind", "bogus", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-devices", "NoSuchGPU", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-envs", "warp9", "-iters", "1000000", "-out", out, "-quiet"},
+		{"campaign", "-iters", "0", "-out", out, "-quiet"},
 		{"campaign", "-faults", "-fault-rate", "1.5", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-cpuprofile", noDir, "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-memprofile", noDir, "-iters", "1000000", "-out", out, "-quiet"},

@@ -13,7 +13,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/gpu"
 )
 
 // distFlags is the campaign subcommand's distributed-coordination flag
@@ -73,37 +72,16 @@ func (df *distFlags) serveHub() (*dist.Hub, func(), error) {
 	return hub, func() { srv.Close() }, nil
 }
 
-// options builds the per-campaign coordinator options.
-func (df *distFlags) options(hub *dist.Hub, name string, desc json.RawMessage, logf func(string, ...any)) *core.DistOptions {
+// options builds the coordinator options; campaigns register under
+// their kind ("conformance", "evaluate.<device>").
+func (df *distFlags) options(hub *dist.Hub, logf func(string, ...any)) *core.DistOptions {
 	return &core.DistOptions{
 		Hub:          hub,
-		Name:         name,
-		Descriptor:   desc,
 		LeaseTTL:     *df.leaseTTL,
 		RangeCells:   *df.rangeCells,
 		StallTimeout: *df.stall,
 		Logf:         logf,
 	}
-}
-
-// campaignWorkSpec assembles the wire descriptor advertised to workers:
-// everything a worker needs to rebuild the submitting side's exact cell
-// grid and retry policy (the byte-identity contract).
-func campaignWorkSpec(kind string, devices, envs []string, iters int, seed uint64, fenceBug bool, fm gpu.FaultModel, retries int, cellTimeout time.Duration) core.WorkSpec {
-	ws := core.WorkSpec{
-		Kind:          kind,
-		Devices:       devices,
-		Envs:          envs,
-		Iters:         iters,
-		Seed:          seed,
-		FenceBug:      fenceBug,
-		Retries:       retries,
-		CellTimeoutMS: cellTimeout.Milliseconds(),
-	}
-	if fm.Enabled() || fm.WatchdogTicks > 0 {
-		ws.Faults = &fm
-	}
-	return ws
 }
 
 // cmdWork runs the worker side of a distributed campaign: it polls the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -23,6 +24,7 @@ type CampaignOptions struct {
 	// Workers bounds the scheduler's pool; < 1 means serial.
 	Workers int
 	// Retries and Backoff configure transient-failure handling per cell.
+	// RunWorkSpec takes them, and CellTimeout, from the spec.
 	Retries int
 	Backoff time.Duration
 	// CellTimeout bounds each cell attempt; expiry is an ordinary
@@ -70,28 +72,25 @@ type CampaignOptions struct {
 	// seed cell RNG makes results a pure function of (seed, cell key,
 	// attempt), independent of which process executed the cell.
 	// Distributed campaigns always run collect-style (there is no
-	// fail-fast abort across workers); Workers, Retries, Backoff and
-	// CellTimeout apply on the worker side via the descriptor, not
-	// here.
+	// fail-fast abort across workers); Workers and the retry policy
+	// apply on the worker side via the descriptor, not here.
 	Dist *DistOptions
 	// Cache, when non-nil, is the persistent result cache consulted
 	// before each cell executes and published to after a cell succeeds.
-	// CacheSalt must encode every workload parameter that lives outside
-	// the spec — iterations, environments, fault model, retry policy;
-	// in practice the canonical WorkSpec descriptor JSON (see
-	// WorkSpec.CacheSalt) — so a key can never serve a result computed
-	// under different parameters. Cache hits change nothing but time:
-	// scores, findings and artifacts stay byte-identical to a cold run.
-	// In distributed mode the cache is consulted on the worker side
-	// (dist.SchedRunnerOptions), not here.
-	Cache     sched.ResultCache
-	CacheSalt string
+	// It is salted with the campaign's WorkSpec descriptor, which holds
+	// every workload parameter outside the scheduler spec, so a key can
+	// never serve a result computed under different parameters. Cache
+	// hits change nothing but time: scores, findings and artifacts stay
+	// byte-identical to a cold run. In distributed mode the cache is
+	// consulted on the worker side (DistWorkOptions), not here.
+	//
+	// Dist and Cache need the descriptor, so only RunWorkSpec honors
+	// them; the per-campaign methods reject them.
+	Cache sched.ResultCache
 }
 
-// applyCampaignOptions populates the scheduler options from o. The
-// returned closer must run once the campaign finishes; it closes the
-// checkpoint, if any.
-func applyCampaignOptions[R any](o CampaignOptions, spec sched.Spec, opts *sched.Options[R]) (func(), error) {
+// applyCampaignOptions populates the scheduler options from o.
+func applyCampaignOptions[R any](o CampaignOptions, opts *sched.Options[R]) {
 	opts.Workers = o.Workers
 	opts.MaxRetries = o.Retries
 	opts.Backoff = o.Backoff
@@ -101,27 +100,26 @@ func applyCampaignOptions[R any](o CampaignOptions, spec sched.Spec, opts *sched
 	opts.OnProgress = o.OnProgress
 	opts.ProgressEvery = o.ProgressEvery
 	opts.Cache = o.Cache
-	opts.CacheSalt = o.CacheSalt
 	if o.Progress != nil {
 		progress := o.Progress
 		opts.OnCellStart = func(c sched.Cell) {
 			progress(fmt.Sprintf("%s on %s", c.Key, c.Device))
 		}
 	}
-	closer := func() {}
-	if o.Resume && o.CheckpointPath == "" {
-		return closer, fmt.Errorf("core: Resume requires CheckpointPath")
-	}
-	if o.CheckpointPath != "" {
-		ck, err := sched.OpenCheckpointOpts(o.CheckpointPath, spec, o.Resume,
-			sched.CheckpointOptions{FS: o.FS, FsyncEvery: o.FsyncEvery})
-		if err != nil {
-			return closer, err
+}
+
+// openCheckpoint opens the checkpoint o names for spec, resuming when
+// o.Resume is set; nil when o names none. Local and distributed
+// campaigns both open theirs here.
+func openCheckpoint(o CampaignOptions, spec sched.Spec) (*sched.Checkpoint, error) {
+	if o.CheckpointPath == "" {
+		if o.Resume {
+			return nil, fmt.Errorf("core: Resume requires CheckpointPath")
 		}
-		opts.Checkpoint = ck
-		closer = func() { ck.Close() }
+		return nil, nil
 	}
-	return closer, nil
+	return sched.OpenCheckpointOpts(o.CheckpointPath, spec, o.Resume,
+		sched.CheckpointOptions{FS: o.FS, FsyncEvery: o.FsyncEvery})
 }
 
 // CellFailure records one campaign cell that produced no usable data: a
@@ -186,19 +184,6 @@ func (st *Study) evaluateCampaign(p Platform, envs []harness.Params, seed uint64
 	return spec, work, nil
 }
 
-// EvaluateSpec returns the scheduler spec EvaluateEnvironmentsCtx runs for
-// the platform with numEnvs environments, without executing anything.
-// Its Manifest() identifies the campaign's cell grid — the serve
-// subsystem derives idempotent job IDs from it, and it is the manifest
-// a checkpoint written by the run will carry.
-func (st *Study) EvaluateSpec(p Platform, numEnvs int, seed uint64) (sched.Spec, error) {
-	if numEnvs <= 0 {
-		return sched.Spec{}, fmt.Errorf("core: no environments")
-	}
-	spec, _, err := st.evaluateCampaign(p, make([]harness.Params, numEnvs), seed)
-	return spec, err
-}
-
 // evaluateExec returns the per-worker exec factory of an evaluation
 // campaign, shared verbatim by local runs and distributed workers. Each
 // worker keeps one warm runner, rebuilt when the environment changes
@@ -230,13 +215,20 @@ func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs [
 	if err != nil {
 		return nil, err
 	}
+	score, _, err := st.runEvaluate(ctx, spec, st.evaluateExec(p, work, iterations), opts, nil)
+	return score, err
+}
+
+// runEvaluate runs a planned evaluation campaign and scores it; it also
+// returns how many cells an interruption left pending.
+func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], opts CampaignOptions, desc json.RawMessage) (*EnvScore, int, error) {
 	schedOpts := sched.Options[*harness.Result]{
 		Instances: func(r *harness.Result) int { return r.Instances },
 	}
-	rep, err := runCampaign(ctx, spec, st.evaluateExec(p, work, iterations), opts, schedOpts)
+	rep, err := runCampaign(ctx, spec, newExec, opts, schedOpts, desc)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
-		return nil, err
+		return nil, 0, err
 	}
 	// Fold each mutant's per-environment results into one, in suite
 	// order; cells are env-major so result i belongs to mutant i mod N.
@@ -255,7 +247,7 @@ func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs [
 			continue
 		}
 		if err := merged[i%nm].Merge(cr.Value); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	score := &EnvScore{
@@ -274,9 +266,9 @@ func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs [
 	}
 	score.AvgDeathRate = rates / float64(nm)
 	if interrupted {
-		return score, fmt.Errorf("core: evaluation interrupted: %w", sched.ErrInterrupted)
+		return score, rep.Interrupted, fmt.Errorf("core: evaluation interrupted: %w", sched.ErrInterrupted)
 	}
-	return score, nil
+	return score, 0, nil
 }
 
 // confCell is one conformance campaign cell's work order.
@@ -305,16 +297,6 @@ func (st *Study) fleetConformanceCampaign(platforms []Platform, seed uint64) (sc
 		}
 	}
 	return spec, work, nil
-}
-
-// FleetConformanceSpec returns the scheduler spec CheckFleetConformanceCtx
-// runs for the platforms, without executing anything. Its Manifest()
-// identifies the campaign's cell grid — the serve subsystem derives
-// idempotent job IDs from it, and it is the manifest a checkpoint
-// written by the run will carry.
-func (st *Study) FleetConformanceSpec(platforms []Platform, seed uint64) (sched.Spec, error) {
-	spec, _, err := st.fleetConformanceCampaign(platforms, seed)
-	return spec, err
 }
 
 // conformanceExec returns the per-worker exec factory of a fleet
@@ -365,13 +347,21 @@ func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platf
 	if err != nil {
 		return nil, err
 	}
+	reports, _, err := st.runConformance(ctx, spec, st.conformanceExec(env, work, iterations), platforms, opts, nil)
+	return reports, err
+}
+
+// runConformance runs a planned fleet conformance campaign and
+// assembles its per-platform reports; it also returns how many cells an
+// interruption left pending.
+func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[Finding], platforms []Platform, opts CampaignOptions, desc json.RawMessage) ([]*ConformanceReport, int, error) {
 	schedOpts := sched.Options[Finding]{
 		Instances: func(f Finding) int { return f.Instances },
 	}
-	rep, err := runCampaign(ctx, spec, st.conformanceExec(env, work, iterations), opts, schedOpts)
+	rep, err := runCampaign(ctx, spec, newExec, opts, schedOpts, desc)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
-		return nil, err
+		return nil, 0, err
 	}
 	// Assemble per-platform reports from the per-cell results. A failed
 	// cell (possible under Collect or a breaker) becomes an
@@ -406,7 +396,7 @@ func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platf
 		reports[pi] = r
 	}
 	if interrupted {
-		return reports, fmt.Errorf("core: conformance check interrupted: %w", sched.ErrInterrupted)
+		return reports, rep.Interrupted, fmt.Errorf("core: conformance check interrupted: %w", sched.ErrInterrupted)
 	}
-	return reports, nil
+	return reports, 0, nil
 }

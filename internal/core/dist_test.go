@@ -117,25 +117,18 @@ func TestDistributedConformanceArtifactParity(t *testing.T) {
 	}
 	want := encodeArtifact(t, &CampaignArtifact{Kind: "conformance", Conformance: local})
 
-	desc, err := ws.Descriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
 	hub := dist.NewHub()
-	var remote []*ConformanceReport
+	var remote *WorkResult
 	err = runDistributed(t, hub, ws, 2, 2, func() error {
-		opts := CampaignOptions{Dist: &DistOptions{
-			Hub: hub, Name: "conformance", Descriptor: desc,
-			LeaseTTL: 30 * time.Second, RangeCells: 3,
-		}}
+		opts := CampaignOptions{Dist: &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}}
 		var cerr error
-		remote, cerr = st.CheckFleetConformanceCtx(context.Background(), platforms, envs[0], ws.Iters, ws.Seed, opts)
+		remote, cerr = st.RunWorkSpec(context.Background(), ws, opts)
 		return cerr
 	})
 	if err != nil {
 		t.Fatalf("distributed: %v", err)
 	}
-	got := encodeArtifact(t, &CampaignArtifact{Kind: "conformance", Conformance: remote})
+	got := encodeArtifact(t, remote.Artifact)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("artifacts differ:\nlocal:\n%s\ndistributed:\n%s", want, got)
 	}
@@ -189,29 +182,22 @@ func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	zeroWall(local)
 	want := encodeArtifact(t, &CampaignArtifact{Kind: "evaluate", Evaluate: []EvaluateEntry{{Device: p.Device, Score: local}}})
 
-	desc, err := ws.Descriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
 	hub := dist.NewHub()
-	var remote *EnvScore
+	var remote *WorkResult
 	err = runDistributed(t, hub, ws, 3, 2, func() error {
 		opts := CampaignOptions{
-			Retries: ws.Retries, Collect: true, Breaker: breaker,
-			Dist: &DistOptions{
-				Hub: hub, Name: "evaluate." + p.Device, Descriptor: desc,
-				LeaseTTL: 30 * time.Second, RangeCells: 4,
-			},
+			Collect: true, Breaker: breaker,
+			Dist: &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 4},
 		}
 		var cerr error
-		remote, cerr = st.EvaluateEnvironmentsCtx(context.Background(), p, envs, ws.Iters, ws.Seed, opts)
+		remote, cerr = st.RunWorkSpec(context.Background(), ws, opts)
 		return cerr
 	})
 	if err != nil {
 		t.Fatalf("distributed: %v", err)
 	}
-	zeroWall(remote)
-	got := encodeArtifact(t, &CampaignArtifact{Kind: "evaluate", Evaluate: []EvaluateEntry{{Device: p.Device, Score: remote}}})
+	zeroWall(remote.Artifact.Evaluate[0].Score)
+	got := encodeArtifact(t, remote.Artifact)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("artifacts differ:\nlocal:\n%s\ndistributed:\n%s", want, got)
 	}
@@ -241,14 +227,13 @@ func TestDistributedResumeSeedsCheckpoint(t *testing.T) {
 	want := encodeArtifact(t, &CampaignArtifact{Kind: "conformance", Conformance: local})
 
 	ckpt := t.TempDir() + "/dist.ckpt"
-	desc, _ := ws.Descriptor()
 
 	// First distributed run completes fully, writing the checkpoint.
 	hub := dist.NewHub()
 	err = runDistributed(t, hub, ws, 1, 2, func() error {
-		_, cerr := st.CheckFleetConformanceCtx(context.Background(), platforms, envs[0], ws.Iters, ws.Seed, CampaignOptions{
+		_, cerr := st.RunWorkSpec(context.Background(), ws, CampaignOptions{
 			CheckpointPath: ckpt,
-			Dist:           &DistOptions{Hub: hub, Name: "conformance", Descriptor: desc, LeaseTTL: 30 * time.Second},
+			Dist:           &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second},
 		})
 		return cerr
 	})
@@ -260,14 +245,14 @@ func TestDistributedResumeSeedsCheckpoint(t *testing.T) {
 	// coordinator starts complete and no worker executes anything —
 	// prove it by registering no workers at all.
 	hub2 := dist.NewHub()
-	reports, err := st.CheckFleetConformanceCtx(context.Background(), platforms, envs[0], ws.Iters, ws.Seed, CampaignOptions{
+	resumed, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{
 		CheckpointPath: ckpt, Resume: true,
-		Dist: &DistOptions{Hub: hub2, Name: "conformance", Descriptor: desc, LeaseTTL: 30 * time.Second},
+		Dist: &DistOptions{Hub: hub2, LeaseTTL: 30 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("resumed distributed run: %v", err)
 	}
-	got := encodeArtifact(t, &CampaignArtifact{Kind: "conformance", Conformance: reports})
+	got := encodeArtifact(t, resumed.Artifact)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("resumed artifact differs:\nlocal:\n%s\nresumed:\n%s", want, got)
 	}
@@ -336,10 +321,6 @@ func TestFinalProgressLocalMatchesDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := ws.Descriptor()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var localFinal sched.Progress
 	for _, tc := range []struct {
 		name   string
@@ -359,16 +340,15 @@ func TestFinalProgressLocalMatchesDistributed(t *testing.T) {
 					}
 				},
 			}
-			campaign := func() error {
-				_, err := st.CheckFleetConformanceCtx(context.Background(), ws.platforms(), envs[0], ws.Iters, ws.Seed, opts)
-				return err
-			}
 			if tc.shards == 0 {
-				err = campaign()
+				_, err = st.CheckFleetConformanceCtx(context.Background(), ws.platforms(), envs[0], ws.Iters, ws.Seed, opts)
 			} else {
 				hub := dist.NewHub()
-				opts.Dist = &DistOptions{Hub: hub, Name: "conformance", Descriptor: desc, LeaseTTL: 30 * time.Second, RangeCells: 3}
-				err = runDistributed(t, hub, ws, tc.shards, 2, campaign)
+				opts.Dist = &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}
+				err = runDistributed(t, hub, ws, tc.shards, 2, func() error {
+					_, err := st.RunWorkSpec(context.Background(), ws, opts)
+					return err
+				})
 			}
 			if err != nil {
 				t.Fatalf("campaign: %v", err)

@@ -61,7 +61,7 @@ func pollWorker(ctx context.Context, t *testing.T, baseURL, id string) {
 
 // A distributed job — cells leased to remote workers over HTTP —
 // produces a report byte-identical to the same spec run on the
-// server's own runner.
+// server's own runner and to the library's CheckFleetConformanceCtx.
 func TestDistributedJobByteIdenticalToLocal(t *testing.T) {
 	_, c := startServer(t, Config{Runners: 2, JobWorkers: 4, EnableDist: true, DistLeaseTTL: 30 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -114,6 +114,9 @@ func TestDistributedJobByteIdenticalToLocal(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("distributed report differs from local: %d vs %d bytes", len(got), len(want))
+	}
+	if !bytes.Equal(got, localConformanceArtifact(t, spec)) {
+		t.Fatal("distributed report differs from the library artifact")
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/sched"
 )
@@ -171,6 +172,23 @@ func (js *JobSpec) budget() guard.Budget {
 		WallDeadline: time.Duration(js.WallDeadline),
 		CellTimeout:  time.Duration(js.CellTimeout),
 		StallTimeout: time.Duration(js.StallTimeout),
+	}
+}
+
+// workSpec renders a campaign-kind spec as the core.WorkSpec the
+// equivalent `mcmutants campaign` invocation builds, with the job's
+// effective cell timeout. Both sides derive descriptors and cache
+// salts from it, so a serve job, the CLI run and any distributed
+// worker address identical cache entries.
+func (js *JobSpec) workSpec(cellTimeout time.Duration) core.WorkSpec {
+	return core.WorkSpec{
+		Kind:          js.Kind,
+		Devices:       js.Devices,
+		Envs:          js.Envs,
+		Iters:         js.Iters,
+		Seed:          js.Seed,
+		FenceBug:      js.FenceBug,
+		CellTimeoutMS: core.DurationMS(cellTimeout),
 	}
 }
 

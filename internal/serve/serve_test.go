@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/sched"
+	"repro/internal/wgsl"
 )
 
 // startServer boots a full server (runner pool + HTTP listener) on an
@@ -75,8 +78,24 @@ func smallConformance() JobSpec {
 	return JobSpec{Kind: "conformance", Devices: []string{"AMD"}, Envs: []string{"pte"}, Iters: 2, Seed: 7}
 }
 
-// localConformanceArtifact renders the artifact the CLI/library would
-// produce for the spec — the byte-identity oracle.
+// specPlatforms expands a spec's devices the way the CLI's -devices
+// and -fence-bug flags do, written out here so the oracles below stay
+// independent of the server's own expansion.
+func specPlatforms(js JobSpec) []core.Platform {
+	var platforms []core.Platform
+	for _, d := range js.Devices {
+		p := core.Platform{Device: d}
+		if js.FenceBug {
+			p.Driver = wgsl.DriverFenceDropping
+		}
+		platforms = append(platforms, p)
+	}
+	return platforms
+}
+
+// localConformanceArtifact renders the artifact the library produces
+// for the spec through CheckFleetConformanceCtx directly — the
+// byte-identity oracle.
 func localConformanceArtifact(t *testing.T, js JobSpec) []byte {
 	t.Helper()
 	study, err := core.NewStudy()
@@ -87,7 +106,7 @@ func localConformanceArtifact(t *testing.T, js JobSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := study.CheckFleetConformanceCtx(context.Background(), platformsOf(&js), env,
+	reports, err := study.CheckFleetConformanceCtx(context.Background(), specPlatforms(js), env,
 		js.Iters, js.Seed, core.CampaignOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +162,70 @@ func TestJobLifecycleAndByteIdentity(t *testing.T) {
 	}
 	if !again.Existing || again.Job.ID != j.ID || again.Job.State != StateDone {
 		t.Fatalf("resubmission not idempotent: existing=%v id=%s state=%s", again.Existing, again.Job.ID, again.Job.State)
+	}
+}
+
+// wallSeconds matches the host-time fields evaluate artifacts embed.
+var wallSeconds = regexp.MustCompile(`"WallSeconds": [-+.eE0-9]+`)
+
+// localEvaluateArtifact renders the evaluate artifact for the spec
+// through per-device EvaluateEnvironmentsCtx calls and a hand-built
+// CampaignArtifact, with host wall time zeroed.
+func localEvaluateArtifact(t *testing.T, js JobSpec) []byte {
+	t.Helper()
+	study, err := core.NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envs []harness.Params
+	for _, name := range js.Envs {
+		env, err := core.EnvByName(name, 16, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, env)
+	}
+	art := &core.CampaignArtifact{Kind: "evaluate"}
+	for _, p := range specPlatforms(js) {
+		score, err := study.EvaluateEnvironmentsCtx(context.Background(), p, envs, js.Iters, js.Seed,
+			core.CampaignOptions{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		art.Evaluate = append(art.Evaluate, core.EvaluateEntry{Device: p.Device, Score: score})
+	}
+	var buf bytes.Buffer
+	if err := art.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return wallSeconds.ReplaceAll(buf.Bytes(), []byte(`"WallSeconds": 0`))
+}
+
+// TestEvaluateJobMatchesLocal: a multi-device evaluate job reports,
+// modulo host wall time, exactly what per-device library evaluation
+// reports.
+func TestEvaluateJobMatchesLocal(t *testing.T) {
+	_, c := startServer(t, Config{Runners: 1, JobWorkers: 4})
+	ctx := context.Background()
+	js := JobSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte", "site"}, Iters: 2, Seed: 5, FenceBug: true}
+	sub, err := c.Submit(ctx, js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.Wait(ctx, sub.Job.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != StateDone {
+		t.Fatalf("evaluate job state = %s (%s), want done", j.State, j.Error)
+	}
+	got, err := c.Report(ctx, j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = wallSeconds.ReplaceAll(got, []byte(`"WallSeconds": 0`))
+	if want := localEvaluateArtifact(t, j.Spec); !bytes.Equal(got, want) {
+		t.Fatalf("evaluate report differs from the local artifact:\nserver: %d bytes\nlocal:  %d bytes", len(got), len(want))
 	}
 }
 
@@ -426,6 +509,7 @@ func TestValidationRejects(t *testing.T) {
 		{Kind: "conformance", Devices: []string{"NoSuchGPU"}},
 		{Kind: "evaluate", Envs: []string{"warp-drive"}},
 		{Kind: "tune", TuneEnvs: -1},
+		{Kind: "conformance", Iters: -2},
 	}
 	for _, js := range cases {
 		_, err := c.Submit(ctx, js)

@@ -797,12 +797,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	js.normalize(fleet())
-	plan, err := s.plan(&js)
+	manifest, cells, err := s.plan(&js)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	id := jobID(plan.manifest, js)
+	id := jobID(manifest, js)
 	client := clientID(r)
 
 	// One submission at a time past this point: check-then-register
@@ -859,8 +859,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Spec:        js,
 		Client:      client,
 		State:       StateQueued,
-		Cells:       plan.cells,
-		Manifest:    plan.manifest,
+		Cells:       cells,
+		Manifest:    manifest,
 		SubmittedAt: time.Now().UTC(),
 	}
 	if err := s.store.put(job); err != nil {
@@ -873,7 +873,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusTooManyRequests, "queue full (%d jobs)", s.cfg.QueueDepth)
 		return
 	}
-	s.cfg.Logf("serve: job %s queued by %s (%s, %d cells)", id, client, js.Kind, plan.cells)
+	s.cfg.Logf("serve: job %s queued by %s (%s, %d cells)", id, client, js.Kind, cells)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{Job: job})
 }
 
