@@ -7,6 +7,7 @@ package repro
 // the choice is visible directly in benchmark output.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,7 +46,7 @@ func killRate(b *testing.B, devName string, env harness.Params, test *litmus.Tes
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := r.Run(test, iters, xrand.New(33))
+	res, err := r.RunCtx(context.Background(), test, iters, xrand.New(33))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func TestEmitHotpathBench(t *testing.T) {
 		Benchmarks: []hotpathEntry{
 			{
 				Name: "Fig4PTEAssignment",
-				Unit: "one Run(test, 1, rng) call: fresh Result + one PTE launch",
+				Unit: "one RunCtx(ctx, test, 1, rng) call: fresh Result + one RunInto of one PTE launch",
 				// Median of five runs alternated with the change, measured
 				// immediately before the warm runner per worker and the
 				// in-place step decode, on the same machine as "after".

@@ -8,6 +8,7 @@ package repro
 // EXPERIMENTS.md for the paper-vs-measured discussion.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -91,7 +92,7 @@ func BenchmarkTable3Devices(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := d.Run(spec, rng); err != nil {
+			if _, err := d.RunCtx(context.Background(), spec, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -113,7 +114,9 @@ func pteEnv() harness.Params {
 }
 
 // BenchmarkFig4PTEAssignment runs one PTE iteration of the MP mutant,
-// exercising the co-prime permutation thread/instance assignment.
+// exercising the co-prime permutation thread/instance assignment. One
+// op is one RunCtx call — a fresh Result plus one RunInto — the unit
+// the CI gate's reference numbers were recorded in.
 func BenchmarkFig4PTEAssignment(b *testing.B) {
 	s := mutation.MustGenerate()
 	test, _ := s.ByName("MP")
@@ -127,10 +130,11 @@ func BenchmarkFig4PTEAssignment(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := xrand.New(1)
+	ctx := context.Background()
 	b.ReportAllocs()
 	instances := 0
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(test, 1, rng)
+		res, err := r.RunCtx(ctx, test, 1, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +256,7 @@ func BenchmarkSection52HeadlineRatio(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pres, err := pr.Run(test, 4, rng)
+		pres, err := pr.RunCtx(context.Background(), test, 4, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +264,7 @@ func BenchmarkSection52HeadlineRatio(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sres, err := sr.Run(test, 40, rng)
+		sres, err := sr.RunCtx(context.Background(), test, 40, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,7 +296,7 @@ func BenchmarkBugDiscovery(b *testing.B) {
 	rng := xrand.New(3)
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(test, 4, rng)
+		res, err := r.RunCtx(context.Background(), test, 4, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

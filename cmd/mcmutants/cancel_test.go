@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tuning"
 )
 
 // exit130 asserts err carries the interrupted-run exit code.
@@ -151,24 +152,41 @@ func TestCellTimeoutFlagAccepted(t *testing.T) {
 }
 
 // TestCellTimeoutFailsCellsNotCampaign: an expiring -cell-timeout is
-// an ordinary per-cell failure for both kinds, with or without
-// -faults: the campaign completes degraded (exit 2), publishes its
-// report, and every cell carries an error and no interruption. (1ns
-// rounds up to the spec's 1ms; 40 iterations take far longer.)
+// an ordinary per-cell failure for every kind: the campaign completes
+// degraded (exit 2) and publishes its artifact. Every conformance and
+// evaluate cell carries an error and no interruption; the tune study
+// resolves every cell, the expired ones in its dropped list. (1ns
+// rounds up to the spec's 1ms; 40 iterations take far longer, except
+// on the stress-free SITE baseline.)
 func TestCellTimeoutFailsCellsNotCampaign(t *testing.T) {
-	for _, kind := range []string{"conformance", "evaluate"} {
+	for _, kind := range []string{"conformance", "evaluate", "tune"} {
 		t.Run(kind, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "report.json")
+			args := []string{"campaign", "-kind", kind, "-envs", "pte", "-iters", "40"}
+			if kind == "tune" {
+				args = []string{"tune", "-envs", "1", "-site-iters", "40", "-pte-iters", "40"}
+			}
 			_, err := capture(t, func() error {
-				return run([]string{"campaign", "-kind", kind, "-devices", "AMD", "-envs", "pte",
-					"-iters", "40", "-cell-timeout", "1ns", "-quiet", "-out", out})
+				return run(append(args, "-devices", "AMD", "-cell-timeout", "1ns", "-quiet", "-out", out))
 			})
 			if code := exitCode(err); code != 2 {
 				t.Fatalf("exit %d (%v), want 2", code, err)
 			}
 			raw, err := os.ReadFile(out)
 			if err != nil {
-				t.Fatalf("no report published: %v", err)
+				t.Fatalf("no artifact published: %v", err)
+			}
+			if kind == "tune" {
+				var ds tuning.Dataset
+				if err := json.Unmarshal(raw, &ds); err != nil {
+					t.Fatal(err)
+				}
+				// 4 families, 1 environment each, 1 device, 32 mutants.
+				if ds.Interrupted || len(ds.Dropped) == 0 || len(ds.Records)+len(ds.Dropped) != 4*32 {
+					t.Fatalf("interrupted %v, %d records, %d dropped; want every cell resolved and some dropped",
+						ds.Interrupted, len(ds.Records), len(ds.Dropped))
+				}
+				return
 			}
 			var art core.CampaignArtifact
 			if err := json.Unmarshal(raw, &art); err != nil {

@@ -10,12 +10,12 @@
 //	mcmutants devices
 //	mcmutants run -test NAME [-device NAME] [-env pte|site|pte-baseline|site-baseline] [-iters N] [-seed N] [-buggy]
 //	mcmutants conformance [-device NAME] [-iters N] [-seed N] [-fence-bug] [-coherence-bug] [-stale-cache-bug]
-//	mcmutants campaign -kind conformance|evaluate [-out FILE] [-devices A,B] [-envs pte,site] [-iters N] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N] [-workers-addr HOST:PORT] [-lease-ttl D] [-range-cells N] [-stall-timeout D]
-//	mcmutants work -coordinator URL [-parallel N] [-id NAME] [-poll D] [-once] [-cpuprofile FILE] [-memprofile FILE]
-//	mcmutants tune [-out FILE] [-envs N] [-site-iters N] [-pte-iters N] [-paper-scale] [-devices A,B] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N]
+//	mcmutants campaign -kind conformance|evaluate [-out FILE] [-envs pte,site] [-iters N] [-fence-bug] [-devices A,B] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-retries N] [-quiet] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N] [-workers-addr HOST:PORT] [-lease-ttl D] [-range-cells N] [-stall-timeout D]
+//	mcmutants work -coordinator URL [-parallel N] [-id NAME] [-poll D] [-once] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N]
+//	mcmutants tune [-out FILE] [-envs N] [-site-iters N] [-pte-iters N] [-paper-scale] [-devices A,B] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-retries N] [-quiet] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N]
 //	mcmutants analyze -action mutation-score|merge|correlation [-stats FILE] [-family NAME] [-rep PCT] [-budget SECONDS] [-envs N] [-iters N]
 //	mcmutants cts -stats FILE [-family NAME] [-rep PCT] [-budget SECONDS]
-//	mcmutants serve [-addr HOST:PORT] [-state DIR] [-runners N] [-parallel N] [-queue N] [-per-client N] [-fsync-every N] [-dist] [-dist-lease-ttl D] [-default-wall-deadline D] [-max-wall-deadline D] [-default-cell-timeout D] [-max-cell-timeout D] [-default-stall-timeout D] [-max-stall-timeout D] [-poison-boots N] [-mem-soft-mb N] [-mem-hard-mb N] [-quiet]
+//	mcmutants serve [-addr HOST:PORT] [-state DIR] [-runners N] [-parallel N] [-queue N] [-per-client N] [-fsync-every N] [-cache-dir DIR] [-cache-max-mb N] [-dist] [-dist-lease-ttl D] [-default-wall-deadline D] [-max-wall-deadline D] [-default-cell-timeout D] [-max-cell-timeout D] [-default-stall-timeout D] [-max-stall-timeout D] [-poison-boots N] [-mem-soft-mb N] [-mem-hard-mb N] [-quiet]
 //	mcmutants version
 //
 // Exit status: 0 on success, 1 on usage or fatal errors, 2 when a
@@ -128,7 +128,7 @@ func dispatch(ctx context.Context, args []string) error {
 		fmt.Print(report.Table3())
 		return nil
 	case "run":
-		return cmdRun(args[1:])
+		return cmdRun(ctx, args[1:])
 	case "conformance":
 		return cmdConformance(args[1:])
 	case "campaign":
@@ -251,7 +251,7 @@ func cmdSuite(args []string) error {
 	return nil
 }
 
-func cmdRun(args []string) error {
+func cmdRun(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	testName := fs.String("test", "MP", "test name from the suite")
 	testFile := fs.String("file", "", "run a test parsed from a .litmus file instead")
@@ -308,7 +308,7 @@ func cmdRun(args []string) error {
 		driver = wgsl.DriverFenceDropping
 	}
 	runner.Lower = wgsl.NewToolchain(prof, driver).LowerFunc()
-	res, err := runner.Run(test, *iters, xrand.New(*seed))
+	res, err := runner.RunCtx(ctx, test, *iters, xrand.New(*seed))
 	if err != nil {
 		return err
 	}
@@ -377,96 +377,225 @@ func cmdConformance(args []string) error {
 	return nil
 }
 
-// faultFlags is the shared -faults/-fault-rate/-watchdog/-loss-after
-// flag group of the campaign and tune subcommands.
-type faultFlags struct {
-	enable    *bool
-	rate      *float64
+// runFlags is the flag set the campaign and tune verbs share: output,
+// fleet, seed, scheduling, checkpointing and durability, fault
+// injection, cancellation budgets, profiling and the result cache. run
+// turns it and a kind's WorkSpec into one core.RunWorkSpec call.
+type runFlags struct {
+	out, devices, checkpoint *string
+	seed                     *uint64
+	parallel, retries        *int
+	resume, quiet            *bool
+
+	faults    *bool
+	faultRate *float64
 	watchdog  *int64
 	lossAfter *int
+
+	deadline, cellTimeout *time.Duration
+
+	fsyncEvery *int
+	prof       *profileFlags
+	cache      *cacheFlags
 }
 
-// addFaultFlags registers the fault-injection flags on fs.
-func addFaultFlags(fs *flag.FlagSet) *faultFlags {
-	return &faultFlags{
-		enable:    fs.Bool("faults", false, "inject deterministic device-stack faults and enable the circuit breaker"),
-		rate:      fs.Float64("fault-rate", 0.05, "per-launch probability of each injected fault kind (with -faults)"),
+// addRunFlags registers the shared flags on fs with the verb's default
+// seed, output path and worker count.
+func addRunFlags(fs *flag.FlagSet, seed uint64, out string, parallel int) *runFlags {
+	return &runFlags{
+		out:        fs.String("out", out, "write the artifact (JSON report or dataset) to this path (atomic)"),
+		devices:    fs.String("devices", "", "comma-separated device names (default: the Table 3 fleet)"),
+		seed:       fs.Uint64("seed", seed, "campaign seed"),
+		parallel:   fs.Int("parallel", parallel, "scheduler workers (any count yields identical results)"),
+		checkpoint: fs.String("checkpoint", "", "checkpoint path for resumable runs (default <out>.ckpt when -resume is set)"),
+		resume:     fs.Bool("resume", false, "resume from the checkpoint, replaying completed cells"),
+		retries:    fs.Int("retries", 0, "retries per cell on transient failures"),
+		quiet:      fs.Bool("quiet", false, "suppress progress output"),
+
+		faults:    fs.Bool("faults", false, "inject deterministic device-stack faults and enable the circuit breaker"),
+		faultRate: fs.Float64("fault-rate", 0.05, "per-launch probability of each injected fault kind (with -faults)"),
 		watchdog:  fs.Int64("watchdog", 0, "kernel watchdog deadline in simulated ticks (0: default bound)"),
 		lossAfter: fs.Int("loss-after", 0, "permanently lose a device after N injected faults (0: never; with -faults)"),
-	}
-}
 
-// validate rejects nonsensical fault parameters at flag-check time.
-func (ff *faultFlags) validate() error {
-	if *ff.rate < 0 || *ff.rate > 1 {
-		return fmt.Errorf("-fault-rate %v out of range [0, 1]", *ff.rate)
-	}
-	if *ff.lossAfter < 0 {
-		return fmt.Errorf("-loss-after must be non-negative")
-	}
-	return nil
-}
-
-// model builds the fault model the flags select, seeding the fault
-// stream from the campaign seed. Without -faults it is the zero model
-// (plus any explicit watchdog), which injects nothing.
-func (ff *faultFlags) model(seed uint64) gpu.FaultModel {
-	var fm gpu.FaultModel
-	if *ff.enable {
-		fm = gpu.UniformFaults(seed, *ff.rate)
-		fm.LossAfter = *ff.lossAfter
-	}
-	fm.WatchdogTicks = *ff.watchdog
-	return fm
-}
-
-// breaker returns circuit-breaker options: enabled with defaults
-// exactly when fault injection is on.
-func (ff *faultFlags) breaker() *sched.BreakerOptions {
-	if !*ff.enable {
-		return nil
-	}
-	return &sched.BreakerOptions{}
-}
-
-// cancelFlags is the shared -deadline/-cell-timeout flag group of the
-// campaign and tune subcommands.
-type cancelFlags struct {
-	deadline    *time.Duration
-	cellTimeout *time.Duration
-}
-
-// addCancelFlags registers the cancellation-budget flags on fs.
-func addCancelFlags(fs *flag.FlagSet) *cancelFlags {
-	return &cancelFlags{
 		deadline: fs.Duration("deadline", 0,
 			"wall-clock budget for the whole run; expiry drains gracefully (checkpoint flushed, exit 130, resumable)"),
 		cellTimeout: fs.Duration("cell-timeout", 0,
 			"bound on each cell attempt; expiry fails that cell only, the run continues"),
+
+		fsyncEvery: addFsyncFlag(fs),
+		prof:       addProfileFlags(fs),
+		cache:      addCacheFlags(fs),
 	}
 }
 
-// apply derives the run context from -deadline; the returned cancel
-// must be deferred.
-func (cf *cancelFlags) apply(ctx context.Context) (context.Context, context.CancelFunc) {
-	if *cf.deadline > 0 {
-		return context.WithTimeout(ctx, *cf.deadline)
+// workSpec completes ws with the shared flags: devices, seed, retry
+// policy and fault model. Without -faults the model is the zero model
+// plus any explicit watchdog; with it, the fault stream is seeded from
+// the campaign seed.
+func (rf *runFlags) workSpec(ws core.WorkSpec) core.WorkSpec {
+	ws.Devices = splitList(*rf.devices)
+	ws.Seed = *rf.seed
+	ws.Retries = *rf.retries
+	ws.CellTimeoutMS = core.DurationMS(*rf.cellTimeout)
+	var fm gpu.FaultModel
+	if *rf.faults {
+		fm = gpu.UniformFaults(ws.Seed, *rf.faultRate)
+		fm.LossAfter = *rf.lossAfter
 	}
-	return context.WithCancel(ctx)
+	fm.WatchdogTicks = *rf.watchdog
+	if fm != (gpu.FaultModel{}) {
+		ws.Faults = &fm
+	}
+	return ws
 }
 
-// storageFlags is the shared durability flag group of the campaign and
-// tune subcommands.
-type storageFlags struct {
-	fsyncEvery *int
+// splitList splits a comma-separated flag value into trimmed names;
+// an empty value is an empty list.
+func splitList(list string) []string {
+	if list == "" {
+		return nil
+	}
+	names := strings.Split(list, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+	}
+	return names
 }
 
-// addStorageFlags registers the checkpoint-durability flags on fs.
-func addStorageFlags(fs *flag.FlagSet) *storageFlags {
-	return &storageFlags{
-		fsyncEvery: fs.Int("fsync-every", 0,
-			"fsync the checkpoint after every N recorded cells (0: default bounded-loss policy; negative: only at drain and close)"),
+// validate rejects everything a flag can get wrong — kind, devices,
+// environments, sizes, retry policy, fault parameters, budgets — so it
+// fails with exit 1 before any campaign work.
+func (rf *runFlags) validate(ws core.WorkSpec) error {
+	if err := ws.Validate(); err != nil {
+		return err
 	}
+	if *rf.faultRate < 0 || *rf.faultRate > 1 {
+		return fmt.Errorf("-fault-rate %v out of range [0, 1]", *rf.faultRate)
+	}
+	if *rf.lossAfter < 0 {
+		return fmt.Errorf("-loss-after must be non-negative")
+	}
+	if *rf.deadline < 0 {
+		return fmt.Errorf("-deadline must be non-negative")
+	}
+	return nil
+}
+
+// run executes the campaign ws describes and renders it: validate →
+// probe output paths → open the cache → arm -deadline → start
+// profiling → core.RunWorkSpec → print → write -out → verdict. df,
+// when non-nil, may turn the run into a distributed coordinator.
+func (rf *runFlags) run(ctx context.Context, ws core.WorkSpec, df *distFlags) error {
+	ws = rf.workSpec(ws)
+	if err := rf.validate(ws); err != nil {
+		return err
+	}
+	if df != nil {
+		if err := df.validate(); err != nil {
+			return err
+		}
+	}
+	out, checkpoint := *rf.out, *rf.checkpoint
+	if *rf.resume && checkpoint == "" && out != "" {
+		checkpoint = out + ".ckpt"
+	}
+	if err := probeOutputPaths(out, *rf.prof.cpu, *rf.prof.mem); err != nil {
+		return err
+	}
+	cache, err := rf.cache.open()
+	if err != nil {
+		return err
+	}
+	defer cacheSummary(os.Stderr, cache)
+	if *rf.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *rf.deadline)
+		defer cancel()
+	}
+	stopProf, err := rf.prof.start()
+	if err != nil {
+		return err
+	}
+	defer stopProf()
+	study, err := core.NewStudy()
+	if err != nil {
+		return err
+	}
+	opts := core.CampaignOptions{
+		Workers:        *rf.parallel,
+		CheckpointPath: checkpoint,
+		Resume:         *rf.resume,
+		FsyncEvery:     *rf.fsyncEvery,
+	}
+	if *rf.faults {
+		// The breaker quarantines a failing device and implies collect.
+		opts.Breaker = &sched.BreakerOptions{}
+	}
+	if cache != nil {
+		opts.Cache = cache
+	}
+	if !*rf.quiet {
+		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
+		opts.OnProgress = printProgress
+		opts.ProgressEvery = progressEvery
+	}
+	// With -workers-addr the campaign coordinates `mcmutants work`
+	// processes over HTTP instead of executing cells itself; the merged
+	// report is byte-identical to a local run at any worker count.
+	if df != nil && *df.addr != "" {
+		hub, stopHub, err := df.serveHub()
+		if err != nil {
+			return err
+		}
+		defer stopHub()
+		var logf func(string, ...any)
+		if !*rf.quiet {
+			logf = func(format string, a ...any) {
+				fmt.Fprintf(os.Stderr, "mcmutants: dist: "+format+"\n", a...)
+			}
+		}
+		opts.Dist = df.options(hub, logf)
+	}
+	res, err := study.RunWorkSpec(ctx, ws, opts)
+	if err != nil {
+		return err
+	}
+	switch ws.Kind {
+	case "conformance":
+		printConformance(res)
+	case "evaluate":
+		printEvaluate(res, len(ws.Envs))
+	case "tune":
+		printTune(res)
+	}
+	if res.StorageErr != "" {
+		fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", res.StorageErr)
+	}
+	if out != "" {
+		if err := diskio.WriteAtomic(diskio.OS{}, out, res.Encode); err != nil {
+			return err
+		}
+		what := "report"
+		if res.Dataset != nil {
+			what = fmt.Sprintf("%d records", len(res.Dataset.Records))
+		}
+		fmt.Printf("wrote %s to %s\n", what, out)
+	}
+	if res.Interrupted {
+		msg := fmt.Sprintf("%s interrupted: %d cell(s) pending", ws.Kind, res.Pending)
+		if checkpoint != "" {
+			msg += fmt.Sprintf("; resume with -checkpoint %s -resume", checkpoint)
+		}
+		return &interruptedRun{msg}
+	}
+	return campaignVerdict(res)
+}
+
+// addFsyncFlag registers -fsync-every, the checkpoint-durability flag
+// of the campaign, tune and serve subcommands.
+func addFsyncFlag(fs *flag.FlagSet) *int {
+	return fs.Int("fsync-every", 0,
+		"fsync the checkpoint after every N recorded cells (0: default bounded-loss policy; negative: only at drain and close)")
 }
 
 // profileFlags is the shared -cpuprofile/-memprofile flag group of the
@@ -535,28 +664,6 @@ func (pf *profileFlags) start() (stop func(), err error) {
 	}, nil
 }
 
-// resolveDevices expands and validates a -devices list: empty selects
-// the whole Table 3 fleet; an unknown name is a usage error, caught
-// before any campaign work begins.
-func resolveDevices(list string) ([]string, error) {
-	if list == "" {
-		var names []string
-		for _, prof := range gpu.Profiles() {
-			names = append(names, prof.ShortName)
-		}
-		return names, nil
-	}
-	var names []string
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if _, ok := gpu.ProfileByName(name); !ok {
-			return nil, fmt.Errorf("unknown device %q", name)
-		}
-		names = append(names, name)
-	}
-	return names, nil
-}
-
 // probeOutputPaths verifies each requested output destination (report,
 // dataset, profile) is writable before any long-running work begins: a
 // path that cannot be created must fail the run up front with exit 1,
@@ -608,139 +715,17 @@ func printProgress(p sched.Progress) { fmt.Fprintln(os.Stderr, p) }
 
 func cmdCampaign(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	kind := fs.String("kind", "conformance", "campaign kind: conformance or evaluate")
-	out := fs.String("out", "", "write a machine-readable JSON report to this path (atomic)")
-	devices := fs.String("devices", "", "comma-separated device names (default: the Table 3 fleet)")
-	envNames := fs.String("envs", "pte,site", "comma-separated environment presets")
-	iters := fs.Int("iters", 10, "kernel launches per cell")
-	seed := fs.Uint64("seed", 1, "campaign seed")
-	parallel := fs.Int("parallel", 4, "scheduler workers (any count yields identical results)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint path for resumable campaigns")
-	resume := fs.Bool("resume", false, "resume from the checkpoint, replaying completed cells")
-	retries := fs.Int("retries", 0, "retries per cell on transient failures")
-	quiet := fs.Bool("quiet", false, "suppress progress output")
+	def := core.KindDefaults("conformance")
+	kind := fs.String("kind", def.Kind, "campaign kind: conformance or evaluate")
+	envNames := fs.String("envs", strings.Join(def.Envs, ","), "comma-separated environment presets")
+	iters := fs.Int("iters", def.Iters, "kernel launches per cell")
 	fenceBug := fs.Bool("fence-bug", false, "inject the fence-dropping driver on every platform")
-	ff := addFaultFlags(fs)
-	cf := addCancelFlags(fs)
-	pf := addProfileFlags(fs)
-	sf := addStorageFlags(fs)
+	rf := addRunFlags(fs, def.Seed, "", 4)
 	df := addDistFlags(fs)
-	chf := addCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Fail fast: everything a flag can get wrong — kind, devices,
-	// environment presets, iterations, fault parameters, output and
-	// profile paths — is rejected here, to stderr with exit 1, before
-	// profiling starts, the suite generates, or any campaign work
-	// begins.
-	names, err := resolveDevices(*devices)
-	if err != nil {
-		return err
-	}
-	var envList []string
-	for _, name := range strings.Split(*envNames, ",") {
-		envList = append(envList, strings.TrimSpace(name))
-	}
-	ws := core.WorkSpec{
-		Kind:          *kind,
-		Devices:       names,
-		Envs:          envList,
-		Iters:         *iters,
-		Seed:          *seed,
-		FenceBug:      *fenceBug,
-		Retries:       *retries,
-		CellTimeoutMS: core.DurationMS(*cf.cellTimeout),
-	}
-	// Any fault model the flags set rides along: the artifact records
-	// each platform's model.
-	if fm := ff.model(*seed); fm != (gpu.FaultModel{}) {
-		ws.Faults = &fm
-	}
-	if err := ws.Validate(); err != nil {
-		return err
-	}
-	if err := ff.validate(); err != nil {
-		return err
-	}
-	if err := df.validate(); err != nil {
-		return err
-	}
-	if err := probeOutputPaths(*out, *pf.cpu, *pf.mem); err != nil {
-		return err
-	}
-	cache, err := chf.open()
-	if err != nil {
-		return err
-	}
-	defer cacheSummary(os.Stderr, cache)
-	ctx, cancel := cf.apply(ctx)
-	defer cancel()
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	study, err := core.NewStudy()
-	if err != nil {
-		return err
-	}
-	opts := core.CampaignOptions{
-		Workers:        *parallel,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
-		Collect:        *ff.enable,
-		Breaker:        ff.breaker(),
-		FsyncEvery:     *sf.fsyncEvery,
-	}
-	if cache != nil {
-		opts.Cache = cache
-	}
-	if !*quiet {
-		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		opts.OnProgress = printProgress
-		opts.ProgressEvery = progressEvery
-	}
-	// With -workers-addr the campaign coordinates `mcmutants work`
-	// processes over HTTP instead of executing cells itself; the merged
-	// report is byte-identical to a local run at any worker count.
-	if *df.addr != "" {
-		hub, stopHub, err := df.serveHub()
-		if err != nil {
-			return err
-		}
-		defer stopHub()
-		var logf func(string, ...any)
-		if !*quiet {
-			logf = func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, "mcmutants: dist: "+format+"\n", a...)
-			}
-		}
-		opts.Dist = df.options(hub, logf)
-	}
-	res, err := study.RunWorkSpec(ctx, ws, opts)
-	if err != nil {
-		return err
-	}
-	printConformance(res)
-	printEvaluate(res, len(ws.Envs))
-	if res.StorageErr != "" {
-		fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", res.StorageErr)
-	}
-	if *out != "" {
-		if err := res.Artifact.WriteAtomic(nil, *out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote report to %s\n", *out)
-	}
-	if res.Interrupted {
-		msg := fmt.Sprintf("campaign interrupted: %d cell(s) pending", res.Pending)
-		if *checkpoint != "" {
-			msg += fmt.Sprintf("; resume with -checkpoint %s -resume", *checkpoint)
-		}
-		return &interruptedRun{msg}
-	}
-	return campaignVerdict(res)
+	return rf.run(ctx, core.WorkSpec{Kind: *kind, Envs: splitList(*envNames), Iters: *iters, FenceBug: *fenceBug}, df)
 }
 
 // printConformance renders a conformance artifact's per-platform
@@ -815,145 +800,33 @@ func printEvaluate(res *core.WorkResult, envs int) {
 
 func cmdTune(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
-	out := fs.String("out", "tuning.json", "output dataset path")
-	envs := fs.Int("envs", 12, "random environments per tuned family")
-	siteIters := fs.Int("site-iters", 50, "SITE iterations per test")
-	pteIters := fs.Int("pte-iters", 8, "PTE iterations per test")
+	def := core.KindDefaults("tune")
+	envs := fs.Int("envs", def.TuneEnvs, "random environments per tuned family")
+	siteIters := fs.Int("site-iters", def.SiteIters, "SITE iterations per test")
+	pteIters := fs.Int("pte-iters", def.PTEIters, "PTE iterations per test")
 	paperScale := fs.Bool("paper-scale", false, "use the paper's full environment sizes (slow)")
-	devices := fs.String("devices", "", "comma-separated device names (default: the Table 3 fleet)")
-	seed := fs.Uint64("seed", 2023, "random seed")
-	quiet := fs.Bool("quiet", false, "suppress progress output")
-	parallel := fs.Int("parallel", 1, "scheduler workers (any count yields the identical dataset)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint path (default <out>.ckpt when -resume is set)")
-	resume := fs.Bool("resume", false, "resume from the checkpoint, replaying completed cells")
-	retries := fs.Int("retries", 0, "retries per cell on transient failures")
-	ff := addFaultFlags(fs)
-	cf := addCancelFlags(fs)
-	pf := addProfileFlags(fs)
-	sf := addStorageFlags(fs)
-	chf := addCacheFlags(fs)
+	rf := addRunFlags(fs, def.Seed, "tuning.json", 1)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Fail fast on bad flags — before profiling, suite generation or
-	// any tuning work (see the same block in cmdCampaign).
-	if *envs <= 0 || *siteIters <= 0 || *pteIters <= 0 {
-		return fmt.Errorf("-envs, -site-iters and -pte-iters must be positive")
-	}
-	var tuneDevices []string
-	if *devices != "" {
-		devs, err := resolveDevices(*devices)
-		if err != nil {
-			return err
-		}
-		tuneDevices = devs
-	}
-	if err := ff.validate(); err != nil {
-		return err
-	}
-	if err := probeOutputPaths(*out, *pf.cpu, *pf.mem); err != nil {
-		return err
-	}
-	cache, err := chf.open()
-	if err != nil {
-		return err
-	}
-	defer cacheSummary(os.Stderr, cache)
-	ctx, cancel := cf.apply(ctx)
-	defer cancel()
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-	suite, err := mutation.Generate()
-	if err != nil {
-		return err
-	}
-	cfg := tuning.SmallConfig()
-	cfg.Environments = *envs
-	cfg.SITEIterations = *siteIters
-	cfg.PTEIterations = *pteIters
-	cfg.Seed = *seed
-	if *paperScale {
-		cfg = tuning.PaperConfig()
-		cfg.Seed = *seed
-	}
-	if len(tuneDevices) > 0 {
-		cfg.Devices = tuneDevices
-	}
-	if fm := ff.model(*seed); fm.Enabled() || fm.WatchdogTicks > 0 {
-		cfg.Faults = &fm
-	}
-	opts := tuning.RunOptions{
-		Workers:        *parallel,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
-		Retries:        *retries,
-		CellTimeout:    *cf.cellTimeout,
-		Breaker:        ff.breaker(),
-		FsyncEvery:     *sf.fsyncEvery,
-	}
-	if cache != nil {
-		opts.Cache = cache
-	}
-	if opts.Resume && opts.CheckpointPath == "" {
-		opts.CheckpointPath = *out + ".ckpt"
-	}
-	if !*quiet {
-		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		opts.OnProgress = printProgress
-		opts.ProgressEvery = progressEvery
-	}
-	ds, err := tuning.RunCampaignCtx(ctx, cfg, suite.Mutants, opts)
-	if err != nil {
-		return err
-	}
-	if err := ds.SaveAtomic(nil, *out); err != nil {
-		return err
-	}
-	if ds.StorageDegraded {
-		fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", ds.StorageErr)
-	}
-	if ds.Interrupted {
-		fmt.Printf("wrote %d records to %s (run interrupted; dataset partial)\n", len(ds.Records), *out)
-	} else {
-		fmt.Printf("wrote %d records to %s\n", len(ds.Records), *out)
-	}
-	nq := 0
-	for _, d := range ds.Dropped {
-		if d.Quarantined {
-			nq++
-		}
-	}
-	if len(ds.Dropped) > 0 {
+	return rf.run(ctx, core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, SiteIters: *siteIters,
+		PTEIters: *pteIters, PaperScale: *paperScale}, nil)
+}
+
+// printTune renders a tuning dataset's dropped cells and its Fig. 5
+// summary to stdout. An interrupted dataset is partial, so its Fig. 5
+// is skipped: it would summarize an incomplete grid.
+func printTune(res *core.WorkResult) {
+	if res.Failed > 0 {
 		fmt.Printf("%d cell(s) dropped (%d quarantined) — recorded in the dataset's dropped list\n",
-			len(ds.Dropped), nq)
+			res.Failed, res.Quarantined)
 	}
-	if ds.Interrupted {
-		// The partial dataset is written and every completed cell is in
-		// the checkpoint; a resumed run replays them and finishes the
-		// rest, producing a byte-identical final dataset. Skip the Fig. 5
-		// analysis — it would summarize an incomplete grid.
-		msg := "tuning run interrupted: dataset is partial"
-		if opts.CheckpointPath != "" {
-			msg += fmt.Sprintf("; resume with -checkpoint %s -resume", opts.CheckpointPath)
-		}
-		return &interruptedRun{msg}
+	if res.Interrupted {
+		fmt.Println("run interrupted: dataset partial")
+		return
 	}
 	fmt.Println()
-	fmt.Print(report.Fig5(ds))
-	var parts []string
-	if len(ds.Dropped) > 0 {
-		parts = append(parts, fmt.Sprintf("%d cell(s) dropped (%d quarantined)", len(ds.Dropped), nq))
-	}
-	if ds.StorageDegraded {
-		parts = append(parts, fmt.Sprintf("checkpoint storage degraded (%s), results not durably checkpointed", ds.StorageErr))
-	}
-	if len(parts) > 0 {
-		return &partialFailure{"tuning run degraded: " + strings.Join(parts, "; ")}
-	}
-	return nil
+	fmt.Print(report.Fig5(res.Dataset))
 }
 
 // cmdServe runs the campaign service: an HTTP server that accepts
@@ -983,7 +856,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	poisonBoots := fs.Int("poison-boots", 3, "boots that may find a job running before it is quarantined as poisoned (-1 disables)")
 	memSoftMB := fs.Int64("mem-soft-mb", 0, "soft heap watermark in MiB: pause queue drain and shed submissions with 429 (0 disables)")
 	memHardMB := fs.Int64("mem-hard-mb", 0, "hard heap watermark in MiB: additionally shed the newest running jobs (0 disables)")
-	sf := addStorageFlags(fs)
+	fsyncEvery := addFsyncFlag(fs)
 	chf := addCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -1015,7 +888,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		JobWorkers:    *parallel,
 		QueueDepth:    *queueDepth,
 		PerClient:     *perClient,
-		FsyncEvery:    *sf.fsyncEvery,
+		FsyncEvery:    *fsyncEvery,
 		EnableDist:    *enableDist,
 		DistLeaseTTL:  *distLeaseTTL,
 		CacheDir:      *chf.dir,

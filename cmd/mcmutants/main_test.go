@@ -433,8 +433,9 @@ func TestSuiteDotCommand(t *testing.T) {
 }
 
 // TestFlagValidationFailsFast: flag mistakes — unknown kind, device or
-// environment preset, out-of-range fault parameters, unwritable output
-// or profile paths — must be rejected with exit 1 before any campaign
+// environment preset, out-of-range fault parameters, negative retries,
+// cell timeouts or deadlines, unwritable output or profile paths —
+// must be rejected with exit 1 before any campaign
 // work starts. Each case carries an enormous iteration count, so a
 // validation that only triggers after the campaign begins would blow
 // the elapsed bound; and no artifact may appear at -out.
@@ -455,6 +456,12 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"tune", "-envs", "0", "-out", out, "-quiet"},
 		{"tune", "-memprofile", noDir, "-site-iters", "1000000", "-out", out, "-quiet"},
 		{"tune", "-out", noDir, "-site-iters", "1000000", "-quiet"},
+		{"campaign", "-retries", "-1", "-iters", "1000000", "-out", out, "-quiet"},
+		{"campaign", "-cell-timeout", "-1ns", "-iters", "1000000", "-out", out, "-quiet"},
+		{"campaign", "-deadline", "-1s", "-iters", "1000000", "-out", out, "-quiet"},
+		{"tune", "-retries", "-1", "-site-iters", "1000000", "-out", out, "-quiet"},
+		{"tune", "-cell-timeout", "-1s", "-site-iters", "1000000", "-out", out, "-quiet"},
+		{"tune", "-deadline", "-1ns", "-site-iters", "1000000", "-out", out, "-quiet"},
 	}
 	for _, args := range cases {
 		start := time.Now()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -95,7 +96,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := r.Run(test, 10, xrand.New(7))
+		res, err := r.RunCtx(context.Background(), test, 10, xrand.New(7))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	// 4. Run and report. Every outcome is classified by the axiomatic
 	// checker; the target condition marks the weak behavior of
 	// interest.
-	res, err := runner.Run(test, 20, xrand.New(42))
+	res, err := runner.RunCtx(context.Background(), test, 20, xrand.New(42))
 	if err != nil {
 		log.Fatal(err)
 	}

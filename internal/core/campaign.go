@@ -47,7 +47,8 @@ type CampaignOptions struct {
 	// Collect switches the scheduler from fail-fast to collect: every
 	// cell runs, and failed cells surface in the result (EnvScore
 	// failures, error-carrying findings) instead of aborting the
-	// campaign.
+	// campaign. A tune study collects exactly when it has a Breaker or
+	// a cell timeout (tuning.RunOptions has no separate switch).
 	Collect bool
 	// Breaker, when non-nil, enables the per-device circuit breaker:
 	// a device failing Threshold cells in a row is quarantined for

@@ -39,8 +39,9 @@ type DistWorkOptions struct {
 
 // DistWork plans the work units a WorkSpec describes, through the
 // same expansion RunWorkSpec runs: one fleet unit for conformance, one
-// unit per device for evaluate. The mcmutants work verb matches each
-// advertised campaign to a unit by spec manifest.
+// unit per device for evaluate; tune has no range runner and is
+// rejected. The mcmutants work verb matches each advertised campaign to
+// a unit by spec manifest.
 func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 	st, err := NewStudy()
 	if err != nil {
@@ -48,6 +49,9 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
 	}
 	camps, err := st.expand(ws)
 	if err != nil {
+		return nil, err
+	}
+	if err := distributable(camps); err != nil {
 		return nil, err
 	}
 	ropts := dist.SchedRunnerOptions{Parallel: wo.Parallel, Cache: wo.Cache}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -13,11 +14,12 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/sched"
+	"repro/internal/tuning"
 	"repro/internal/wgsl"
 )
 
-// WorkSpec describes one whole campaign: what `mcmutants campaign`
-// flags, a serve job and a distributed worker's descriptor
+// WorkSpec describes one whole campaign: what the `mcmutants campaign`
+// and `tune` flags, a serve job and a distributed worker's descriptor
 // (dist.WorkInfo.Descriptor) all reduce to. RunWorkSpec runs it,
 // PlanWorkSpec plans it, and DistWork rebuilds its cells on a worker;
 // the three share one expansion, so the cell grid, retry policy,
@@ -25,19 +27,23 @@ import (
 // Everything in it feeds the split-seed determinism contract, so a
 // leased cell's result is byte-identical to a local run's.
 type WorkSpec struct {
-	// Kind is the campaign kind: "conformance" or "evaluate".
+	// Kind is the campaign kind: "conformance", "evaluate" or "tune".
 	Kind string `json:"kind"`
-	// Devices are the platform device short names. Conformance runs one
-	// fleet campaign over all of them; evaluate plans one campaign per
-	// device.
+	// Devices are the platform device short names; empty means the
+	// Table 3 fleet. Conformance runs one fleet campaign over all of
+	// them, evaluate one campaign per device, and tune one study whose
+	// dataset records the list as given.
 	Devices []string `json:"devices"`
 	// Envs are environment preset names (see EnvByName); conformance
 	// uses the first, evaluate crosses all of them with the mutants.
+	// Tune ignores them.
 	Envs []string `json:"envs"`
-	// Iters is kernel launches per cell; Seed the campaign seed.
+	// Iters is kernel launches per cell (tune ignores it); Seed the
+	// campaign seed.
 	Iters int    `json:"iters"`
 	Seed  uint64 `json:"seed"`
-	// FenceBug injects the fence-dropping driver on every platform.
+	// FenceBug injects the fence-dropping driver on every conformance or
+	// evaluate platform.
 	FenceBug bool `json:"fence_bug,omitempty"`
 	// Faults, when non-nil, is the device-stack fault model every
 	// platform runs under (fault streams are seeded, so workers inject
@@ -51,11 +57,34 @@ type WorkSpec struct {
 	Retries       int   `json:"retries,omitempty"`
 	BackoffMS     int64 `json:"backoff_ms,omitempty"`
 	CellTimeoutMS int64 `json:"cell_timeout_ms,omitempty"`
+	// TuneEnvs, SiteIters and PTEIters size a tune study: random
+	// environments per tuned family and kernel launches per SITE and
+	// PTE cell. PaperScale runs the paper's sizes (tuning.PaperConfig)
+	// instead, keeping only the seed and devices.
+	TuneEnvs   int  `json:"tune_envs,omitempty"`
+	SiteIters  int  `json:"site_iters,omitempty"`
+	PTEIters   int  `json:"pte_iters,omitempty"`
+	PaperScale bool `json:"paper_scale,omitempty"`
 }
 
-// DurationMS converts a duration to WorkSpec milliseconds, rounding up
-// so that a positive duration never becomes 0 (unbounded).
+// KindDefaults returns the fields a campaign kind takes when a caller
+// leaves them zero: the seed and, for conformance and evaluate, the
+// environment presets and iterations, or, for tune, the study sizes.
+// The CLI's flag defaults and serve's job normalization both read it.
+func KindDefaults(kind string) WorkSpec {
+	if kind == "tune" {
+		return WorkSpec{Kind: kind, Seed: 2023, TuneEnvs: 12, SiteIters: 50, PTEIters: 8}
+	}
+	return WorkSpec{Kind: kind, Seed: 1, Envs: []string{"pte", "site"}, Iters: 10}
+}
+
+// DurationMS converts a duration to WorkSpec milliseconds, rounding
+// away from zero: a positive duration never becomes 0 (unbounded), and
+// a negative one stays negative for Validate to reject.
 func DurationMS(d time.Duration) int64 {
+	if d < 0 {
+		return -DurationMS(-d)
+	}
 	return int64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
@@ -82,22 +111,30 @@ func (ws WorkSpec) CacheSalt() (string, error) {
 	return string(raw), nil
 }
 
-// Validate checks the spec without running anything: a known kind, a
-// non-empty list of known devices, a non-empty list of known
-// environment presets, and positive iterations.
+// Validate checks the spec without running anything: a known kind,
+// known devices, a non-negative retry policy, and then per kind either
+// positive tune sizes or a non-empty list of known environment presets
+// and positive iterations.
 func (ws WorkSpec) Validate() error {
 	switch ws.Kind {
-	case "conformance", "evaluate":
+	case "conformance", "evaluate", "tune":
 	default:
-		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate)", ws.Kind)
-	}
-	if len(ws.Devices) == 0 {
-		return fmt.Errorf("no devices")
+		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate, tune)", ws.Kind)
 	}
 	for _, d := range ws.Devices {
 		if _, ok := gpu.ProfileByName(d); !ok {
 			return fmt.Errorf("unknown device %q", d)
 		}
+	}
+	if ws.Retries < 0 || ws.BackoffMS < 0 || ws.CellTimeoutMS < 0 {
+		return fmt.Errorf("retries, backoff and cell timeout must be non-negative")
+	}
+	if ws.Kind == "tune" {
+		if ws.TuneEnvs <= 0 || ws.SiteIters <= 0 || ws.PTEIters <= 0 {
+			return fmt.Errorf("tune sizes must be positive (envs %d, site iters %d, pte iters %d)",
+				ws.TuneEnvs, ws.SiteIters, ws.PTEIters)
+		}
+		return nil
 	}
 	if _, err := ws.envParams(); err != nil {
 		return err
@@ -112,6 +149,23 @@ func (ws WorkSpec) Validate() error {
 func (ws WorkSpec) policy() (retries int, backoff, cellTimeout time.Duration) {
 	return ws.Retries, time.Duration(ws.BackoffMS) * time.Millisecond,
 		time.Duration(ws.CellTimeoutMS) * time.Millisecond
+}
+
+// tuneConfig is the tuning study a tune spec runs. The fault model is
+// recorded only when it injects faults or bounds the watchdog, so a
+// model that does neither leaves the dataset's bytes alone.
+func (ws WorkSpec) tuneConfig() tuning.Config {
+	cfg := tuning.SmallConfig()
+	cfg.Environments, cfg.SITEIterations, cfg.PTEIterations = ws.TuneEnvs, ws.SiteIters, ws.PTEIters
+	if ws.PaperScale {
+		cfg = tuning.PaperConfig()
+	}
+	cfg.Seed = ws.Seed
+	cfg.Devices = ws.Devices
+	if fm := ws.Faults; fm != nil && (fm.Enabled() || fm.WatchdogTicks > 0) {
+		cfg.Faults = fm
+	}
+	return cfg
 }
 
 // platforms expands the device list into Platforms with the spec's
@@ -154,14 +208,17 @@ type workCampaign struct {
 	// evaluate.
 	ws WorkSpec
 	// device is the evaluate campaign's device; "" for the conformance
-	// fleet campaign. It suffixes the checkpoint path and dist name.
+	// fleet campaign and the tune study. It suffixes the checkpoint path
+	// and dist name.
 	device string
 	spec   sched.Spec
-	// ranges builds a distributed worker's range runner.
+	// ranges builds a distributed worker's range runner; nil for tune,
+	// which only runs locally.
 	ranges func(dist.SchedRunnerOptions) dist.RunRange
-	// run executes the campaign, adds its result to art, and returns
-	// how many cells an interruption left pending.
-	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, art *CampaignArtifact) (int, error)
+	// run executes the campaign, adds its result to res, and returns
+	// how many cells an interruption left pending (with an error
+	// wrapping sched.ErrInterrupted).
+	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error)
 }
 
 // name suffixes base (a dist name or checkpoint path) with the
@@ -173,12 +230,31 @@ func (c workCampaign) name(base string) string {
 	return base + "." + c.device
 }
 
+// distributable rejects campaigns that have no range runner.
+func distributable(camps []workCampaign) error {
+	for _, c := range camps {
+		if c.ranges == nil {
+			return fmt.Errorf("core: %s campaigns cannot run distributed", c.spec.Name)
+		}
+	}
+	return nil
+}
+
 // expand validates ws and turns it into its campaigns: one fleet
 // campaign for conformance, one single-device campaign per device for
-// evaluate. It is the only place a WorkSpec's kind is dispatched.
+// evaluate, one tuning study for tune. It is the only place a
+// WorkSpec's kind is dispatched.
 func (st *Study) expand(ws WorkSpec) ([]workCampaign, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
+	}
+	if ws.Kind == "tune" {
+		return st.expandTune(ws)
+	}
+	if len(ws.Devices) == 0 {
+		for _, p := range gpu.Profiles() {
+			ws.Devices = append(ws.Devices, p.ShortName)
+		}
 	}
 	envs, err := ws.envParams()
 	if err != nil {
@@ -195,9 +271,9 @@ func (st *Study) expand(ws WorkSpec) ([]workCampaign, error) {
 			ws:     ws,
 			spec:   spec,
 			ranges: func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) },
-			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, art *CampaignArtifact) (int, error) {
+			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
 				reports, pending, err := st.runConformance(ctx, spec, newExec, platforms, o, desc)
-				art.Conformance = reports
+				res.Artifact.Conformance = reports
 				return pending, err
 			},
 		}}, nil
@@ -216,16 +292,57 @@ func (st *Study) expand(ws WorkSpec) ([]workCampaign, error) {
 			device: p.Device,
 			spec:   spec,
 			ranges: func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) },
-			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, art *CampaignArtifact) (int, error) {
+			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
 				score, pending, err := st.runEvaluate(ctx, spec, newExec, o, desc)
 				if score != nil {
-					art.Evaluate = append(art.Evaluate, EvaluateEntry{Device: p.Device, Score: score})
+					res.Artifact.Evaluate = append(res.Artifact.Evaluate, EvaluateEntry{Device: p.Device, Score: score})
 				}
 				return pending, err
 			},
 		})
 	}
 	return out, nil
+}
+
+// expandTune turns a tune spec into its one tuning study, run by
+// tuning.RunCampaignCtx under tuning's own cache salt and with the
+// checkpoint path as given.
+func (st *Study) expandTune(ws WorkSpec) ([]workCampaign, error) {
+	cfg := ws.tuneConfig()
+	spec, err := tuning.CampaignSpec(cfg, st.Suite.Mutants)
+	if err != nil {
+		return nil, err
+	}
+	return []workCampaign{{
+		ws:   ws,
+		spec: spec,
+		run: func(ctx context.Context, o CampaignOptions, _ json.RawMessage, res *WorkResult) (int, error) {
+			ds, err := tuning.RunCampaignCtx(ctx, cfg, st.Suite.Mutants, tuning.RunOptions{
+				Workers:        o.Workers,
+				CheckpointPath: o.CheckpointPath,
+				Resume:         o.Resume,
+				FsyncEvery:     o.FsyncEvery,
+				FS:             o.FS,
+				Progress:       o.Progress,
+				OnProgress:     o.OnProgress,
+				ProgressEvery:  o.ProgressEvery,
+				Retries:        o.Retries,
+				Backoff:        o.Backoff,
+				CellTimeout:    o.CellTimeout,
+				Breaker:        o.Breaker,
+				Cache:          o.Cache,
+			})
+			if err != nil {
+				return 0, err
+			}
+			res.Dataset = ds
+			if ds.Interrupted {
+				pending := len(spec.Cells) - len(ds.Records) - len(ds.Dropped)
+				return pending, fmt.Errorf("core: tuning study interrupted: %w", sched.ErrInterrupted)
+			}
+			return 0, nil
+		},
+	}}, nil
 }
 
 // PlanWorkSpec validates ws and returns its manifest and planned cell
@@ -250,11 +367,14 @@ func (st *Study) PlanWorkSpec(ws WorkSpec) (manifest string, cells int, err erro
 	return b.String(), cells, nil
 }
 
-// WorkResult is what RunWorkSpec returns: the campaign artifact and
-// the verdict folded from it.
+// WorkResult is what RunWorkSpec returns: the artifact the spec's kind
+// produced and the verdict folded from it.
 type WorkResult struct {
-	// Artifact is the campaign report; partial when Interrupted.
+	// Artifact is the conformance or evaluate report, Dataset the tune
+	// study's dataset; the other is nil. Either is partial when
+	// Interrupted.
 	Artifact *CampaignArtifact
+	Dataset  *tuning.Dataset
 	// Failed counts cells that produced no data; Quarantined is how
 	// many of them the circuit breaker skipped.
 	Failed, Quarantined int
@@ -273,21 +393,35 @@ type WorkResult struct {
 // cells produced no data or the checkpoint storage degraded.
 func (r *WorkResult) Degraded() bool { return r.Failed > 0 || r.StorageErr != "" }
 
+// Encode writes the result's artifact in its canonical rendering: the
+// report for conformance and evaluate, the dataset for tune.
+func (r *WorkResult) Encode(w io.Writer) error {
+	if r.Dataset != nil {
+		return r.Dataset.Save(w)
+	}
+	return r.Artifact.Encode(w)
+}
+
 // RunWorkSpec runs the campaign ws describes, locally or — with
 // opts.Dist — through worker processes, and returns its artifact and
 // verdict. The spec supplies everything that shapes results: the
-// platforms, environments, retry policy (opts.Retries, Backoff and
-// CellTimeout are overridden), and the descriptor and cache salt.
-// Evaluate runs one campaign per device, sequentially, with the
-// checkpoint path and dist name suffixed ".<device>"; opts.OnProgress
+// platforms, environments or study sizes, retry policy (opts.Retries,
+// Backoff and CellTimeout are overridden), and the descriptor and
+// cache salt. Evaluate runs one campaign per device, sequentially, with
+// the checkpoint path and dist name suffixed ".<device>"; opts.OnProgress
 // sees one cumulative stream named after the kind. A spec with a cell
-// timeout always collects, so an expired cell fails alone. On
-// interruption the partial artifact is returned with Interrupted set
-// and a nil error.
+// timeout always collects, so an expired cell fails alone. Tune runs
+// only locally. On interruption the partial artifact is returned with
+// Interrupted set and a nil error.
 func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOptions) (*WorkResult, error) {
 	camps, err := st.expand(ws)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Dist != nil {
+		if err := distributable(camps); err != nil {
+			return nil, err
+		}
 	}
 	opts.Retries, opts.Backoff, opts.CellTimeout = ws.policy()
 	opts.Collect = opts.Collect || opts.CellTimeout > 0
@@ -298,7 +432,10 @@ func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOpti
 		}
 		opts.OnProgress = fold.add
 	}
-	res := &WorkResult{Artifact: &CampaignArtifact{Kind: ws.Kind}}
+	res := &WorkResult{}
+	if ws.Kind != "tune" {
+		res.Artifact = &CampaignArtifact{Kind: ws.Kind}
+	}
 	for i, c := range camps {
 		o := opts
 		var desc json.RawMessage
@@ -315,7 +452,7 @@ func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOpti
 		if o.CheckpointPath != "" {
 			o.CheckpointPath = c.name(o.CheckpointPath)
 		}
-		pending, err := c.run(ctx, o, desc, res.Artifact)
+		pending, err := c.run(ctx, o, desc, res)
 		if errors.Is(err, sched.ErrInterrupted) {
 			res.Interrupted = true
 			res.Pending += pending
@@ -334,13 +471,17 @@ func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOpti
 
 // tally folds the artifact's failed cells and storage verdicts into r.
 func (r *WorkResult) tally() {
+	if ds := r.Dataset; ds != nil {
+		for _, d := range ds.Dropped {
+			r.fail(d.Quarantined)
+		}
+		r.StorageErr = ds.StorageErr
+		return
+	}
 	a := r.Artifact
 	for _, rep := range a.Conformance {
 		for _, f := range rep.Failed() {
-			r.Failed++
-			if f.Quarantined {
-				r.Quarantined++
-			}
+			r.fail(f.Quarantined)
 		}
 		if rep.StorageDegraded {
 			r.StorageErr = rep.StorageErr
@@ -348,16 +489,21 @@ func (r *WorkResult) tally() {
 	}
 	for _, e := range a.Evaluate {
 		for _, f := range e.Score.Failures {
-			r.Failed++
-			if f.Quarantined {
-				r.Quarantined++
-			}
+			r.fail(f.Quarantined)
 		}
 		if e.Score.StorageDegraded {
 			r.StorageErr = e.Score.StorageErr
 		}
 	}
 	a.StorageDegraded = r.StorageErr != ""
+}
+
+// fail counts one cell that produced no data.
+func (r *WorkResult) fail(quarantined bool) {
+	r.Failed++
+	if quarantined {
+		r.Quarantined++
+	}
 }
 
 // progressFold folds the per-campaign snapshot streams of a WorkSpec

@@ -6,6 +6,7 @@ package gpu
 // change any simulated result.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/xrand"
@@ -58,7 +59,7 @@ func TestRunZeroAllocsWarm(t *testing.T) {
 	rng := xrand.New(11)
 	var events int64
 	for i := 0; i < 4; i++ {
-		run, err := d.Run(spec, rng)
+		run, err := d.RunCtx(context.Background(), spec, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,12 +71,12 @@ func TestRunZeroAllocsWarm(t *testing.T) {
 	state := *rng
 	allocs := testing.AllocsPerRun(20, func() {
 		*rng = state
-		if _, err := d.Run(spec, rng); err != nil {
+		if _, err := d.RunCtx(context.Background(), spec, rng); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm Device.Run: %v allocs/run over %d events, want 0", allocs, events)
+		t.Errorf("warm Device.RunCtx: %v allocs/run over %d events, want 0", allocs, events)
 	}
 }
 
@@ -86,7 +87,7 @@ func TestRunZeroAllocsWarm(t *testing.T) {
 func TestDeviceReuseDeterministic(t *testing.T) {
 	spec := allocSpec()
 	fresh := dev(t, intelProfile(), Bugs{})
-	run, err := fresh.Run(spec, xrand.New(23))
+	run, err := fresh.RunCtx(context.Background(), spec, xrand.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,11 @@ func TestDeviceReuseDeterministic(t *testing.T) {
 		Program{{Op: OpLoad, Addr: 1, Reg: 0}, {Op: OpLoad, Addr: 0, Reg: 1}},
 	)
 	for i := 0; i < 3; i++ {
-		if _, err := warm.Run(other, xrand.New(uint64(100+i))); err != nil {
+		if _, err := warm.RunCtx(context.Background(), other, xrand.New(uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run, err = warm.Run(spec, xrand.New(23))
+	run, err = warm.RunCtx(context.Background(), spec, xrand.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/xrand"
@@ -31,7 +32,7 @@ func benchRun(b *testing.B, spec LaunchSpec) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(spec, rng); err != nil {
+		if _, err := d.RunCtx(context.Background(), spec, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

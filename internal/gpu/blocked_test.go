@@ -50,7 +50,7 @@ func TestBlockedMaskDrainsOnSuccess(t *testing.T) {
 			}
 			rng := xrand.New(sc.seed)
 			for i := 0; i < sc.runs; i++ {
-				if _, err := d.Run(sc.spec, rng); err != nil {
+				if _, err := d.RunCtx(context.Background(), sc.spec, rng); err != nil {
 					continue // injected faults; nothing ran to completion
 				}
 				if n := blockedWords(d); n != 0 {
@@ -66,7 +66,7 @@ func TestBlockedMaskDrainsOnSuccess(t *testing.T) {
 func fingerprint(t *testing.T, d *Device, spec LaunchSpec, seed uint64) string {
 	t.Helper()
 	rng := xrand.New(seed)
-	res, err := d.Run(spec, rng)
+	res, err := d.RunCtx(context.Background(), spec, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestWarmRunAfterAbortMatchesCold(t *testing.T) {
 		if err := d.SetFaults(FaultModel{WatchdogTicks: 40}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Run(spec, xrand.New(5)); !errors.Is(err, ErrDeviceHang) {
+		if _, err := d.RunCtx(context.Background(), spec, xrand.New(5)); !errors.Is(err, ErrDeviceHang) {
 			t.Fatalf("err = %v, want the watchdog's ErrDeviceHang", err)
 		}
 		if blockedWords(d) == 0 {

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestCULiveTracksRunnable(t *testing.T) {
 				if err := checkCULive(d.getExec(sc.spec, xrand.New(sc.seed))); err != nil {
 					t.Fatalf("%s on %s, after reset %d: %v", sc.name, p.ShortName, i, err)
 				}
-				if _, err := d.Run(sc.spec, rng); err != nil {
+				if _, err := d.RunCtx(context.Background(), sc.spec, rng); err != nil {
 					t.Fatal(err)
 				}
 				if err := checkCULive(d.scratch); err != nil {

@@ -38,12 +38,12 @@ func TestDeviceReusableAfterCancel(t *testing.T) {
 	if _, err := d.RunCtx(ctx, spec, xrand.New(3)); err == nil {
 		t.Fatal("cancelled run returned a result")
 	}
-	got, err := d.Run(spec, xrand.New(7))
+	got, err := d.RunCtx(context.Background(), spec, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := dev(t, intelProfile(), Bugs{})
-	want, err := fresh.Run(spec, xrand.New(7))
+	want, err := fresh.RunCtx(context.Background(), spec, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDeviceReusableAfterCancel(t *testing.T) {
 // call.
 func TestRunIsRunCtxBackground(t *testing.T) {
 	spec := twoThreadSpec(1, Program{{Op: OpStore, Addr: 0, Imm: 1}})
-	a, err := dev(t, intelProfile(), Bugs{}).Run(spec, xrand.New(11))
+	a, err := dev(t, intelProfile(), Bugs{}).RunCtx(context.Background(), spec, xrand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

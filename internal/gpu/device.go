@@ -12,7 +12,7 @@ import (
 // (almost) nothing after the first; the flip side is that a Device must
 // never be used from multiple goroutines at once, and the RunResult a
 // run returns aliases that scratch — it is valid only until the next
-// Run/RunTraced call on the same device (copy out anything that must
+// RunCtx/RunTraced call on the same device (copy out anything that must
 // outlive it). A device with a loss-escalating fault model also
 // accumulates an injected-fault count across runs (the path to
 // ErrDeviceLost).
@@ -78,28 +78,25 @@ func (d *Device) watchdogDeadline() int64 {
 	return maxSimTicks
 }
 
-// Run executes one kernel dispatch to completion. Identical (spec,
+// RunCtx executes one kernel dispatch to completion. Identical (spec,
 // rng-state) pairs produce identical results.
 //
 // The returned RunResult aliases the device's executor scratch and is
-// valid only until the next Run/RunTraced on this device.
+// valid only until the next RunCtx/RunTraced on this device.
 //
 // When a fault model is installed, one extra draw of rng seeds the
 // launch's private fault stream; the launch may then fail with a typed
 // *DeviceError (ErrLaunchFailed, ErrDeviceHang, ErrDeviceLost) or —
 // worse — succeed with silently corrupted results, which callers
 // detect by validating outcomes against their expected value domain.
-func (d *Device) Run(spec LaunchSpec, rng *xrand.Rand) (*RunResult, error) {
-	return d.RunCtx(context.Background(), spec, rng)
-}
-
-// RunCtx is Run with cooperative cancellation: the executor polls
-// ctx.Done() on a coarse step budget (every cancelCheckSteps scheduler
-// steps, plus once on entry), so a pathological kernel stops well below
-// the watchdog deadline while the allocation-free hot path pays only a
-// decrement and branch per step. A cancelled launch fails with an error
-// wrapping ctx.Err() and leaves the executor scratch reusable — the
-// next run resets it as usual.
+//
+// Cancellation is cooperative: the executor polls ctx.Done() on a
+// coarse step budget (every cancelCheckSteps scheduler steps, plus once
+// on entry), so a pathological kernel stops well below the watchdog
+// deadline while the allocation-free hot path pays only a decrement and
+// branch per step. A cancelled launch fails with an error wrapping
+// ctx.Err() and leaves the executor scratch reusable — the next run
+// resets it as usual.
 func (d *Device) RunCtx(ctx context.Context, spec LaunchSpec, rng *xrand.Rand) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -79,14 +80,14 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	spec := twoThreadSpec(2, prog0, prog1)
 	d := dev(t, p, Bugs{})
-	run, err := d.Run(spec, xrand.New(7))
+	run, err := d.RunCtx(context.Background(), spec, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A RunResult aliases device scratch and is only valid until the
 	// next Run, so snapshot before rerunning.
 	a := snapshotRun(run)
-	run, err = d.Run(spec, xrand.New(7))
+	run, err = d.RunCtx(context.Background(), spec, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSingleThreadProgramOrder(t *testing.T) {
 	d := dev(t, intelProfile(), Bugs{})
 	rng := xrand.New(1)
 	for i := 0; i < 50; i++ {
-		res, err := d.Run(twoThreadSpec(1, prog), rng)
+		res, err := d.RunCtx(context.Background(), twoThreadSpec(1, prog), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestCoherenceHoldsWithoutBugs(t *testing.T) {
 		d := dev(t, p, Bugs{})
 		rng := xrand.New(11)
 		for i := 0; i < 100; i++ {
-			res, err := d.Run(twoThreadSpec(4, writer, reader, stress, stress), rng)
+			res, err := d.RunCtx(context.Background(), twoThreadSpec(4, writer, reader, stress, stress), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +189,7 @@ func TestCoherenceRRBugFires(t *testing.T) {
 	rng := xrand.New(3)
 	violations := 0
 	for i := 0; i < 400; i++ {
-		res, err := d.Run(twoThreadSpec(2, writer, reader, noise, noise), rng)
+		res, err := d.RunCtx(context.Background(), twoThreadSpec(2, writer, reader, noise, noise), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func TestMPWeakBehaviorUnderPressure(t *testing.T) {
 	d := dev(t, amdProfile(), Bugs{})
 	rng := xrand.New(5)
 	for i := 0; i < 600; i++ {
-		res, err := d.Run(twoThreadSpec(4, writer, reader, noise, noise, noise), rng)
+		res, err := d.RunCtx(context.Background(), twoThreadSpec(4, writer, reader, noise, noise, noise), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +269,7 @@ func TestFencesRestoreOrder(t *testing.T) {
 	d := dev(t, amdProfile(), Bugs{})
 	rng := xrand.New(9)
 	for i := 0; i < 600; i++ {
-		res, err := d.Run(twoThreadSpec(4, writer, reader, noise, noise, noise), rng)
+		res, err := d.RunCtx(context.Background(), twoThreadSpec(4, writer, reader, noise, noise, noise), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +302,7 @@ func TestDropFencesBugReintroducesWeakness(t *testing.T) {
 	weak := 0
 	var dropped int64
 	for i := 0; i < 600; i++ {
-		res, err := d.Run(twoThreadSpec(4, writer, reader, noise, noise, noise), rng)
+		res, err := d.RunCtx(context.Background(), twoThreadSpec(4, writer, reader, noise, noise, noise), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +348,7 @@ func TestStaleCacheBug(t *testing.T) {
 	rng := xrand.New(17)
 	violations, stale := 0, int64(0)
 	for i := 0; i < 800; i++ {
-		res, err := d.Run(spec, rng)
+		res, err := d.RunCtx(context.Background(), spec, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +367,7 @@ func TestStaleCacheBug(t *testing.T) {
 	// Without the bug the same layout must never violate.
 	d2 := dev(t, p, Bugs{})
 	for i := 0; i < 200; i++ {
-		res, err := d2.Run(spec, rng)
+		res, err := d2.RunCtx(context.Background(), spec, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +388,7 @@ func TestExchangeAtomicity(t *testing.T) {
 	d := dev(t, nvidiaProfile(), Bugs{})
 	rng := xrand.New(19)
 	for iter := 0; iter < 50; iter++ {
-		res, err := d.Run(LaunchSpec{
+		res, err := d.RunCtx(context.Background(), LaunchSpec{
 			WorkgroupSize: 1, Workgroups: n, MemWords: 1, Programs: progs,
 		}, rng)
 		if err != nil {
@@ -426,7 +427,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	d := dev(t, m1Profile(), Bugs{})
 	rng := xrand.New(23)
 	for iter := 0; iter < 100; iter++ {
-		res, err := d.Run(LaunchSpec{
+		res, err := d.RunCtx(context.Background(), LaunchSpec{
 			WorkgroupSize: wgSize, Workgroups: 1, MemWords: wgSize, Programs: progs,
 		}, rng)
 		if err != nil {
@@ -453,7 +454,7 @@ func TestWorkgroupWavesAdmission(t *testing.T) {
 		}
 	}
 	d := dev(t, p, Bugs{})
-	res, err := d.Run(LaunchSpec{
+	res, err := d.RunCtx(context.Background(), LaunchSpec{
 		WorkgroupSize: 1, Workgroups: wgs, MemWords: wgs, Programs: progs,
 	}, xrand.New(29))
 	if err != nil {
@@ -472,7 +473,7 @@ func TestWorkgroupWavesAdmission(t *testing.T) {
 func TestSimSecondsIncludesOverhead(t *testing.T) {
 	p := intelProfile()
 	d := dev(t, p, Bugs{})
-	res, err := d.Run(twoThreadSpec(1, Program{{Op: OpStore, Addr: 0, Imm: 1}}), xrand.New(31))
+	res, err := d.RunCtx(context.Background(), twoThreadSpec(1, Program{{Op: OpStore, Addr: 0, Imm: 1}}), xrand.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +511,7 @@ func TestValidateErrors(t *testing.T) {
 	d := dev(t, intelProfile(), Bugs{})
 	bad := good
 	bad.MemWords = 0
-	if _, err := d.Run(bad, xrand.New(1)); err == nil {
+	if _, err := d.RunCtx(context.Background(), bad, xrand.New(1)); err == nil {
 		t.Error("Run accepted invalid spec")
 	}
 }
@@ -528,7 +529,7 @@ func TestValidateRejectsUnknownOpcodes(t *testing.T) {
 		if err := s.Validate(); err == nil || err.Error() != want {
 			t.Errorf("op %d: Validate = %v, want %q", op, err, want)
 		}
-		if _, err := d.Run(s, xrand.New(1)); err == nil || err.Error() != want {
+		if _, err := d.RunCtx(context.Background(), s, xrand.New(1)); err == nil || err.Error() != want {
 			t.Errorf("op %d: Run = %v, want %q", op, err, want)
 		}
 	}
@@ -554,7 +555,7 @@ func TestNewDeviceRejectsBadProfile(t *testing.T) {
 
 func TestEmptyProgramsRetireImmediately(t *testing.T) {
 	d := dev(t, intelProfile(), Bugs{})
-	res, err := d.Run(LaunchSpec{
+	res, err := d.RunCtx(context.Background(), LaunchSpec{
 		WorkgroupSize: 4, Workgroups: 1, MemWords: 1,
 		Programs: []Program{{}, {}, {}, {{Op: OpStore, Addr: 0, Imm: 5}}},
 	}, xrand.New(37))
@@ -574,7 +575,7 @@ func TestBarrierWithRetiredThreads(t *testing.T) {
 		{{Op: OpBarrier}, {Op: OpLoad, Addr: 0, Reg: 0}},
 		{{Op: OpBarrier}, {Op: OpLoad, Addr: 0, Reg: 0}},
 	}
-	res, err := d.Run(LaunchSpec{
+	res, err := d.RunCtx(context.Background(), LaunchSpec{
 		WorkgroupSize: 3, Workgroups: 1, MemWords: 1, Programs: progs,
 	}, xrand.New(41))
 	if err != nil {
@@ -591,7 +592,7 @@ func TestStatsPopulated(t *testing.T) {
 		noise = append(noise, Instr{Op: OpStressLoad, Addr: 0})
 	}
 	d := dev(t, amdProfile(), Bugs{})
-	res, err := d.Run(twoThreadSpec(1, noise, noise, noise, noise), xrand.New(43))
+	res, err := d.RunCtx(context.Background(), twoThreadSpec(1, noise, noise, noise, noise), xrand.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +634,7 @@ func BenchmarkRunSmallKernel(b *testing.B) {
 	rng := xrand.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(spec, rng); err != nil {
+		if _, err := d.RunCtx(context.Background(), spec, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -657,7 +658,7 @@ func BenchmarkRunParallelKernel(b *testing.B) {
 	rng := xrand.New(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(spec, rng); err != nil {
+		if _, err := d.RunCtx(context.Background(), spec, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -34,11 +35,11 @@ func TestZeroFaultModelIdentity(t *testing.T) {
 	}
 	rngA, rngB := xrand.New(7), xrand.New(7)
 	for i := 0; i < 20; i++ {
-		a, err := plain.Run(spec, rngA)
+		a, err := plain.RunCtx(context.Background(), spec, rngA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := faulted.Run(spec, rngB)
+		b, err := faulted.RunCtx(context.Background(), spec, rngB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestLaunchFailInjection(t *testing.T) {
 	if err := d.SetFaults(FaultModel{Seed: 1, LaunchFailProb: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.Run(faultSpec(), xrand.New(1))
+	_, err := d.RunCtx(context.Background(), faultSpec(), xrand.New(1))
 	if !errors.Is(err, ErrLaunchFailed) {
 		t.Fatalf("err = %v, want ErrLaunchFailed", err)
 	}
@@ -90,7 +91,7 @@ func TestHangInjection(t *testing.T) {
 	if err := d.SetFaults(FaultModel{Seed: 1, HangProb: 1, WatchdogTicks: 1234}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.Run(faultSpec(), xrand.New(1))
+	_, err := d.RunCtx(context.Background(), faultSpec(), xrand.New(1))
 	if !errors.Is(err, ErrDeviceHang) {
 		t.Fatalf("err = %v, want ErrDeviceHang", err)
 	}
@@ -108,7 +109,7 @@ func TestCorruptionInjection(t *testing.T) {
 	if err := d.SetFaults(FaultModel{Seed: 1, CorruptProb: 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(faultSpec(), xrand.New(1))
+	res, err := d.RunCtx(context.Background(), faultSpec(), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestDeviceLossEscalation(t *testing.T) {
 	}
 	rng := xrand.New(1)
 	for i := 0; i < 3; i++ {
-		if _, err := d.Run(faultSpec(), rng); !errors.Is(err, ErrLaunchFailed) {
+		if _, err := d.RunCtx(context.Background(), faultSpec(), rng); !errors.Is(err, ErrLaunchFailed) {
 			t.Fatalf("run %d: err = %v, want ErrLaunchFailed", i, err)
 		}
 	}
-	_, err := d.Run(faultSpec(), rng)
+	_, err := d.RunCtx(context.Background(), faultSpec(), rng)
 	if !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("err = %v, want ErrDeviceLost after %d faults", err, model.LossAfter)
 	}
@@ -160,7 +161,7 @@ func TestDeviceLossEscalation(t *testing.T) {
 	if err := d.SetFaults(model); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(faultSpec(), rng); !errors.Is(err, ErrLaunchFailed) {
+	if _, err := d.RunCtx(context.Background(), faultSpec(), rng); !errors.Is(err, ErrLaunchFailed) {
 		t.Fatalf("after reset: err = %v, want ErrLaunchFailed", err)
 	}
 }
@@ -178,7 +179,7 @@ func TestWatchdogKillsLongKernel(t *testing.T) {
 	if err := d.SetFaults(FaultModel{WatchdogTicks: 10}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := d.Run(twoThreadSpec(1, long, long), xrand.New(1))
+	_, err := d.RunCtx(context.Background(), twoThreadSpec(1, long, long), xrand.New(1))
 	if !errors.Is(err, ErrDeviceHang) {
 		t.Fatalf("err = %v, want ErrDeviceHang from the watchdog", err)
 	}
@@ -196,7 +197,7 @@ func TestWatchdogKillsLongKernel(t *testing.T) {
 	if err := d.SetFaults(FaultModel{WatchdogTicks: 1 << 30}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(twoThreadSpec(1, long, long), xrand.New(1)); err != nil {
+	if _, err := d.RunCtx(context.Background(), twoThreadSpec(1, long, long), xrand.New(1)); err != nil {
 		t.Fatalf("kernel under generous watchdog failed: %v", err)
 	}
 }
@@ -214,7 +215,7 @@ func TestFaultDeterminism(t *testing.T) {
 		rng := xrand.New(99)
 		var out []string
 		for i := 0; i < 40; i++ {
-			_, err := d.Run(faultSpec(), rng)
+			_, err := d.RunCtx(context.Background(), faultSpec(), rng)
 			switch {
 			case err == nil:
 				out = append(out, "ok")

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -514,7 +515,7 @@ func runGoldenScenario(t *testing.T, sc goldenScenario) string {
 			g.hashTrace(trace)
 			g.hashResult(res)
 		} else {
-			res, err := d.Run(sc.spec, rng)
+			res, err := d.RunCtx(context.Background(), sc.spec, rng)
 			if err != nil {
 				// Fault scenarios legitimately error; the error text
 				// (kind, transience) is part of the observable record.

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func tracedSpec() LaunchSpec {
 func TestRunTracedMatchesRun(t *testing.T) {
 	d := dev(t, amdProfile(), Bugs{})
 	spec := tracedSpec()
-	plain, err := d.Run(spec, xrand.New(5))
+	plain, err := d.RunCtx(context.Background(), spec, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

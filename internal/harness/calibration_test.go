@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gpu"
@@ -43,7 +44,7 @@ func TestCalibrationProbe(t *testing.T) {
 				if !ok {
 					t.Fatalf("missing %s", name)
 				}
-				res, err := r.Run(test, env.iters, rng)
+				res, err := r.RunCtx(context.Background(), test, env.iters, rng)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -47,7 +47,7 @@ func TestRunnerReusableAfterCancel(t *testing.T) {
 	if err := warm.RunInto(ctx, &res, test, 3, xrand.New(9)); err == nil {
 		t.Fatal("cancelled RunInto succeeded")
 	}
-	got, err := warm.Run(test, 3, xrand.New(21))
+	got, err := warm.RunCtx(context.Background(), test, 3, xrand.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunnerReusableAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run(test, 3, xrand.New(21))
+	want, err := fresh.RunCtx(context.Background(), test, 3, xrand.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -116,7 +117,7 @@ func TestRunnerSharesClassifier(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Classifier = c
-		if _, err := r.Run(test, 5, xrand.New(7)); err != nil {
+		if _, err := r.RunCtx(context.Background(), test, 5, xrand.New(7)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -31,7 +32,7 @@ func faultyRunner(t *testing.T, fm gpu.FaultModel, env Params) *Runner {
 // poisoned outcomes as memory-model violations.
 func TestRunDiscardsCorruptedIterations(t *testing.T) {
 	r := faultyRunner(t, gpu.FaultModel{Seed: 3, CorruptProb: 1}, smallPTE())
-	_, err := r.Run(litmus.MP(), 5, xrand.New(1))
+	_, err := r.RunCtx(context.Background(), litmus.MP(), 5, xrand.New(1))
 	if !errors.Is(err, gpu.ErrResultCorrupt) {
 		t.Fatalf("err = %v, want ErrResultCorrupt", err)
 	}
@@ -47,7 +48,7 @@ func TestRunDiscardsCorruptedIterations(t *testing.T) {
 func TestRunCountsDiscardedIterations(t *testing.T) {
 	r := faultyRunner(t, gpu.FaultModel{Seed: 3, CorruptProb: 0.4}, smallPTE())
 	test := litmus.MP()
-	res, err := r.Run(test, 40, xrand.New(1))
+	res, err := r.RunCtx(context.Background(), test, 40, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunCountsDiscardedIterations(t *testing.T) {
 // typed transient errors; a lost device surfaces as permanent.
 func TestRunSurfacesDeviceErrors(t *testing.T) {
 	r := faultyRunner(t, gpu.FaultModel{Seed: 3, LaunchFailProb: 1}, smallPTE())
-	_, err := r.Run(litmus.MP(), 3, xrand.New(1))
+	_, err := r.RunCtx(context.Background(), litmus.MP(), 3, xrand.New(1))
 	if !errors.Is(err, gpu.ErrLaunchFailed) {
 		t.Fatalf("err = %v, want ErrLaunchFailed", err)
 	}
@@ -82,10 +83,10 @@ func TestRunSurfacesDeviceErrors(t *testing.T) {
 	}
 
 	lost := faultyRunner(t, gpu.FaultModel{Seed: 3, LaunchFailProb: 1, LossAfter: 1}, smallPTE())
-	if _, err := lost.Run(litmus.MP(), 3, xrand.New(1)); !errors.Is(err, gpu.ErrLaunchFailed) {
+	if _, err := lost.RunCtx(context.Background(), litmus.MP(), 3, xrand.New(1)); !errors.Is(err, gpu.ErrLaunchFailed) {
 		t.Fatalf("first run: %v, want ErrLaunchFailed", err)
 	}
-	_, err = lost.Run(litmus.MP(), 3, xrand.New(2))
+	_, err = lost.RunCtx(context.Background(), litmus.MP(), 3, xrand.New(2))
 	if !errors.Is(err, gpu.ErrDeviceLost) {
 		t.Fatalf("err = %v, want ErrDeviceLost", err)
 	}
@@ -104,11 +105,11 @@ func TestFaultFreeResultsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulted := faultyRunner(t, gpu.FaultModel{}, env)
-	a, err := plain.Run(litmus.MP(), 10, xrand.New(9))
+	a, err := plain.RunCtx(context.Background(), litmus.MP(), 10, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faulted.Run(litmus.MP(), 10, xrand.New(9))
+	b, err := faulted.RunCtx(context.Background(), litmus.MP(), 10, xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}

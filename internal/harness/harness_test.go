@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gpu"
@@ -273,11 +274,11 @@ func TestRunnerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := r.Run(test, 3, xrand.New(99))
+	a, err := r.RunCtx(context.Background(), test, 3, xrand.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(test, 3, xrand.New(99))
+	b, err := r.RunCtx(context.Background(), test, 3, xrand.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestConformanceCleanOnConformantDevices(t *testing.T) {
 		}
 		rng := xrand.New(7)
 		for _, test := range suite.Conformance {
-			res, err := r.Run(test, iters, rng)
+			res, err := r.RunCtx(context.Background(), test, iters, rng)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", envName, test.Name, err)
 			}
@@ -329,7 +330,7 @@ func TestPTEKillsWeakMutants(t *testing.T) {
 	rng := xrand.New(21)
 	for _, name := range []string{"MP", "SB", "CoRR-mutant"} {
 		test, _ := suite.ByName(name)
-		res, err := r.Run(test, 10, rng)
+		res, err := r.RunCtx(context.Background(), test, 10, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +355,7 @@ func TestFenceDropBugFoundByPTE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(test, 12, xrand.New(31))
+	res, err := r.RunCtx(context.Background(), test, 12, xrand.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestCoherenceBugFoundOnIntel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(test, 12, xrand.New(41))
+	res, err := r.RunCtx(context.Background(), test, 12, xrand.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(test, 0, xrand.New(1)); err == nil {
+	if _, err := r.RunCtx(context.Background(), test, 0, xrand.New(1)); err == nil {
 		t.Error("accepted zero iterations")
 	}
 	bad := smallPTE()
@@ -441,7 +442,7 @@ func TestObserverTestRunsUnderPTE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(test, 2, xrand.New(51))
+	res, err := r.RunCtx(context.Background(), test, 2, xrand.New(51))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func BenchmarkPTEIterationMP(b *testing.B) {
 	rng := xrand.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(test, 1, rng); err != nil {
+		if _, err := r.RunCtx(context.Background(), test, 1, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -528,7 +529,7 @@ func TestIntraWorkgroupScopePTE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(test, 5, xrand.New(5))
+	res, err := r.RunCtx(context.Background(), test, 5, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +581,7 @@ func TestNaivePairingStillCoversInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runner.Run(test, 2, xrand.New(9)); err != nil {
+	if _, err := runner.RunCtx(context.Background(), test, 2, xrand.New(9)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -602,7 +603,7 @@ func TestObservationsWithinEnumeratedAllowedSet(t *testing.T) {
 			t.Fatalf("missing %s", name)
 		}
 		allowed := test.AllowedOutcomes(test.Model)
-		res, err := r.Run(test, 4, rng)
+		res, err := r.RunCtx(context.Background(), test, 4, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -638,7 +639,7 @@ func TestExtendedCatalogUnderPTE(t *testing.T) {
 	rng := xrand.New(41)
 	totalKills := 0
 	for _, test := range litmus.ExtendedCatalog() {
-		res, err := r.Run(test, 10, rng)
+		res, err := r.RunCtx(context.Background(), test, 10, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", test.Name, err)
 		}

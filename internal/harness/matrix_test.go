@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gpu"
@@ -33,7 +34,7 @@ func TestKillMatrix(t *testing.T) {
 			killed := 0
 			names := ""
 			for _, mt := range suite.Mutants {
-				res, err := r.Run(mt, env.iters, rng)
+				res, err := r.RunCtx(context.Background(), mt, env.iters, rng)
 				if err != nil {
 					t.Fatal(err)
 				}

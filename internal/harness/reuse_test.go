@@ -84,7 +84,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run(mp, 3, xrand.New(99))
+	want, err := fresh.RunCtx(context.Background(), mp, 3, xrand.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}

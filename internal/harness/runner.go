@@ -33,7 +33,7 @@ type Runner struct {
 	// across iterations, runners and campaign cells.
 	Classifier *Classifier
 
-	// scratch is reused across Run/RunInto calls; see runnerScratch.
+	// scratch is reused across RunCtx/RunInto calls; see runnerScratch.
 	scratch runnerScratch
 }
 
@@ -205,18 +205,13 @@ type outcomeClass struct {
 	violation bool
 }
 
-// Run executes the test for the given number of iterations, classifying
-// every instance outcome. The rng drives all nondeterminism; equal
-// seeds reproduce results exactly. Run is RunCtx under
-// context.Background().
-func (r *Runner) Run(test *litmus.Test, iterations int, rng *xrand.Rand) (*Result, error) {
-	return r.RunCtx(context.Background(), test, iterations, rng)
-}
-
-// RunCtx is Run under a context: cancellation is checked between
-// iterations and, on a coarse step budget, inside the device executor,
-// so a draining campaign abandons the cell promptly. A cancelled run
-// returns an error wrapping ctx.Err() and no result.
+// RunCtx executes the test for the given number of iterations,
+// classifying every instance outcome into a fresh Result. The rng
+// drives all nondeterminism; equal seeds reproduce results exactly.
+// Cancellation is checked between iterations and, on a coarse step
+// budget, inside the device executor, so a draining campaign abandons
+// the cell promptly. A cancelled run returns an error wrapping
+// ctx.Err() and no result.
 func (r *Runner) RunCtx(ctx context.Context, test *litmus.Test, iterations int, rng *xrand.Rand) (*Result, error) {
 	res := &Result{}
 	if err := r.RunInto(ctx, res, test, iterations, rng); err != nil {

@@ -18,6 +18,7 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -98,8 +99,8 @@ type JobSpec struct {
 	Kind string `json:"kind"`
 	// Devices is the fleet subset; empty means every Table 3 device.
 	Devices []string `json:"devices,omitempty"`
-	// Seed is the campaign seed; 0 means the kind's CLI default
-	// (1 for campaigns, 2023 for tuning).
+	// Seed is the campaign seed; 0 means the kind's default
+	// (core.KindDefaults: 1 for campaigns, 2023 for tuning).
 	Seed uint64 `json:"seed,omitempty"`
 
 	// Envs lists environment presets for campaign kinds; empty means
@@ -175,8 +176,8 @@ func (js *JobSpec) budget() guard.Budget {
 	}
 }
 
-// workSpec renders a campaign-kind spec as the core.WorkSpec the
-// equivalent `mcmutants campaign` invocation builds, with the job's
+// workSpec renders the spec as the core.WorkSpec the equivalent
+// `mcmutants campaign` or `tune` invocation builds, with the job's
 // effective cell timeout. Both sides derive descriptors and cache
 // salts from it, so a serve job, the CLI run and any distributed
 // worker address identical cache entries.
@@ -189,12 +190,16 @@ func (js *JobSpec) workSpec(cellTimeout time.Duration) core.WorkSpec {
 		Seed:          js.Seed,
 		FenceBug:      js.FenceBug,
 		CellTimeoutMS: core.DurationMS(cellTimeout),
+		TuneEnvs:      js.TuneEnvs,
+		SiteIters:     js.SiteIters,
+		PTEIters:      js.PTEIters,
 	}
 }
 
-// normalize fills CLI-equivalent defaults in place. It runs before
-// validation and before the job ID is derived, so an explicit spec and
-// its defaulted shorthand are the same job.
+// normalize fills the kind's defaults (core.KindDefaults, which the
+// CLI flags share) in place. It runs before validation and before the
+// job ID is derived, so an explicit spec and its defaulted shorthand
+// are the same job.
 func (js *JobSpec) normalize(fleet []string) {
 	if len(js.Devices) == 0 {
 		js.Devices = append([]string(nil), fleet...)
@@ -202,34 +207,18 @@ func (js *JobSpec) normalize(fleet []string) {
 	for i, d := range js.Devices {
 		js.Devices[i] = strings.TrimSpace(d)
 	}
-	switch js.Kind {
-	case "tune":
-		if js.Seed == 0 {
-			js.Seed = 2023
-		}
-		if js.TuneEnvs == 0 {
-			js.TuneEnvs = 12
-		}
-		if js.SiteIters == 0 {
-			js.SiteIters = 50
-		}
-		if js.PTEIters == 0 {
-			js.PTEIters = 8
-		}
-	default:
-		if js.Seed == 0 {
-			js.Seed = 1
-		}
-		if len(js.Envs) == 0 {
-			js.Envs = []string{"pte", "site"}
-		}
-		for i, e := range js.Envs {
-			js.Envs[i] = strings.TrimSpace(e)
-		}
-		if js.Iters == 0 {
-			js.Iters = 10
-		}
+	def := core.KindDefaults(js.Kind)
+	js.Seed = cmp.Or(js.Seed, def.Seed)
+	if len(js.Envs) == 0 {
+		js.Envs = def.Envs
 	}
+	for i, e := range js.Envs {
+		js.Envs[i] = strings.TrimSpace(e)
+	}
+	js.Iters = cmp.Or(js.Iters, def.Iters)
+	js.TuneEnvs = cmp.Or(js.TuneEnvs, def.TuneEnvs)
+	js.SiteIters = cmp.Or(js.SiteIters, def.SiteIters)
+	js.PTEIters = cmp.Or(js.PTEIters, def.PTEIters)
 }
 
 // jobID derives the idempotency key: the scheduler spec manifest

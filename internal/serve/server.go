@@ -560,7 +560,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			s.hub.publish(id, event{name: "progress", data: data})
 		}
 	}
-	res, execErr := s.execute(jctx, job, eff, onProgress)
+	res, artifact, execErr := s.execute(jctx, job, eff, onProgress)
 
 	s.mu.Lock()
 	last := rj.last
@@ -577,13 +577,13 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			j.FinishedAt = &now
 			j.Summary = summary
 		})
-	case res.interrupted && errors.Is(cause, errJobCancelled):
+	case res.Interrupted && errors.Is(cause, errJobCancelled):
 		s.finishJob(id, func(j *Job) {
 			j.State = StateCancelled
 			j.FinishedAt = &now
 			j.Summary = summary
 		})
-	case res.interrupted && (errors.Is(cause, guard.ErrDeadlineExceeded) || errors.Is(cause, guard.ErrStalled)):
+	case res.Interrupted && (errors.Is(cause, guard.ErrDeadlineExceeded) || errors.Is(cause, guard.ErrStalled)):
 		state := StateDeadlineExceeded
 		if errors.Is(cause, guard.ErrStalled) {
 			state = StateStalled
@@ -594,7 +594,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			j.FinishedAt = &now
 			j.Summary = summary
 		})
-	case res.interrupted && errors.Is(cause, guard.ErrShed):
+	case res.Interrupted && errors.Is(cause, guard.ErrShed):
 		// Parked, not terminal: the job re-queues when pressure clears
 		// (requeueShed) or at the next boot. No terminal SSE event —
 		// subscribers see the state change and keep streaming.
@@ -610,7 +610,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		}
 		s.metrics.guardShed()
 		s.cfg.Logf("serve: job %s shed under memory pressure (%d/%d cells done)", id, last.Done, last.Total)
-	case res.interrupted:
+	case res.Interrupted:
 		// Server shutdown: drain back to queued so the next boot
 		// resumes from the checkpoint. No terminal event — the job is
 		// not over.
@@ -624,7 +624,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		}
 		s.cfg.Logf("serve: job %s drained to queued (%d/%d cells done)", id, last.Done, last.Total)
 	default:
-		if err := diskio.WriteFileAtomic(s.fs, s.store.reportPath(id), res.artifact); err != nil {
+		if err := diskio.WriteFileAtomic(s.fs, s.store.reportPath(id), artifact); err != nil {
 			s.finishJob(id, func(j *Job) {
 				j.State = StateFailed
 				j.Error = fmt.Sprintf("publish report: %v", err)
@@ -634,10 +634,10 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			return
 		}
 		state := StateDone
-		if res.degraded {
+		if res.Degraded() {
 			state = StateDegraded
 		}
-		summary.StorageErr = res.storageErr
+		summary.StorageErr = res.StorageErr
 		s.finishJob(id, func(j *Job) {
 			j.State = state
 			j.FinishedAt = &now

@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gpu"
@@ -158,7 +159,7 @@ func Correlate(c BugCase, suite *mutation.Suite, cfg CorrelationConfig) (*Correl
 			return nil, err
 		}
 		confRunner.Lower = wgsl.NewToolchain(prof, c.Driver).LowerFunc()
-		confRes, err := confRunner.Run(confTest, cfg.Iterations, root.Split())
+		confRes, err := confRunner.RunCtx(context.TODO(), confTest, cfg.Iterations, root.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +168,7 @@ func Correlate(c BugCase, suite *mutation.Suite, cfg CorrelationConfig) (*Correl
 			return nil, err
 		}
 		mutRunner.Lower = wgsl.NewToolchain(prof, c.Driver).LowerFunc()
-		mutRes, err := mutRunner.Run(mutant, cfg.Iterations, root.Split())
+		mutRes, err := mutRunner.RunCtx(context.TODO(), mutant, cfg.Iterations, root.Split())
 		if err != nil {
 			return nil, err
 		}

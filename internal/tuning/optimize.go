@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gpu"
@@ -79,7 +80,7 @@ func Optimize(test *litmus.Test, deviceName string, cfg OptimizeConfig) (*Optimi
 		if err != nil {
 			return 0, 0, err
 		}
-		res, err := r.Run(test, cfg.Iterations, root.Split())
+		res, err := r.RunCtx(context.TODO(), test, cfg.Iterations, root.Split())
 		if err != nil {
 			return 0, 0, err
 		}

@@ -289,9 +289,9 @@ type RunOptions struct {
 	// cell.
 	Retries int
 	Backoff time.Duration
-	// CellTimeout, when positive, bounds each cell's wall-clock time;
-	// an overrun fails that one cell (it lands in Dataset.Dropped under
-	// a collect policy) without interrupting the campaign.
+	// CellTimeout, when positive, bounds each cell's wall-clock time
+	// and makes the campaign collect: an overrun fails that one cell (it
+	// lands in Dataset.Dropped) without interrupting the campaign.
 	CellTimeout time.Duration
 	// Breaker, when non-nil, enables the per-device circuit breaker:
 	// a device failing Threshold cells in a row is quarantined for
@@ -485,6 +485,7 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		MaxRetries:    opts.Retries,
 		Backoff:       opts.Backoff,
 		CellTimeout:   opts.CellTimeout,
+		Collect:       opts.CellTimeout > 0,
 		Breaker:       opts.Breaker,
 		OnProgress:    opts.OnProgress,
 		ProgressEvery: opts.ProgressEvery,

@@ -1,6 +1,7 @@
 package wgsl
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -260,7 +261,7 @@ func TestToolchainReproducesMPRelacqBug(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Lower = NewToolchain(prof, c.driver).LowerFunc()
-		res, err := r.Run(test, c.iterations, xrand.New(61))
+		res, err := r.RunCtx(context.Background(), test, c.iterations, xrand.New(61))
 		if err != nil {
 			t.Fatal(err)
 		}
