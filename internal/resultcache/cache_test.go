@@ -68,6 +68,49 @@ func TestPayloadCanonicalized(t *testing.T) {
 	}
 }
 
+// pinnedKey, pinnedPayload and pinnedEntry are an entry captured from
+// the FormatVersion 1 publisher: a payload as json.Marshal renders it
+// (HTML-escaped, non-ASCII, an escaped quote, empty containers) and the
+// exact envelope bytes Put wrote for it. Caches filled by any build
+// must keep serving these bytes, and Put must keep writing them.
+const (
+	pinnedKey     = "5b83d1c703f322cd5fd49cfb68a8b43caacdedee9530b72c3cc702cba59eed7d"
+	pinnedPayload = `{"env":{"a":[],"b":{}},"family":"PTE","sim_seconds":0.000125,"test":"MP \"relacq\" \u003cfence\u003e \u0026 é\u2028","violations":3}`
+	pinnedEntry   = `{"format":1,"key":"5b83d1c703f322cd5fd49cfb68a8b43caacdedee9530b72c3cc702cba59eed7d","payload":{"env":{"a":[],"b":{}},"family":"PTE","sim_seconds":0.000125,"test":"MP \"relacq\" \u003cfence\u003e \u0026 é\u2028","violations":3},"payload_sha256":"7c254d40034bceb1143c48af7674ed42ea7439884ffb8293ee5f27de1838b940"}`
+)
+
+// TestCachePinnedEntryHits: an entry published by an earlier build is
+// a verified hit serving exactly its payload.
+func TestCachePinnedEntryHits(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	if err := os.WriteFile(filepath.Join(dir, "objects", pinnedKey), []byte(pinnedEntry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, hit, corrupt := c.Get(pinnedKey)
+	if !hit || corrupt {
+		t.Fatalf("pinned entry: hit=%v corrupt=%v", hit, corrupt)
+	}
+	if string(got) != pinnedPayload {
+		t.Fatalf("pinned payload:\n got %s\nwant %s", got, pinnedPayload)
+	}
+}
+
+// TestCachePutWritesPinnedEntry: Put lays the pinned payload out as
+// exactly the pinned envelope bytes.
+func TestCachePutWritesPinnedEntry(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	c.Put(pinnedKey, []byte(pinnedPayload))
+	got, err := os.ReadFile(filepath.Join(dir, "objects", pinnedKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != pinnedEntry {
+		t.Fatalf("published entry:\n got %s\nwant %s", got, pinnedEntry)
+	}
+}
+
 // TestCorruptEveryOffset is the verify-on-read property: a single bit
 // flipped at ANY byte offset of a published entry must be detected,
 // quarantined into corrupt/, and reported as a recompute — never served
