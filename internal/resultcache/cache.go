@@ -9,11 +9,13 @@
 // The cache is built as a robustness subsystem first and an
 // optimization second. Its contract:
 //
-//   - Verify on read. Every entry embeds a format version and a
-//     SHA-256 digest of its payload, re-checked on every Get. A torn
-//     write, bit rot, version skew, or a hand-edited entry is detected,
-//     quarantined into a corrupt/ sidecar directory, and reported as a
-//     miss — never as an error and never as data.
+//   - Verify on read. Every entry embeds a format version, its key and
+//     a SHA-256 digest of its payload in one exact byte layout, written
+//     and checked against the same constants and re-checked on every
+//     Get. A torn write, bit rot, version skew, a misfiled or
+//     hand-edited entry — even one re-laid-out as equivalent JSON — is
+//     detected, quarantined into a corrupt/ sidecar directory, and
+//     reported as a miss — never as an error and never as data.
 //   - Crash-safe publication. Entries are published with
 //     diskio.WriteFileAtomic (temp → fsync → rename → dir fsync), so a
 //     reader or a crash observes a complete entry or none. Concurrent
@@ -28,7 +30,8 @@
 //   - Bounded size. A deterministic oldest-first (last-use mtime, path
 //     tiebreak) compaction pass runs at Open when a byte budget is
 //     configured; Get refreshes an entry's mtime so reuse counts as
-//     recency.
+//     recency. Without a budget, Open only lists objects/ to sweep
+//     crashed writers' temp files and stats no entry.
 package resultcache
 
 import (
@@ -42,6 +45,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -66,16 +70,30 @@ const (
 	corruptDir = "corrupt"
 )
 
-// entry is the on-disk JSON envelope around one cached payload.
-type entry struct {
-	Format  int             `json:"format"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
-	// Sum is the hex SHA-256 of the exact Payload bytes. It is what
-	// turns the envelope into evidence: a payload that does not hash to
-	// Sum was not the payload this entry was published with.
-	Sum string `json:"payload_sha256"`
-}
+// An entry is one JSON object in exactly this layout, the one
+// json.Marshal gave the FormatVersion 1 envelope struct:
+//
+//	{"format":N,"key":K,"payload":P,"payload_sha256":S}
+//
+// P is the compact payload and S the lowercase hex SHA-256 of P's
+// exact bytes — what turns the envelope into evidence: a payload that
+// does not hash to S was not the payload this entry was published
+// with. envelope writes the layout and verify checks it, byte for
+// byte, from the same four pieces.
+var entryFormat = `{"format":` + strconv.Itoa(FormatVersion) + `,"key":"`
+
+const (
+	entryPayload = `","payload":`
+	entrySum     = `,"payload_sha256":"`
+	entryEnd     = `"}`
+	// entryTail is the length of everything after P.
+	entryTail = len(entrySum) + 2*sha256.Size + len(entryEnd)
+)
+
+// entryReadSize is Get's one read buffer: room for a typical entry
+// (about 800 bytes) plus the 512 bytes a final read asks for, so a hit
+// reads without growing it.
+const entryReadSize = 2 << 10
 
 // Options configures a cache.
 type Options struct {
@@ -184,7 +202,9 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		c.count(&c.misses)
 		return nil, false, false
 	}
-	data, err := io.ReadAll(io.LimitReader(f, maxEntryBytes+1))
+	var buf bytes.Buffer
+	buf.Grow(entryReadSize)
+	_, err = buf.ReadFrom(io.LimitReader(f, maxEntryBytes+1))
 	f.Close()
 	if err != nil {
 		if diskio.IsStorageErr(err) {
@@ -198,7 +218,7 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		c.count(&c.corrupt)
 		return nil, false, true
 	}
-	e, ok := verify(key, data)
+	payload, ok := verify(key, buf.Bytes())
 	if !ok {
 		c.quarantine(path)
 		c.count(&c.corrupt)
@@ -212,28 +232,64 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		c.degrade(err)
 	}
 	c.count(&c.hits)
-	return e.Payload, true, false
+	return payload, true, false
 }
 
-// verify decodes data as an entry for key and checks every integrity
-// claim the publisher embedded: format version, key match, and the
-// payload digest.
-func verify(key string, data []byte) (*entry, bool) {
+// envelope appends the entry for key around payload to dst, compacting
+// payload on the way so the digest is over the exact bytes stored, and
+// returns the compacted payload's length. It fails, leaving dst
+// unusable, when payload is not JSON.
+func envelope(dst *bytes.Buffer, key string, payload []byte) (int, error) {
+	dst.WriteString(entryFormat)
+	dst.WriteString(key)
+	dst.WriteString(entryPayload)
+	start := dst.Len()
+	if err := json.Compact(dst, payload); err != nil {
+		return 0, err
+	}
+	compact := dst.Bytes()[start:]
+	sum := digest(compact)
+	dst.WriteString(entrySum)
+	dst.Write(sum[:])
+	dst.WriteString(entryEnd)
+	return len(compact), nil
+}
+
+// verify checks data against the layout envelope writes for key and
+// returns the payload bytes. Every integrity claim the publisher
+// embedded is checked: the size bound, the format version, the key
+// and the payload digest. Anything else — including an equivalent JSON
+// document laid out differently — fails. The payload itself is not
+// parsed here: its digest proves it is the bytes Put compacted, and
+// the caller decodes it in full.
+func verify(key string, data []byte) ([]byte, bool) {
 	if len(data) > maxEntryBytes {
 		return nil, false
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	head := len(entryFormat) + len(key) + len(entryPayload)
+	if len(data) <= head+entryTail ||
+		string(data[:len(entryFormat)]) != entryFormat ||
+		string(data[len(entryFormat):len(entryFormat)+len(key)]) != key ||
+		string(data[head-len(entryPayload):head]) != entryPayload {
 		return nil, false
 	}
-	if e.Format != FormatVersion || e.Key != key {
+	payload, tail := data[head:len(data)-entryTail], data[len(data)-entryTail:]
+	if string(tail[:len(entrySum)]) != entrySum || string(tail[len(tail)-len(entryEnd):]) != entryEnd {
 		return nil, false
 	}
-	sum := sha256.Sum256(e.Payload)
-	if hex.EncodeToString(sum[:]) != e.Sum {
+	sum := digest(payload)
+	if string(tail[len(entrySum):len(entrySum)+len(sum)]) != string(sum[:]) {
 		return nil, false
 	}
-	return &e, true
+	return payload, true
+}
+
+// digest is S for payload: its lowercase hex SHA-256.
+func digest(payload []byte) [2 * sha256.Size]byte {
+	sum := sha256.Sum256(payload)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return out
 }
 
 // quarantine moves a failed entry into corrupt/ so it stops poisoning
@@ -267,29 +323,18 @@ func (c *Cache) quarantine(path string) {
 // construction, since the key is a content address of the inputs)
 // stand down.
 func (c *Cache) Put(key string, payload []byte) {
-	if c.Degraded() != nil {
+	if c.Degraded() != nil || !hexKey(key) {
 		return
 	}
 	// Compact to the canonical encoding so the digest is over the exact
 	// bytes stored, independent of upstream whitespace; this also
 	// refuses non-JSON payloads outright.
 	var buf bytes.Buffer
-	if err := json.Compact(&buf, payload); err != nil {
+	n, err := envelope(&buf, key, payload)
+	if err != nil || n > maxEntryBytes/2 {
 		return
 	}
-	if buf.Len() > maxEntryBytes/2 {
-		return
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	data, err := json.Marshal(entry{
-		Format:  FormatVersion,
-		Key:     key,
-		Payload: json.RawMessage(buf.Bytes()),
-		Sum:     hex.EncodeToString(sum[:]),
-	})
-	if err != nil {
-		return
-	}
+	data := buf.Bytes()
 	lock := &c.locks[stripe(key)]
 	lock.Lock()
 	defer lock.Unlock()
@@ -308,6 +353,21 @@ func (c *Cache) Put(key string, payload []byte) {
 		c.degrade(err)
 	}
 	c.count(&c.puts)
+}
+
+// hexKey reports whether key is non-empty lowercase hex, the shape of
+// sched.Spec.CellDigest. Only such keys are published: they need no
+// JSON escaping inside the envelope and are safe as file names.
+func hexKey(key string) bool {
+	if key == "" {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // stripe maps a key to its publication lock.
@@ -386,6 +446,11 @@ func (c *Cache) compact(maxBytes int64) error {
 			if err := c.fsys.Remove(filepath.Join(dir, name)); err != nil && !errorsIsNotExist(err) {
 				return err
 			}
+			continue
+		}
+		if maxBytes <= 0 {
+			// No budget: nothing is evicted, so sizes and ages are
+			// never needed.
 			continue
 		}
 		info, err := c.fsys.Stat(filepath.Join(dir, name))

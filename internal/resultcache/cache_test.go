@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -156,6 +158,71 @@ func TestCorruptEveryOffset(t *testing.T) {
 	// The pristine entry still verifies after all that.
 	if _, hit, corrupt := c.Get(k); !hit || corrupt {
 		t.Fatalf("pristine entry after corruption sweep: hit=%v corrupt=%v", hit, corrupt)
+	}
+}
+
+// TestCacheRelaidEntryQuarantined is the stricter half of
+// verify-on-read: an entry whose format, key and digest all check out
+// but whose envelope is laid out differently from what Put writes —
+// whitespace, reordered fields, an escaped key — is not the entry Put
+// published, so it is quarantined and recomputed like any corruption.
+func TestCacheRelaidEntryQuarantined(t *testing.T) {
+	layouts := map[string]string{
+		"indented": strings.Replace(pinnedEntry, `"key":`, `"key": `, 1),
+		"reordered": `{"key":"` + pinnedKey + `","format":1,"payload":` + pinnedPayload +
+			`,"payload_sha256":"7c254d40034bceb1143c48af7674ed42ea7439884ffb8293ee5f27de1838b940"}`,
+		"escaped key":     strings.Replace(pinnedEntry, `"key":"5b`, `"key":"\u0035b`, 1),
+		"uppercase sum":   strings.Replace(pinnedEntry, "7c254d", "7C254D", 1),
+		"trailing space":  pinnedEntry + " ",
+		"trailing member": strings.TrimSuffix(pinnedEntry, "}") + `,"x":1}`,
+	}
+	for name, data := range layouts {
+		if !json.Valid([]byte(data)) {
+			t.Fatalf("%s: test envelope is not JSON", name)
+		}
+		dir := t.TempDir()
+		c := mustOpen(t, dir, Options{})
+		if err := os.WriteFile(filepath.Join(dir, "objects", pinnedKey), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, corrupt := c.Get(pinnedKey); hit || !corrupt {
+			t.Errorf("%s: hit=%v corrupt=%v, want quarantined", name, hit, corrupt)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "corrupt", pinnedKey)); err != nil {
+			t.Errorf("%s: no quarantined copy: %v", name, err)
+		}
+	}
+}
+
+// TestCacheHTMLPayloadRoundTrips: a payload carrying raw <, > and &
+// (valid JSON that json.Marshal would have escaped) is stored and
+// served byte for byte, so its entry verifies.
+func TestCacheHTMLPayloadRoundTrips(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	k := key("cell-html")
+	payload := []byte(`{"test":"MP <fence> & co"}`)
+	c.Put(k, payload)
+	got, hit, corrupt := c.Get(k)
+	if !hit || corrupt || !bytes.Equal(got, payload) {
+		t.Fatalf("hit=%v corrupt=%v payload %q", hit, corrupt, got)
+	}
+}
+
+// TestCacheNonHexKeyRefused: Put publishes only lowercase-hex keys,
+// the shape of a cell digest; anything else is dropped like a non-JSON
+// payload.
+func TestCacheNonHexKeyRefused(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	for _, k := range []string{"", "Key", strings.ToUpper(key("cell")), `ab"cd`, "ab/cd", "../x"} {
+		c.Put(k, []byte(`{}`))
+	}
+	if st := c.Stats(); st.Puts != 0 {
+		t.Fatalf("non-hex keys published: %+v", st)
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "objects"))
+	if err != nil || len(ents) != 0 {
+		t.Fatalf("objects/ after refused Puts: %v %v", ents, err)
 	}
 }
 
@@ -311,6 +378,82 @@ func TestTmpLeftoversRemovedAtOpen(t *testing.T) {
 	mustOpen(t, dir, Options{})
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("temp leftover survived reopen: %v", err)
+	}
+}
+
+// statCountingFS counts Stat calls through the cache's filesystem seam.
+type statCountingFS struct {
+	diskio.FS
+	stats atomic.Int64
+}
+
+func (f *statCountingFS) Stat(name string) (os.FileInfo, error) {
+	f.stats.Add(1)
+	return f.FS.Stat(name)
+}
+
+// TestCompactionWithoutBudgetStatsNothing: with no byte budget, Open
+// lists objects/ to sweep temp leftovers but stats no entry — nothing
+// can be evicted, so sizes and ages are never needed. Under a budget
+// it stats every entry.
+func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	const entries = 8
+	for i := 0; i < entries; i++ {
+		c.Put(key(fmt.Sprintf("cell-%d", i)), []byte(fmt.Sprintf(`{"i":%d}`, i)))
+	}
+	tmp := filepath.Join(dir, "objects", key("cell-dead")+".tmp")
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &statCountingFS{FS: diskio.OS{}}
+	c2 := mustOpen(t, dir, Options{FS: fsys})
+	if n := fsys.stats.Load(); n != 0 {
+		t.Fatalf("Open without a budget made %d Stat calls, want 0", n)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp leftover survived reopen: %v", err)
+	}
+	if _, hit, _ := c2.Get(key("cell-3")); !hit {
+		t.Fatal("entry lost by a budget-free Open")
+	}
+
+	budgeted := &statCountingFS{FS: diskio.OS{}}
+	c3 := mustOpen(t, dir, Options{FS: budgeted, MaxBytes: 1 << 20})
+	if n := budgeted.stats.Load(); n != entries {
+		t.Fatalf("Open under a budget made %d Stat calls, want %d", n, entries)
+	}
+	if st := c3.Stats(); st.Evicted != 0 {
+		t.Fatalf("roomy budget evicted %d entries", st.Evicted)
+	}
+}
+
+// BenchmarkCacheGetHit measures one verified warm hit — open, read,
+// layout and digest check, recency touch — on an entry the size of a
+// tuning record.
+func BenchmarkCacheGetHit(b *testing.B) {
+	c, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := key("bench-cell")
+	payload := []byte(`{"family":"PTE","env_id":"pte-7","env":{"TestingWorkgroups":27,"MaxWorkgroups":44,` +
+		`"WorkgroupSize":32,"ShufflePct":82,"BarrierPct":74,"MemStressPct":0,"MemStressIterations":762,` +
+		`"MemStressStoreFirstPct":19,"MemStressStoreSecondPct":53,"PreStressPct":97,"PreStressIterations":38,` +
+		`"PreStressStoreFirstPct":0,"PreStressStoreSecondPct":48,"ScratchMemorySize":2048,"StressLineSize":64,` +
+		`"StressTargetLines":2,"StressStrategyBalancePct":50,"MemStride":4,"MemLocationOffset":1},` +
+		`"device":"Intel","test":"MP-relacq","mutator":"reversing po","is_mutant":true,"iterations":8,` +
+		`"instances":5632,"target_count":1,"violations":0,"sim_seconds":0.0123,"target_rate":81.3}`)
+	c.Put(k, payload)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit, _ := c.Get(k); !hit {
+			b.Fatal("miss")
+		}
 	}
 }
 

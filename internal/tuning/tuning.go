@@ -10,12 +10,14 @@
 package tuning
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/confidence"
@@ -209,11 +211,79 @@ type Dataset struct {
 	StorageErr      string `json:"storage_err,omitempty"`
 }
 
-// Save writes the dataset as JSON.
+// Save writes the dataset as JSON indented by one space per level,
+// newline-terminated — the bytes json.Encoder with SetIndent("", " ")
+// writes. It marshals once and indents in one streaming pass, so no
+// second full-size copy of the document is held.
 func (ds *Dataset) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(ds)
+	raw, err := json.Marshal(ds)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	indent(bw, raw)
+	bw.WriteByte('\n')
+	return bw.Flush()
+}
+
+// indentSpaces serves the indentation runs indent writes.
+var indentSpaces = strings.Repeat(" ", 64)
+
+// indent writes src, compact JSON as encoding/json renders it, laid
+// out exactly as json.Indent(dst, src, "", " ") would: a newline and
+// one space per depth after every opening bracket, comma and before
+// every closing bracket, a space after every colon, and empty objects
+// and arrays kept as {} and []. Bytes inside strings are copied as
+// they are, runs at a time. Write errors stick in w and surface at its
+// Flush.
+func indent(w *bufio.Writer, src []byte) {
+	depth, start := 0, 0
+	open, inString := false, false
+	newline := func(upTo int) {
+		w.Write(src[start:upTo])
+		start = upTo
+		w.WriteByte('\n')
+		for n := depth; n > 0; n -= len(indentSpaces) {
+			w.WriteString(indentSpaces[:min(n, len(indentSpaces))])
+		}
+	}
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if inString {
+			switch c {
+			case '\\':
+				i++
+			case '"':
+				inString = false
+			}
+			continue
+		}
+		if open && c != '}' && c != ']' {
+			open = false
+			depth++
+			newline(i)
+		}
+		switch c {
+		case '"':
+			inString = true
+		case '{', '[':
+			open = true
+		case ',':
+			newline(i + 1)
+		case ':':
+			w.Write(src[start : i+1])
+			w.WriteByte(' ')
+			start = i + 1
+		case '}', ']':
+			if open {
+				open = false
+			} else {
+				depth--
+				newline(i)
+			}
+		}
+	}
+	w.Write(src[start:])
 }
 
 // SaveAtomic publishes the dataset at path with all-or-nothing
