@@ -36,14 +36,14 @@ type WorkSpec struct {
 	Devices []string `json:"devices"`
 	// Envs are environment preset names (see EnvByName); conformance
 	// uses the first, evaluate crosses all of them with the mutants.
-	// Tune ignores them.
+	// A tune spec must leave them empty.
 	Envs []string `json:"envs"`
-	// Iters is kernel launches per cell (tune ignores it); Seed the
+	// Iters is kernel launches per cell (zero for tune); Seed the
 	// campaign seed.
 	Iters int    `json:"iters"`
 	Seed  uint64 `json:"seed"`
 	// FenceBug injects the fence-dropping driver on every conformance or
-	// evaluate platform.
+	// evaluate platform; a tune spec must leave it false.
 	FenceBug bool `json:"fence_bug,omitempty"`
 	// Faults, when non-nil, is the device-stack fault model every
 	// platform runs under (fault streams are seeded, so workers inject
@@ -60,7 +60,8 @@ type WorkSpec struct {
 	// TuneEnvs, SiteIters and PTEIters size a tune study: random
 	// environments per tuned family and kernel launches per SITE and
 	// PTE cell. PaperScale runs the paper's sizes (tuning.PaperConfig)
-	// instead, keeping only the seed and devices.
+	// instead, keeping only the seed and devices. Conformance and
+	// evaluate specs must leave all four zero.
 	TuneEnvs   int  `json:"tune_envs,omitempty"`
 	SiteIters  int  `json:"site_iters,omitempty"`
 	PTEIters   int  `json:"pte_iters,omitempty"`
@@ -112,9 +113,11 @@ func (ws WorkSpec) CacheSalt() (string, error) {
 }
 
 // Validate checks the spec without running anything: a known kind,
-// known devices, a non-negative retry policy, and then per kind either
-// positive tune sizes or a non-empty list of known environment presets
-// and positive iterations.
+// known devices, a non-negative retry policy, no field the kind
+// ignores, and then per kind either positive tune sizes or a non-empty
+// list of known environment presets and positive iterations. An
+// ignored field would still enter the descriptor, cache salt and job
+// ID, so two specs running the same study would not be the same work.
 func (ws WorkSpec) Validate() error {
 	switch ws.Kind {
 	case "conformance", "evaluate", "tune":
@@ -130,11 +133,17 @@ func (ws WorkSpec) Validate() error {
 		return fmt.Errorf("retries, backoff and cell timeout must be non-negative")
 	}
 	if ws.Kind == "tune" {
+		if len(ws.Envs) > 0 || ws.Iters != 0 || ws.FenceBug {
+			return fmt.Errorf("a tune spec takes no envs, iters or fence bug (its sizes are tune envs, site iters and pte iters)")
+		}
 		if ws.TuneEnvs <= 0 || ws.SiteIters <= 0 || ws.PTEIters <= 0 {
 			return fmt.Errorf("tune sizes must be positive (envs %d, site iters %d, pte iters %d)",
 				ws.TuneEnvs, ws.SiteIters, ws.PTEIters)
 		}
 		return nil
+	}
+	if ws.TuneEnvs != 0 || ws.SiteIters != 0 || ws.PTEIters != 0 || ws.PaperScale {
+		return fmt.Errorf("a %s spec takes no tune envs, site iters, pte iters or paper scale", ws.Kind)
 	}
 	if _, err := ws.envParams(); err != nil {
 		return err

@@ -26,7 +26,14 @@ func TestWorkSpecValidate(t *testing.T) {
 		{"conformance", conf, true},
 		{"tune", tune, true},
 		{"fleet by default", with(conf, func(ws *WorkSpec) { ws.Devices = nil }), true},
-		{"tune ignores envs and iters", with(tune, func(ws *WorkSpec) { ws.Envs, ws.Iters = []string{"warp9"}, -1 }), true},
+		{"tune rejects envs", with(tune, func(ws *WorkSpec) { ws.Envs = []string{"pte"} }), false},
+		{"tune rejects iters", with(tune, func(ws *WorkSpec) { ws.Iters = 7 }), false},
+		{"tune rejects fence bug", with(tune, func(ws *WorkSpec) { ws.FenceBug = true }), false},
+		{"conformance rejects tune envs", with(conf, func(ws *WorkSpec) { ws.TuneEnvs = 1 }), false},
+		{"evaluate rejects site iters", with(conf, func(ws *WorkSpec) { ws.Kind, ws.SiteIters = "evaluate", 2 }), false},
+		{"conformance rejects pte iters", with(conf, func(ws *WorkSpec) { ws.PTEIters = 1 }), false},
+		{"evaluate rejects paper scale", with(conf, func(ws *WorkSpec) { ws.Kind, ws.PaperScale = "evaluate", true }), false},
+		{"evaluate", with(conf, func(ws *WorkSpec) { ws.Kind = "evaluate" }), true},
 		{"unknown kind", with(conf, func(ws *WorkSpec) { ws.Kind = "bogus" }), false},
 		{"unknown device", with(conf, func(ws *WorkSpec) { ws.Devices = []string{"NoSuchGPU"} }), false},
 		{"unknown env", with(conf, func(ws *WorkSpec) { ws.Envs = []string{"warp9"} }), false},

@@ -109,10 +109,12 @@ type JobSpec struct {
 	// Iters is kernel launches per cell for campaign kinds; 0 means 10.
 	Iters int `json:"iters,omitempty"`
 	// FenceBug injects the fence-dropping driver on every platform.
+	// A tune spec carrying Envs, Iters or FenceBug is refused.
 	FenceBug bool `json:"fence_bug,omitempty"`
 
 	// TuneEnvs, SiteIters and PTEIters size a tuning run; 0 means the
-	// CLI defaults (12 environments, 50 SITE / 8 PTE iterations).
+	// CLI defaults (12 environments, 50 SITE / 8 PTE iterations). A
+	// campaign-kind spec carrying any of them is refused.
 	TuneEnvs  int `json:"tune_envs,omitempty"`
 	SiteIters int `json:"site_iters,omitempty"`
 	PTEIters  int `json:"pte_iters,omitempty"`

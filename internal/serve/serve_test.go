@@ -531,6 +531,38 @@ func TestValidationRejects(t *testing.T) {
 	}
 }
 
+// TestKindIgnoredFieldsRejected: a spec carrying a field its kind does
+// not use is refused at admission. Such a field would enter the job ID
+// without changing the work, forking one study into two jobs.
+func TestKindIgnoredFieldsRejected(t *testing.T) {
+	_, c, _ := queuedServer(t, Config{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	tune := `{"kind":"tune","devices":["AMD"],"tune_envs":1,"site_iters":1,"pte_iters":1`
+	if got := post(tune + `}`); got != http.StatusAccepted {
+		t.Fatalf("plain tune spec: status %d, want 202", got)
+	}
+	for _, body := range []string{
+		tune + `,"fence_bug":true,"iters":7}`,
+		tune + `,"fence_bug":true}`,
+		tune + `,"iters":7}`,
+		tune + `,"envs":["pte"]}`,
+		`{"kind":"conformance","devices":["AMD"],"tune_envs":2}`,
+		`{"kind":"evaluate","devices":["AMD"],"site_iters":3}`,
+	} {
+		if got := post(body); got != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, got)
+		}
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	_, c, _ := queuedServer(t, Config{})
 	ctx := context.Background()
