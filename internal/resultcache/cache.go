@@ -70,8 +70,7 @@ const (
 	corruptDir = "corrupt"
 )
 
-// An entry is one JSON object in exactly this layout, the one
-// json.Marshal gave the FormatVersion 1 envelope struct:
+// An entry is one JSON object in exactly this layout:
 //
 //	{"format":N,"key":K,"payload":P,"payload_sha256":S}
 //
@@ -79,7 +78,8 @@ const (
 // exact bytes — what turns the envelope into evidence: a payload that
 // does not hash to S was not the payload this entry was published
 // with. envelope writes the layout and verify checks it, byte for
-// byte, from the same four pieces.
+// byte, from the same four pieces. Every FormatVersion 1 entry on disk
+// has this layout, so changing it needs a FormatVersion bump.
 var entryFormat = `{"format":` + strconv.Itoa(FormatVersion) + `,"key":"`
 
 const (

@@ -213,8 +213,8 @@ type Dataset struct {
 
 // Save writes the dataset as JSON indented by one space per level,
 // newline-terminated — the bytes json.Encoder with SetIndent("", " ")
-// writes. It marshals once and indents in one streaming pass, so no
-// second full-size copy of the document is held.
+// writes. It marshals once and indents in one streaming pass, so the
+// indented document is never held in memory.
 func (ds *Dataset) Save(w io.Writer) error {
 	raw, err := json.Marshal(ds)
 	if err != nil {
