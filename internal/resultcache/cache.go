@@ -335,7 +335,7 @@ func (c *Cache) Put(key string, payload []byte) {
 		return
 	}
 	data := buf.Bytes()
-	lock := &c.locks[stripe(key)]
+	lock := &c.locks[int(key[0])%len(c.locks)]
 	lock.Lock()
 	defer lock.Unlock()
 	path := c.objectPath(key)
@@ -368,14 +368,6 @@ func hexKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// stripe maps a key to its publication lock.
-func stripe(key string) int {
-	if key == "" {
-		return 0
-	}
-	return int(key[0]) % 64
 }
 
 // Degraded returns the sticky storage error that switched the cache to

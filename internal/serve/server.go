@@ -597,7 +597,9 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	case res.Interrupted && errors.Is(cause, guard.ErrShed):
 		// Parked, not terminal: the job re-queues when pressure clears
 		// (requeueShed) or at the next boot. No terminal SSE event —
-		// subscribers see the state change and keep streaming.
+		// subscribers see the state change and keep streaming. The shed
+		// is counted first, so whoever observes the state sees it counted.
+		s.metrics.guardShed()
 		shed, err := s.store.update(id, func(j *Job) {
 			j.State = StateShed
 			j.StartedAt = nil
@@ -608,7 +610,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		} else {
 			s.publishJobEvent(id, "job", shed)
 		}
-		s.metrics.guardShed()
 		s.cfg.Logf("serve: job %s shed under memory pressure (%d/%d cells done)", id, last.Done, last.Total)
 	case res.Interrupted:
 		// Server shutdown: drain back to queued so the next boot
