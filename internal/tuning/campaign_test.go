@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -134,6 +135,46 @@ func TestCampaignResumeMatchesCleanRun(t *testing.T) {
 		t.Fatalf("resume executed %d cells, want %d", executed, len(spec.Cells)-killAfter)
 	}
 	datasetsIdentical(t, clean, resumed, "clean vs resumed")
+}
+
+// TestResumeCheckpointWithWholeRecords resumes a checkpoint captured
+// from a build that recorded each cell's whole Record:
+// testdata/parent-partial.ckpt is that build's checkpoint of this
+// config (AMD, one environment per family, one iteration each),
+// stopped after 5 of its 12 cells. Resuming must replay those 5, run
+// the other 7, and produce the bytes of a clean run.
+func TestResumeCheckpointWithWholeRecords(t *testing.T) {
+	cfg, tests := campaignConfig()
+	cfg.Environments = 1
+	cfg.SITEIterations = 1
+	cfg.PTEIterations = 1
+	cfg.Devices = []string{"AMD"}
+	clean, err := RunCampaign(cfg, tests, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-partial.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "tune.ckpt")
+	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	executed := 0
+	resumed, err := RunCampaign(cfg, tests, RunOptions{
+		Workers:        2,
+		CheckpointPath: ckpt,
+		Resume:         true,
+		Progress:       func(string) { executed++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(clean.Records) - 5; executed != want {
+		t.Fatalf("resume executed %d cells, want %d", executed, want)
+	}
+	datasetsIdentical(t, clean, resumed, "clean vs resumed from whole-record checkpoint")
 }
 
 // TestCampaignResumeRejectsChangedConfig guards against silently mixing
