@@ -217,7 +217,8 @@ func TestFaultFSOpsCountsMutations(t *testing.T) {
 	f.Write([]byte("a")) // op 2
 	f.Sync()             // op 3
 	f.Close()            // not a mutation
-	if _, err := Open(ffs, filepath.Join(dir, "x")); err != nil { // not a mutation
+	// Nor is opening for reading.
+	if _, err := Open(ffs, filepath.Join(dir, "x")); err != nil {
 		t.Fatal(err)
 	}
 	ffs.SyncDir(dir) // op 4
