@@ -725,6 +725,11 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The campaign flags and their defaults describe conformance and
+	// evaluate campaigns; tuning studies have their own verb and sizes.
+	if *kind == "tune" {
+		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run tuning studies with 'mcmutants tune'")
+	}
 	return rf.run(ctx, core.WorkSpec{Kind: *kind, Envs: splitList(*envNames), Iters: *iters, FenceBug: *fenceBug}, df)
 }
 

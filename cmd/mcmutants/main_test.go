@@ -445,6 +445,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 	noDir := filepath.Join(dir, "no-such-dir", "x")
 	cases := [][]string{
 		{"campaign", "-kind", "bogus", "-iters", "1000000", "-out", out, "-quiet"},
+		{"campaign", "-kind", "tune", "-devices", "AMD", "-out", out, "-quiet"},
 		{"campaign", "-devices", "NoSuchGPU", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-envs", "warp9", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-iters", "0", "-out", out, "-quiet"},
