@@ -109,12 +109,12 @@ func TestCampaignResumeMatchesCleanRun(t *testing.T) {
 	killAfter := len(spec.Cells) / 3
 	ran := 0
 	exec := newWorkerExec(work, cfg.Faults)()
-	_, err = sched.Run(spec, func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Record, error) {
+	_, err = sched.Run(spec, func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (measurement, error) {
 		if ran++; ran > killAfter {
-			return Record{}, fmt.Errorf("simulated kill")
+			return measurement{}, fmt.Errorf("simulated kill")
 		}
 		return exec(ctx, c, rng)
-	}, sched.Options[Record]{Workers: 1, Checkpoint: ck})
+	}, sched.Options[measurement]{Workers: 1, Checkpoint: ck})
 	if err == nil {
 		t.Fatal("interrupted run succeeded")
 	}

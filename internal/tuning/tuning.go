@@ -373,15 +373,24 @@ type RunOptions struct {
 	// before each cell executes and published to after a cell succeeds.
 	// The cache salt is derived from the full Config plus the retry
 	// policy, so two runs share entries exactly when they would compute
-	// identical records; a warm re-run of the same study skips the
+	// identical measurements; a warm re-run of the same study skips the
 	// simulation entirely and still emits a byte-identical dataset.
 	Cache sched.ResultCache
 }
 
-// cacheSaltPayload is what a tuning run's cache salt serializes: every
-// workload parameter outside the scheduler spec that can change a
-// cell's record or its retry accounting.
+// cachePayload names the layout of the value a tuning cell caches.
+// It is part of the cache salt, so entries of different layouts get
+// different digests and can never be read as one another: builds that
+// cached whole Records salted without it. Change it whenever the
+// cached value's layout changes.
+const cachePayload = "tuning-measurement/v1"
+
+// cacheSaltPayload is what a tuning run's cache salt serializes: the
+// cached value's layout and every workload parameter outside the
+// scheduler spec that can change a cell's measurement or its retry
+// accounting.
 type cacheSaltPayload struct {
+	Payload       string `json:"payload"`
 	Config        Config `json:"config"`
 	Retries       int    `json:"retries,omitempty"`
 	BackoffMS     int64  `json:"backoff_ms,omitempty"`
@@ -392,6 +401,7 @@ type cacheSaltPayload struct {
 // counterpart of core.WorkSpec.CacheSalt for the tuning study.
 func cacheSalt(cfg Config, opts RunOptions) (string, error) {
 	raw, err := json.Marshal(cacheSaltPayload{
+		Payload:       cachePayload,
 		Config:        cfg,
 		Retries:       opts.Retries,
 		BackoffMS:     opts.Backoff.Milliseconds(),
@@ -441,20 +451,28 @@ func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tu
 	return spec, work, nil
 }
 
-// recordOf runs the cell on the given (possibly warm) runner, writing
-// into the caller's reusable Result, and assembles its dataset record.
-func recordOf(ctx context.Context, w tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (Record, error) {
+// measurement is what executing one cell computes: the measured
+// fields of its Record. The rest of the Record is a function of the
+// cell key, so the scheduler carries, checkpoints and caches only
+// this, and RunCampaignCtx joins the two. The JSON names are Record's,
+// so a checkpointed Record decodes as its measurement.
+type measurement struct {
+	Iterations  int     `json:"iterations"`
+	Instances   int     `json:"instances"`
+	TargetCount int     `json:"target_count"`
+	Violations  int     `json:"violations"`
+	SimSeconds  float64 `json:"sim_seconds"`
+	TargetRate  float64 `json:"target_rate"`
+	Discarded   int     `json:"discarded,omitempty"`
+}
+
+// measure runs the cell on the given (possibly warm) runner, writing
+// into the caller's reusable Result.
+func measure(ctx context.Context, w tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (measurement, error) {
 	if err := runner.RunInto(ctx, res, w.test, w.iters, rng); err != nil {
-		return Record{}, fmt.Errorf("tuning: %s/%s/%s: %w", w.envID, w.device, w.test.Name, err)
+		return measurement{}, fmt.Errorf("tuning: %s/%s/%s: %w", w.envID, w.device, w.test.Name, err)
 	}
-	return Record{
-		Family:      w.family.String(),
-		EnvID:       w.envID,
-		Env:         w.env,
-		Device:      w.device,
-		Test:        w.test.Name,
-		Mutator:     w.test.Mutator,
-		IsMutant:    w.test.IsMutant,
+	return measurement{
 		Iterations:  res.Iterations,
 		Instances:   res.Instances,
 		TargetCount: res.TargetCount,
@@ -463,6 +481,26 @@ func recordOf(ctx context.Context, w tuningCell, runner *harness.Runner, res *ha
 		TargetRate:  res.TargetRate(),
 		Discarded:   res.Discarded,
 	}, nil
+}
+
+// record assembles the cell's dataset record from its measurement.
+func (w tuningCell) record(m measurement) Record {
+	return Record{
+		Family:      w.family.String(),
+		EnvID:       w.envID,
+		Env:         w.env,
+		Device:      w.device,
+		Test:        w.test.Name,
+		Mutator:     w.test.Mutator,
+		IsMutant:    w.test.IsMutant,
+		Iterations:  m.Iterations,
+		Instances:   m.Instances,
+		TargetCount: m.TargetCount,
+		Violations:  m.Violations,
+		SimSeconds:  m.SimSeconds,
+		TargetRate:  m.TargetRate,
+		Discarded:   m.Discarded,
+	}
 }
 
 // runnerKey identifies the runner a cell needs: runners are shared
@@ -492,24 +530,24 @@ func newRunner(k runnerKey) (*harness.Runner, error) {
 // ordered (family, environment, device, test), so a worker sees long
 // runs of one key — and one reused Result, so cells on a warm runner
 // run allocation-free.
-func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[Record] {
+func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[measurement] {
 	var fm gpu.FaultModel
 	if faults != nil {
 		fm = *faults
 	}
-	return func() sched.Exec[Record] {
+	return func() sched.Exec[measurement] {
 		warm := harness.WarmRunner[runnerKey]{New: newRunner}
 		var res harness.Result
-		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Record, error) {
+		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (measurement, error) {
 			w, ok := work[c.Key]
 			if !ok {
-				return Record{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
+				return measurement{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
 			}
 			runner, err := warm.Get(runnerKey{device: w.device, env: w.env}, fm)
 			if err != nil {
-				return Record{}, err
+				return measurement{}, err
 			}
-			return recordOf(ctx, w, runner, &res, rng)
+			return measure(ctx, w, runner, &res, rng)
 		}
 	}
 }
@@ -550,7 +588,7 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 	if err != nil {
 		return nil, err
 	}
-	schedOpts := sched.Options[Record]{
+	schedOpts := sched.Options[measurement]{
 		Workers:       opts.Workers,
 		MaxRetries:    opts.Retries,
 		Backoff:       opts.Backoff,
@@ -559,12 +597,12 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		Breaker:       opts.Breaker,
 		OnProgress:    opts.OnProgress,
 		ProgressEvery: opts.ProgressEvery,
-		Instances:     func(r Record) int { return r.Instances },
+		Instances:     func(m measurement) int { return m.Instances },
 		// Each worker gets private warm scratch — a runner and a Result
 		// reused across that worker's cells — so the steady-state
 		// campaign loop stops allocating. Cell randomness derives purely
 		// from (seed, cell key), so which worker's scratch a cell lands
-		// on cannot change its record.
+		// on cannot change its measurement.
 		NewWorkerExec: newWorkerExec(work, cfg.Faults),
 	}
 	if opts.Cache != nil {
@@ -618,7 +656,7 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 				Attempts:    cr.Attempts,
 			})
 		default:
-			ds.Records = append(ds.Records, cr.Value)
+			ds.Records = append(ds.Records, work[cr.Cell.Key].record(cr.Value))
 		}
 	}
 	return ds, nil
