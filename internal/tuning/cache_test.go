@@ -41,12 +41,14 @@ func (c *memCache) Degraded() error { return nil }
 // fields its run measured and nothing the cell key already determines,
 // and a warm re-run served from those entries alone still emits the
 // cache-off dataset byte for byte. The fleet is faulty so that some
-// cells discard iterations and the optional key is exercised too.
+// cells discard iterations and the optional key is exercised too. One
+// worker keeps the breaker from running cells it later quarantines,
+// whose measurements would be cached without becoming records.
 func TestCachePayloadHoldsOnlyMeasurements(t *testing.T) {
 	cfg, tests := campaignConfig()
 	fm := gpu.UniformFaults(cfg.Seed, 0.3)
 	cfg.Faults = &fm
-	opts := RunOptions{Workers: 2, Breaker: &sched.BreakerOptions{}}
+	opts := RunOptions{Workers: 1, Breaker: &sched.BreakerOptions{}}
 	off, err := RunCampaign(cfg, tests, opts)
 	if err != nil {
 		t.Fatal(err)
