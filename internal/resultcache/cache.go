@@ -4,7 +4,8 @@
 // and the workload parameters the exec closure bakes in — so once a
 // cell has been executed anywhere, any later campaign asking the same
 // question can reuse the answer. Keys are the hex SHA-256 cell digests
-// produced by sched.Spec.CellDigest; the store never interprets them.
+// the scheduler computes (package sched); the store never interprets
+// them.
 //
 // The cache is built as a robustness subsystem first and an
 // optimization second. Its contract:
@@ -356,7 +357,7 @@ func (c *Cache) Put(key string, payload []byte) {
 }
 
 // hexKey reports whether key is non-empty lowercase hex, the shape of
-// sched.Spec.CellDigest. Only such keys are published: they need no
+// sched's cell digests. Only such keys are published: they need no
 // JSON escaping inside the envelope and are safe as file names.
 func hexKey(key string) bool {
 	if key == "" {

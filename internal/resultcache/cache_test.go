@@ -19,7 +19,7 @@ import (
 	"repro/internal/diskio"
 )
 
-// key returns a realistic cache key: hex SHA-256, like sched.CellDigest.
+// key returns a realistic cache key: hex SHA-256, like sched's cell digests.
 func key(s string) string {
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])

@@ -9,8 +9,8 @@ package sched
 // The contract is that implementations never fail the campaign: Get
 // answers miss for anything it cannot verifiably serve, Put is
 // best-effort, and a storage failure surfaces only through Degraded —
-// reported, never fatal. Keys are the cell digests produced by
-// Spec.CellDigest; payloads are the cell values' JSON encodings.
+// reported, never fatal. Keys are the scheduler's cell digests (see
+// cellDigests); payloads are the cell values' JSON encodings.
 type ResultCache interface {
 	// Get returns the cached payload for key. hit reports a verified
 	// entry; corrupt reports that an entry existed but failed

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 )
@@ -32,17 +33,26 @@ func (s *Spec) Manifest() string {
 // layout can never alias new ones.
 const cellDigestTag = "mcmutants-cell/v1"
 
-// CellDigest returns the content address of one cell's result: a hex
-// SHA-256 over the digest layout tag, a caller-supplied salt capturing
-// every workload parameter outside the spec (iteration counts, fault
-// model, retry policy — whatever the exec closure bakes in), and the
-// spec fields the cell's RNG stream derives from (name, seed, cell key,
-// device). Two cells share a digest exactly when executing them must
-// produce the same value, which is what makes the digest a safe key for
-// the cross-campaign result cache. The encoding is the same
-// length-prefixed scheme Manifest uses, so field boundaries cannot
-// alias.
-func (s *Spec) CellDigest(salt string, c Cell) string {
+// cellDigests computes the cell digests of one campaign under one
+// salt. A cell digest is the content address of the cell's result: a
+// hex SHA-256 over the digest layout tag, a caller-supplied salt
+// capturing every workload parameter outside the spec (iteration
+// counts, fault model, retry policy — whatever the exec closure bakes
+// in), and the spec fields the cell's RNG stream derives from (name,
+// seed, cell key, device). Two cells share a digest exactly when
+// executing them must produce the same value, which is what makes the
+// digest a safe key for the cross-campaign result cache. The encoding
+// is the same length-prefixed scheme Manifest uses, so field
+// boundaries cannot alias.
+//
+// The campaign-constant prefix (tag, salt, name, seed) is hashed once,
+// when the scheduler builds the cellDigests before its workers start;
+// every digest resumes from that hash state.
+type cellDigests struct {
+	prefix []byte // marshaled SHA-256 state after the constant prefix
+}
+
+func (s *Spec) cellDigests(salt string) cellDigests {
 	h := sha256.New()
 	writeField(h, cellDigestTag)
 	writeField(h, salt)
@@ -50,16 +60,41 @@ func (s *Spec) CellDigest(salt string, c Cell) string {
 	var seed [8]byte
 	binary.LittleEndian.PutUint64(seed[:], s.Seed)
 	h.Write(seed[:])
-	writeField(h, c.Key)
-	writeField(h, c.Device)
-	return hex.EncodeToString(h.Sum(nil))
+	prefix, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("sched: marshal SHA-256 state: " + err.Error())
+	}
+	return cellDigests{prefix: prefix}
 }
 
-// writeField writes a length-prefixed string so field boundaries cannot
-// alias ("ab","c" vs "a","bc").
+// hasher returns a function computing cell digests. It reuses one
+// SHA-256 state and one scratch buffer across calls, so each goroutine
+// needs its own.
+func (d cellDigests) hasher() func(Cell) string {
+	h := sha256.New()
+	restore := h.(encoding.BinaryUnmarshaler)
+	var buf []byte
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	return func(c Cell) string {
+		if err := restore.UnmarshalBinary(d.prefix); err != nil {
+			panic("sched: restore SHA-256 state: " + err.Error())
+		}
+		buf = appendField(appendField(buf[:0], c.Key), c.Device)
+		h.Write(buf)
+		hex.Encode(text[:], h.Sum(sum[:0]))
+		return string(text[:])
+	}
+}
+
+// writeField writes a length-prefixed string (see appendField).
 func writeField(h interface{ Write([]byte) (int, error) }, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+	h.Write(appendField(nil, s))
+}
+
+// appendField appends s length-prefixed, so field boundaries cannot
+// alias ("ab","c" vs "a","bc").
+func appendField(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
 }

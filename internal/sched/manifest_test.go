@@ -42,10 +42,30 @@ func TestCellDigestGolden(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
+		// One hasher digests every cell, so state left over from one
+		// digest would show in the next.
+		digest := spec.cellDigests(tc.salt).hasher()
 		for i, c := range spec.Cells {
-			if got := spec.CellDigest(tc.salt, c); got != tc.want[i] {
+			if got := digest(c); got != tc.want[i] {
 				t.Errorf("salt %.20q cell %s: digest %s, want %s", tc.salt, c.Key, got, tc.want[i])
 			}
 		}
+	}
+}
+
+// BenchmarkCellDigest measures one cache key the way a warm tuning
+// cell computes it: under a salt the size of a four-device tuning
+// Config, with the campaign-constant prefix hashed beforehand.
+func BenchmarkCellDigest(b *testing.B) {
+	salt := `{"payload":"tuning-measurement/v1","config":{"Environments":16,"SITEIterations":2,"PTEIterations":1,` +
+		`"PTEWorkgroups":8,"PTEWorkgroupSize":16,"Scale":{"MinTestingWG":2,"MaxTestingWG":16,"MinWGSizeLog2":3,` +
+		`"MaxWGSizeLog2":6,"MaxStressWG":8,"MaxStressIters":24,"MaxPreStressIters":8},` +
+		`"Devices":["Intel","Apple","AMD","NVIDIA"],"Seed":1}}`
+	spec := Spec{Name: "tune", Seed: 1}
+	cell := Cell{Key: "PTE-007/NVIDIA/MP-relacq-mutant", Device: "NVIDIA"}
+	digest := spec.cellDigests(salt).hasher()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		digest(cell)
 	}
 }

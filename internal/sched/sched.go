@@ -148,7 +148,7 @@ type Options[R any] struct {
 	// cells already done in a previous run.
 	Checkpoint *Checkpoint
 	// Cache, when non-nil, is the cross-campaign result cache: each
-	// cell is consulted under its CellDigest before executing, and
+	// cell is consulted under its cell digest before executing, and
 	// successfully-validated results are published back. The cache is
 	// an optimization, never a dependency — a missing, corrupt or
 	// failing cache only costs recomputation (see ResultCache).
@@ -371,6 +371,10 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 		pending = append(pending, i)
 	}
 
+	var digests cellDigests
+	if opts.Cache != nil {
+		digests = spec.cellDigests(opts.CacheSalt)
+	}
 	jobs := make(chan int)
 	var abort bool       // fail-fast tripped; guarded by mu
 	var abortCause error // the failure that tripped it; guarded by mu
@@ -382,6 +386,10 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 			wexec := exec
 			if opts.NewWorkerExec != nil {
 				wexec = opts.NewWorkerExec()
+			}
+			var cellDigest func(Cell) string
+			if opts.Cache != nil {
+				cellDigest = digests.hasher()
 			}
 			for i := range jobs {
 				cell := spec.Cells[i]
@@ -429,7 +437,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				// quarantined by the cache — just recomputes.
 				var cacheDigest string
 				if opts.Cache != nil {
-					cacheDigest = spec.CellDigest(opts.CacheSalt, cell)
+					cacheDigest = cellDigest(cell)
 					payload, hit, corrupt := opts.Cache.Get(cacheDigest)
 					if hit {
 						var v R
