@@ -433,7 +433,7 @@ func TestSuiteDotCommand(t *testing.T) {
 }
 
 // TestFlagValidationFailsFast: flag mistakes — unknown kind, device or
-// environment preset, out-of-range fault parameters, negative retries,
+// environment preset, a repeated device, out-of-range fault parameters, negative retries,
 // cell timeouts or deadlines, unwritable output or profile paths —
 // must be rejected with exit 1 before any campaign
 // work starts. Each case carries an enormous iteration count, so a
@@ -447,6 +447,9 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"campaign", "-kind", "bogus", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-kind", "tune", "-devices", "AMD", "-out", out, "-quiet"},
 		{"campaign", "-devices", "NoSuchGPU", "-iters", "1000000", "-out", out, "-quiet"},
+		{"campaign", "-devices", "AMD,Intel,AMD", "-iters", "1000000", "-out", out, "-quiet"},
+		{"campaign", "-kind", "evaluate", "-devices", "AMD,AMD", "-iters", "1000000", "-checkpoint", filepath.Join(dir, "x.ckpt"), "-out", out, "-quiet"},
+		{"tune", "-devices", "AMD,AMD", "-site-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-envs", "warp9", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-iters", "0", "-out", out, "-quiet"},
 		{"campaign", "-faults", "-fault-rate", "1.5", "-iters", "1000000", "-out", out, "-quiet"},

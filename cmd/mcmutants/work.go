@@ -72,8 +72,8 @@ func (df *distFlags) serveHub() (*dist.Hub, func(), error) {
 	return hub, func() { srv.Close() }, nil
 }
 
-// options builds the coordinator options; campaigns register under
-// their kind ("conformance", "evaluate.<device>").
+// options builds the coordinator options; the campaign registers
+// under its kind.
 func (df *distFlags) options(hub *dist.Hub, logf func(string, ...any)) *core.DistOptions {
 	return &core.DistOptions{
 		Hub:          hub,
@@ -155,14 +155,9 @@ func cmdWork(ctx context.Context, args []string) error {
 		return nil
 	}
 
-	// units caches locally-rebuilt campaigns by manifest: rebuilding
-	// regenerates the whole mutant suite, which need not happen on
-	// every directory poll.
-	units := map[string]core.WorkUnit{}
+	// unitFor rebuilds an advertised campaign locally from its
+	// descriptor and checks that both sides agree on the cell grid.
 	unitFor := func(info dist.WorkInfo) (core.WorkUnit, error) {
-		if u, ok := units[info.Manifest]; ok {
-			return u, nil
-		}
 		var ws core.WorkSpec
 		if err := json.Unmarshal(info.Descriptor, &ws); err != nil {
 			return core.WorkUnit{}, fmt.Errorf("bad descriptor: %w", err)
@@ -171,16 +166,12 @@ func cmdWork(ctx context.Context, args []string) error {
 		if cache != nil {
 			wo.Cache = cache
 		}
-		planned, err := core.DistWork(ws, wo)
+		u, err := core.DistWork(ws, wo)
 		if err != nil {
 			return core.WorkUnit{}, err
 		}
-		for _, u := range planned {
-			units[u.Spec.Manifest()] = u
-		}
-		u, ok := units[info.Manifest]
-		if !ok {
-			return core.WorkUnit{}, fmt.Errorf("no local work unit matches manifest %.12s (version skew?)", info.Manifest)
+		if u.Spec.Manifest() != info.Manifest {
+			return core.WorkUnit{}, fmt.Errorf("local work unit manifest %.12s does not match %.12s (version skew?)", u.Spec.Manifest(), info.Manifest)
 		}
 		return u, nil
 	}

@@ -139,11 +139,11 @@ type CellFailure struct {
 	Attempts int
 }
 
-// cellFailures extracts a report's failed cells in spec order.
-// Interrupted cells are pending, not failed, and are excluded.
-func cellFailures[R any](rep *sched.Report[R]) []CellFailure {
+// cellFailures extracts the failed cells of a run of results, in spec
+// order. Interrupted cells are pending, not failed, and are excluded.
+func cellFailures[R any](results []sched.CellResult[R]) []CellFailure {
 	var out []CellFailure
-	for _, r := range rep.Results {
+	for _, r := range results {
 		if r.Err != nil && !r.Interrupted {
 			out = append(out, CellFailure{
 				Key:         r.Cell.Key,
@@ -157,29 +157,52 @@ func cellFailures[R any](rep *sched.Report[R]) []CellFailure {
 	return out
 }
 
+// deviceHealth selects one device's entries of a report's fleet health.
+func deviceHealth(health []sched.DeviceHealth, device string) []sched.DeviceHealth {
+	var out []sched.DeviceHealth
+	for _, h := range health {
+		if h.Device == device {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// evalRunner is the runner an evaluation cell needs: one platform in
+// one environment.
+type evalRunner struct {
+	platform Platform
+	env      harness.Params
+}
+
 // evalCell is one evaluation campaign cell's work order.
 type evalCell struct {
-	env    harness.Params
+	runner evalRunner
 	mutant *litmus.Test
 }
 
-// evaluateCampaign expands (environments × mutants) into the scheduler
-// spec and per-key work map of an evaluation campaign. Cell order is
-// env-major: result i belongs to mutant i mod len(mutants).
-func (st *Study) evaluateCampaign(p Platform, envs []harness.Params, seed uint64) (sched.Spec, map[string]evalCell, error) {
+// evaluateCampaign expands (platforms × environments × mutants) into
+// the scheduler spec and per-key work map of an evaluation campaign.
+// Cells are keyed <device>/env-NN/<mutant>, device-major then
+// env-major, so a device's cells and their RNG streams are the same
+// whatever else the fleet holds, and result i belongs to mutant i mod
+// len(mutants).
+func (st *Study) evaluateCampaign(platforms []Platform, envs []harness.Params, seed uint64) (sched.Spec, map[string]evalCell, error) {
 	if len(envs) == 0 {
 		return sched.Spec{}, nil, fmt.Errorf("core: no environments")
 	}
-	if _, ok := gpu.ProfileByName(p.Device); !ok {
-		return sched.Spec{}, nil, fmt.Errorf("core: unknown device %q", p.Device)
-	}
 	spec := sched.Spec{Name: "evaluate", Seed: seed}
 	work := map[string]evalCell{}
-	for ei, env := range envs {
-		for _, mt := range st.Suite.Mutants {
-			key := fmt.Sprintf("env-%02d/%s", ei, mt.Name)
-			spec.Cells = append(spec.Cells, sched.Cell{Key: key, Device: p.Device})
-			work[key] = evalCell{env: env, mutant: mt}
+	for _, p := range platforms {
+		if _, ok := gpu.ProfileByName(p.Device); !ok {
+			return sched.Spec{}, nil, fmt.Errorf("core: unknown device %q", p.Device)
+		}
+		for ei, env := range envs {
+			for _, mt := range st.Suite.Mutants {
+				key := fmt.Sprintf("%s/env-%02d/%s", p.Device, ei, mt.Name)
+				spec.Cells = append(spec.Cells, sched.Cell{Key: key, Device: p.Device})
+				work[key] = evalCell{runner: evalRunner{platform: p, env: env}, mutant: mt}
+			}
 		}
 	}
 	return spec, work, nil
@@ -187,14 +210,17 @@ func (st *Study) evaluateCampaign(p Platform, envs []harness.Params, seed uint64
 
 // evaluateExec returns the per-worker exec factory of an evaluation
 // campaign, shared verbatim by local runs and distributed workers. Each
-// worker keeps one warm runner, rebuilt when the environment changes
-// (cells are env-major); each cell's fresh Result is its value.
-func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations int) func() sched.Exec[*harness.Result] {
+// worker keeps one warm runner, rebuilt when the (platform,
+// environment) changes (cells are device-major, then env-major); each
+// cell's fresh Result is its value.
+func (st *Study) evaluateExec(work map[string]evalCell, iterations int) func() sched.Exec[*harness.Result] {
 	return func() sched.Exec[*harness.Result] {
-		warm := harness.WarmRunner[harness.Params]{New: p.runner}
+		warm := harness.WarmRunner[evalRunner]{
+			New: func(k evalRunner) (*harness.Runner, error) { return k.platform.runner(k.env) },
+		}
 		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (*harness.Result, error) {
 			w := work[c.Key]
-			r, err := warm.Get(w.env, p.Faults)
+			r, err := warm.Get(w.runner, w.runner.platform.Faults)
 			if err != nil {
 				return nil, err
 			}
@@ -207,22 +233,30 @@ func (st *Study) evaluateExec(p Platform, work map[string]evalCell, iterations i
 // the platform as one campaign and scores the ensemble: per-mutant
 // results are merged across environments (a mutant counts as killed
 // when any environment kills it), the multi-environment generalization
-// of the paper's single-environment mutation score. Cancellation drains the campaign: in-flight cells finish or are
-// abandoned, completed cells are checkpointed, and the partial score is
-// returned with Interrupted set alongside an error wrapping
+// of the paper's single-environment mutation score. Its cells are
+// keyed as a fleet evaluation's, so the score equals the platform's
+// entry in any evaluate campaign with the same seed. Cancellation
+// drains the campaign: in-flight cells finish or are abandoned,
+// completed cells are checkpointed, and the partial score is returned
+// with Interrupted set alongside an error wrapping
 // sched.ErrInterrupted.
 func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs []harness.Params, iterations int, seed uint64, opts CampaignOptions) (*EnvScore, error) {
-	spec, work, err := st.evaluateCampaign(p, envs, seed)
+	platforms := []Platform{p}
+	spec, work, err := st.evaluateCampaign(platforms, envs, seed)
 	if err != nil {
 		return nil, err
 	}
-	score, _, err := st.runEvaluate(ctx, spec, st.evaluateExec(p, work, iterations), opts, nil)
-	return score, err
+	entries, _, err := st.runEvaluate(ctx, spec, st.evaluateExec(work, iterations), platforms, opts, nil)
+	if entries == nil {
+		return nil, err
+	}
+	return entries[0].Score, err
 }
 
-// runEvaluate runs a planned evaluation campaign and scores it; it also
-// returns how many cells an interruption left pending.
-func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], opts CampaignOptions, desc json.RawMessage) (*EnvScore, int, error) {
+// runEvaluate runs a planned evaluation campaign and scores each
+// platform, in input order; it also returns how many cells an
+// interruption left pending.
+func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], platforms []Platform, opts CampaignOptions, desc json.RawMessage) ([]EvaluateEntry, int, error) {
 	schedOpts := sched.Options[*harness.Result]{
 		Instances: func(r *harness.Result) int { return r.Instances },
 	}
@@ -232,44 +266,50 @@ func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func(
 		return nil, 0, err
 	}
 	// Fold each mutant's per-environment results into one, in suite
-	// order; cells are env-major so result i belongs to mutant i mod N.
-	// Failed cells (possible under Collect or a breaker) contribute
-	// nothing to the merge but are reported in Failures; interrupted
-	// cells contribute nothing anywhere — they are pending, not failed.
+	// order. Failed cells (possible under Collect or a breaker)
+	// contribute nothing to the merge but are reported in Failures;
+	// interrupted cells contribute nothing anywhere — they are pending,
+	// not failed.
 	nm := len(st.Suite.Mutants)
-	merged := make([]*harness.Result, nm)
-	for mi, mt := range st.Suite.Mutants {
-		merged[mi] = &harness.Result{
-			TestName: mt.Name, IsMutant: mt.IsMutant, Mutator: mt.Mutator,
+	per := len(spec.Cells) / len(platforms)
+	entries := make([]EvaluateEntry, len(platforms))
+	for pi, p := range platforms {
+		results := rep.Results[pi*per : (pi+1)*per]
+		merged := make([]*harness.Result, nm)
+		for mi, mt := range st.Suite.Mutants {
+			merged[mi] = &harness.Result{
+				TestName: mt.Name, IsMutant: mt.IsMutant, Mutator: mt.Mutator,
+			}
 		}
-	}
-	for i, cr := range rep.Results {
-		if cr.Err != nil {
-			continue
+		for i, cr := range results {
+			if cr.Err != nil {
+				continue
+			}
+			if err := merged[i%nm].Merge(cr.Value); err != nil {
+				return nil, 0, err
+			}
 		}
-		if err := merged[i%nm].Merge(cr.Value); err != nil {
-			return nil, 0, err
+		score := &EnvScore{
+			PerMutant: merged, Total: nm,
+			Failures: cellFailures(results), Health: deviceHealth(rep.Health, p.Device),
+			Interrupted:     interrupted,
+			StorageDegraded: rep.StorageDegraded,
+			StorageErr:      rep.StorageErr,
 		}
-	}
-	score := &EnvScore{
-		PerMutant: merged, Total: nm,
-		Failures: cellFailures(rep), Health: rep.Health,
-		Interrupted:     interrupted,
-		StorageDegraded: rep.StorageDegraded,
-		StorageErr:      rep.StorageErr,
-	}
-	rates := 0.0
-	for _, res := range merged {
-		if res.TargetCount > 0 {
-			score.Killed++
+		rates := 0.0
+		for _, res := range merged {
+			if res.TargetCount > 0 {
+				score.Killed++
+			}
+			rates += res.TargetRate()
 		}
-		rates += res.TargetRate()
+		score.AvgDeathRate = rates / float64(nm)
+		entries[pi] = EvaluateEntry{Device: p.Device, Score: score}
 	}
-	score.AvgDeathRate = rates / float64(nm)
 	if interrupted {
-		return score, rep.Interrupted, fmt.Errorf("core: evaluation interrupted: %w", sched.ErrInterrupted)
+		return entries, rep.Interrupted, fmt.Errorf("core: evaluation interrupted: %w", sched.ErrInterrupted)
 	}
-	return score, 0, nil
+	return entries, 0, nil
 }
 
 // confCell is one conformance campaign cell's work order.
@@ -389,11 +429,7 @@ func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec fu
 			}
 			r.Findings = append(r.Findings, f)
 		}
-		for _, h := range rep.Health {
-			if h.Device == platforms[pi].Device {
-				r.Health = append(r.Health, h)
-			}
-		}
+		r.Health = deviceHealth(rep.Health, platforms[pi].Device)
 		reports[pi] = r
 	}
 	if interrupted {

@@ -11,15 +11,12 @@ import (
 	"repro/internal/sched"
 )
 
-// WorkUnit is one campaign a worker can execute ranges of: the locally
+// WorkUnit is the campaign a worker executes ranges of: the locally
 // rebuilt spec (whose Manifest must match the coordinator's) and the
 // range runner that executes leased cells.
 type WorkUnit struct {
-	// Campaign is the unit's suggested coordinator registration name
-	// ("conformance", "evaluate.<device>").
-	Campaign string
-	Spec     sched.Spec
-	Run      dist.RunRange
+	Spec sched.Spec
+	Run  dist.RunRange
 }
 
 // DistWorkOptions tunes the worker side of DistWork beyond what the
@@ -29,44 +26,32 @@ type WorkUnit struct {
 type DistWorkOptions struct {
 	// Parallel bounds the worker-side scheduler pool; < 1 means serial.
 	Parallel int
-	// Cache, when non-nil, is this worker's local result cache. The
-	// salt is derived from the canonical descriptor (WorkSpec.CacheSalt),
-	// so every worker and the submitting side address the same entries;
-	// hits are tagged on delivered segments and aggregated fleet-wide by
-	// the coordinator.
+	// Cache, when non-nil, is this worker's local result cache. It is
+	// salted as the kind's local run salts it, so every worker and the
+	// submitting side address the same entries; hits are tagged on
+	// delivered segments and aggregated fleet-wide by the coordinator.
 	Cache sched.ResultCache
 }
 
-// DistWork plans the work units a WorkSpec describes, through the
-// same expansion RunWorkSpec runs: one fleet unit for conformance, one
-// unit per device for evaluate; tune has no range runner and is
-// rejected. The mcmutants work verb matches each advertised campaign to
-// a unit by spec manifest.
-func DistWork(ws WorkSpec, wo DistWorkOptions) ([]WorkUnit, error) {
+// DistWork plans the work unit a WorkSpec describes, through the same
+// expansion RunWorkSpec runs. The mcmutants work verb checks its
+// manifest against the advertised campaign's.
+func DistWork(ws WorkSpec, wo DistWorkOptions) (WorkUnit, error) {
 	st, err := NewStudy()
 	if err != nil {
-		return nil, err
+		return WorkUnit{}, err
 	}
-	camps, err := st.expand(ws)
+	c, err := st.expand(ws)
 	if err != nil {
-		return nil, err
+		return WorkUnit{}, err
 	}
-	if err := distributable(camps); err != nil {
-		return nil, err
+	o := dist.SchedRunnerOptions{Parallel: wo.Parallel, Cache: wo.Cache}
+	o.Retries, o.Backoff, o.CellTimeout = ws.policy()
+	run, err := c.ranges(o)
+	if err != nil {
+		return WorkUnit{}, err
 	}
-	ropts := dist.SchedRunnerOptions{Parallel: wo.Parallel, Cache: wo.Cache}
-	ropts.Retries, ropts.Backoff, ropts.CellTimeout = ws.policy()
-	units := make([]WorkUnit, 0, len(camps))
-	for _, c := range camps {
-		o := ropts
-		if wo.Cache != nil {
-			if o.CacheSalt, err = c.ws.CacheSalt(); err != nil {
-				return nil, err
-			}
-		}
-		units = append(units, WorkUnit{Campaign: c.name(ws.Kind), Spec: c.spec, Run: c.ranges(o)})
-	}
-	return units, nil
+	return WorkUnit{Spec: c.spec, Run: run}, nil
 }
 
 // DistOptions configures a campaign's distributed execution (see
@@ -75,9 +60,8 @@ type DistOptions struct {
 	// Hub is where the coordinator registers; workers reach it through
 	// the hub's HTTP routes or an in-process transport. Required.
 	Hub *dist.Hub
-	// Name is the base coordinator registration name; empty means the
-	// spec kind. RunWorkSpec appends ".<device>" for each evaluate
-	// campaign. Names must be unique on the hub while campaigns run.
+	// Name is the coordinator registration name; empty means the spec
+	// kind. Names must be unique on the hub while campaigns run.
 	Name string
 	// LeaseTTL, RangeCells, MaxReissues and StallTimeout tune the
 	// coordinator; zero values use dist's defaults (10s leases, ranges

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,64 +26,68 @@ func encodeArtifact(t *testing.T, a *CampaignArtifact) []byte {
 	return buf.Bytes()
 }
 
-// runDistributed runs the campaign o describes (o.Dist must be set)
-// while draining every hub campaign with the given number of worker
-// processes (in-process, via the hub's local transport), and returns
-// when the campaign call returns.
-func runDistributed(t *testing.T, hub *dist.Hub, ws WorkSpec, workers, parallel int, campaign func() error) error {
+// runDistributed runs campaign — a RunWorkSpec call with o.Dist on
+// hub — while in-process workers drain the one campaign it registers,
+// and returns when the call returns. With crash set, one more worker
+// goes first and crashes through dist.FaultTransport while it holds a
+// leased range, so the coordinator must re-issue that range once its
+// lease expires; the others start only after the crash.
+func runDistributed(t *testing.T, hub *dist.Hub, ws WorkSpec, workers, parallel int, crash bool, campaign func() error) error {
 	t.Helper()
-	units, err := DistWork(ws, DistWorkOptions{Parallel: parallel})
+	unit, err := DistWork(ws, DistWorkOptions{Parallel: parallel})
 	if err != nil {
 		t.Fatalf("DistWork: %v", err)
 	}
-	byManifest := map[string]WorkUnit{}
-	for _, u := range units {
-		byManifest[u.Spec.Manifest()] = u
-	}
-
 	done := make(chan error, 1)
 	go func() { done <- campaign() }()
 
-	// Workers poll the hub until the campaign call finishes: campaigns
-	// register as the call plans them, and evaluate registers devices
-	// sequentially, so a one-shot drain would miss later registrations.
-	var wg sync.WaitGroup
+	// work polls the hub until the campaign registers, then drains it.
 	stop := make(chan struct{})
+	work := func(id string, crashAt int) {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, info := range hub.List() {
+				if info.Done {
+					continue
+				}
+				if info.Manifest != unit.Spec.Manifest() {
+					t.Errorf("worker %s: campaign %s manifest %.12s, local %.12s", id, info.Name, info.Manifest, unit.Spec.Manifest())
+					return
+				}
+				var tr dist.Transport = hub.LocalTransport(info.Name)
+				if crashAt > 0 {
+					tr = dist.NewFaultTransport(tr, dist.FaultPlan{CrashAt: crashAt})
+				}
+				err := dist.NewWorker(tr, unit.Spec, unit.Run, dist.WorkerOptions{
+					ID:          id,
+					AcquireWait: 5 * time.Millisecond,
+					RPCBackoff:  time.Millisecond,
+				}).Run(context.Background())
+				// Unregistration races look like RPC failures; the
+				// campaign result is what the test asserts on.
+				if err == nil || errors.Is(err, dist.ErrWorkerCrashed) {
+					return
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if crash {
+		// RPCs 1 and 2 are info and the first acquire, which leases a
+		// range of the fresh campaign; the crash takes the range's
+		// renewal or delivery.
+		work("crasher", 3)
+	}
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			drained := map[string]bool{}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, info := range hub.List() {
-					if drained[info.Name] || info.Done {
-						continue
-					}
-					unit, ok := byManifest[info.Manifest]
-					if !ok {
-						t.Errorf("worker %d: no unit for campaign %s (manifest %.12s)", id, info.Name, info.Manifest)
-						return
-					}
-					tr := hub.LocalTransport(info.Name)
-					worker := dist.NewWorker(tr, unit.Spec, unit.Run, dist.WorkerOptions{
-						ID:          "w" + info.Name,
-						AcquireWait: 5 * time.Millisecond,
-						RPCBackoff:  time.Millisecond,
-					})
-					if err := worker.Run(context.Background()); err != nil {
-						// Unregistration races look like RPC failures; the
-						// campaign result is what the test asserts on.
-						continue
-					}
-					drained[info.Name] = true
-				}
-				time.Sleep(time.Millisecond)
-			}
+			work(fmt.Sprintf("w%d", id), 0)
 		}(w)
 	}
 	err = <-done
@@ -119,7 +125,7 @@ func TestDistributedConformanceArtifactParity(t *testing.T) {
 
 	hub := dist.NewHub()
 	var remote *WorkResult
-	err = runDistributed(t, hub, ws, 2, 2, func() error {
+	err = runDistributed(t, hub, ws, 2, 2, false, func() error {
 		opts := CampaignOptions{Dist: &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}}
 		var cerr error
 		remote, cerr = st.RunWorkSpec(context.Background(), ws, opts)
@@ -134,27 +140,20 @@ func TestDistributedConformanceArtifactParity(t *testing.T) {
 	}
 }
 
-// zeroWall clears the one nondeterministic field of an evaluation
-// score — per-mutant host wall time, which differs between ANY two
-// runs, local or not — so the rest of the artifact can be compared
-// byte for byte.
-func zeroWall(score *EnvScore) {
-	for _, r := range score.PerMutant {
-		r.WallSeconds = 0
-	}
-}
-
-// TestDistributedEvaluateArtifactParity: an evaluation campaign with
-// fault injection and a device circuit breaker — retries, quarantine
-// verdicts, failure records — still merges byte-identically (modulo
-// host wall time), because workers run the submitting side's retry
-// policy and the coordinator applies the same breaker post-pass a
-// local run would.
+// TestDistributedEvaluateArtifactParity: a two-device evaluation
+// campaign with fault injection and a device circuit breaker —
+// retries, quarantine verdicts, failure records — merges byte-
+// identically to a local run, because workers run the submitting
+// side's retry policy and the coordinator applies the same breaker
+// post-pass a local run would. Each device's entry also equals a
+// lone-device EvaluateEnvironmentsCtx of that device: cells are keyed
+// by device, so a device's score never depends on the rest of the
+// fleet.
 func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	fm := gpu.UniformFaults(9, 0.05)
 	ws := WorkSpec{
 		Kind:     "evaluate",
-		Devices:  []string{"AMD"},
+		Devices:  []string{"AMD", "Intel"},
 		Envs:     []string{"pte", "site-baseline"},
 		Iters:    2,
 		Seed:     9,
@@ -170,21 +169,30 @@ func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ws.platforms()[0]
 	breaker := &sched.BreakerOptions{}
-
-	local, err := st.EvaluateEnvironmentsCtx(context.Background(), p, envs, ws.Iters, ws.Seed, CampaignOptions{
-		Workers: 3, Retries: ws.Retries, Collect: true, Breaker: breaker,
-	})
-	if err != nil {
-		t.Fatalf("local: %v", err)
+	lone := &CampaignArtifact{Kind: "evaluate"}
+	for _, p := range ws.platforms() {
+		score, err := st.EvaluateEnvironmentsCtx(context.Background(), p, envs, ws.Iters, ws.Seed, CampaignOptions{
+			Workers: 3, Retries: ws.Retries, Collect: true, Breaker: breaker,
+		})
+		if err != nil {
+			t.Fatalf("local %s: %v", p.Device, err)
+		}
+		lone.Evaluate = append(lone.Evaluate, EvaluateEntry{Device: p.Device, Score: score})
 	}
-	zeroWall(local)
-	want := encodeArtifact(t, &CampaignArtifact{Kind: "evaluate", Evaluate: []EvaluateEntry{{Device: p.Device, Score: local}}})
+	want := encodeArtifact(t, lone)
+
+	local, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{Workers: 2, Collect: true, Breaker: breaker})
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	if got := encodeArtifact(t, local.Artifact); !bytes.Equal(want, got) {
+		t.Fatalf("fleet entries differ from lone-device runs:\nlone:\n%s\nfleet:\n%s", want, got)
+	}
 
 	hub := dist.NewHub()
 	var remote *WorkResult
-	err = runDistributed(t, hub, ws, 3, 2, func() error {
+	err = runDistributed(t, hub, ws, 3, 2, false, func() error {
 		opts := CampaignOptions{
 			Collect: true, Breaker: breaker,
 			Dist: &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 4},
@@ -196,10 +204,50 @@ func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("distributed: %v", err)
 	}
-	zeroWall(remote.Artifact.Evaluate[0].Score)
-	got := encodeArtifact(t, remote.Artifact)
-	if !bytes.Equal(want, got) {
+	if got := encodeArtifact(t, remote.Artifact); !bytes.Equal(want, got) {
 		t.Fatalf("artifacts differ:\nlocal:\n%s\ndistributed:\n%s", want, got)
+	}
+}
+
+// TestDistributedTuneMatchesLocal: a tuning study sharded 1, 2 and 4
+// ways, each time with one more worker crashing on a leased range,
+// produces a dataset byte-identical to a local run's.
+func TestDistributedTuneMatchesLocal(t *testing.T) {
+	ws := WorkSpec{Kind: "tune", Devices: []string{"AMD", "Intel"}, Seed: 5, TuneEnvs: 1, SiteIters: 2, PTEIters: 1}
+	st, err := NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(res *WorkResult) []byte {
+		var buf bytes.Buffer
+		if err := res.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	local, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	want := encode(local)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			hub := dist.NewHub()
+			var remote *WorkResult
+			err := runDistributed(t, hub, ws, shards, 1, true, func() error {
+				var cerr error
+				remote, cerr = st.RunWorkSpec(context.Background(), ws, CampaignOptions{
+					Dist: &DistOptions{Hub: hub, LeaseTTL: 200 * time.Millisecond, RangeCells: 8},
+				})
+				return cerr
+			})
+			if err != nil {
+				t.Fatalf("distributed: %v", err)
+			}
+			if got := encode(remote); !bytes.Equal(want, got) {
+				t.Fatalf("dataset differs from the local run's (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -230,7 +278,7 @@ func TestDistributedResumeSeedsCheckpoint(t *testing.T) {
 
 	// First distributed run completes fully, writing the checkpoint.
 	hub := dist.NewHub()
-	err = runDistributed(t, hub, ws, 1, 2, func() error {
+	err = runDistributed(t, hub, ws, 1, 2, false, func() error {
 		_, cerr := st.RunWorkSpec(context.Background(), ws, CampaignOptions{
 			CheckpointPath: ckpt,
 			Dist:           &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second},
@@ -285,16 +333,8 @@ func TestWorkSpecDescriptorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) || len(a) != 2 {
-		t.Fatalf("unit counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Spec.Manifest() != b[i].Spec.Manifest() {
-			t.Fatalf("unit %d manifest drift after round-trip", i)
-		}
-		if a[i].Campaign != b[i].Campaign {
-			t.Fatalf("unit %d campaign name drift: %q vs %q", i, a[i].Campaign, b[i].Campaign)
-		}
+	if a.Spec.Manifest() != b.Spec.Manifest() {
+		t.Fatal("unit manifest drift after round-trip")
 	}
 }
 
@@ -345,7 +385,7 @@ func TestFinalProgressLocalMatchesDistributed(t *testing.T) {
 			} else {
 				hub := dist.NewHub()
 				opts.Dist = &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}
-				err = runDistributed(t, hub, ws, tc.shards, 2, func() error {
+				err = runDistributed(t, hub, ws, tc.shards, 2, false, func() error {
 					_, err := st.RunWorkSpec(context.Background(), ws, opts)
 					return err
 				})

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/dist"
@@ -29,10 +29,10 @@ import (
 type WorkSpec struct {
 	// Kind is the campaign kind: "conformance", "evaluate" or "tune".
 	Kind string `json:"kind"`
-	// Devices are the platform device short names; empty means the
-	// Table 3 fleet. Conformance runs one fleet campaign over all of
-	// them, evaluate one campaign per device, and tune one study whose
-	// dataset records the list as given.
+	// Devices are the platform device short names, each at most once;
+	// empty means the Table 3 fleet. Conformance and evaluate run one
+	// fleet campaign over them, and tune one study whose dataset
+	// records the list as given.
 	Devices []string `json:"devices"`
 	// Envs are environment preset names (see EnvByName); conformance
 	// uses the first, evaluate crosses all of them with the mutants.
@@ -70,13 +70,20 @@ type WorkSpec struct {
 
 // KindDefaults returns the fields a campaign kind takes when a caller
 // leaves them zero: the seed and, for conformance and evaluate, the
-// environment presets and iterations, or, for tune, the study sizes.
-// The CLI's flag defaults and serve's job normalization both read it.
+// Table 3 fleet, the environment presets and iterations, or, for tune,
+// the study sizes. A tune spec has no default devices: its dataset
+// records the device list as given, and tuning runs the fleet when it
+// is empty. The CLI's flag defaults, serve's job normalization and
+// the expansion of every spec read it.
 func KindDefaults(kind string) WorkSpec {
 	if kind == "tune" {
 		return WorkSpec{Kind: kind, Seed: 2023, TuneEnvs: 12, SiteIters: 50, PTEIters: 8}
 	}
-	return WorkSpec{Kind: kind, Seed: 1, Envs: []string{"pte", "site"}, Iters: 10}
+	var fleet []string
+	for _, p := range gpu.Profiles() {
+		fleet = append(fleet, p.ShortName)
+	}
+	return WorkSpec{Kind: kind, Devices: fleet, Seed: 1, Envs: []string{"pte", "site"}, Iters: 10}
 }
 
 // DurationMS converts a duration to WorkSpec milliseconds, rounding
@@ -113,20 +120,24 @@ func (ws WorkSpec) CacheSalt() (string, error) {
 }
 
 // Validate checks the spec without running anything: a known kind,
-// known devices, a non-negative retry policy, no field the kind
-// ignores, and then per kind either positive tune sizes or a non-empty
-// list of known environment presets and positive iterations. An
-// ignored field would still enter the descriptor, cache salt and job
-// ID, so two specs running the same study would not be the same work.
+// known devices named once each, a non-negative retry policy, no field
+// the kind ignores, and then per kind either positive tune sizes or a
+// non-empty list of known environment presets and positive
+// iterations. An ignored field would still enter the descriptor, cache
+// salt and job ID, so two specs running the same study would not be
+// the same work.
 func (ws WorkSpec) Validate() error {
 	switch ws.Kind {
 	case "conformance", "evaluate", "tune":
 	default:
 		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate, tune)", ws.Kind)
 	}
-	for _, d := range ws.Devices {
+	for i, d := range ws.Devices {
 		if _, ok := gpu.ProfileByName(d); !ok {
 			return fmt.Errorf("unknown device %q", d)
+		}
+		if slices.Contains(ws.Devices[:i], d) {
+			return fmt.Errorf("device %q listed twice", d)
 		}
 	}
 	if ws.Retries < 0 || ws.BackoffMS < 0 || ws.CellTimeoutMS < 0 {
@@ -210,60 +221,47 @@ func (ws WorkSpec) envParams() ([]harness.Params, error) {
 	return out, nil
 }
 
-// workCampaign is one scheduler campaign a WorkSpec expands to.
+// workCampaign is the one scheduler campaign a WorkSpec expands to.
 type workCampaign struct {
-	// ws is the spec this campaign's descriptor and cache salt derive
-	// from: the whole spec for conformance, a single-device copy for
-	// evaluate.
-	ws WorkSpec
-	// device is the evaluate campaign's device; "" for the conformance
-	// fleet campaign and the tune study. It suffixes the checkpoint path
-	// and dist name.
-	device string
-	spec   sched.Spec
-	// ranges builds a distributed worker's range runner; nil for tune,
-	// which only runs locally.
-	ranges func(dist.SchedRunnerOptions) dist.RunRange
-	// run executes the campaign, adds its result to res, and returns
+	// ws is the spec with the kind's default devices filled in; the
+	// campaign's descriptor and cache salt derive from it.
+	ws   WorkSpec
+	spec sched.Spec
+	// ranges builds a distributed worker's range runner, salted for the
+	// worker's cache when o.Cache is set.
+	ranges func(o dist.SchedRunnerOptions) (dist.RunRange, error)
+	// run executes the campaign, stores its artifact in res, and returns
 	// how many cells an interruption left pending (with an error
 	// wrapping sched.ErrInterrupted).
 	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error)
 }
 
-// name suffixes base (a dist name or checkpoint path) with the
-// campaign's device, if it has one.
-func (c workCampaign) name(base string) string {
-	if c.device == "" {
-		return base
-	}
-	return base + "." + c.device
-}
-
-// distributable rejects campaigns that have no range runner.
-func distributable(camps []workCampaign) error {
-	for _, c := range camps {
-		if c.ranges == nil {
-			return fmt.Errorf("core: %s campaigns cannot run distributed", c.spec.Name)
+// schedRanges is the range runner of a conformance or evaluate
+// campaign: its exec under the spec's descriptor as cache salt.
+func schedRanges[R any](ws WorkSpec, spec sched.Spec, newExec func() sched.Exec[R]) func(dist.SchedRunnerOptions) (dist.RunRange, error) {
+	return func(o dist.SchedRunnerOptions) (dist.RunRange, error) {
+		if o.Cache != nil {
+			var err error
+			if o.CacheSalt, err = ws.CacheSalt(); err != nil {
+				return nil, err
+			}
 		}
+		return dist.SchedRunner(spec, newExec, o), nil
 	}
-	return nil
 }
 
-// expand validates ws and turns it into its campaigns: one fleet
-// campaign for conformance, one single-device campaign per device for
-// evaluate, one tuning study for tune. It is the only place a
-// WorkSpec's kind is dispatched.
-func (st *Study) expand(ws WorkSpec) ([]workCampaign, error) {
+// expand validates ws and turns it into its one campaign: a fleet
+// campaign for conformance and evaluate, the tuning study for tune. It
+// is the only place a WorkSpec's kind is dispatched.
+func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
 	}
+	if len(ws.Devices) == 0 {
+		ws.Devices = KindDefaults(ws.Kind).Devices
+	}
 	if ws.Kind == "tune" {
 		return st.expandTune(ws)
-	}
-	if len(ws.Devices) == 0 {
-		for _, p := range gpu.Profiles() {
-			ws.Devices = append(ws.Devices, p.ShortName)
-		}
 	}
 	envs, err := ws.envParams()
 	if err != nil {
@@ -276,57 +274,59 @@ func (st *Study) expand(ws WorkSpec) ([]workCampaign, error) {
 			return nil, err
 		}
 		newExec := st.conformanceExec(envs[0], work, ws.Iters)
-		return []workCampaign{{
+		return &workCampaign{
 			ws:     ws,
 			spec:   spec,
-			ranges: func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) },
+			ranges: schedRanges(ws, spec, newExec),
 			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
 				reports, pending, err := st.runConformance(ctx, spec, newExec, platforms, o, desc)
-				res.Artifact.Conformance = reports
+				res.Artifact = &CampaignArtifact{Kind: ws.Kind, Conformance: reports}
 				return pending, err
 			},
-		}}, nil
+		}, nil
 	}
-	out := make([]workCampaign, 0, len(platforms))
-	for _, p := range platforms {
-		spec, work, err := st.evaluateCampaign(p, envs, ws.Seed)
-		if err != nil {
-			return nil, err
-		}
-		one := ws
-		one.Devices = []string{p.Device}
-		newExec := st.evaluateExec(p, work, ws.Iters)
-		out = append(out, workCampaign{
-			ws:     one,
-			device: p.Device,
-			spec:   spec,
-			ranges: func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) },
-			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-				score, pending, err := st.runEvaluate(ctx, spec, newExec, o, desc)
-				if score != nil {
-					res.Artifact.Evaluate = append(res.Artifact.Evaluate, EvaluateEntry{Device: p.Device, Score: score})
-				}
-				return pending, err
-			},
-		})
-	}
-	return out, nil
-}
-
-// expandTune turns a tune spec into its one tuning study, run by
-// tuning.RunCampaignCtx under tuning's own cache salt and with the
-// checkpoint path as given.
-func (st *Study) expandTune(ws WorkSpec) ([]workCampaign, error) {
-	cfg := ws.tuneConfig()
-	spec, err := tuning.CampaignSpec(cfg, st.Suite.Mutants)
+	spec, work, err := st.evaluateCampaign(platforms, envs, ws.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return []workCampaign{{
-		ws:   ws,
-		spec: spec,
-		run: func(ctx context.Context, o CampaignOptions, _ json.RawMessage, res *WorkResult) (int, error) {
-			ds, err := tuning.RunCampaignCtx(ctx, cfg, st.Suite.Mutants, tuning.RunOptions{
+	newExec := st.evaluateExec(work, ws.Iters)
+	return &workCampaign{
+		ws:     ws,
+		spec:   spec,
+		ranges: schedRanges(ws, spec, newExec),
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
+			entries, pending, err := st.runEvaluate(ctx, spec, newExec, platforms, o, desc)
+			res.Artifact = &CampaignArtifact{Kind: ws.Kind, Evaluate: entries}
+			return pending, err
+		},
+	}, nil
+}
+
+// expandTune turns a tune spec into its tuning study. Locally
+// tuning's own Run executes it, with its own cache salt and the
+// checkpoint path as given; distributed, a coordinator collects the
+// cells tuning's range runner measured and tuning assembles the same
+// dataset from them.
+func (st *Study) expandTune(ws WorkSpec) (*workCampaign, error) {
+	camp, err := tuning.PlanCampaign(ws.tuneConfig(), st.Suite.Mutants)
+	if err != nil {
+		return nil, err
+	}
+	return &workCampaign{
+		ws:     ws,
+		spec:   camp.Spec,
+		ranges: camp.RunRange,
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
+			if o.Dist != nil {
+				rep, err := runDistCampaign(ctx, camp.Spec, o, desc, func(m tuning.Measurement) int { return m.Instances })
+				interrupted := errors.Is(err, sched.ErrInterrupted)
+				if err != nil && !interrupted {
+					return 0, err
+				}
+				res.Dataset = camp.Dataset(rep, interrupted)
+				return rep.Interrupted, err
+			}
+			ds, err := camp.Run(ctx, tuning.RunOptions{
 				Workers:        o.Workers,
 				CheckpointPath: o.CheckpointPath,
 				Resume:         o.Resume,
@@ -346,34 +346,23 @@ func (st *Study) expandTune(ws WorkSpec) ([]workCampaign, error) {
 			}
 			res.Dataset = ds
 			if ds.Interrupted {
-				pending := len(spec.Cells) - len(ds.Records) - len(ds.Dropped)
+				pending := len(camp.Spec.Cells) - len(ds.Records) - len(ds.Dropped)
 				return pending, fmt.Errorf("core: tuning study interrupted: %w", sched.ErrInterrupted)
 			}
 			return 0, nil
 		},
-	}}, nil
+	}, nil
 }
 
-// PlanWorkSpec validates ws and returns its manifest and planned cell
-// count without running anything. The manifest is the campaign's
-// scheduler manifest; for evaluate it is one "<device>/<manifest>"
-// line per device campaign. The serve subsystem derives idempotent job
-// IDs from it.
+// PlanWorkSpec validates ws and returns its campaign's scheduler
+// manifest and planned cell count without running anything. The serve
+// subsystem derives idempotent job IDs from them.
 func (st *Study) PlanWorkSpec(ws WorkSpec) (manifest string, cells int, err error) {
-	camps, err := st.expand(ws)
+	c, err := st.expand(ws)
 	if err != nil {
 		return "", 0, err
 	}
-	var b strings.Builder
-	for _, c := range camps {
-		cells += len(c.spec.Cells)
-		if c.device == "" {
-			b.WriteString(c.spec.Manifest())
-			continue
-		}
-		fmt.Fprintf(&b, "%s/%s\n", c.device, c.spec.Manifest())
-	}
-	return b.String(), cells, nil
+	return c.spec.Manifest(), len(c.spec.Cells), nil
 }
 
 // WorkResult is what RunWorkSpec returns: the artifact the spec's kind
@@ -416,63 +405,35 @@ func (r *WorkResult) Encode(w io.Writer) error {
 // verdict. The spec supplies everything that shapes results: the
 // platforms, environments or study sizes, retry policy (opts.Retries,
 // Backoff and CellTimeout are overridden), and the descriptor and
-// cache salt. Evaluate runs one campaign per device, sequentially, with
-// the checkpoint path and dist name suffixed ".<device>"; opts.OnProgress
-// sees one cumulative stream named after the kind. A spec with a cell
-// timeout always collects, so an expired cell fails alone. Tune runs
-// only locally. On interruption the partial artifact is returned with
-// Interrupted set and a nil error.
+// cache salt. Every kind runs as one campaign, with one checkpoint at
+// opts.CheckpointPath and one coordinator named opts.Dist.Name (the
+// kind when empty). A spec with a cell timeout always collects, so an
+// expired cell fails alone. On interruption the partial artifact is
+// returned with Interrupted set and a nil error.
 func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOptions) (*WorkResult, error) {
-	camps, err := st.expand(ws)
+	c, err := st.expand(ws)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Dist != nil {
-		if err := distributable(camps); err != nil {
-			return nil, err
-		}
-	}
 	opts.Retries, opts.Backoff, opts.CellTimeout = ws.policy()
 	opts.Collect = opts.Collect || opts.CellTimeout > 0
-	if opts.OnProgress != nil {
-		fold := &progressFold{out: opts.OnProgress, campaigns: len(camps), base: sched.Progress{Campaign: ws.Kind}}
-		for _, c := range camps {
-			fold.base.Total += len(c.spec.Cells)
-		}
-		opts.OnProgress = fold.add
-	}
-	res := &WorkResult{}
-	if ws.Kind != "tune" {
-		res.Artifact = &CampaignArtifact{Kind: ws.Kind}
-	}
-	for i, c := range camps {
-		o := opts
-		var desc json.RawMessage
-		if o.Dist != nil || o.Cache != nil {
-			if desc, err = c.ws.Descriptor(); err != nil {
-				return nil, err
-			}
-		}
-		if o.Dist != nil {
-			d := *o.Dist
-			d.Name = c.name(cmp.Or(d.Name, ws.Kind))
-			o.Dist = &d
-		}
-		if o.CheckpointPath != "" {
-			o.CheckpointPath = c.name(o.CheckpointPath)
-		}
-		pending, err := c.run(ctx, o, desc, res)
-		if errors.Is(err, sched.ErrInterrupted) {
-			res.Interrupted = true
-			res.Pending += pending
-			for _, rest := range camps[i+1:] {
-				res.Pending += len(rest.spec.Cells)
-			}
-			break
-		}
-		if err != nil {
+	var desc json.RawMessage
+	if opts.Dist != nil || opts.Cache != nil {
+		if desc, err = c.ws.Descriptor(); err != nil {
 			return nil, err
 		}
+	}
+	if opts.Dist != nil {
+		d := *opts.Dist
+		d.Name = cmp.Or(d.Name, ws.Kind)
+		opts.Dist = &d
+	}
+	res := &WorkResult{}
+	pending, err := c.run(ctx, opts, desc, res)
+	if errors.Is(err, sched.ErrInterrupted) {
+		res.Interrupted, res.Pending = true, pending
+	} else if err != nil {
+		return nil, err
 	}
 	res.tally()
 	return res, nil
@@ -513,31 +474,4 @@ func (r *WorkResult) fail(quarantined bool) {
 	if quarantined {
 		r.Quarantined++
 	}
-}
-
-// progressFold folds the per-campaign snapshot streams of a WorkSpec
-// (evaluate runs one campaign per device) into one cumulative stream.
-// Campaigns run one after another and each delivers its snapshots
-// serially, so no locking is needed. Final is set only on the last
-// campaign's settlement.
-type progressFold struct {
-	out       func(sched.Progress)
-	campaigns int
-
-	finished int
-	// base is the fold of every settled campaign; its Campaign and
-	// Total name the whole spec.
-	base sched.Progress
-}
-
-// add is the OnProgress hook every campaign of the spec reports to.
-func (f *progressFold) add(p sched.Progress) {
-	q := f.base
-	q.Add(p)
-	if p.Final {
-		f.finished++
-		f.base = q
-	}
-	q.Final = p.Final && f.finished == f.campaigns
-	f.out(q)
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/tuning"
 )
@@ -36,6 +33,9 @@ func TestWorkSpecValidate(t *testing.T) {
 		{"evaluate", with(conf, func(ws *WorkSpec) { ws.Kind = "evaluate" }), true},
 		{"unknown kind", with(conf, func(ws *WorkSpec) { ws.Kind = "bogus" }), false},
 		{"unknown device", with(conf, func(ws *WorkSpec) { ws.Devices = []string{"NoSuchGPU"} }), false},
+		{"conformance repeated device", with(conf, func(ws *WorkSpec) { ws.Devices = []string{"AMD", "Intel", "AMD"} }), false},
+		{"evaluate repeated device", with(conf, func(ws *WorkSpec) { ws.Kind, ws.Devices = "evaluate", []string{"AMD", "AMD"} }), false},
+		{"tune repeated device", with(tune, func(ws *WorkSpec) { ws.Devices = []string{"AMD", "AMD"} }), false},
 		{"unknown env", with(conf, func(ws *WorkSpec) { ws.Envs = []string{"warp9"} }), false},
 		{"no envs", with(conf, func(ws *WorkSpec) { ws.Envs = nil }), false},
 		{"zero iters", with(conf, func(ws *WorkSpec) { ws.Iters = 0 }), false},
@@ -69,7 +69,7 @@ func TestDurationMS(t *testing.T) {
 
 // TestTuneWorkSpec: a tune spec plans the tuning study's own manifest,
 // records a fault model only when it injects faults or bounds the
-// watchdog, and is refused by both distributed entry points.
+// watchdog, and has a work unit for distributed workers.
 func TestTuneWorkSpec(t *testing.T) {
 	st, err := NewStudy()
 	if err != nil {
@@ -83,12 +83,12 @@ func TestTuneWorkSpec(t *testing.T) {
 	cfg := tuning.SmallConfig()
 	cfg.Environments, cfg.SITEIterations, cfg.PTEIterations = 2, 3, 1
 	cfg.Seed, cfg.Devices = 9, []string{"AMD", "Intel"}
-	spec, err := tuning.CampaignSpec(cfg, st.Suite.Mutants)
+	camp, err := tuning.PlanCampaign(cfg, st.Suite.Mutants)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if manifest != spec.Manifest() || cells != len(spec.Cells) {
-		t.Fatalf("tune plan (%d cells) differs from tuning.CampaignSpec (%d cells)", cells, len(spec.Cells))
+	if manifest != camp.Spec.Manifest() || cells != len(camp.Spec.Cells) {
+		t.Fatalf("tune plan (%d cells) differs from tuning.PlanCampaign (%d cells)", cells, len(camp.Spec.Cells))
 	}
 
 	silent := gpu.UniformFaults(ws.Seed, 0)
@@ -102,11 +102,11 @@ func TestTuneWorkSpec(t *testing.T) {
 		t.Errorf("watchdog-only model not recorded: %+v", got)
 	}
 
-	if _, err := DistWork(ws, DistWorkOptions{}); err == nil || !strings.Contains(err.Error(), "cannot run distributed") {
-		t.Errorf("DistWork accepted a tune spec: %v", err)
+	unit, err := DistWork(ws, DistWorkOptions{})
+	if err != nil {
+		t.Fatalf("DistWork refused a tune spec: %v", err)
 	}
-	opts := CampaignOptions{Dist: &DistOptions{Hub: dist.NewHub()}}
-	if _, err := st.RunWorkSpec(context.Background(), ws, opts); err == nil || !strings.Contains(err.Error(), "cannot run distributed") {
-		t.Errorf("RunWorkSpec ran a tune spec distributed: %v", err)
+	if unit.Spec.Manifest() != manifest {
+		t.Errorf("tune work unit manifest differs from the plan")
 	}
 }

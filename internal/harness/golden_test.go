@@ -22,8 +22,7 @@ import (
 // rewrite (regenerate with UPDATE_GOLDEN=1): identical fingerprints
 // prove the full RunInto pipeline — plan generation, device execution,
 // outcome extraction, domain validation, classification, histogram —
-// observes byte-identical device behavior. WallSeconds is host time
-// and deliberately excluded.
+// observes byte-identical device behavior.
 
 // fingerprintResult hashes every deterministic field of a Result.
 func fingerprintResult(t *testing.T, res *Result) string {

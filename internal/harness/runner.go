@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/litmus"
@@ -129,8 +128,6 @@ type Result struct {
 	// SimSeconds is total simulated device time, the paper's time base
 	// for rates and budgets.
 	SimSeconds float64
-	// WallSeconds is host time spent, for reporting only.
-	WallSeconds float64
 	// Hist is the outcome histogram.
 	Hist *litmus.Histogram
 	// FirstViolation is the first outcome classified disallowed, when
@@ -156,7 +153,7 @@ func (r *Result) ViolationRate() float64 {
 }
 
 // Merge folds another result for the same test into r: counts,
-// histograms and sim/wall seconds are summed, and FirstViolation keeps
+// histograms and simulated seconds are summed, and FirstViolation keeps
 // the earliest in merge order (r's own if set, else other's). Merging
 // results from different tests is an error, catching misassembled
 // campaign aggregations.
@@ -171,7 +168,6 @@ func (r *Result) Merge(other *Result) error {
 	r.Discarded += other.Discarded
 	r.Instances += other.Instances
 	r.SimSeconds += other.SimSeconds
-	r.WallSeconds += other.WallSeconds
 	if other.Hist != nil {
 		if r.Hist == nil {
 			// Size the merged map for the incoming outcome set up front:
@@ -237,7 +233,6 @@ func (r *Runner) RunInto(ctx context.Context, res *Result, test *litmus.Test, it
 		}
 		r.scratch.validated = test
 	}
-	start := time.Now()
 	hist := res.Hist
 	if hist == nil {
 		hist = litmus.NewHistogram()
@@ -327,7 +322,6 @@ func (r *Runner) RunInto(ctx context.Context, res *Result, test *litmus.Test, it
 	}
 	res.TargetCount = res.Hist.TargetCount()
 	res.Violations = res.Hist.Violations()
-	res.WallSeconds = time.Since(start).Seconds()
 	return nil
 }
 

@@ -202,7 +202,7 @@ type CellResult[R any] struct {
 	// Replayed marks cells restored from the checkpoint.
 	Replayed bool
 	// CacheHit marks cells served from the result cache instead of
-	// executing; Attempts is 0 and WallSeconds ~0 for them.
+	// executing; Attempts is 0 for them.
 	CacheHit bool
 	// Quarantined marks cells skipped (or discarded) because their
 	// device's circuit breaker was open; Err is ErrQuarantined.
@@ -212,8 +212,6 @@ type CellResult[R any] struct {
 	// Interrupted cells are pending, not failed: they were never
 	// checkpointed, so a resume re-runs them.
 	Interrupted bool
-	// WallSeconds is host time spent executing the cell.
-	WallSeconds float64
 }
 
 // Report is a completed campaign: per-cell results in spec order plus
@@ -521,7 +519,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				rep.Results[i].Value = value
 				rep.Results[i].Err = err
 				rep.Results[i].Attempts = attempts
-				rep.Results[i].WallSeconds = wall.Seconds()
 				instances := 0
 				if err == nil && opts.Instances != nil {
 					instances = opts.Instances(value)

@@ -18,13 +18,8 @@ func (s *Server) plan(js *JobSpec) (manifest string, cells int, err error) {
 	if err := s.cfg.Budgets.Validate(js.budget()); err != nil {
 		return "", 0, err
 	}
-	if js.Distributed {
-		if s.dist == nil {
-			return "", 0, fmt.Errorf("distributed execution is not enabled on this server")
-		}
-		if js.Kind == "tune" {
-			return "", 0, fmt.Errorf("tune jobs cannot run distributed")
-		}
+	if js.Distributed && s.dist == nil {
+		return "", 0, fmt.Errorf("distributed execution is not enabled on this server")
 	}
 	// The cell timeout shapes no cell grid, so the plan leaves it out.
 	return s.study.PlanWorkSpec(js.workSpec(0))

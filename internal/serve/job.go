@@ -97,7 +97,9 @@ func (s JobState) Terminal() bool {
 type JobSpec struct {
 	// Kind selects the workload: "conformance", "evaluate" or "tune".
 	Kind string `json:"kind"`
-	// Devices is the fleet subset; empty means every Table 3 device.
+	// Devices is the fleet subset; empty means every Table 3 device
+	// (core.KindDefaults fills it for conformance and evaluate; a tune
+	// dataset records the list as given, as the CLI's does).
 	Devices []string `json:"devices,omitempty"`
 	// Seed is the campaign seed; 0 means the kind's default
 	// (core.KindDefaults: 1 for campaigns, 2023 for tuning).
@@ -122,8 +124,8 @@ type JobSpec struct {
 	// Distributed runs the job as a campaign coordinator: cells are
 	// leased to `mcmutants work` processes over the server's /dist/v1/
 	// API instead of executing on the runner. Requires the server's
-	// distributed mode (Config.EnableDist); not supported for tune.
-	// The artifact is byte-identical to a local run of the same spec.
+	// distributed mode (Config.EnableDist). The artifact is
+	// byte-identical to a local run of the same spec.
 	Distributed bool `json:"distributed,omitempty"`
 
 	// WallDeadline, CellTimeout and StallTimeout are the job's requested
@@ -202,14 +204,14 @@ func (js *JobSpec) workSpec(cellTimeout time.Duration) core.WorkSpec {
 // CLI flags share) in place. It runs before validation and before the
 // job ID is derived, so an explicit spec and its defaulted shorthand
 // are the same job.
-func (js *JobSpec) normalize(fleet []string) {
+func (js *JobSpec) normalize() {
+	def := core.KindDefaults(js.Kind)
 	if len(js.Devices) == 0 {
-		js.Devices = append([]string(nil), fleet...)
+		js.Devices = def.Devices
 	}
 	for i, d := range js.Devices {
 		js.Devices[i] = strings.TrimSpace(d)
 	}
-	def := core.KindDefaults(js.Kind)
 	js.Seed = cmp.Or(js.Seed, def.Seed)
 	if len(js.Envs) == 0 {
 		js.Envs = def.Envs

@@ -19,7 +19,7 @@ func TestJobIDGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		js := c.spec
-		js.normalize(fleet())
+		js.normalize()
 		manifest, _, err := s.plan(&js)
 		if err != nil {
 			t.Fatalf("%s: %v", js.Kind, err)

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -165,12 +164,9 @@ func TestJobLifecycleAndByteIdentity(t *testing.T) {
 	}
 }
 
-// wallSeconds matches the host-time fields evaluate artifacts embed.
-var wallSeconds = regexp.MustCompile(`"WallSeconds": [-+.eE0-9]+`)
-
 // localEvaluateArtifact renders the evaluate artifact for the spec
 // through per-device EvaluateEnvironmentsCtx calls and a hand-built
-// CampaignArtifact, with host wall time zeroed.
+// CampaignArtifact.
 func localEvaluateArtifact(t *testing.T, js JobSpec) []byte {
 	t.Helper()
 	study, err := core.NewStudy()
@@ -198,12 +194,11 @@ func localEvaluateArtifact(t *testing.T, js JobSpec) []byte {
 	if err := art.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return wallSeconds.ReplaceAll(buf.Bytes(), []byte(`"WallSeconds": 0`))
+	return buf.Bytes()
 }
 
-// TestEvaluateJobMatchesLocal: a multi-device evaluate job reports,
-// modulo host wall time, exactly what per-device library evaluation
-// reports.
+// TestEvaluateJobMatchesLocal: a multi-device evaluate job reports
+// exactly what per-device library evaluation reports.
 func TestEvaluateJobMatchesLocal(t *testing.T) {
 	_, c := startServer(t, Config{Runners: 1, JobWorkers: 4})
 	ctx := context.Background()
@@ -223,7 +218,6 @@ func TestEvaluateJobMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = wallSeconds.ReplaceAll(got, []byte(`"WallSeconds": 0`))
 	if want := localEvaluateArtifact(t, j.Spec); !bytes.Equal(got, want) {
 		t.Fatalf("evaluate report differs from the local artifact:\nserver: %d bytes\nlocal:  %d bytes", len(got), len(want))
 	}
@@ -507,6 +501,8 @@ func TestValidationRejects(t *testing.T) {
 		{},              // no kind
 		{Kind: "bogus"}, // unknown kind
 		{Kind: "conformance", Devices: []string{"NoSuchGPU"}},
+		{Kind: "evaluate", Devices: []string{"AMD", "AMD"}},
+		{Kind: "tune", Devices: []string{"Intel", "Intel"}},
 		{Kind: "evaluate", Envs: []string{"warp-drive"}},
 		{Kind: "tune", TuneEnvs: -1},
 		{Kind: "conformance", Iters: -2},

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diskio"
 	"repro/internal/dist"
-	"repro/internal/gpu"
 	"repro/internal/guard"
 	"repro/internal/resultcache"
 	"repro/internal/sched"
@@ -394,16 +393,6 @@ func (s *Server) requeueShed() {
 		s.cfg.Logf("serve: job %s re-queued after brownout", j.ID)
 		s.enqueue(j.ID)
 	}
-}
-
-// fleet is the default device list: every Table 3 profile.
-func fleet() []string {
-	profs := gpu.Profiles()
-	out := make([]string, 0, len(profs))
-	for _, p := range profs {
-		out = append(out, p.ShortName)
-	}
-	return out
 }
 
 // --- queue ---
@@ -797,7 +786,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
-	js.normalize(fleet())
+	js.normalize()
 	manifest, cells, err := s.plan(&js)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid job spec: %v", err)

@@ -93,12 +93,12 @@ func TestChaosCampaignResumeMatchesCleanRun(t *testing.T) {
 	killAfter := len(spec.Cells) / 3
 	ran := 0
 	exec := newWorkerExec(work, cfg.Faults)()
-	_, err = sched.Run(spec, func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (measurement, error) {
+	_, err = sched.Run(spec, func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Measurement, error) {
 		if ran++; ran > killAfter {
-			return measurement{}, fmt.Errorf("simulated kill")
+			return Measurement{}, fmt.Errorf("simulated kill")
 		}
 		return exec(ctx, c, rng)
-	}, sched.Options[measurement]{Workers: 1, Checkpoint: ck})
+	}, sched.Options[Measurement]{Workers: 1, Checkpoint: ck})
 	if err == nil {
 		t.Fatal("interrupted run succeeded")
 	}

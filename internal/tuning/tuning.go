@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/confidence"
 	"repro/internal/diskio"
+	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/litmus"
@@ -451,12 +452,12 @@ func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tu
 	return spec, work, nil
 }
 
-// measurement is what executing one cell computes: the measured
+// Measurement is what executing one cell computes: the measured
 // fields of its Record. The rest of the Record is a function of the
 // cell key, so the scheduler carries, checkpoints and caches only
-// this, and RunCampaignCtx joins the two. The JSON names are Record's,
+// this, and Campaign.Dataset joins the two. The JSON names are Record's,
 // so a checkpointed Record decodes as its measurement.
-type measurement struct {
+type Measurement struct {
 	Iterations  int     `json:"iterations"`
 	Instances   int     `json:"instances"`
 	TargetCount int     `json:"target_count"`
@@ -468,11 +469,11 @@ type measurement struct {
 
 // measure runs the cell on the given (possibly warm) runner, writing
 // into the caller's reusable Result.
-func measure(ctx context.Context, w tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (measurement, error) {
+func measure(ctx context.Context, w tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (Measurement, error) {
 	if err := runner.RunInto(ctx, res, w.test, w.iters, rng); err != nil {
-		return measurement{}, fmt.Errorf("tuning: %s/%s/%s: %w", w.envID, w.device, w.test.Name, err)
+		return Measurement{}, fmt.Errorf("tuning: %s/%s/%s: %w", w.envID, w.device, w.test.Name, err)
 	}
-	return measurement{
+	return Measurement{
 		Iterations:  res.Iterations,
 		Instances:   res.Instances,
 		TargetCount: res.TargetCount,
@@ -484,7 +485,7 @@ func measure(ctx context.Context, w tuningCell, runner *harness.Runner, res *har
 }
 
 // record assembles the cell's dataset record from its measurement.
-func (w tuningCell) record(m measurement) Record {
+func (w tuningCell) record(m Measurement) Record {
 	return Record{
 		Family:      w.family.String(),
 		EnvID:       w.envID,
@@ -530,57 +531,45 @@ func newRunner(k runnerKey) (*harness.Runner, error) {
 // ordered (family, environment, device, test), so a worker sees long
 // runs of one key — and one reused Result, so cells on a warm runner
 // run allocation-free.
-func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[measurement] {
+func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[Measurement] {
 	var fm gpu.FaultModel
 	if faults != nil {
 		fm = *faults
 	}
-	return func() sched.Exec[measurement] {
+	return func() sched.Exec[Measurement] {
 		warm := harness.WarmRunner[runnerKey]{New: newRunner}
 		var res harness.Result
-		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (measurement, error) {
+		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Measurement, error) {
 			w, ok := work[c.Key]
 			if !ok {
-				return measurement{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
+				return Measurement{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
 			}
 			runner, err := warm.Get(runnerKey{device: w.device, env: w.env}, fm)
 			if err != nil {
-				return measurement{}, err
+				return Measurement{}, err
 			}
 			return measure(ctx, w, runner, &res, rng)
 		}
 	}
 }
 
-// CampaignSpec returns the scheduler spec RunCampaign executes for the
-// config and tests, without running anything. Its Manifest() identifies
-// the campaign's cell grid — the serve subsystem derives idempotent job
-// IDs from it, and it is the manifest the run's checkpoint will carry.
-func CampaignSpec(cfg Config, tests []*litmus.Test) (sched.Spec, error) {
-	if len(tests) == 0 {
-		return sched.Spec{}, fmt.Errorf("tuning: no tests")
-	}
-	spec, _, err := buildCampaign(&cfg, tests)
-	return spec, err
+// Campaign is a tuning study planned for execution: its scheduler spec
+// and every cell's work order. Run executes it locally; RunRange and
+// Dataset let a coordinator run it across worker processes with the
+// same exec, cache salt and dataset assembly, so a distributed study's
+// dataset is byte-identical to a local one.
+type Campaign struct {
+	// Spec is the study's scheduler spec. Its Manifest identifies the
+	// cell grid: the serve subsystem derives idempotent job IDs from it,
+	// and it is the manifest the run's checkpoint carries.
+	Spec sched.Spec
+	cfg  Config
+	work map[string]tuningCell
 }
 
-// RunCampaign is RunCampaignCtx under context.Background().
-func RunCampaign(cfg Config, tests []*litmus.Test, opts RunOptions) (*Dataset, error) {
-	return RunCampaignCtx(context.Background(), cfg, tests, opts)
-}
-
-// RunCampaignCtx executes the tuning study as a scheduled campaign:
-// every (environment, device, test) cell derives its RNG stream purely
-// from the config seed and the cell's identity, so any worker count —
-// and any interleaving of checkpoint resume — produces a bit-identical
-// dataset.
-//
-// Cancelling ctx drains the campaign and returns the partial dataset
-// with Interrupted set (and a nil error): completed cells are in
-// Records, failures in Dropped, and the abandoned remainder is pending
-// in the checkpoint, so a resumed run finishes the dataset
-// byte-identical to an uninterrupted one.
-func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts RunOptions) (*Dataset, error) {
+// PlanCampaign expands the config and tests into the study's campaign
+// without running anything.
+func PlanCampaign(cfg Config, tests []*litmus.Test) (*Campaign, error) {
 	if len(tests) == 0 {
 		return nil, fmt.Errorf("tuning: no tests")
 	}
@@ -588,7 +577,36 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 	if err != nil {
 		return nil, err
 	}
-	schedOpts := sched.Options[measurement]{
+	return &Campaign{Spec: spec, cfg: cfg, work: work}, nil
+}
+
+// RunCampaign is RunCampaignCtx under context.Background().
+func RunCampaign(cfg Config, tests []*litmus.Test, opts RunOptions) (*Dataset, error) {
+	return RunCampaignCtx(context.Background(), cfg, tests, opts)
+}
+
+// RunCampaignCtx plans the tuning study and runs it (see Campaign.Run).
+func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts RunOptions) (*Dataset, error) {
+	c, err := PlanCampaign(cfg, tests)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx, opts)
+}
+
+// Run executes the tuning study as a scheduled campaign: every
+// (environment, device, test) cell derives its RNG stream purely from
+// the config seed and the cell's identity, so any worker count — and
+// any interleaving of checkpoint resume — produces a bit-identical
+// dataset.
+//
+// Cancelling ctx drains the campaign and returns the partial dataset
+// with Interrupted set (and a nil error): completed cells are in
+// Records, failures in Dropped, and the abandoned remainder is pending
+// in the checkpoint, so a resumed run finishes the dataset
+// byte-identical to an uninterrupted one.
+func (c *Campaign) Run(ctx context.Context, opts RunOptions) (*Dataset, error) {
+	schedOpts := sched.Options[Measurement]{
 		Workers:       opts.Workers,
 		MaxRetries:    opts.Retries,
 		Backoff:       opts.Backoff,
@@ -597,16 +615,16 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		Breaker:       opts.Breaker,
 		OnProgress:    opts.OnProgress,
 		ProgressEvery: opts.ProgressEvery,
-		Instances:     func(m measurement) int { return m.Instances },
+		Instances:     func(m Measurement) int { return m.Instances },
 		// Each worker gets private warm scratch — a runner and a Result
 		// reused across that worker's cells — so the steady-state
 		// campaign loop stops allocating. Cell randomness derives purely
 		// from (seed, cell key), so which worker's scratch a cell lands
 		// on cannot change its measurement.
-		NewWorkerExec: newWorkerExec(work, cfg.Faults),
+		NewWorkerExec: newWorkerExec(c.work, c.cfg.Faults),
 	}
 	if opts.Cache != nil {
-		salt, err := cacheSalt(cfg, opts)
+		salt, err := cacheSalt(c.cfg, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -615,8 +633,8 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 	}
 	if opts.Progress != nil {
 		progress := opts.Progress
-		schedOpts.OnCellStart = func(c sched.Cell) {
-			w := work[c.Key]
+		schedOpts.OnCellStart = func(cell sched.Cell) {
+			w := c.work[cell.Key]
 			progress(fmt.Sprintf("%s on %s: %s (%d iterations)", w.envID, w.device, w.test.Name, w.iters))
 		}
 	}
@@ -624,7 +642,7 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		return nil, fmt.Errorf("tuning: Resume requires CheckpointPath")
 	}
 	if opts.CheckpointPath != "" {
-		ck, err := sched.OpenCheckpointOpts(opts.CheckpointPath, spec, opts.Resume,
+		ck, err := sched.OpenCheckpointOpts(opts.CheckpointPath, c.Spec, opts.Resume,
 			sched.CheckpointOptions{FS: opts.FS, FsyncEvery: opts.FsyncEvery})
 		if err != nil {
 			return nil, err
@@ -632,12 +650,34 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 		defer ck.Close()
 		schedOpts.Checkpoint = ck
 	}
-	rep, err := sched.RunContext(ctx, spec, nil, schedOpts)
+	rep, err := sched.RunContext(ctx, c.Spec, nil, schedOpts)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, err
 	}
-	ds := &Dataset{Config: cfg, Interrupted: interrupted,
+	return c.Dataset(rep, interrupted), nil
+}
+
+// RunRange returns the study's range runner for a distributed worker:
+// dist.SchedRunner over the exec Run uses, under the cache salt Run
+// derives from the same retry policy, so a leased cell measures and
+// caches exactly as a local one does.
+func (c *Campaign) RunRange(o dist.SchedRunnerOptions) (dist.RunRange, error) {
+	if o.Cache != nil {
+		salt, err := cacheSalt(c.cfg, RunOptions{Retries: o.Retries, Backoff: o.Backoff, CellTimeout: o.CellTimeout})
+		if err != nil {
+			return nil, err
+		}
+		o.CacheSalt = salt
+	}
+	return dist.SchedRunner(c.Spec, newWorkerExec(c.work, c.cfg.Faults), o), nil
+}
+
+// Dataset assembles a settled report of the campaign — a local run's
+// or a coordinator's — into its dataset, records in spec order.
+// interrupted marks a drained run, whose abandoned cells are pending.
+func (c *Campaign) Dataset(rep *sched.Report[Measurement], interrupted bool) *Dataset {
+	ds := &Dataset{Config: c.cfg, Interrupted: interrupted,
 		StorageDegraded: rep.StorageDegraded, StorageErr: rep.StorageErr,
 		Records: make([]Record, 0, len(rep.Results))}
 	for _, cr := range rep.Results {
@@ -656,10 +696,10 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 				Attempts:    cr.Attempts,
 			})
 		default:
-			ds.Records = append(ds.Records, work[cr.Cell.Key].record(cr.Value))
+			ds.Records = append(ds.Records, c.work[cr.Cell.Key].record(cr.Value))
 		}
 	}
-	return ds, nil
+	return ds
 }
 
 // MutationScore computes the Fig. 5 mutation score: the fraction of
