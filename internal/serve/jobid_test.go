@@ -14,8 +14,8 @@ func TestJobIDGolden(t *testing.T) {
 		id   string
 	}{
 		{JobSpec{Kind: "conformance"}, "5b8ba0c95daa2ba833db930711cbd8cb7a8b5589fe0b0dd38674da08a5e5a39f"},
-		{JobSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, FenceBug: true}, "047fe713a337deecf1d8cddfda503a3cea29450078c67dc96f54dfc8ac7b7b70"},
-		{JobSpec{Kind: "tune"}, "b36a1d6df76a3a041b0e70a101709e04db28e33f5a41817157fbfdcdcba283ae"},
+		{JobSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, FenceBug: true}, "509513faa9af3557cedde754082c826693d1ad16db14bf16125473e7d33f85d9"},
+		{JobSpec{Kind: "tune"}, "4f0ad9697f71b6047560dda7c57bc3d678c0add1ae37069571f57ba46a87ccfe"},
 	}
 	for _, c := range cases {
 		js := c.spec
