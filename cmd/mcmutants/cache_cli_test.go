@@ -66,50 +66,54 @@ func TestCacheFlagValidationFailsFast(t *testing.T) {
 }
 
 // TestCampaignCacheWarmRerunByteIdentical is the CLI acceptance check:
-// the same campaign run cold, warm, and with caching off produces
-// byte-identical report artifacts; the warm run reuses every cell and
-// says so on stderr.
+// the same campaign of either kind run cold, warm, and with caching off
+// produces byte-identical report artifacts; the warm run reuses every
+// cell and says so on stderr.
 func TestCampaignCacheWarmRerunByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	base := []string{"campaign", "-kind", "conformance", "-devices", "AMD",
-		"-iters", "2", "-quiet"}
-	report := func(name string, extra ...string) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		args := append(append([]string(nil), base...), "-out", path)
-		args = append(args, extra...)
-		stderr, err := captureStderr(t, func() error {
-			_, runErr := capture(t, func() error { return run(args) })
-			return runErr
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		t.Logf("%s stderr: %s", name, strings.TrimSpace(stderr))
-		if name == "warm.json" && !strings.Contains(stderr, "cache:") {
-			t.Fatalf("warm run printed no cache summary:\n%s", stderr)
-		}
-		if name == "warm.json" && strings.Contains(stderr, "cache: 0 hit(s)") {
-			t.Fatalf("warm run had zero cache hits:\n%s", stderr)
-		}
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		return string(raw)
-	}
+	for _, kind := range []string{"conformance", "evaluate"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			cacheDir := filepath.Join(dir, "cache")
+			base := []string{"campaign", "-kind", kind, "-devices", "AMD",
+				"-envs", "pte", "-iters", "2", "-quiet"}
+			report := func(name string, extra ...string) string {
+				t.Helper()
+				path := filepath.Join(dir, name)
+				args := append(append([]string(nil), base...), "-out", path)
+				args = append(args, extra...)
+				stderr, err := captureStderr(t, func() error {
+					_, runErr := capture(t, func() error { return run(args) })
+					return runErr
+				})
+				if err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				t.Logf("%s stderr: %s", name, strings.TrimSpace(stderr))
+				if name == "warm.json" && !strings.Contains(stderr, "cache:") {
+					t.Fatalf("warm run printed no cache summary:\n%s", stderr)
+				}
+				if name == "warm.json" && strings.Contains(stderr, "cache: 0 hit(s)") {
+					t.Fatalf("warm run had zero cache hits:\n%s", stderr)
+				}
+				raw, rerr := os.ReadFile(path)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				return string(raw)
+			}
 
-	off := report("off.json")
-	cold := report("cold.json", "-cache-dir", cacheDir)
-	warm := report("warm.json", "-cache-dir", cacheDir)
-	if cold != off {
-		t.Fatal("cold cached artifact differs from the cache-off artifact")
+			off := report("off.json")
+			cold := report("cold.json", "-cache-dir", cacheDir)
+			warm := report("warm.json", "-cache-dir", cacheDir)
+			if cold != off {
+				t.Fatal("cold cached artifact differs from the cache-off artifact")
+			}
+			if warm != off {
+				t.Fatal("warm cached artifact differs from the cache-off artifact")
+			}
+			noTmpResidue(t, filepath.Join(cacheDir, "objects"))
+		})
 	}
-	if warm != off {
-		t.Fatal("warm cached artifact differs from the cache-off artifact")
-	}
-	noTmpResidue(t, filepath.Join(cacheDir, "objects"))
 }
 
 // TestTuneCacheWarmRerunByteIdentical: the tuning pipeline shares the

@@ -105,34 +105,38 @@ func TestCampaignDeadlineInterrupts(t *testing.T) {
 	}
 }
 
-// TestCampaignDeadlineResumesByteIdentical: a conformance campaign
-// interrupted by -deadline resumes from its checkpoint and reports
-// exactly what an uninterrupted campaign reports.
+// TestCampaignDeadlineResumesByteIdentical: a campaign of either kind
+// interrupted by -deadline resumes from its one checkpoint and
+// publishes exactly the artifact an uninterrupted campaign publishes.
 func TestCampaignDeadlineResumesByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	args := func(extra ...string) []string {
-		return append([]string{"campaign", "-kind", "conformance", "-devices", "AMD,Intel",
-			"-iters", "4", "-parallel", "4", "-quiet"}, extra...)
-	}
-	clean, err := capture(t, func() error { return run(args()) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, kind := range []string{"conformance", "evaluate"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			artifact := func(name string, extra ...string) (string, error) {
+				out := filepath.Join(dir, name)
+				args := append([]string{"campaign", "-kind", kind, "-devices", "AMD,Intel",
+					"-envs", "pte", "-iters", "4", "-parallel", "4", "-quiet", "-out", out}, extra...)
+				_, err := capture(t, func() error { return run(args) })
+				raw, _ := os.ReadFile(out)
+				return string(raw), err
+			}
+			clean, err := artifact("clean.json")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ckpt := filepath.Join(dir, "conf.ckpt")
-	_, runErr := capture(t, func() error {
-		return run(args("-checkpoint", ckpt, "-deadline", "1ns"))
-	})
-	exit130(t, runErr)
+			ckpt := filepath.Join(dir, "campaign.ckpt")
+			_, runErr := artifact("interrupted.json", "-checkpoint", ckpt, "-deadline", "1ns")
+			exit130(t, runErr)
 
-	resumed, err := capture(t, func() error {
-		return run(args("-checkpoint", ckpt, "-resume"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != clean {
-		t.Fatalf("resumed campaign output differs:\n%s\nvs\n%s", resumed, clean)
+			resumed, err := artifact("resumed.json", "-checkpoint", ckpt, "-resume")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed != clean {
+				t.Fatalf("resumed campaign artifact differs:\n%s\nvs\n%s", resumed, clean)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -108,5 +112,53 @@ func TestTuneWorkSpec(t *testing.T) {
 	}
 	if unit.Spec.Manifest() != manifest {
 		t.Errorf("tune work unit manifest differs from the plan")
+	}
+}
+
+// TestEvaluateWorkSpecInterruptResume: a two-device evaluate spec
+// cancelled mid-campaign keeps one checkpoint at the path given, and a
+// resumed run publishes the artifact an uninterrupted run publishes.
+func TestEvaluateWorkSpecInterruptResume(t *testing.T) {
+	st, err := NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := WorkSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 2, Seed: 4}
+	clean, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeArtifact(t, clean.Artifact)
+
+	ckpt := filepath.Join(t.TempDir(), "eval.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := 0
+	partial, err := st.RunWorkSpec(ctx, ws, CampaignOptions{
+		Workers: 2, CheckpointPath: ckpt,
+		// Cancel once the first device's cells are under way, so the
+		// interruption falls inside the fleet campaign.
+		Progress: func(string) {
+			if started++; started == 40 {
+				cancel()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !partial.Interrupted || partial.Pending == 0 {
+		t.Fatalf("run was not interrupted mid-campaign: interrupted %v, pending %d", partial.Interrupted, partial.Pending)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("no checkpoint at the path given: %v", err)
+	}
+
+	resumed, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{Workers: 2, CheckpointPath: ckpt, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeArtifact(t, resumed.Artifact); !bytes.Equal(want, got) {
+		t.Fatalf("resumed artifact differs:\nclean:\n%s\nresumed:\n%s", want, got)
 	}
 }

@@ -72,8 +72,7 @@ func (h *Hub) Get(name string) (*Coordinator, bool) {
 }
 
 // List returns the registered campaigns' WorkInfo in registration
-// order — the order workers should drain them in (evaluate registers
-// one campaign per device sequentially).
+// order — the order workers should drain them in.
 func (h *Hub) List() []WorkInfo {
 	h.mu.Lock()
 	entries := make([]*hubEntry, 0, len(h.coords))

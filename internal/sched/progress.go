@@ -133,43 +133,6 @@ func LiveProgress(campaign string, total, done, replayed, cacheHits int, elapsed
 	return p
 }
 
-// Add folds q into p, for consumers that report several campaigns as
-// one (a multi-device job): counters and elapsed time sum, degraded
-// flags OR, per-device busy times merge, health summaries append, and
-// both rates are recomputed over the summed time. Campaign, Total and
-// Final stay p's — the caller names the folded scope and decides when
-// it is final. Add never writes into a map or slice either snapshot
-// already holds, so snapshots handed out earlier stay intact.
-func (p *Progress) Add(q Progress) {
-	p.Done += q.Done
-	p.Executed += q.Executed
-	p.Replayed += q.Replayed
-	p.Failed += q.Failed
-	p.Quarantined += q.Quarantined
-	p.Interrupted += q.Interrupted
-	p.Retried += q.Retried
-	p.Instances += q.Instances
-	p.CacheHits += q.CacheHits
-	p.CacheMisses += q.CacheMisses
-	p.CacheCorrupt += q.CacheCorrupt
-	p.CacheDegraded = p.CacheDegraded || q.CacheDegraded
-	p.StorageDegraded = p.StorageDegraded || q.StorageDegraded
-	if len(p.DeviceBusy) == 0 {
-		p.DeviceBusy = q.DeviceBusy
-	} else if len(q.DeviceBusy) > 0 {
-		merged := make(map[string]float64, len(p.DeviceBusy)+len(q.DeviceBusy))
-		for d, v := range p.DeviceBusy {
-			merged[d] = v
-		}
-		for d, v := range q.DeviceBusy {
-			merged[d] += v
-		}
-		p.DeviceBusy = merged
-	}
-	p.Health = append(p.Health[:len(p.Health):len(p.Health)], q.Health...)
-	p.setElapsed(p.ElapsedSeconds + q.ElapsedSeconds)
-}
-
 // Mark folds the snapshot into one monotone progress mark for stall
 // detection. Every counter here advances exactly when a cell resolves
 // (executes, replays, quarantines, retries, or is served from cache),

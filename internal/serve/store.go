@@ -91,8 +91,8 @@ func (st *store) jobPath(id string) string {
 	return filepath.Join(st.dir, jobsDir, id+".json")
 }
 
-// CheckpointPath is the scheduler checkpoint for a job; evaluate jobs
-// suffix it per device (one campaign per device, like the CLI).
+// checkpointPath is the scheduler checkpoint for a job: one file, as
+// every kind runs one campaign.
 func (st *store) checkpointPath(id string) string {
 	return filepath.Join(st.dir, ckptDir, id)
 }
