@@ -313,13 +313,12 @@ func cmdRun(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
 	fmt.Printf("%s on %s in %s (%d iterations, %d instances)\n",
 		test.Name, prof.ShortName, *envName, res.Iterations, res.Instances)
 	fmt.Printf("target %s: %d observations (%.4g/s simulated)\n",
 		test.Target, res.TargetCount, res.TargetRate())
 	fmt.Printf("violations: %d (%.4g/s)\n", res.Violations, res.ViolationRate())
-	fmt.Printf("simulated %.6fs, wall %.3fs\n", res.SimSeconds, wall.Seconds())
+	fmt.Printf("simulated %.6fs, wall %.3fs\n", res.SimSeconds, time.Since(start).Seconds())
 	fmt.Println("outcomes:")
 	fmt.Println(res.Hist)
 	return nil

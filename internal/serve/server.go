@@ -551,8 +551,12 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	}
 	res, artifact, execErr := s.execute(jctx, job, eff, onProgress)
 
+	// The job stops counting as running before its outcome is
+	// published, so a client that has seen the outcome never scrapes
+	// it as running.
 	s.mu.Lock()
 	last := rj.last
+	delete(s.running, id)
 	s.mu.Unlock()
 	summary := summaryOf(last)
 	now := time.Now().UTC()
