@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
+
+	"repro/internal/mutation"
+	"repro/internal/tuning"
 )
 
 // claimSeeds are the seeds every claim must hold at. They were fixed
@@ -44,5 +48,31 @@ func TestClaimPTEKillsMoreThanSITE(t *testing.T) {
 			}
 		}
 		t.Logf("seed %d: PTE %v, SITE %v", seed, pte, site)
+	}
+}
+
+// TestClaimTable4Significant checks Table 4 at a reduced size: across
+// 48 random parallel environments at four kernel launches each, every
+// bug case's mutant death rate correlates positively and significantly
+// (p < 0.05) with its conformance test's bug observation rate, at every
+// claim seed.
+func TestClaimTable4Significant(t *testing.T) {
+	suite := mutation.MustGenerate()
+	for _, seed := range claimSeeds {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := tuning.SmallCorrelationConfig()
+			cfg.Environments, cfg.Iterations, cfg.Seed = 48, 4, seed
+			for _, c := range tuning.PaperBugCases() {
+				res, err := tuning.Correlate(c, suite, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", c.Name, err)
+				}
+				if res.PCC <= 0 || res.PValue >= 0.05 {
+					t.Errorf("%s: PCC %.3f, p %.3g; want PCC > 0 and p < 0.05", c.Name, res.PCC, res.PValue)
+				}
+				t.Logf("%s: PCC %.3f, p %.3g", c.Name, res.PCC, res.PValue)
+			}
+		})
 	}
 }
