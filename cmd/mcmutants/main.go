@@ -130,7 +130,7 @@ func dispatch(ctx context.Context, args []string) error {
 	case "run":
 		return cmdRun(ctx, args[1:])
 	case "conformance":
-		return cmdConformance(args[1:])
+		return cmdConformance(ctx, args[1:])
 	case "campaign":
 		return cmdCampaign(ctx, args[1:])
 	case "work":
@@ -144,7 +144,7 @@ func dispatch(ctx context.Context, args []string) error {
 	case "serve":
 		return cmdServe(ctx, args[1:])
 	case "optimize":
-		return cmdOptimize(args[1:])
+		return cmdOptimize(ctx, args[1:])
 	case "trace":
 		return cmdTrace(args[1:])
 	case "version":
@@ -324,7 +324,7 @@ func cmdRun(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdConformance(args []string) error {
+func cmdConformance(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("conformance", flag.ContinueOnError)
 	device := fs.String("device", "AMD", "device short name")
 	iters := fs.Int("iters", 20, "kernel launches per test")
@@ -355,10 +355,11 @@ func cmdConformance(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := study.CheckConformance(p, env, *iters, *seed)
+	reports, err := study.CheckFleetConformanceCtx(ctx, []core.Platform{p}, env, *iters, *seed, core.CampaignOptions{})
 	if err != nil {
 		return err
 	}
+	rep := reports[0]
 	fmt.Printf("conformance run on %s (driver: %v)\n\n", *device, p.Driver)
 	for _, f := range rep.Findings {
 		status := "ok"
@@ -1051,7 +1052,7 @@ func cmdCTS(args []string) error {
 	return nil
 }
 
-func cmdOptimize(args []string) error {
+func cmdOptimize(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	testName := fs.String("test", "MP", "test name from the suite")
 	device := fs.String("device", "AMD", "device short name")
@@ -1077,7 +1078,7 @@ func cmdOptimize(args []string) error {
 	cfg.Iterations = *iters
 	cfg.Parallel = !*site
 	cfg.Seed = *seed
-	best, err := tuning.Optimize(test, *device, cfg)
+	best, err := tuning.Optimize(ctx, test, *device, cfg)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,6 +27,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	study, err := core.NewStudy()
 	if err != nil {
 		log.Fatal(err)
@@ -73,10 +75,11 @@ func main() {
 
 	for _, plat := range platforms {
 		fmt.Printf("=== %s ===\n", plat.label)
-		rep, err := study.CheckConformance(plat.p, env, 20, 7)
+		reps, err := study.CheckFleetConformanceCtx(ctx, []core.Platform{plat.p}, env, 20, 7, core.CampaignOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		rep := reps[0]
 		buggy := rep.Buggy()
 		if len(buggy) == 0 {
 			fmt.Println("no violations observed (try more iterations)")
@@ -93,10 +96,11 @@ func main() {
 
 	// A conformant platform, for contrast, must pass everything.
 	fmt.Println("=== conformant M1 (control) ===")
-	rep, err := study.CheckConformance(core.Platform{Device: "M1"}, env, 10, 7)
+	reps, err := study.CheckFleetConformanceCtx(ctx, []core.Platform{{Device: "M1"}}, env, 10, 7, core.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := reps[0]
 	if len(rep.Buggy()) == 0 {
 		fmt.Println("all 20 conformance tests passed")
 	} else {

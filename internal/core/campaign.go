@@ -378,11 +378,12 @@ func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, i
 
 // CheckFleetConformanceCtx runs the conformance suite on every
 // platform as one campaign and returns one report per platform, in
-// input order. This is the fleet-wide version of CheckConformance: all
-// (platform, test) cells share the scheduler's pool, so a slow device
-// does not serialize the rest of the fleet. Cancellation drains the campaign and returns the partial reports —
-// interrupted findings marked pending, report Interrupted set — with an
-// error wrapping sched.ErrInterrupted.
+// input order, explaining each discovered violation. All (platform,
+// test) cells share the scheduler's pool, so a slow device does not
+// serialize the rest of the fleet. Cancellation drains the campaign
+// and returns the partial reports — interrupted findings marked
+// pending, report Interrupted set — with an error wrapping
+// sched.ErrInterrupted.
 func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platform, env harness.Params, iterations int, seed uint64, opts CampaignOptions) ([]*ConformanceReport, error) {
 	spec, work, err := st.fleetConformanceCampaign(platforms, seed)
 	if err != nil {

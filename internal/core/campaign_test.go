@@ -87,7 +87,7 @@ func TestEvaluateEnvironmentsMergesAcrossEnvs(t *testing.T) {
 	s := study(t)
 	weak := harness.SITEBaseline()
 	envs := []harness.Params{weak, testEnv()}
-	single, err := s.EvaluateEnvironment(Platform{Device: "AMD"}, testEnv(), 3, 42)
+	single, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "AMD"}, []harness.Params{testEnv()}, 3, 42, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -121,14 +120,6 @@ func (s *EnvScore) Score() float64 {
 	return float64(s.Killed) / float64(s.Total)
 }
 
-// EvaluateEnvironment runs every mutant in the environment on the
-// platform and scores the environment, the core MC Mutants loop. It is
-// EvaluateEnvironmentsCtx on a single environment with default campaign
-// options (serial, no checkpoint).
-func (st *Study) EvaluateEnvironment(p Platform, env harness.Params, iterations int, seed uint64) (*EnvScore, error) {
-	return st.EvaluateEnvironmentsCtx(context.Background(), p, []harness.Params{env}, iterations, seed, CampaignOptions{})
-}
-
 // Finding is one conformance test's result on a platform.
 type Finding struct {
 	// Test is the conformance test name.
@@ -198,18 +189,6 @@ func (r *ConformanceReport) Buggy() []Finding {
 		}
 	}
 	return out
-}
-
-// CheckConformance runs all 20 conformance tests on the platform in
-// the environment, explaining each discovered violation. It is
-// CheckFleetConformanceCtx on a single-platform fleet with default
-// campaign options (serial, no checkpoint).
-func (st *Study) CheckConformance(p Platform, env harness.Params, iterations int, seed uint64) (*ConformanceReport, error) {
-	reports, err := st.CheckFleetConformanceCtx(context.Background(), []Platform{p}, env, iterations, seed, CampaignOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return reports[0], nil
 }
 
 // explainViolation renders the hb cycle of a disallowed outcome, or a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestNewStudy(t *testing.T) {
 
 func TestEvaluateEnvironment(t *testing.T) {
 	s := study(t)
-	score, err := s.EvaluateEnvironment(Platform{Device: "AMD"}, testEnv(), 3, 42)
+	score, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "AMD"}, []harness.Params{testEnv()}, 3, 42, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +66,18 @@ func TestEvaluateEnvironment(t *testing.T) {
 
 func TestEvaluateEnvironmentUnknownDevice(t *testing.T) {
 	s := study(t)
-	if _, err := s.EvaluateEnvironment(Platform{Device: "hal9000"}, testEnv(), 1, 1); err == nil {
+	if _, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "hal9000"}, []harness.Params{testEnv()}, 1, 1, CampaignOptions{}); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
 
 func TestCheckConformanceCleanPlatform(t *testing.T) {
 	s := study(t)
-	rep, err := s.CheckConformance(Platform{Device: "AMD"}, testEnv(), 2, 7)
+	reps, err := s.CheckFleetConformanceCtx(context.Background(), []Platform{{Device: "AMD"}}, testEnv(), 2, 7, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0]
 	if len(rep.Findings) != 20 {
 		t.Fatalf("%d findings, want 20", len(rep.Findings))
 	}
@@ -114,10 +116,11 @@ func TestCheckConformanceFindsInjectedBugs(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		rep, err := s.CheckConformance(c.platform, testEnv(), 10, 11)
+		reps, err := s.CheckFleetConformanceCtx(context.Background(), []Platform{c.platform}, testEnv(), 10, 11, CampaignOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		rep := reps[0]
 		buggy := rep.Buggy()
 		if len(buggy) == 0 {
 			t.Errorf("%s: no violations found", c.name)
@@ -233,7 +236,7 @@ func TestPlatformRunnerUsesToolchain(t *testing.T) {
 	// The fence-dropping platform must kill MP-relacq's nofence mutant
 	// and its base at comparable rates since fences are gone either way.
 	p := Platform{Device: "AMD", Driver: wgsl.DriverFenceDropping}
-	score, err := s.EvaluateEnvironment(p, testEnv(), 3, 17)
+	score, err := s.EvaluateEnvironmentsCtx(context.Background(), p, []harness.Params{testEnv()}, 3, 17, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

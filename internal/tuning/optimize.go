@@ -57,8 +57,9 @@ type OptimizedEnv struct {
 // Optimize searches for an environment maximizing the test's
 // target-behavior rate on the device. For a mutant this is the death
 // rate MC Mutants scores environments by; for a conformance test on a
-// buggy platform it would be the bug reproduction rate.
-func Optimize(test *litmus.Test, deviceName string, cfg OptimizeConfig) (*OptimizedEnv, error) {
+// buggy platform it would be the bug reproduction rate. The search
+// stops with ctx's error when ctx ends.
+func Optimize(ctx context.Context, test *litmus.Test, deviceName string, cfg OptimizeConfig) (*OptimizedEnv, error) {
 	if cfg.ExploreRounds < 1 {
 		return nil, fmt.Errorf("tuning: ExploreRounds=%d", cfg.ExploreRounds)
 	}
@@ -80,7 +81,7 @@ func Optimize(test *litmus.Test, deviceName string, cfg OptimizeConfig) (*Optimi
 		if err != nil {
 			return 0, 0, err
 		}
-		res, err := r.RunCtx(context.TODO(), test, cfg.Iterations, root.Split())
+		res, err := r.RunCtx(ctx, test, cfg.Iterations, root.Split())
 		if err != nil {
 			return 0, 0, err
 		}

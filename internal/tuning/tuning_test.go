@@ -2,6 +2,8 @@ package tuning
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/confidence"
@@ -308,7 +310,7 @@ func TestOptimizeFindsKillingEnvironment(t *testing.T) {
 	cfg.ExploreRounds = 8
 	cfg.RefineRounds = 8
 	cfg.Iterations = 3
-	best, err := Optimize(test, "AMD", cfg)
+	best, err := Optimize(context.Background(), test, "AMD", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +332,11 @@ func TestOptimizeDeterministic(t *testing.T) {
 	cfg.ExploreRounds = 4
 	cfg.RefineRounds = 2
 	cfg.Iterations = 2
-	a, err := Optimize(test, "Intel", cfg)
+	a, err := Optimize(context.Background(), test, "Intel", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(test, "Intel", cfg)
+	b, err := Optimize(context.Background(), test, "Intel", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,21 +345,33 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestOptimizeRespectsContext: a search under an ended context stops
+// with the context's error instead of evaluating its candidates.
+func TestOptimizeRespectsContext(t *testing.T) {
+	suite := mutation.MustGenerate()
+	test, _ := suite.ByName("MP")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Optimize(ctx, test, "AMD", DefaultOptimizeConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Optimize under a cancelled context = %v, want context.Canceled", err)
+	}
+}
+
 func TestOptimizeErrors(t *testing.T) {
 	suite := mutation.MustGenerate()
 	test, _ := suite.ByName("MP")
 	cfg := DefaultOptimizeConfig()
 	cfg.ExploreRounds = 0
-	if _, err := Optimize(test, "AMD", cfg); err == nil {
+	if _, err := Optimize(context.Background(), test, "AMD", cfg); err == nil {
 		t.Error("zero rounds accepted")
 	}
 	cfg = DefaultOptimizeConfig()
 	cfg.Iterations = 0
-	if _, err := Optimize(test, "AMD", cfg); err == nil {
+	if _, err := Optimize(context.Background(), test, "AMD", cfg); err == nil {
 		t.Error("zero iterations accepted")
 	}
 	cfg = DefaultOptimizeConfig()
-	if _, err := Optimize(test, "nope", cfg); err == nil {
+	if _, err := Optimize(context.Background(), test, "nope", cfg); err == nil {
 		t.Error("unknown device accepted")
 	}
 }
