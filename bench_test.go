@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/confidence"
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/litmus"
@@ -208,26 +209,25 @@ func BenchmarkFig6BudgetSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4Correlation runs the three bug-correlation cases and
-// reports each Pearson coefficient.
+// BenchmarkTable4Correlation runs the three bug-correlation cases as
+// one correlate campaign and reports each case's Pearson coefficient
+// and the environments where its bug was observed.
 func BenchmarkTable4Correlation(b *testing.B) {
-	suite := mutation.MustGenerate()
-	for _, c := range tuning.PaperBugCases() {
-		b.Run(c.Name, func(b *testing.B) {
-			cfg := tuning.SmallCorrelationConfig()
-			cfg.Environments = 12
-			cfg.Iterations = 3
-			var res *tuning.CorrelationResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = tuning.Correlate(c, suite, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.PCC, "PCC")
-			b.ReportMetric(float64(res.BugObservedIn), "bug-envs")
-		})
+	st, err := core.NewStudy()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := core.WorkSpec{Kind: "correlate", TuneEnvs: 12, Iters: 3, Seed: 2023}
+	var res *core.WorkResult
+	for i := 0; i < b.N; i++ {
+		res, err = st.RunWorkSpec(context.Background(), ws, core.CampaignOptions{Workers: runtime.GOMAXPROCS(0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, row := range res.Artifact.Correlation {
+		b.ReportMetric(row.PCC, row.Case.Name+"-PCC")
+		b.ReportMetric(float64(row.BugObservedIn), row.Case.Name+"-bug-envs")
 	}
 }
 

@@ -138,7 +138,7 @@ func dispatch(ctx context.Context, args []string) error {
 	case "tune":
 		return cmdTune(ctx, args[1:])
 	case "analyze":
-		return cmdAnalyze(args[1:])
+		return cmdAnalyze(ctx, args[1:])
 	case "cts":
 		return cmdCTS(args[1:])
 	case "serve":
@@ -729,8 +729,11 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	}
 	// The campaign flags and their defaults describe conformance and
 	// evaluate campaigns; tuning studies have their own verb and sizes.
-	if *kind == "tune" {
+	switch *kind {
+	case "tune":
 		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run tuning studies with 'mcmutants tune'")
+	case "correlate":
+		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run the Table 4 study with 'mcmutants analyze -action correlation'")
 	}
 	return rf.run(ctx, core.WorkSpec{Kind: *kind, Envs: splitList(*envNames), Iters: *iters, FenceBug: *fenceBug}, df)
 }
@@ -946,16 +949,17 @@ func loadDataset(path string) (*tuning.Dataset, error) {
 	return tuning.Load(f)
 }
 
-func cmdAnalyze(args []string) error {
+func cmdAnalyze(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	action := fs.String("action", "mutation-score", "mutation-score, merge or correlation")
 	statsPath := fs.String("stats", "tuning.json", "dataset path (mutation-score, merge)")
 	family := fs.String("family", "PTE", "environment family")
 	rep := fs.Float64("rep", 95, "reproducibility target in percent")
 	budget := fs.Float64("budget", 1, "per-test time budget in seconds")
-	envs := fs.Int("envs", 24, "environments for the correlation study")
-	iters := fs.Int("iters", 4, "iterations per environment (correlation)")
-	seed := fs.Uint64("seed", 2023, "random seed (correlation)")
+	def := core.KindDefaults("correlate")
+	envs := fs.Int("envs", def.TuneEnvs, "environments for the correlation study")
+	iters := fs.Int("iters", def.Iters, "iterations per environment (correlation)")
+	seed := fs.Uint64("seed", def.Seed, "random seed (correlation)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -995,28 +999,35 @@ func cmdAnalyze(args []string) error {
 		fmt.Print(report.Fig6(points))
 		return nil
 	case "correlation":
-		suite, err := mutation.Generate()
-		if err != nil {
-			return err
-		}
-		cfg := tuning.SmallCorrelationConfig()
-		cfg.Environments = *envs
-		cfg.Iterations = *iters
-		cfg.Seed = *seed
-		var results []*tuning.CorrelationResult
-		for _, c := range tuning.PaperBugCases() {
-			fmt.Fprintf(os.Stderr, "correlating %s (%d environments)...\n", c.Name, cfg.Environments)
-			r, err := tuning.Correlate(c, suite, cfg)
-			if err != nil {
-				return err
-			}
-			results = append(results, r)
-		}
-		fmt.Print(report.Table4(results))
-		return nil
+		return analyzeCorrelation(ctx, core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, Iters: *iters, Seed: *seed})
 	default:
 		return fmt.Errorf("unknown action %q", *action)
 	}
+}
+
+// analyzeCorrelation runs the Table 4 study ws describes on every
+// CPU and renders it. Results do not depend on the worker count.
+func analyzeCorrelation(ctx context.Context, ws core.WorkSpec) error {
+	if err := ws.Validate(); err != nil {
+		return err
+	}
+	study, err := core.NewStudy()
+	if err != nil {
+		return err
+	}
+	res, err := study.RunWorkSpec(ctx, ws, core.CampaignOptions{
+		Workers:       runtime.GOMAXPROCS(0),
+		OnProgress:    printProgress,
+		ProgressEvery: progressEvery,
+	})
+	if err != nil {
+		return err
+	}
+	if res.Interrupted {
+		return &interruptedRun{fmt.Sprintf("correlation interrupted: %d cell(s) pending", res.Pending)}
+	}
+	fmt.Print(report.Table4(res.Artifact.Correlation))
+	return campaignVerdict(res)
 }
 
 func cmdCTS(args []string) error {

@@ -446,6 +446,8 @@ func TestFlagValidationFailsFast(t *testing.T) {
 	cases := [][]string{
 		{"campaign", "-kind", "bogus", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-kind", "tune", "-devices", "AMD", "-out", out, "-quiet"},
+		{"campaign", "-kind", "correlate", "-out", out, "-quiet"},
+		{"analyze", "-action", "correlation", "-envs", "0", "-iters", "1000000"},
 		{"campaign", "-devices", "NoSuchGPU", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-devices", "AMD,Intel,AMD", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-kind", "evaluate", "-devices", "AMD,AMD", "-iters", "1000000", "-checkpoint", filepath.Join(dir, "x.ckpt"), "-out", out, "-quiet"},

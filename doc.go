@@ -20,9 +20,9 @@
 //	internal/harness    SITE/PTE testing environments (Fig. 4)
 //	internal/confidence reproducibility scores, Algorithm 1 (Fig. 6)
 //	internal/stats      Pearson correlation, t-test (Table 4)
-//	internal/tuning     tuning studies and the correlation study (Fig. 5)
+//	internal/tuning     tuning studies (Fig. 5)
 //	internal/report     text rendering of every table and figure
-//	internal/core       high-level API: evaluate, check, curate
+//	internal/core       high-level API: evaluate, check, correlate, curate
 //	cmd/mcmutants       the CLI workbench
 //	examples/...        runnable scenarios
 //

@@ -19,6 +19,7 @@ type CampaignArtifact struct {
 	Kind            string               `json:"kind"`
 	Conformance     []*ConformanceReport `json:"conformance,omitempty"`
 	Evaluate        []EvaluateEntry      `json:"evaluate,omitempty"`
+	Correlation     []CorrelationRow     `json:"correlation,omitempty"`
 	StorageDegraded bool                 `json:"storage_degraded,omitempty"`
 }
 

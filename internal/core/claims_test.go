@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"repro/internal/mutation"
-	"repro/internal/tuning"
 )
 
 // claimSeeds are the seeds every claim must hold at. They were fixed
@@ -57,21 +54,23 @@ func TestClaimPTEKillsMoreThanSITE(t *testing.T) {
 // (p < 0.05) with its conformance test's bug observation rate, at every
 // claim seed.
 func TestClaimTable4Significant(t *testing.T) {
-	suite := mutation.MustGenerate()
+	st, err := NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range claimSeeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := tuning.SmallCorrelationConfig()
-			cfg.Environments, cfg.Iterations, cfg.Seed = 48, 4, seed
-			for _, c := range tuning.PaperBugCases() {
-				res, err := tuning.Correlate(c, suite, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", c.Name, err)
+			ws := WorkSpec{Kind: "correlate", TuneEnvs: 48, Iters: 4, Seed: seed}
+			res, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range res.Artifact.Correlation {
+				if row.PCC <= 0 || row.PValue >= 0.05 {
+					t.Errorf("%s: PCC %.3f, p %.3g; want PCC > 0 and p < 0.05", row.Case.Name, row.PCC, row.PValue)
 				}
-				if res.PCC <= 0 || res.PValue >= 0.05 {
-					t.Errorf("%s: PCC %.3f, p %.3g; want PCC > 0 and p < 0.05", c.Name, res.PCC, res.PValue)
-				}
-				t.Logf("%s: PCC %.3f, p %.3g", c.Name, res.PCC, res.PValue)
+				t.Logf("%s: PCC %.3f, p %.3g", row.Case.Name, row.PCC, row.PValue)
 			}
 		})
 	}

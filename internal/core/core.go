@@ -1,12 +1,14 @@
 // Package core is the high-level MC Mutants API: it ties the generated
 // test suite, the simulated device fleet, the testing environments and
-// the confidence machinery together into the three workflows the paper
+// the confidence machinery together into the workflows the paper
 // demonstrates —
 //
 //   - evaluating a testing environment by mutation score and mutant
 //     death rate (Sec. 3),
 //   - checking a platform's conformance and explaining any violation
 //     as a happens-before cycle (Sec. 5.4's bug discoveries),
+//   - correlating each real bug's observation rate with its mutant's
+//     death rate across random environments (Table 4),
 //   - curating a conformance test suite with per-test environments and
 //     a reproducibility-backed time budget (Sec. 4.2, 5.3).
 //

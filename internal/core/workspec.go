@@ -27,23 +27,25 @@ import (
 // Everything in it feeds the split-seed determinism contract, so a
 // leased cell's result is byte-identical to a local run's.
 type WorkSpec struct {
-	// Kind is the campaign kind: "conformance", "evaluate" or "tune".
+	// Kind is the campaign kind: "conformance", "evaluate", "tune" or
+	// "correlate" (the Table 4 study).
 	Kind string `json:"kind"`
 	// Devices are the platform device short names, each at most once;
 	// empty means the Table 3 fleet. Conformance and evaluate run one
 	// fleet campaign over them, and tune one study whose dataset
-	// records the list as given.
+	// records the list as given. A correlate spec must leave them empty:
+	// its bug cases fix their own platforms.
 	Devices []string `json:"devices"`
 	// Envs are environment preset names (see EnvByName); conformance
 	// uses the first, evaluate crosses all of them with the mutants.
-	// A tune spec must leave them empty.
+	// Tune and correlate specs must leave them empty.
 	Envs []string `json:"envs"`
 	// Iters is kernel launches per cell (zero for tune); Seed the
 	// campaign seed.
 	Iters int    `json:"iters"`
 	Seed  uint64 `json:"seed"`
 	// FenceBug injects the fence-dropping driver on every conformance or
-	// evaluate platform; a tune spec must leave it false.
+	// evaluate platform; tune and correlate specs must leave it false.
 	FenceBug bool `json:"fence_bug,omitempty"`
 	// Faults, when non-nil, is the device-stack fault model every
 	// platform runs under (fault streams are seeded, so workers inject
@@ -60,8 +62,10 @@ type WorkSpec struct {
 	// TuneEnvs, SiteIters and PTEIters size a tune study: random
 	// environments per tuned family and kernel launches per SITE and
 	// PTE cell. PaperScale runs the paper's sizes (tuning.PaperConfig)
-	// instead, keeping only the seed and devices. Conformance and
-	// evaluate specs must leave all four zero.
+	// instead, keeping only the seed and devices. A correlate spec
+	// takes TuneEnvs as its count of random environments and leaves the
+	// other three zero; conformance and evaluate specs leave all four
+	// zero.
 	TuneEnvs   int  `json:"tune_envs,omitempty"`
 	SiteIters  int  `json:"site_iters,omitempty"`
 	PTEIters   int  `json:"pte_iters,omitempty"`
@@ -70,14 +74,18 @@ type WorkSpec struct {
 
 // KindDefaults returns the fields a campaign kind takes when a caller
 // leaves them zero: the seed and, for conformance and evaluate, the
-// Table 3 fleet, the environment presets and iterations, or, for tune,
-// the study sizes. A tune spec has no default devices: its dataset
-// records the device list as given, and tuning runs the fleet when it
-// is empty. The CLI's flag defaults, serve's job normalization and
-// the expansion of every spec read it.
+// Table 3 fleet, the environment presets and iterations, for tune the
+// study sizes, or for correlate its environments and iterations. Tune
+// and correlate specs have no default devices: a tune dataset records
+// the device list as given, and tuning runs the fleet when it is
+// empty. The CLI's flag defaults, serve's job normalization and the
+// expansion of every spec read it.
 func KindDefaults(kind string) WorkSpec {
-	if kind == "tune" {
+	switch kind {
+	case "tune":
 		return WorkSpec{Kind: kind, Seed: 2023, TuneEnvs: 12, SiteIters: 50, PTEIters: 8}
+	case "correlate":
+		return WorkSpec{Kind: kind, Seed: 2023, TuneEnvs: 24, Iters: 4}
 	}
 	var fleet []string
 	for _, p := range gpu.Profiles() {
@@ -121,16 +129,16 @@ func (ws WorkSpec) CacheSalt() (string, error) {
 
 // Validate checks the spec without running anything: a known kind,
 // known devices named once each, a non-negative retry policy, no field
-// the kind ignores, and then per kind either positive tune sizes or a
-// non-empty list of known environment presets and positive
-// iterations. An ignored field would still enter the descriptor, cache
-// salt and job ID, so two specs running the same study would not be
-// the same work.
+// the kind ignores, and then per kind either positive tune or
+// correlate sizes or a non-empty list of known environment presets and
+// positive iterations. An ignored field would still enter the
+// descriptor, cache salt and job ID, so two specs running the same
+// study would not be the same work.
 func (ws WorkSpec) Validate() error {
 	switch ws.Kind {
-	case "conformance", "evaluate", "tune":
+	case "conformance", "evaluate", "tune", "correlate":
 	default:
-		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate, tune)", ws.Kind)
+		return fmt.Errorf("unknown campaign kind %q (conformance, evaluate, tune, correlate)", ws.Kind)
 	}
 	for i, d := range ws.Devices {
 		if _, ok := gpu.ProfileByName(d); !ok {
@@ -150,6 +158,15 @@ func (ws WorkSpec) Validate() error {
 		if ws.TuneEnvs <= 0 || ws.SiteIters <= 0 || ws.PTEIters <= 0 {
 			return fmt.Errorf("tune sizes must be positive (envs %d, site iters %d, pte iters %d)",
 				ws.TuneEnvs, ws.SiteIters, ws.PTEIters)
+		}
+		return nil
+	}
+	if ws.Kind == "correlate" {
+		if len(ws.Devices) > 0 || len(ws.Envs) > 0 || ws.FenceBug || ws.SiteIters != 0 || ws.PTEIters != 0 || ws.PaperScale {
+			return fmt.Errorf("a correlate spec takes no devices, envs, fence bug, site iters, pte iters or paper scale (its bug cases fix their platforms)")
+		}
+		if ws.TuneEnvs <= 0 || ws.Iters <= 0 {
+			return fmt.Errorf("correlate sizes must be positive (envs %d, iters %d)", ws.TuneEnvs, ws.Iters)
 		}
 		return nil
 	}
@@ -251,8 +268,9 @@ func schedRanges[R any](ws WorkSpec, spec sched.Spec, newExec func() sched.Exec[
 }
 
 // expand validates ws and turns it into its one campaign: a fleet
-// campaign for conformance and evaluate, the tuning study for tune. It
-// is the only place a WorkSpec's kind is dispatched.
+// campaign for conformance and evaluate, the tuning study for tune, the
+// bug-case campaign for correlate. It is the only place a WorkSpec's
+// kind is dispatched.
 func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
@@ -260,8 +278,11 @@ func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	if len(ws.Devices) == 0 {
 		ws.Devices = KindDefaults(ws.Kind).Devices
 	}
-	if ws.Kind == "tune" {
+	switch ws.Kind {
+	case "tune":
 		return st.expandTune(ws)
+	case "correlate":
+		return st.expandCorrelate(ws)
 	}
 	envs, err := ws.envParams()
 	if err != nil {
@@ -354,6 +375,30 @@ func (st *Study) expandTune(ws WorkSpec) (*workCampaign, error) {
 	}, nil
 }
 
+// expandCorrelate turns a correlate spec into one campaign over the
+// bug cases, each platform running under the spec's fault model.
+func (st *Study) expandCorrelate(ws WorkSpec) (*workCampaign, error) {
+	cases := PaperBugCases()
+	if ws.Faults != nil {
+		for i := range cases {
+			cases[i].Platform.Faults = *ws.Faults
+		}
+	}
+	spec, work, err := st.correlateCampaign(cases, ws.TuneEnvs, ws.Seed)
+	if err != nil {
+		return nil, err
+	}
+	newExec := correlateExec(work, ws.Iters)
+	return &workCampaign{
+		ws:     ws,
+		spec:   spec,
+		ranges: schedRanges(ws, spec, newExec),
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
+			return runCorrelate(ctx, spec, newExec, cases, o, desc, res)
+		},
+	}, nil
+}
+
 // PlanWorkSpec validates ws and returns its campaign's scheduler
 // manifest and planned cell count without running anything. The serve
 // subsystem derives idempotent job IDs from them.
@@ -368,8 +413,8 @@ func (st *Study) PlanWorkSpec(ws WorkSpec) (manifest string, cells int, err erro
 // WorkResult is what RunWorkSpec returns: the artifact the spec's kind
 // produced and the verdict folded from it.
 type WorkResult struct {
-	// Artifact is the conformance or evaluate report, Dataset the tune
-	// study's dataset; the other is nil. Either is partial when
+	// Artifact is the conformance, evaluate or correlate report, Dataset
+	// the tune study's dataset; the other is nil. Either is partial when
 	// Interrupted.
 	Artifact *CampaignArtifact
 	Dataset  *tuning.Dataset
@@ -392,7 +437,7 @@ type WorkResult struct {
 func (r *WorkResult) Degraded() bool { return r.Failed > 0 || r.StorageErr != "" }
 
 // Encode writes the result's artifact in its canonical rendering: the
-// report for conformance and evaluate, the dataset for tune.
+// dataset for tune, the report for every other kind.
 func (r *WorkResult) Encode(w io.Writer) error {
 	if r.Dataset != nil {
 		return r.Dataset.Save(w)
@@ -463,6 +508,11 @@ func (r *WorkResult) tally() {
 		}
 		if e.Score.StorageDegraded {
 			r.StorageErr = e.Score.StorageErr
+		}
+	}
+	for _, row := range a.Correlation {
+		for _, f := range row.Failures {
+			r.fail(f.Quarantined)
 		}
 	}
 	a.StorageDegraded = r.StorageErr != ""

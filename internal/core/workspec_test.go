@@ -15,6 +15,7 @@ import (
 func TestWorkSpecValidate(t *testing.T) {
 	conf := WorkSpec{Kind: "conformance", Devices: []string{"AMD"}, Envs: []string{"pte"}, Iters: 2, Seed: 1}
 	tune := WorkSpec{Kind: "tune", Devices: []string{"AMD"}, Seed: 2023, TuneEnvs: 1, SiteIters: 2, PTEIters: 1}
+	corr := KindDefaults("correlate")
 	with := func(ws WorkSpec, edit func(*WorkSpec)) WorkSpec {
 		edit(&ws)
 		return ws
@@ -51,6 +52,17 @@ func TestWorkSpecValidate(t *testing.T) {
 		{"tune zero envs", with(tune, func(ws *WorkSpec) { ws.TuneEnvs = 0 }), false},
 		{"tune zero site iters", with(tune, func(ws *WorkSpec) { ws.SiteIters = 0 }), false},
 		{"tune negative pte iters", with(tune, func(ws *WorkSpec) { ws.PTEIters = -3 }), false},
+		{"correlate", corr, true},
+		{"correlate with faults", with(corr, func(ws *WorkSpec) { ws.Faults = &gpu.FaultModel{WatchdogTicks: 1 << 20} }), true},
+		{"correlate rejects devices", with(corr, func(ws *WorkSpec) { ws.Devices = []string{"AMD"} }), false},
+		{"correlate rejects envs", with(corr, func(ws *WorkSpec) { ws.Envs = []string{"pte"} }), false},
+		{"correlate rejects fence bug", with(corr, func(ws *WorkSpec) { ws.FenceBug = true }), false},
+		{"correlate rejects site iters", with(corr, func(ws *WorkSpec) { ws.SiteIters = 2 }), false},
+		{"correlate rejects pte iters", with(corr, func(ws *WorkSpec) { ws.PTEIters = 2 }), false},
+		{"correlate rejects paper scale", with(corr, func(ws *WorkSpec) { ws.PaperScale = true }), false},
+		{"correlate zero envs", with(corr, func(ws *WorkSpec) { ws.TuneEnvs = 0 }), false},
+		{"correlate zero iters", with(corr, func(ws *WorkSpec) { ws.Iters = 0 }), false},
+		{"correlate negative retries", with(corr, func(ws *WorkSpec) { ws.Retries = -1 }), false},
 	} {
 		if err := c.ws.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)

@@ -12,6 +12,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/confidence"
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/litmus"
 	"repro/internal/mutation"
@@ -207,7 +208,7 @@ func Fig6(points []confidence.SweepPoint) string {
 }
 
 // Table4 renders the correlation study rows.
-func Table4(results []*tuning.CorrelationResult) string {
+func Table4(results []core.CorrelationRow) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Vendor/Case\tFailed Test\tMutant Type\tPCC\tp-value\tbug envs\tmutant envs")

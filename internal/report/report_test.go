@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/confidence"
+	"repro/internal/core"
 	"repro/internal/litmus"
 	"repro/internal/mutation"
 	"repro/internal/tuning"
@@ -117,9 +118,9 @@ func TestFig5AndFig6(t *testing.T) {
 }
 
 func TestTable4(t *testing.T) {
-	rows := []*tuning.CorrelationResult{
+	rows := []core.CorrelationRow{
 		{
-			Case:         tuning.PaperBugCases()[0],
+			Case:         core.PaperBugCases()[0],
 			Environments: 24, PCC: 0.91, PValue: 1e-9,
 			BugObservedIn: 20, MutantKilledIn: 24,
 		},

@@ -81,6 +81,26 @@ func localTuneArtifact(t *testing.T, js JobSpec) []byte {
 	return buf.Bytes()
 }
 
+// localCorrelateArtifact renders the Table 4 report the library
+// produces for the spec.
+func localCorrelateArtifact(t *testing.T, js JobSpec) []byte {
+	t.Helper()
+	study, err := core.NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := core.WorkSpec{Kind: "correlate", TuneEnvs: js.TuneEnvs, Iters: js.Iters, Seed: js.Seed}
+	res, err := study.RunWorkSpec(context.Background(), ws, core.CampaignOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // A distributed job of every kind — cells leased to remote workers
 // over HTTP — produces a report byte-identical to the same spec run on
 // the server's own runner and to the library's artifact.
@@ -92,6 +112,7 @@ func TestDistributedJobByteIdenticalToLocal(t *testing.T) {
 		{JobSpec{Kind: "conformance", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 2, Seed: 11}, localConformanceArtifact},
 		{JobSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 2, Seed: 11}, localEvaluateArtifact},
 		{JobSpec{Kind: "tune", Devices: []string{"AMD", "Intel"}, Seed: 11, TuneEnvs: 1, SiteIters: 2, PTEIters: 1}, localTuneArtifact},
+		{JobSpec{Kind: "correlate", Seed: 11, TuneEnvs: 3, Iters: 2}, localCorrelateArtifact},
 	} {
 		t.Run(tc.spec.Kind, func(t *testing.T) {
 			_, c := startServer(t, Config{Runners: 2, JobWorkers: 4, EnableDist: true, DistLeaseTTL: 30 * time.Second})

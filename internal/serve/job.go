@@ -95,7 +95,9 @@ func (s JobState) Terminal() bool {
 // equivalent `mcmutants campaign`/`tune` invocation produce
 // byte-identical artifacts.
 type JobSpec struct {
-	// Kind selects the workload: "conformance", "evaluate" or "tune".
+	// Kind selects the workload: "conformance", "evaluate", "tune" or
+	// "correlate" (the Table 4 study, sized by TuneEnvs and Iters; it
+	// takes no devices, envs or fence bug).
 	Kind string `json:"kind"`
 	// Devices is the fleet subset; empty means every Table 3 device
 	// (core.KindDefaults fills it for conformance and evaluate; a tune
@@ -108,7 +110,8 @@ type JobSpec struct {
 	// Envs lists environment presets for campaign kinds; empty means
 	// ["pte", "site"]. Conformance uses the first, evaluate all.
 	Envs []string `json:"envs,omitempty"`
-	// Iters is kernel launches per cell for campaign kinds; 0 means 10.
+	// Iters is kernel launches per cell for campaign kinds; 0 means 10
+	// (4 for correlate).
 	Iters int `json:"iters,omitempty"`
 	// FenceBug injects the fence-dropping driver on every platform.
 	// A tune spec carrying Envs, Iters or FenceBug is refused.
@@ -116,7 +119,8 @@ type JobSpec struct {
 
 	// TuneEnvs, SiteIters and PTEIters size a tuning run; 0 means the
 	// CLI defaults (12 environments, 50 SITE / 8 PTE iterations). A
-	// campaign-kind spec carrying any of them is refused.
+	// correlate spec takes TuneEnvs as its random environments (0 means
+	// 24). A campaign-kind spec carrying any of them is refused.
 	TuneEnvs  int `json:"tune_envs,omitempty"`
 	SiteIters int `json:"site_iters,omitempty"`
 	PTEIters  int `json:"pte_iters,omitempty"`

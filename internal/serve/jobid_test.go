@@ -16,6 +16,7 @@ func TestJobIDGolden(t *testing.T) {
 		{JobSpec{Kind: "conformance"}, "5b8ba0c95daa2ba833db930711cbd8cb7a8b5589fe0b0dd38674da08a5e5a39f"},
 		{JobSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, FenceBug: true}, "509513faa9af3557cedde754082c826693d1ad16db14bf16125473e7d33f85d9"},
 		{JobSpec{Kind: "tune"}, "4f0ad9697f71b6047560dda7c57bc3d678c0add1ae37069571f57ba46a87ccfe"},
+		{JobSpec{Kind: "correlate"}, "654cd641bb219967bc561d6f7a2e031a499df602ba499401e262280050093037"},
 	}
 	for _, c := range cases {
 		js := c.spec

@@ -2,8 +2,8 @@
 // testing environments are generated per family (SITE Baseline, SITE,
 // PTE Baseline, PTE), every mutant is executed in every environment on
 // every device, and the resulting dataset yields the mutation scores
-// and mutant death rates of Fig. 5, the rate tables Algorithm 1 merges
-// for Fig. 6, and the correlation study of Table 4.
+// and mutant death rates of Fig. 5 and the rate tables Algorithm 1
+// merges for Fig. 6.
 //
 // Datasets serialize to JSON, mirroring the artifact's per-device
 // result files.

@@ -251,58 +251,6 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestCorrelationStudy runs a scaled-down Table 4: each injected bug's
-// observation rate must correlate positively and strongly with its
-// mutant's death rate across random environments.
-func TestCorrelationStudy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("correlation study is slow")
-	}
-	suite := mutation.MustGenerate()
-	cfg := SmallCorrelationConfig()
-	for _, c := range PaperBugCases() {
-		res, err := Correlate(c, suite, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		t.Logf("%-16s PCC=%.3f p=%.2g bug-envs=%d/%d mutant-envs=%d/%d",
-			c.Name, res.PCC, res.PValue,
-			res.BugObservedIn, res.Environments,
-			res.MutantKilledIn, res.Environments)
-		if res.BugObservedIn == 0 {
-			t.Errorf("%s: injected bug never observed", c.Name)
-		}
-		if res.MutantKilledIn == 0 {
-			t.Errorf("%s: mutant never killed", c.Name)
-		}
-		if res.PCC < 0.5 {
-			t.Errorf("%s: PCC %.3f too weak (paper: >= .89)", c.Name, res.PCC)
-		}
-	}
-}
-
-func TestCorrelateUnknownNames(t *testing.T) {
-	suite := mutation.MustGenerate()
-	cfg := SmallCorrelationConfig()
-	cfg.Environments = 3
-	cfg.Iterations = 1
-	bad := PaperBugCases()[0]
-	bad.Conformance = "nope"
-	if _, err := Correlate(bad, suite, cfg); err == nil {
-		t.Error("unknown conformance test accepted")
-	}
-	bad = PaperBugCases()[0]
-	bad.Mutant = "nope"
-	if _, err := Correlate(bad, suite, cfg); err == nil {
-		t.Error("unknown mutant accepted")
-	}
-	bad = PaperBugCases()[0]
-	bad.Device = "nope"
-	if _, err := Correlate(bad, suite, cfg); err == nil {
-		t.Error("unknown device accepted")
-	}
-}
-
 func TestOptimizeFindsKillingEnvironment(t *testing.T) {
 	suite := mutation.MustGenerate()
 	test, _ := suite.ByName("MP")
