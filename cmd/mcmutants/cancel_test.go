@@ -140,6 +140,68 @@ func TestCampaignDeadlineResumesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestMidCampaignCheckpointResumesByteIdentical: a checkpoint holding
+// some but not all of a campaign's cells — a run of each kind kept to
+// its header and half of its records — resumes through the CLI to the
+// artifact a clean run publishes.
+func TestMidCampaignCheckpointResumesByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		ws   core.WorkSpec
+		args []string
+	}{
+		{core.WorkSpec{Kind: "conformance", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1},
+			[]string{"campaign", "-kind", "conformance", "-devices", "AMD,Intel", "-envs", "pte", "-iters", "4", "-parallel", "4"}},
+		{core.WorkSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1},
+			[]string{"campaign", "-kind", "evaluate", "-devices", "AMD,Intel", "-envs", "pte", "-iters", "4", "-parallel", "4"}},
+		{core.WorkSpec{Kind: "tune", Devices: []string{"AMD"}, Seed: 2023, TuneEnvs: 1, SiteIters: 2, PTEIters: 1},
+			[]string{"tune", "-devices", "AMD", "-envs", "1", "-site-iters", "2", "-pte-iters", "1", "-parallel", "2"}},
+	} {
+		t.Run(tc.ws.Kind, func(t *testing.T) {
+			st, err := core.NewStudy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, cells, err := st.PlanWorkSpec(tc.ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "run.ckpt")
+			artifact := func(name string, extra ...string) string {
+				t.Helper()
+				out := filepath.Join(dir, name)
+				args := append(append([]string(nil), tc.args...), append([]string{"-quiet", "-out", out}, extra...)...)
+				if _, err := capture(t, func() error { return run(args) }); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				raw, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(raw)
+			}
+			clean := artifact("clean.json", "-checkpoint", ckpt)
+
+			raw, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+			kept := (len(lines) - 1) / 2
+			if kept <= 0 || kept >= cells {
+				t.Fatalf("checkpoint of %d records keeps %d; want 0 < kept < %d cells", len(lines)-1, kept, cells)
+			}
+			if err := os.WriteFile(ckpt, []byte(strings.Join(lines[:1+kept], "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if resumed := artifact("resumed.json", "-checkpoint", ckpt, "-resume"); resumed != clean {
+				t.Fatalf("resumed from %d of %d cells, artifact differs:\n%s\nvs\n%s", kept, cells, resumed, clean)
+			}
+		})
+	}
+}
+
 // TestCellTimeoutFlagAccepted: a generous -cell-timeout changes nothing
 // about a healthy run.
 func TestCellTimeoutFlagAccepted(t *testing.T) {
