@@ -287,34 +287,25 @@ func cmdRun(ctx context.Context, args []string) error {
 		}
 		test = t
 	}
-	prof, ok := gpu.ProfileByName(*device)
-	if !ok {
-		return fmt.Errorf("unknown device %q", *device)
-	}
 	env, err := core.EnvByName(*envName, *wgs, *wgSize)
 	if err != nil {
 		return err
 	}
-	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
-	if err != nil {
-		return err
-	}
-	runner, err := harness.NewRunner(dev, env)
-	if err != nil {
-		return err
-	}
-	driver := wgsl.DriverConformant
+	p := core.Platform{Device: *device}
 	if *fenceBug {
-		driver = wgsl.DriverFenceDropping
+		p.Driver = wgsl.DriverFenceDropping
 	}
-	runner.Lower = wgsl.NewToolchain(prof, driver).LowerFunc()
+	runner, err := p.Runner(env)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	res, err := runner.RunCtx(ctx, test, *iters, xrand.New(*seed))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s on %s in %s (%d iterations, %d instances)\n",
-		test.Name, prof.ShortName, *envName, res.Iterations, res.Instances)
+		test.Name, runner.Device.Profile().ShortName, *envName, res.Iterations, res.Instances)
 	fmt.Printf("target %s: %d observations (%.4g/s simulated)\n",
 		test.Target, res.TargetCount, res.TargetRate())
 	fmt.Printf("violations: %d (%.4g/s)\n", res.Violations, res.ViolationRate())
@@ -728,12 +719,10 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		return err
 	}
 	// The campaign flags and their defaults describe conformance and
-	// evaluate campaigns; tuning studies have their own verb and sizes.
-	switch *kind {
-	case "tune":
-		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run tuning studies with 'mcmutants tune'")
-	case "correlate":
-		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run the Table 4 study with 'mcmutants analyze -action correlation'")
+	// evaluate campaigns; tuning and correlation studies have their own
+	// verbs and sizes.
+	if *kind == "tune" || *kind == "correlate" {
+		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run tuning studies with 'mcmutants tune' and the Table 4 study with 'mcmutants analyze -action correlation'")
 	}
 	return rf.run(ctx, core.WorkSpec{Kind: *kind, Envs: splitList(*envNames), Iters: *iters, FenceBug: *fenceBug}, df)
 }
@@ -999,35 +988,27 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 		fmt.Print(report.Fig6(points))
 		return nil
 	case "correlation":
-		return analyzeCorrelation(ctx, core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, Iters: *iters, Seed: *seed})
+		// Results do not depend on the worker count, so the study runs
+		// on every CPU.
+		study, err := core.NewStudy()
+		if err != nil {
+			return err
+		}
+		ws := core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, Iters: *iters, Seed: *seed}
+		res, err := study.RunWorkSpec(ctx, ws, core.CampaignOptions{
+			Workers: runtime.GOMAXPROCS(0), OnProgress: printProgress, ProgressEvery: progressEvery,
+		})
+		if err != nil {
+			return err
+		}
+		if res.Interrupted {
+			return &interruptedRun{fmt.Sprintf("correlation interrupted: %d cell(s) pending", res.Pending)}
+		}
+		fmt.Print(report.Table4(res.Artifact.Correlation))
+		return campaignVerdict(res)
 	default:
 		return fmt.Errorf("unknown action %q", *action)
 	}
-}
-
-// analyzeCorrelation runs the Table 4 study ws describes on every
-// CPU and renders it. Results do not depend on the worker count.
-func analyzeCorrelation(ctx context.Context, ws core.WorkSpec) error {
-	if err := ws.Validate(); err != nil {
-		return err
-	}
-	study, err := core.NewStudy()
-	if err != nil {
-		return err
-	}
-	res, err := study.RunWorkSpec(ctx, ws, core.CampaignOptions{
-		Workers:       runtime.GOMAXPROCS(0),
-		OnProgress:    printProgress,
-		ProgressEvery: progressEvery,
-	})
-	if err != nil {
-		return err
-	}
-	if res.Interrupted {
-		return &interruptedRun{fmt.Sprintf("correlation interrupted: %d cell(s) pending", res.Pending)}
-	}
-	fmt.Print(report.Table4(res.Artifact.Correlation))
-	return campaignVerdict(res)
 }
 
 func cmdCTS(args []string) error {

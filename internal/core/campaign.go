@@ -90,25 +90,6 @@ type CampaignOptions struct {
 	Cache sched.ResultCache
 }
 
-// applyCampaignOptions populates the scheduler options from o.
-func applyCampaignOptions[R any](o CampaignOptions, opts *sched.Options[R]) {
-	opts.Workers = o.Workers
-	opts.MaxRetries = o.Retries
-	opts.Backoff = o.Backoff
-	opts.CellTimeout = o.CellTimeout
-	opts.Collect = o.Collect
-	opts.Breaker = o.Breaker
-	opts.OnProgress = o.OnProgress
-	opts.ProgressEvery = o.ProgressEvery
-	opts.Cache = o.Cache
-	if o.Progress != nil {
-		progress := o.Progress
-		opts.OnCellStart = func(c sched.Cell) {
-			progress(fmt.Sprintf("%s on %s", c.Key, c.Device))
-		}
-	}
-}
-
 // openCheckpoint opens the checkpoint o names for spec, resuming when
 // o.Resume is set; nil when o names none. Local and distributed
 // campaigns both open theirs here.
@@ -175,10 +156,11 @@ type evalRunner struct {
 	env      harness.Params
 }
 
-// evalCell is one evaluation campaign cell's work order.
+// evalCell is one evaluation or correlation campaign cell's work
+// order: a test to run on a runner.
 type evalCell struct {
 	runner evalRunner
-	mutant *litmus.Test
+	test   *litmus.Test
 }
 
 // evaluateCampaign expands (platforms × environments × mutants) into
@@ -201,22 +183,22 @@ func (st *Study) evaluateCampaign(platforms []Platform, envs []harness.Params, s
 			for _, mt := range st.Suite.Mutants {
 				key := fmt.Sprintf("%s/env-%02d/%s", p.Device, ei, mt.Name)
 				spec.Cells = append(spec.Cells, sched.Cell{Key: key, Device: p.Device})
-				work[key] = evalCell{runner: evalRunner{platform: p, env: env}, mutant: mt}
+				work[key] = evalCell{runner: evalRunner{platform: p, env: env}, test: mt}
 			}
 		}
 	}
 	return spec, work, nil
 }
 
-// evaluateExec returns the per-worker exec factory of an evaluation
-// campaign, shared verbatim by local runs and distributed workers. Each
-// worker keeps one warm runner, rebuilt when the (platform,
-// environment) changes (cells are device-major, then env-major); each
-// cell's fresh Result is its value.
+// evaluateExec returns the per-worker exec factory of an evaluation or
+// correlation campaign, shared verbatim by local runs and distributed
+// workers. Each worker keeps one warm runner, rebuilt when the
+// (platform, environment) changes (cells are platform-major, then
+// env-major); each cell's fresh Result is its value.
 func (st *Study) evaluateExec(work map[string]evalCell, iterations int) func() sched.Exec[*harness.Result] {
 	return func() sched.Exec[*harness.Result] {
 		warm := harness.WarmRunner[evalRunner]{
-			New: func(k evalRunner) (*harness.Runner, error) { return k.platform.runner(k.env) },
+			New: func(k evalRunner) (*harness.Runner, error) { return k.platform.Runner(k.env) },
 		}
 		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (*harness.Result, error) {
 			w := work[c.Key]
@@ -224,7 +206,7 @@ func (st *Study) evaluateExec(work map[string]evalCell, iterations int) func() s
 			if err != nil {
 				return nil, err
 			}
-			return r.RunCtx(ctx, w.mutant, iterations, rng)
+			return r.RunCtx(ctx, w.test, iterations, rng)
 		}
 	}
 }
@@ -257,10 +239,7 @@ func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs [
 // platform, in input order; it also returns how many cells an
 // interruption left pending.
 func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], platforms []Platform, opts CampaignOptions, desc json.RawMessage) ([]EvaluateEntry, int, error) {
-	schedOpts := sched.Options[*harness.Result]{
-		Instances: func(r *harness.Result) int { return r.Instances },
-	}
-	rep, err := runCampaign(ctx, spec, newExec, opts, schedOpts, desc)
+	rep, err := runCampaign(ctx, spec, newExec, opts, func(r *harness.Result) int { return r.Instances }, desc)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, 0, err
@@ -348,7 +327,7 @@ func (st *Study) fleetConformanceCampaign(platforms []Platform, seed uint64) (sc
 func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, iterations int) func() sched.Exec[Finding] {
 	return func() sched.Exec[Finding] {
 		warm := harness.WarmRunner[Platform]{
-			New: func(p Platform) (*harness.Runner, error) { return p.runner(env) },
+			New: func(p Platform) (*harness.Runner, error) { return p.Runner(env) },
 		}
 		var res harness.Result
 		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Finding, error) {
@@ -397,10 +376,7 @@ func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platf
 // assembles its per-platform reports; it also returns how many cells an
 // interruption left pending.
 func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[Finding], platforms []Platform, opts CampaignOptions, desc json.RawMessage) ([]*ConformanceReport, int, error) {
-	schedOpts := sched.Options[Finding]{
-		Instances: func(f Finding) int { return f.Instances },
-	}
-	rep, err := runCampaign(ctx, spec, newExec, opts, schedOpts, desc)
+	rep, err := runCampaign(ctx, spec, newExec, opts, func(f Finding) int { return f.Instances }, desc)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, 0, err

@@ -63,10 +63,10 @@ type Platform struct {
 	Faults gpu.FaultModel
 }
 
-// runner builds a harness runner for the platform and environment. It
+// Runner builds a harness runner for the platform and environment. It
 // installs no fault model: harness.WarmRunner.Get installs p.Faults on
 // every cell attempt.
-func (p Platform) runner(env harness.Params) (*harness.Runner, error) {
+func (p Platform) Runner(env harness.Params) (*harness.Runner, error) {
 	prof, ok := gpu.ProfileByName(p.Device)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown device %q", p.Device)

@@ -8,24 +8,20 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/harness"
-	"repro/internal/litmus"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/wgsl"
 	"repro/internal/xrand"
 )
 
-// BugCase is one row of the Table 4 correlation study: a real MCS bug,
-// injected into a platform's device or driver, together with the
-// conformance test that reveals it and a mutant whose death rate should
-// track the bug's observation rate.
+// BugCase is one row of the Table 4 correlation study: a real MCS bug
+// together with the conformance test that reveals it and a mutant
+// whose death rate should track the bug's observation rate.
 type BugCase struct {
 	// Name labels the case, e.g. "Intel/CoRR".
 	Name string `json:"name"`
-	// Platform is the buggy platform. Both the conformance test and the
-	// mutant run on it, as in the paper: the correlation under study is
-	// that the mutant's death rate tracks the bug's observation rate on
-	// that hardware.
+	// Platform is the buggy platform: the bug is injected into its
+	// device or its driver. Both tests run on it, as in the paper.
 	Platform Platform `json:"platform"`
 	// Conformance and Mutant name the conformance test that fails under
 	// the bug and the corresponding mutant.
@@ -45,23 +41,17 @@ func PaperBugCases() []BugCase {
 			Platform: Platform{Device: "Intel", Bugs: gpu.Bugs{
 				CoherenceRR: true, CoherenceRRProb: 1.0, CoherenceRRPressure: 2,
 			}},
-			Conformance: "CoRR",
-			Mutant:      "CoRR-mutant",
-			MutatorName: "reversing po-loc",
+			Conformance: "CoRR", Mutant: "CoRR-mutant", MutatorName: "reversing po-loc",
 		},
 		{
 			Name:        "AMD/MP-relacq",
 			Platform:    Platform{Device: "AMD", Driver: wgsl.DriverFenceDropping},
-			Conformance: "MP-relacq",
-			Mutant:      "MP-relacq-nofence",
-			MutatorName: "weakening sw",
+			Conformance: "MP-relacq", Mutant: "MP-relacq-nofence", MutatorName: "weakening sw",
 		},
 		{
 			Name:        "NVIDIA/MP-CO",
 			Platform:    Platform{Device: "Kepler", Bugs: gpu.Bugs{StaleCache: true}},
-			Conformance: "MP-CO",
-			Mutant:      "MP",
-			MutatorName: "weakening po-loc",
+			Conformance: "MP-CO", Mutant: "MP", MutatorName: "weakening po-loc",
 		},
 	}
 }
@@ -73,10 +63,9 @@ type CorrelationRow struct {
 	// mutant cells both produced data; the rest of the row is over them.
 	Environments int `json:"environments"`
 	// PCC is the Pearson correlation between the mutant death rate and
-	// the conformance test's bug observation rate across environments,
-	// and PValue its two-sided significance. When the correlation is
-	// undefined (fewer than three environments, or a rate constant
-	// across them) PCC is 0 and PValue 1.
+	// the bug observation rate across environments, PValue its
+	// two-sided significance. An undefined correlation (under three
+	// environments, or a constant rate) reads PCC 0, PValue 1.
 	PCC    float64 `json:"pcc"`
 	PValue float64 `json:"p_value"`
 	// BugObservedIn and MutantKilledIn count environments where the bug
@@ -90,125 +79,102 @@ type CorrelationRow struct {
 	Pending  int           `json:"pending,omitempty"`
 }
 
-// corrRoles are a case's two cells in each environment, in cell order.
-var corrRoles = [2]string{"conformance", "mutant"}
-
-// corrCell is one correlation campaign cell's work order.
-type corrCell struct {
-	runner evalRunner
-	test   *litmus.Test
-	mutant bool
-}
-
-// corrSample is what one correlation cell measures: for the
-// conformance role the bug's violations and their rate, for the mutant
-// role its kills and death rate.
-type corrSample struct {
-	Instances int     `json:"instances"`
-	Count     int     `json:"count"`
-	Rate      float64 `json:"rate"`
-}
-
 // correlateCampaign expands (cases × environments × roles) into the
 // scheduler spec and per-key work map of a correlation campaign. Cells
-// are keyed <case>/env-NNN/<role>, case-major then env-major. The
-// environments are drawn once from the seed, so every case runs the
-// same sequence. An unknown device or test name fails here, before
-// anything runs.
-func (st *Study) correlateCampaign(cases []BugCase, envs int, seed uint64) (sched.Spec, map[string]corrCell, error) {
+// are keyed <case>/env-NNN/<role>, role conformance then mutant,
+// case-major then env-major. The environments are drawn once from the
+// seed, so every case runs the same sequence. An unknown device or
+// test fails here, before anything runs.
+func (st *Study) correlateCampaign(cases []BugCase, envs int, seed uint64) (sched.Spec, map[string]evalCell, error) {
 	rng := xrand.NewFromPath(seed, "correlate-envs")
 	params := make([]harness.Params, envs)
 	for e := range params {
 		params[e] = harness.Random(rng, true, harness.DefaultScale())
 	}
 	spec := sched.Spec{Name: "correlate", Seed: seed}
-	work := map[string]corrCell{}
+	work := map[string]evalCell{}
 	for _, c := range cases {
 		if _, ok := gpu.ProfileByName(c.Platform.Device); !ok {
 			return sched.Spec{}, nil, fmt.Errorf("core: %s: unknown device %q", c.Name, c.Platform.Device)
 		}
-		var tests [2]*litmus.Test
-		for i, name := range []string{c.Conformance, c.Mutant} {
-			t, ok := st.Suite.ByName(name)
-			if !ok {
-				return sched.Spec{}, nil, fmt.Errorf("core: %s: unknown %s test %q", c.Name, corrRoles[i], name)
-			}
-			tests[i] = t
+		conf, ok := st.Suite.ByName(c.Conformance)
+		mutant, ok2 := st.Suite.ByName(c.Mutant)
+		if !ok || !ok2 {
+			return sched.Spec{}, nil, fmt.Errorf("core: %s: unknown test %q or %q", c.Name, c.Conformance, c.Mutant)
 		}
 		for e, env := range params {
-			for i, role := range corrRoles {
-				key := fmt.Sprintf("%s/env-%03d/%s", c.Name, e, role)
-				spec.Cells = append(spec.Cells, sched.Cell{Key: key, Device: c.Platform.Device})
-				work[key] = corrCell{runner: evalRunner{platform: c.Platform, env: env}, test: tests[i], mutant: i == 1}
-			}
+			r := evalRunner{platform: c.Platform, env: env}
+			key := fmt.Sprintf("%s/env-%03d/", c.Name, e)
+			spec.Cells = append(spec.Cells,
+				sched.Cell{Key: key + "conformance", Device: c.Platform.Device},
+				sched.Cell{Key: key + "mutant", Device: c.Platform.Device})
+			work[key+"conformance"] = evalCell{runner: r, test: conf}
+			work[key+"mutant"] = evalCell{runner: r, test: mutant}
 		}
 	}
 	return spec, work, nil
 }
 
-// correlateExec returns the per-worker exec factory of a correlation
-// campaign, shared verbatim by local runs and distributed workers. Each
-// worker keeps one warm runner, rebuilt when the (platform,
-// environment) changes, so an environment's two roles share it.
-func correlateExec(work map[string]corrCell, iterations int) func() sched.Exec[corrSample] {
-	return func() sched.Exec[corrSample] {
-		warm := harness.WarmRunner[evalRunner]{
-			New: func(k evalRunner) (*harness.Runner, error) { return k.platform.runner(k.env) },
-		}
-		var res harness.Result
-		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (corrSample, error) {
-			w := work[c.Key]
-			r, err := warm.Get(w.runner, w.runner.platform.Faults)
-			if err != nil {
-				return corrSample{}, err
-			}
-			if err := r.RunInto(ctx, &res, w.test, iterations, rng); err != nil {
-				return corrSample{}, err
-			}
-			if w.mutant {
-				return corrSample{Instances: res.Instances, Count: res.TargetCount, Rate: res.TargetRate()}, nil
-			}
-			return corrSample{Instances: res.Instances, Count: res.Violations, Rate: res.ViolationRate()}, nil
+// expandCorrelate turns a correlate spec into one campaign over the
+// paper's bug cases, each platform under the spec's fault model.
+func (st *Study) expandCorrelate(ws WorkSpec) (*workCampaign, error) {
+	cases := PaperBugCases()
+	if ws.Faults != nil {
+		for i := range cases {
+			cases[i].Platform.Faults = *ws.Faults
 		}
 	}
+	spec, work, err := st.correlateCampaign(cases, ws.TuneEnvs, ws.Seed)
+	if err != nil {
+		return nil, err
+	}
+	newExec := st.evaluateExec(work, ws.Iters)
+	return &workCampaign{
+		ws:     ws,
+		spec:   spec,
+		ranges: schedRanges(ws, spec, newExec),
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
+			rep, err := runCampaign(ctx, spec, newExec, o, func(r *harness.Result) int { return r.Instances }, desc)
+			interrupted := errors.Is(err, sched.ErrInterrupted)
+			if err != nil && !interrupted {
+				return 0, err
+			}
+			res.Artifact = &CampaignArtifact{Kind: ws.Kind, Correlation: correlationRows(cases, rep.Results)}
+			res.StorageErr = rep.StorageErr
+			if interrupted {
+				return rep.Interrupted, fmt.Errorf("core: correlation interrupted: %w", sched.ErrInterrupted)
+			}
+			return 0, nil
+		},
+	}, nil
 }
 
-// runCorrelate runs a planned correlation campaign and computes one row
-// per case, in input order, storing the artifact and the storage
-// verdict in res; it also returns how many cells an interruption left
-// pending.
-func runCorrelate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[corrSample], cases []BugCase, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-	schedOpts := sched.Options[corrSample]{
-		Instances: func(s corrSample) int { return s.Instances },
-	}
-	rep, err := runCampaign(ctx, spec, newExec, o, schedOpts, desc)
-	interrupted := errors.Is(err, sched.ErrInterrupted)
-	if err != nil && !interrupted {
-		return 0, err
-	}
-	per := len(spec.Cells) / len(cases)
+// correlationRows computes one row per case from a correlation
+// campaign's results, in spec order.
+func correlationRows(cases []BugCase, results []sched.CellResult[*harness.Result]) []CorrelationRow {
+	per := len(results) / len(cases)
 	rows := make([]CorrelationRow, len(cases))
 	for ci, c := range cases {
-		results := rep.Results[ci*per : (ci+1)*per]
-		row := CorrelationRow{Case: c, Failures: cellFailures(results)}
-		for _, r := range results {
+		cells := results[ci*per : (ci+1)*per]
+		row := CorrelationRow{Case: c, Failures: cellFailures(cells)}
+		for _, r := range cells {
 			if r.Interrupted {
 				row.Pending++
 			}
 		}
 		var bugRates, mutantRates []float64
 		for e := 0; e < per; e += 2 {
-			conf, mut := results[e], results[e+1]
+			conf, mut := cells[e], cells[e+1]
 			if conf.Err != nil || mut.Err != nil {
 				continue
 			}
 			row.Environments++
-			bugRates = append(bugRates, conf.Value.Rate)
-			mutantRates = append(mutantRates, mut.Value.Rate)
-			if conf.Value.Count > 0 {
+			bugRates = append(bugRates, conf.Value.ViolationRate())
+			mutantRates = append(mutantRates, mut.Value.TargetRate())
+			if conf.Value.Violations > 0 {
 				row.BugObservedIn++
 			}
-			if mut.Value.Count > 0 {
+			if mut.Value.TargetCount > 0 {
 				row.MutantKilledIn++
 			}
 		}
@@ -219,10 +185,5 @@ func runCorrelate(ctx context.Context, spec sched.Spec, newExec func() sched.Exe
 		}
 		rows[ci] = row
 	}
-	res.Artifact = &CampaignArtifact{Kind: "correlate", Correlation: rows}
-	res.StorageErr = rep.StorageErr
-	if interrupted {
-		return rep.Interrupted, fmt.Errorf("core: correlation interrupted: %w", sched.ErrInterrupted)
-	}
-	return 0, nil
+	return rows
 }

@@ -82,15 +82,16 @@ type DistOptions struct {
 // o.Dist is set — through a registered coordinator whose cells worker
 // processes execute. Both paths return the same sched.Report shape, so
 // assembly downstream is shared, and an interruption wraps
-// sched.ErrInterrupted either way. desc is the campaign's WorkSpec
+// sched.ErrInterrupted either way. instances counts a value's executed
+// test instances for progress. desc is the campaign's WorkSpec
 // descriptor, which a cache salts with and a coordinator advertises;
 // only RunWorkSpec has one to pass.
-func runCampaign[R any](ctx context.Context, spec sched.Spec, newExec func() sched.Exec[R], o CampaignOptions, schedOpts sched.Options[R], desc json.RawMessage) (*sched.Report[R], error) {
+func runCampaign[R any](ctx context.Context, spec sched.Spec, newExec func() sched.Exec[R], o CampaignOptions, instances func(R) int, desc json.RawMessage) (*sched.Report[R], error) {
 	if (o.Dist != nil || o.Cache != nil) && desc == nil {
 		return nil, fmt.Errorf("core: cached and distributed campaigns run through RunWorkSpec")
 	}
 	if o.Dist != nil {
-		return runDistCampaign[R](ctx, spec, o, desc, schedOpts.Instances)
+		return runDistCampaign[R](ctx, spec, o, desc, instances)
 	}
 	ck, err := openCheckpoint(o, spec)
 	if err != nil {
@@ -99,10 +100,26 @@ func runCampaign[R any](ctx context.Context, spec sched.Spec, newExec func() sch
 	if ck != nil {
 		defer ck.Close()
 	}
-	applyCampaignOptions(o, &schedOpts)
-	schedOpts.Checkpoint = ck
-	schedOpts.CacheSalt = string(desc)
-	schedOpts.NewWorkerExec = newExec
+	schedOpts := sched.Options[R]{
+		Workers:       o.Workers,
+		MaxRetries:    o.Retries,
+		Backoff:       o.Backoff,
+		CellTimeout:   o.CellTimeout,
+		Collect:       o.Collect,
+		Breaker:       o.Breaker,
+		OnProgress:    o.OnProgress,
+		ProgressEvery: o.ProgressEvery,
+		Cache:         o.Cache,
+		CacheSalt:     string(desc),
+		Checkpoint:    ck,
+		Instances:     instances,
+		NewWorkerExec: newExec,
+	}
+	if progress := o.Progress; progress != nil {
+		schedOpts.OnCellStart = func(c sched.Cell) {
+			progress(fmt.Sprintf("%s on %s", c.Key, c.Device))
+		}
+	}
 	return sched.RunContext(ctx, spec, nil, schedOpts)
 }
 

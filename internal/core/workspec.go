@@ -375,30 +375,6 @@ func (st *Study) expandTune(ws WorkSpec) (*workCampaign, error) {
 	}, nil
 }
 
-// expandCorrelate turns a correlate spec into one campaign over the
-// bug cases, each platform running under the spec's fault model.
-func (st *Study) expandCorrelate(ws WorkSpec) (*workCampaign, error) {
-	cases := PaperBugCases()
-	if ws.Faults != nil {
-		for i := range cases {
-			cases[i].Platform.Faults = *ws.Faults
-		}
-	}
-	spec, work, err := st.correlateCampaign(cases, ws.TuneEnvs, ws.Seed)
-	if err != nil {
-		return nil, err
-	}
-	newExec := correlateExec(work, ws.Iters)
-	return &workCampaign{
-		ws:     ws,
-		spec:   spec,
-		ranges: schedRanges(ws, spec, newExec),
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-			return runCorrelate(ctx, spec, newExec, cases, o, desc, res)
-		},
-	}, nil
-}
-
 // PlanWorkSpec validates ws and returns its campaign's scheduler
 // manifest and planned cell count without running anything. The serve
 // subsystem derives idempotent job IDs from them.
