@@ -29,8 +29,9 @@ func exit130(t *testing.T, err error) {
 
 // TestTuneDeadlineInterruptsAndResumes: an expired -deadline drains the
 // tune campaign — exit 130, resume hint printed, checkpoint and partial
-// dataset on disk — and resuming without the deadline produces a
-// dataset byte-identical to a run that was never interrupted.
+// dataset on disk — and resuming without the deadline, or from a
+// checkpoint cut mid-study, produces a dataset byte-identical to a run
+// that was never interrupted.
 func TestTuneDeadlineInterruptsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"tune", "-envs", "1", "-site-iters", "2", "-pte-iters", "1",
@@ -81,6 +82,22 @@ func TestTuneDeadlineInterruptsAndResumes(t *testing.T) {
 	if string(resumed) != string(clean) {
 		t.Fatal("resumed dataset is not byte-identical to the uninterrupted run")
 	}
+
+	// The finished run's checkpoint, cut to half its records, resumes
+	// to the same dataset.
+	ws := core.WorkSpec{Kind: "tune", Devices: []string{"AMD"}, Seed: 2023, TuneEnvs: 1, SiteIters: 2, PTEIters: 1}
+	kept := halveCheckpoint(t, path+".ckpt", ws)
+	if _, err := capture(t, func() error {
+		return run(append(base, "-out", path, "-resume"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if resumed, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if string(resumed) != string(clean) {
+		t.Fatalf("dataset resumed from %d checkpointed cells is not byte-identical to the uninterrupted run", kept)
+	}
 }
 
 // TestCampaignDeadlineInterrupts: both campaign kinds follow the same
@@ -107,7 +124,8 @@ func TestCampaignDeadlineInterrupts(t *testing.T) {
 
 // TestCampaignDeadlineResumesByteIdentical: a campaign of either kind
 // interrupted by -deadline resumes from its one checkpoint and
-// publishes exactly the artifact an uninterrupted campaign publishes.
+// publishes exactly the artifact an uninterrupted campaign publishes,
+// and so does a checkpoint cut mid-campaign.
 func TestCampaignDeadlineResumesByteIdentical(t *testing.T) {
 	for _, kind := range []string{"conformance", "evaluate"} {
 		t.Run(kind, func(t *testing.T) {
@@ -136,70 +154,51 @@ func TestCampaignDeadlineResumesByteIdentical(t *testing.T) {
 			if resumed != clean {
 				t.Fatalf("resumed campaign artifact differs:\n%s\nvs\n%s", resumed, clean)
 			}
+
+			full := filepath.Join(dir, "full.ckpt")
+			if _, err := artifact("full.json", "-checkpoint", full); err != nil {
+				t.Fatal(err)
+			}
+			ws := core.WorkSpec{Kind: kind, Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1}
+			kept := halveCheckpoint(t, full, ws)
+			resumed, err = artifact("half.json", "-checkpoint", full, "-resume")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed != clean {
+				t.Fatalf("campaign resumed from %d checkpointed cells differs:\n%s\nvs\n%s", kept, resumed, clean)
+			}
 		})
 	}
 }
 
-// TestMidCampaignCheckpointResumesByteIdentical: a checkpoint holding
-// some but not all of a campaign's cells — a run of each kind kept to
-// its header and half of its records — resumes through the CLI to the
-// artifact a clean run publishes.
-func TestMidCampaignCheckpointResumesByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		ws   core.WorkSpec
-		args []string
-	}{
-		{core.WorkSpec{Kind: "conformance", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1},
-			[]string{"campaign", "-kind", "conformance", "-devices", "AMD,Intel", "-envs", "pte", "-iters", "4", "-parallel", "4"}},
-		{core.WorkSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1},
-			[]string{"campaign", "-kind", "evaluate", "-devices", "AMD,Intel", "-envs", "pte", "-iters", "4", "-parallel", "4"}},
-		{core.WorkSpec{Kind: "tune", Devices: []string{"AMD"}, Seed: 2023, TuneEnvs: 1, SiteIters: 2, PTEIters: 1},
-			[]string{"tune", "-devices", "AMD", "-envs", "1", "-site-iters", "2", "-pte-iters", "1", "-parallel", "2"}},
-	} {
-		t.Run(tc.ws.Kind, func(t *testing.T) {
-			st, err := core.NewStudy()
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, cells, err := st.PlanWorkSpec(tc.ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			ckpt := filepath.Join(dir, "run.ckpt")
-			artifact := func(name string, extra ...string) string {
-				t.Helper()
-				out := filepath.Join(dir, name)
-				args := append(append([]string(nil), tc.args...), append([]string{"-quiet", "-out", out}, extra...)...)
-				if _, err := capture(t, func() error { return run(args) }); err != nil {
-					t.Fatalf("%v: %v", args, err)
-				}
-				raw, err := os.ReadFile(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(raw)
-			}
-			clean := artifact("clean.json", "-checkpoint", ckpt)
-
-			raw, err := os.ReadFile(ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
-			kept := (len(lines) - 1) / 2
-			if kept <= 0 || kept >= cells {
-				t.Fatalf("checkpoint of %d records keeps %d; want 0 < kept < %d cells", len(lines)-1, kept, cells)
-			}
-			if err := os.WriteFile(ckpt, []byte(strings.Join(lines[:1+kept], "")), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			if resumed := artifact("resumed.json", "-checkpoint", ckpt, "-resume"); resumed != clean {
-				t.Fatalf("resumed from %d of %d cells, artifact differs:\n%s\nvs\n%s", kept, cells, resumed, clean)
-			}
-		})
+// halveCheckpoint cuts a finished campaign's checkpoint at path to its
+// header and half of its records, so a resume replays some cells and
+// runs the rest, and returns how many records it kept. It fails unless
+// some but not all of the cells ws plans are kept.
+func halveCheckpoint(t *testing.T, path string, ws core.WorkSpec) int {
+	t.Helper()
+	st, err := core.NewStudy()
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, cells, err := st.PlanWorkSpec(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	kept := (len(lines) - 1) / 2
+	if kept <= 0 || kept >= cells {
+		t.Fatalf("checkpoint of %d records keeps %d; want 0 < kept < %d cells", len(lines)-1, kept, cells)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines[:1+kept], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return kept
 }
 
 // TestCellTimeoutFlagAccepted: a generous -cell-timeout changes nothing
