@@ -122,18 +122,30 @@ func TestCampaignDeadlineInterrupts(t *testing.T) {
 	}
 }
 
-// TestCampaignDeadlineResumesByteIdentical: a campaign of either kind
-// interrupted by -deadline resumes from its one checkpoint and
-// publishes exactly the artifact an uninterrupted campaign publishes,
-// and so does a checkpoint cut mid-campaign.
+// TestCampaignDeadlineResumesByteIdentical: a campaign of any kind run
+// through the shared flags and interrupted by -deadline resumes from
+// its one checkpoint and publishes exactly the artifact an
+// uninterrupted campaign publishes, and so does a checkpoint cut
+// mid-campaign.
 func TestCampaignDeadlineResumesByteIdentical(t *testing.T) {
-	for _, kind := range []string{"conformance", "evaluate"} {
-		t.Run(kind, func(t *testing.T) {
+	fleet := []string{"-devices", "AMD,Intel", "-envs", "pte", "-iters", "4"}
+	for _, tc := range []struct {
+		kind string
+		args []string
+		ws   core.WorkSpec
+	}{
+		{"conformance", append([]string{"campaign", "-kind", "conformance"}, fleet...),
+			core.WorkSpec{Kind: "conformance", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1}},
+		{"evaluate", append([]string{"campaign", "-kind", "evaluate"}, fleet...),
+			core.WorkSpec{Kind: "evaluate", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1}},
+		{"correlate", []string{"correlate", "-envs", "3", "-iters", "2"},
+			core.WorkSpec{Kind: "correlate", TuneEnvs: 3, Iters: 2, Seed: 2023}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
 			dir := t.TempDir()
 			artifact := func(name string, extra ...string) (string, error) {
 				out := filepath.Join(dir, name)
-				args := append([]string{"campaign", "-kind", kind, "-devices", "AMD,Intel",
-					"-envs", "pte", "-iters", "4", "-parallel", "4", "-quiet", "-out", out}, extra...)
+				args := append(append([]string{}, tc.args...), append([]string{"-parallel", "4", "-quiet", "-out", out}, extra...)...)
 				_, err := capture(t, func() error { return run(args) })
 				raw, _ := os.ReadFile(out)
 				return string(raw), err
@@ -159,8 +171,7 @@ func TestCampaignDeadlineResumesByteIdentical(t *testing.T) {
 			if _, err := artifact("full.json", "-checkpoint", full); err != nil {
 				t.Fatal(err)
 			}
-			ws := core.WorkSpec{Kind: kind, Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 1}
-			kept := halveCheckpoint(t, full, ws)
+			kept := halveCheckpoint(t, full, tc.ws)
 			resumed, err = artifact("half.json", "-checkpoint", full, "-resume")
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,7 @@
 // litmus/mutant suite, runs tests in SITE/PTE environments on the
 // simulated device fleet, performs tuning studies, and analyzes the
 // results — mirroring the paper artifact's workflow (tuning runs plus
-// the mutation-score / merge / correlation analyses).
+// the mutation-score / merge analyses and the Table 4 correlation).
 //
 // Usage:
 //
@@ -13,7 +13,8 @@
 //	mcmutants campaign -kind conformance|evaluate [-out FILE] [-envs pte,site] [-iters N] [-fence-bug] [-devices A,B] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-retries N] [-quiet] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N] [-workers-addr HOST:PORT] [-lease-ttl D] [-range-cells N] [-stall-timeout D]
 //	mcmutants work -coordinator URL [-parallel N] [-id NAME] [-poll D] [-once] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N]
 //	mcmutants tune [-out FILE] [-envs N] [-site-iters N] [-pte-iters N] [-paper-scale] [-devices A,B] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-retries N] [-quiet] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N]
-//	mcmutants analyze -action mutation-score|merge|correlation [-stats FILE] [-family NAME] [-rep PCT] [-budget SECONDS] [-envs N] [-iters N]
+//	mcmutants correlate [-out FILE] [-envs N] [-iters N] [-seed N] [-parallel N] [-checkpoint FILE] [-resume] [-retries N] [-quiet] [-fsync-every N] [-deadline D] [-cell-timeout D] [-faults] [-fault-rate P] [-watchdog N] [-loss-after N] [-cpuprofile FILE] [-memprofile FILE] [-cache-dir DIR] [-cache-max-mb N]
+//	mcmutants analyze -action mutation-score|merge [-stats FILE] [-family NAME] [-rep PCT] [-budget SECONDS]
 //	mcmutants cts -stats FILE [-family NAME] [-rep PCT] [-budget SECONDS]
 //	mcmutants serve [-addr HOST:PORT] [-state DIR] [-runners N] [-parallel N] [-queue N] [-per-client N] [-fsync-every N] [-cache-dir DIR] [-cache-max-mb N] [-dist] [-dist-lease-ttl D] [-default-wall-deadline D] [-max-wall-deadline D] [-default-cell-timeout D] [-max-cell-timeout D] [-default-stall-timeout D] [-max-stall-timeout D] [-poison-boots N] [-mem-soft-mb N] [-mem-hard-mb N] [-quiet]
 //	mcmutants version
@@ -137,8 +138,10 @@ func dispatch(ctx context.Context, args []string) error {
 		return cmdWork(ctx, args[1:])
 	case "tune":
 		return cmdTune(ctx, args[1:])
+	case "correlate":
+		return cmdCorrelate(ctx, args[1:])
 	case "analyze":
-		return cmdAnalyze(ctx, args[1:])
+		return cmdAnalyze(args[1:])
 	case "cts":
 		return cmdCTS(args[1:])
 	case "serve":
@@ -170,7 +173,8 @@ subcommands:
   campaign     run a scheduled fleet campaign (conformance or evaluate)
   work         execute leased cell ranges for a remote campaign coordinator
   tune         run a tuning study and save the dataset (JSON)
-  analyze      mutation-score / merge / correlation analyses
+  correlate    run the Table 4 bug/mutant correlation study
+  analyze      mutation-score / merge analyses of a dataset
   cts          curate a conformance-test-suite plan from a dataset
   serve        run the multi-tenant HTTP campaign service
   optimize     search for a per-test specialized environment
@@ -370,10 +374,11 @@ func cmdConformance(ctx context.Context, args []string) error {
 	return nil
 }
 
-// runFlags is the flag set the campaign and tune verbs share: output,
-// fleet, seed, scheduling, checkpointing and durability, fault
-// injection, cancellation budgets, profiling and the result cache. run
-// turns it and a kind's WorkSpec into one core.RunWorkSpec call.
+// runFlags is the flag set the campaign, tune and correlate verbs
+// share: output, fleet, seed, scheduling, checkpointing and
+// durability, fault injection, cancellation budgets, profiling and the
+// result cache. run turns it and a kind's WorkSpec into one
+// core.RunWorkSpec call.
 type runFlags struct {
 	out, devices, checkpoint *string
 	seed                     *uint64
@@ -560,6 +565,12 @@ func (rf *runFlags) run(ctx context.Context, ws core.WorkSpec, df *distFlags) er
 		printEvaluate(res, len(ws.Envs))
 	case "tune":
 		printTune(res)
+	case "correlate":
+		// An interrupted study's rows cover only the environments that
+		// finished, so its Table 4 waits for the resumed run.
+		if !res.Interrupted {
+			fmt.Print(report.Table4(res.Artifact.Correlation))
+		}
 	}
 	if res.StorageErr != "" {
 		fmt.Fprintf(os.Stderr, "mcmutants: checkpoint storage degraded, finished in-memory: %s\n", res.StorageErr)
@@ -722,7 +733,7 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	// evaluate campaigns; tuning and correlation studies have their own
 	// verbs and sizes.
 	if *kind == "tune" || *kind == "correlate" {
-		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run tuning studies with 'mcmutants tune' and the Table 4 study with 'mcmutants analyze -action correlation'")
+		return fmt.Errorf("campaign runs conformance and evaluate campaigns; run tuning studies with 'mcmutants tune' and the Table 4 study with 'mcmutants correlate'")
 	}
 	return rf.run(ctx, core.WorkSpec{Kind: *kind, Envs: splitList(*envNames), Iters: *iters, FenceBug: *fenceBug}, df)
 }
@@ -810,6 +821,22 @@ func cmdTune(ctx context.Context, args []string) error {
 	}
 	return rf.run(ctx, core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, SiteIters: *siteIters,
 		PTEIters: *pteIters, PaperScale: *paperScale}, nil)
+}
+
+// cmdCorrelate runs the Table 4 study: the paper's bug cases, each
+// correlating its conformance test's bug rate with its mutant's death
+// rate over random environments. Results do not depend on the worker
+// count, so it runs on every CPU by default.
+func cmdCorrelate(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("correlate", flag.ContinueOnError)
+	def := core.KindDefaults("correlate")
+	envs := fs.Int("envs", def.TuneEnvs, "random environments per bug case")
+	iters := fs.Int("iters", def.Iters, "kernel launches per cell")
+	rf := addRunFlags(fs, def.Seed, "", runtime.GOMAXPROCS(0))
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return rf.run(ctx, core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, Iters: *iters}, nil)
 }
 
 // printTune renders a tuning dataset's dropped cells and its Fig. 5
@@ -938,17 +965,13 @@ func loadDataset(path string) (*tuning.Dataset, error) {
 	return tuning.Load(f)
 }
 
-func cmdAnalyze(ctx context.Context, args []string) error {
+func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
-	action := fs.String("action", "mutation-score", "mutation-score, merge or correlation")
+	action := fs.String("action", "mutation-score", "mutation-score or merge")
 	statsPath := fs.String("stats", "tuning.json", "dataset path (mutation-score, merge)")
 	family := fs.String("family", "PTE", "environment family")
 	rep := fs.Float64("rep", 95, "reproducibility target in percent")
 	budget := fs.Float64("budget", 1, "per-test time budget in seconds")
-	def := core.KindDefaults("correlate")
-	envs := fs.Int("envs", def.TuneEnvs, "environments for the correlation study")
-	iters := fs.Int("iters", def.Iters, "iterations per environment (correlation)")
-	seed := fs.Uint64("seed", def.Seed, "random seed (correlation)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -987,25 +1010,6 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 		}
 		fmt.Print(report.Fig6(points))
 		return nil
-	case "correlation":
-		// Results do not depend on the worker count, so the study runs
-		// on every CPU.
-		study, err := core.NewStudy()
-		if err != nil {
-			return err
-		}
-		ws := core.WorkSpec{Kind: def.Kind, TuneEnvs: *envs, Iters: *iters, Seed: *seed}
-		res, err := study.RunWorkSpec(ctx, ws, core.CampaignOptions{
-			Workers: runtime.GOMAXPROCS(0), OnProgress: printProgress, ProgressEvery: progressEvery,
-		})
-		if err != nil {
-			return err
-		}
-		if res.Interrupted {
-			return &interruptedRun{fmt.Sprintf("correlation interrupted: %d cell(s) pending", res.Pending)}
-		}
-		fmt.Print(report.Table4(res.Artifact.Correlation))
-		return campaignVerdict(res)
 	default:
 		return fmt.Errorf("unknown action %q", *action)
 	}

@@ -332,12 +332,12 @@ func TestTuneAnalyzeCTSPipeline(t *testing.T) {
 	}
 }
 
-func TestAnalyzeCorrelation(t *testing.T) {
+func TestCorrelateCommand(t *testing.T) {
 	if testing.Short() {
-		t.Skip("correlation analysis is slow")
+		t.Skip("correlation study is slow")
 	}
 	out, err := capture(t, func() error {
-		return run([]string{"analyze", "-action", "correlation", "-envs", "6", "-iters", "2"})
+		return run([]string{"correlate", "-envs", "6", "-iters", "2", "-quiet"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"campaign", "-kind", "bogus", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-kind", "tune", "-devices", "AMD", "-out", out, "-quiet"},
 		{"campaign", "-kind", "correlate", "-out", out, "-quiet"},
-		{"analyze", "-action", "correlation", "-envs", "0", "-iters", "1000000"},
+		{"correlate", "-envs", "0", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-devices", "NoSuchGPU", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-devices", "AMD,Intel,AMD", "-iters", "1000000", "-out", out, "-quiet"},
 		{"campaign", "-kind", "evaluate", "-devices", "AMD,AMD", "-iters", "1000000", "-checkpoint", filepath.Join(dir, "x.ckpt"), "-out", out, "-quiet"},

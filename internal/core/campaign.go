@@ -5,9 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/diskio"
+	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/litmus"
@@ -15,94 +14,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// CampaignOptions configures the scheduler behind the core workflows:
-// parallelism, retry policy, checkpointing and progress streams. The
-// zero value is a serial, checkpoint-free run. Every worker count
-// yields identical scores and findings — cell RNG streams derive from
-// the campaign seed and cell identity alone.
-type CampaignOptions struct {
-	// Workers bounds the scheduler's pool; < 1 means serial.
-	Workers int
-	// Retries and Backoff configure transient-failure handling per cell.
-	// RunWorkSpec takes them, and CellTimeout, from the spec.
-	Retries int
-	Backoff time.Duration
-	// CellTimeout bounds each cell attempt; expiry is an ordinary
-	// permanent cell failure (retried, reported, breaker-visible), not a
-	// campaign interruption. Zero means no per-cell bound.
-	CellTimeout time.Duration
-	// CheckpointPath, when non-empty, records completed cells as JSONL
-	// so an interrupted campaign can resume.
-	CheckpointPath string
-	// Resume replays cells already in the checkpoint instead of
-	// re-running them. Requires CheckpointPath.
-	Resume bool
-	// FsyncEvery tunes the checkpoint's bounded-loss durability policy:
-	// the file is fsynced after every N recorded cells. 0 means
-	// sched.DefaultFsyncEvery; negative syncs only at drain and close.
-	FsyncEvery int
-	// FS is the filesystem the checkpoint goes through; nil means the
-	// real filesystem. Tests inject a fault model (diskio.FaultFS).
-	FS diskio.FS
-	// Collect switches the scheduler from fail-fast to collect: every
-	// cell runs, and failed cells surface in the result (EnvScore
-	// failures, error-carrying findings) instead of aborting the
-	// campaign. A tune study collects exactly when it has a Breaker or
-	// a cell timeout (tuning.RunOptions has no separate switch).
-	Collect bool
-	// Breaker, when non-nil, enables the per-device circuit breaker:
-	// a device failing Threshold cells in a row is quarantined for
-	// Cooldown cells and the campaign continues on the surviving fleet.
-	// Implies Collect.
-	Breaker *sched.BreakerOptions
-	// Progress, when non-nil, receives one line as each cell starts.
-	Progress func(string)
-	// OnProgress, when non-nil, receives cumulative structured campaign
-	// snapshots — one every ProgressEvery plus a final settled one
-	// before the campaign returns (see sched.Progress). The serve
-	// subsystem's SSE hub and metrics feed from this hook, and the CLI
-	// prints each snapshot's String as its throughput line.
-	OnProgress func(sched.Progress)
-	// ProgressEvery is the OnProgress cadence; zero means
-	// sched.DefaultProgressEvery.
-	ProgressEvery time.Duration
-	// Dist, when non-nil, runs the campaign distributed: no cell
-	// executes in this process. A coordinator is registered on the hub,
-	// worker processes lease cell ranges and deliver result segments,
-	// and the merged report is byte-identical to a local run — split-
-	// seed cell RNG makes results a pure function of (seed, cell key,
-	// attempt), independent of which process executed the cell.
-	// Distributed campaigns always run collect-style (there is no
-	// fail-fast abort across workers); Workers and the retry policy
-	// apply on the worker side via the descriptor, not here.
-	Dist *DistOptions
-	// Cache, when non-nil, is the persistent result cache consulted
-	// before each cell executes and published to after a cell succeeds.
-	// It is salted with the campaign's WorkSpec descriptor, which holds
-	// every workload parameter outside the scheduler spec, so a key can
-	// never serve a result computed under different parameters. Cache
-	// hits change nothing but time: scores, findings and artifacts stay
-	// byte-identical to a cold run. In distributed mode the cache is
-	// consulted on the worker side (DistWorkOptions), not here.
-	//
-	// Dist and Cache need the descriptor, so only RunWorkSpec honors
-	// them; the per-campaign methods reject them.
-	Cache sched.ResultCache
-}
-
-// openCheckpoint opens the checkpoint o names for spec, resuming when
-// o.Resume is set; nil when o names none. Local and distributed
-// campaigns both open theirs here.
-func openCheckpoint(o CampaignOptions, spec sched.Spec) (*sched.Checkpoint, error) {
-	if o.CheckpointPath == "" {
-		if o.Resume {
-			return nil, fmt.Errorf("core: Resume requires CheckpointPath")
-		}
-		return nil, nil
-	}
-	return sched.OpenCheckpointOpts(o.CheckpointPath, spec, o.Resume,
-		sched.CheckpointOptions{FS: o.FS, FsyncEvery: o.FsyncEvery})
-}
+// CampaignOptions configures the campaign runner behind the core
+// workflows; it is dist.CampaignOptions, the options of the one runner
+// every kind runs on (dist.RunCampaign).
+type CampaignOptions = dist.CampaignOptions
 
 // CellFailure records one campaign cell that produced no usable data: a
 // permanent device failure, or a cell the device circuit breaker
@@ -228,7 +143,7 @@ func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs [
 	if err != nil {
 		return nil, err
 	}
-	entries, _, err := st.runEvaluate(ctx, spec, st.evaluateExec(work, iterations), platforms, opts, nil)
+	entries, _, err := st.runEvaluate(ctx, spec, st.evaluateExec(work, iterations), platforms, opts, nil, "")
 	if entries == nil {
 		return nil, err
 	}
@@ -238,8 +153,8 @@ func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs [
 // runEvaluate runs a planned evaluation campaign and scores each
 // platform, in input order; it also returns how many cells an
 // interruption left pending.
-func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], platforms []Platform, opts CampaignOptions, desc json.RawMessage) ([]EvaluateEntry, int, error) {
-	rep, err := runCampaign(ctx, spec, newExec, opts, func(r *harness.Result) int { return r.Instances }, desc)
+func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], platforms []Platform, opts CampaignOptions, desc json.RawMessage, salt string) ([]EvaluateEntry, int, error) {
+	rep, err := dist.RunCampaign(ctx, spec, newExec, opts, func(r *harness.Result) int { return r.Instances }, desc, salt)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, 0, err
@@ -368,15 +283,15 @@ func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platf
 	if err != nil {
 		return nil, err
 	}
-	reports, _, err := st.runConformance(ctx, spec, st.conformanceExec(env, work, iterations), platforms, opts, nil)
+	reports, _, err := st.runConformance(ctx, spec, st.conformanceExec(env, work, iterations), platforms, opts, nil, "")
 	return reports, err
 }
 
 // runConformance runs a planned fleet conformance campaign and
 // assembles its per-platform reports; it also returns how many cells an
 // interruption left pending.
-func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[Finding], platforms []Platform, opts CampaignOptions, desc json.RawMessage) ([]*ConformanceReport, int, error) {
-	rep, err := runCampaign(ctx, spec, newExec, opts, func(f Finding) int { return f.Instances }, desc)
+func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[Finding], platforms []Platform, opts CampaignOptions, desc json.RawMessage, salt string) ([]*ConformanceReport, int, error) {
+	rep, err := dist.RunCampaign(ctx, spec, newExec, opts, func(f Finding) int { return f.Instances }, desc, salt)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, 0, err

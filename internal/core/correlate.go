@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/sched"
@@ -132,9 +133,10 @@ func (st *Study) expandCorrelate(ws WorkSpec) (*workCampaign, error) {
 	return &workCampaign{
 		ws:     ws,
 		spec:   spec,
-		ranges: schedRanges(ws, spec, newExec),
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-			rep, err := runCampaign(ctx, spec, newExec, o, func(r *harness.Result) int { return r.Instances }, desc)
+		salt:   ws.CacheSalt,
+		ranges: schedRanges(spec, newExec),
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
+			rep, err := dist.RunCampaign(ctx, spec, newExec, o, func(r *harness.Result) int { return r.Instances }, desc, salt)
 			interrupted := errors.Is(err, sched.ErrInterrupted)
 			if err != nil && !interrupted {
 				return 0, err

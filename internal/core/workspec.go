@@ -241,36 +241,30 @@ func (ws WorkSpec) envParams() ([]harness.Params, error) {
 // workCampaign is the one scheduler campaign a WorkSpec expands to.
 type workCampaign struct {
 	// ws is the spec with the kind's default devices filled in; the
-	// campaign's descriptor and cache salt derive from it.
+	// campaign's descriptor derives from it.
 	ws   WorkSpec
 	spec sched.Spec
-	// ranges builds a distributed worker's range runner, salted for the
-	// worker's cache when o.Cache is set.
-	ranges func(o dist.SchedRunnerOptions) (dist.RunRange, error)
-	// run executes the campaign, stores its artifact in res, and returns
-	// how many cells an interruption left pending (with an error
-	// wrapping sched.ErrInterrupted).
-	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error)
+	// salt derives the campaign's result-cache salt.
+	salt func() (string, error)
+	// ranges builds a distributed worker's range runner.
+	ranges func(o dist.SchedRunnerOptions) dist.RunRange
+	// run executes the campaign on dist.RunCampaign, stores its
+	// artifact in res, and returns how many cells an interruption left
+	// pending (with an error wrapping sched.ErrInterrupted).
+	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error)
 }
 
-// schedRanges is the range runner of a conformance or evaluate
-// campaign: its exec under the spec's descriptor as cache salt.
-func schedRanges[R any](ws WorkSpec, spec sched.Spec, newExec func() sched.Exec[R]) func(dist.SchedRunnerOptions) (dist.RunRange, error) {
-	return func(o dist.SchedRunnerOptions) (dist.RunRange, error) {
-		if o.Cache != nil {
-			var err error
-			if o.CacheSalt, err = ws.CacheSalt(); err != nil {
-				return nil, err
-			}
-		}
-		return dist.SchedRunner(spec, newExec, o), nil
-	}
+// schedRanges is a campaign's range runner: its exec under the
+// options DistWork sets, cache salt included.
+func schedRanges[R any](spec sched.Spec, newExec func() sched.Exec[R]) func(dist.SchedRunnerOptions) dist.RunRange {
+	return func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) }
 }
 
 // expand validates ws and turns it into its one campaign: a fleet
 // campaign for conformance and evaluate, the tuning study for tune, the
 // bug-case campaign for correlate. It is the only place a WorkSpec's
-// kind is dispatched.
+// kind is dispatched. Conformance, evaluate and correlate campaigns are
+// salted with the spec's descriptor.
 func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
@@ -298,9 +292,10 @@ func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 		return &workCampaign{
 			ws:     ws,
 			spec:   spec,
-			ranges: schedRanges(ws, spec, newExec),
-			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-				reports, pending, err := st.runConformance(ctx, spec, newExec, platforms, o, desc)
+			salt:   ws.CacheSalt,
+			ranges: schedRanges(spec, newExec),
+			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
+				reports, pending, err := st.runConformance(ctx, spec, newExec, platforms, o, desc, salt)
 				res.Artifact = &CampaignArtifact{Kind: ws.Kind, Conformance: reports}
 				return pending, err
 			},
@@ -314,63 +309,39 @@ func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	return &workCampaign{
 		ws:     ws,
 		spec:   spec,
-		ranges: schedRanges(ws, spec, newExec),
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-			entries, pending, err := st.runEvaluate(ctx, spec, newExec, platforms, o, desc)
+		salt:   ws.CacheSalt,
+		ranges: schedRanges(spec, newExec),
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
+			entries, pending, err := st.runEvaluate(ctx, spec, newExec, platforms, o, desc, salt)
 			res.Artifact = &CampaignArtifact{Kind: ws.Kind, Evaluate: entries}
 			return pending, err
 		},
 	}, nil
 }
 
-// expandTune turns a tune spec into its tuning study. Locally
-// tuning's own Run executes it, with its own cache salt and the
-// checkpoint path as given; distributed, a coordinator collects the
-// cells tuning's range runner measured and tuning assembles the same
-// dataset from them.
+// expandTune turns a tune spec into its tuning study, salted as tuning
+// salts it under the spec's retry policy, so the CLI, serve, workers
+// and tuning.RunCampaign share cache entries. Local or distributed,
+// the runner's report assembles into the same dataset.
 func (st *Study) expandTune(ws WorkSpec) (*workCampaign, error) {
 	camp, err := tuning.PlanCampaign(ws.tuneConfig(), st.Suite.Mutants)
 	if err != nil {
 		return nil, err
 	}
+	newExec := camp.Exec()
 	return &workCampaign{
 		ws:     ws,
 		spec:   camp.Spec,
-		ranges: camp.RunRange,
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, res *WorkResult) (int, error) {
-			if o.Dist != nil {
-				rep, err := runDistCampaign(ctx, camp.Spec, o, desc, func(m tuning.Measurement) int { return m.Instances })
-				interrupted := errors.Is(err, sched.ErrInterrupted)
-				if err != nil && !interrupted {
-					return 0, err
-				}
-				res.Dataset = camp.Dataset(rep, interrupted)
-				return rep.Interrupted, err
-			}
-			ds, err := camp.Run(ctx, tuning.RunOptions{
-				Workers:        o.Workers,
-				CheckpointPath: o.CheckpointPath,
-				Resume:         o.Resume,
-				FsyncEvery:     o.FsyncEvery,
-				FS:             o.FS,
-				Progress:       o.Progress,
-				OnProgress:     o.OnProgress,
-				ProgressEvery:  o.ProgressEvery,
-				Retries:        o.Retries,
-				Backoff:        o.Backoff,
-				CellTimeout:    o.CellTimeout,
-				Breaker:        o.Breaker,
-				Cache:          o.Cache,
-			})
-			if err != nil {
+		salt:   func() (string, error) { return camp.CacheSalt(ws.policy()) },
+		ranges: schedRanges(camp.Spec, newExec),
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
+			rep, err := dist.RunCampaign(ctx, camp.Spec, newExec, o, func(m tuning.Measurement) int { return m.Instances }, desc, salt)
+			interrupted := errors.Is(err, sched.ErrInterrupted)
+			if err != nil && !interrupted {
 				return 0, err
 			}
-			res.Dataset = ds
-			if ds.Interrupted {
-				pending := len(camp.Spec.Cells) - len(ds.Records) - len(ds.Dropped)
-				return pending, fmt.Errorf("core: tuning study interrupted: %w", sched.ErrInterrupted)
-			}
-			return 0, nil
+			res.Dataset = camp.Dataset(rep, interrupted)
+			return rep.Interrupted, err
 		},
 	}, nil
 }
@@ -437,20 +408,23 @@ func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOpti
 		return nil, err
 	}
 	opts.Retries, opts.Backoff, opts.CellTimeout = ws.policy()
-	opts.Collect = opts.Collect || opts.CellTimeout > 0
 	var desc json.RawMessage
-	if opts.Dist != nil || opts.Cache != nil {
+	if opts.Dist != nil {
 		if desc, err = c.ws.Descriptor(); err != nil {
 			return nil, err
 		}
-	}
-	if opts.Dist != nil {
 		d := *opts.Dist
 		d.Name = cmp.Or(d.Name, ws.Kind)
 		opts.Dist = &d
 	}
+	var salt string
+	if opts.Cache != nil {
+		if salt, err = c.salt(); err != nil {
+			return nil, err
+		}
+	}
 	res := &WorkResult{}
-	pending, err := c.run(ctx, opts, desc, res)
+	pending, err := c.run(ctx, opts, desc, salt, res)
 	if errors.Is(err, sched.ErrInterrupted) {
 		res.Interrupted, res.Pending = true, pending
 	} else if err != nil {

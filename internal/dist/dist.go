@@ -13,6 +13,10 @@
 // change the merged report: duplicate deliveries are discarded by
 // cell identity, first-wins, and both copies are identical anyway.
 //
+// RunCampaign is the one campaign runner every campaign kind runs on:
+// locally through the scheduler, or, with CampaignOptions.Dist set,
+// through a Coordinator. SchedRunner is its worker half.
+//
 // Robustness model:
 //
 //   - Leases carry deadlines. Workers renew at cell boundaries with

@@ -119,7 +119,7 @@ func TestCacheSaltVersioned(t *testing.T) {
 	cfg.SITEIterations = 1
 	cfg.PTEIterations = 1
 	cfg.Devices = []string{"AMD"}
-	salt, err := cacheSalt(cfg, RunOptions{})
+	salt, err := (&Campaign{cfg: cfg}).CacheSalt(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package tuning
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/sched"
 	"repro/internal/xrand"
@@ -229,4 +232,57 @@ func TestCampaignCellTimeoutDoesNotInterrupt(t *testing.T) {
 		t.Fatal("cell timeout marked the campaign interrupted")
 	}
 	datasetsIdentical(t, clean, bounded, "clean vs cell-timeout")
+}
+
+// TestRunOptionsDistAndCollect covers the options a study shares with
+// every campaign kind. Dist is refused before any cell runs: a study
+// run directly has no descriptor for workers to rebuild it from.
+// Collect turns a faulted cell into a dropped record, where the
+// fail-fast default fails the whole study.
+func TestRunOptionsDistAndCollect(t *testing.T) {
+	cfg, tests := campaignConfig()
+	fm := gpu.UniformFaults(cfg.Seed, 0.3)
+	fm.LossAfter = 1
+	cfg.Faults = &fm
+	plan, err := PlanCampaign(cfg, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    RunOptions
+		wantErr string // empty: the study completes
+	}{
+		{"dist", RunOptions{Dist: &dist.Options{Hub: dist.NewHub()}}, "RunWorkSpec"},
+		{"fail-fast", RunOptions{}, "sched: cell"},
+		{"collect", RunOptions{Collect: true}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "tune.ckpt")
+			started := 0
+			opts := tc.opts
+			opts.Workers = 2
+			opts.CheckpointPath = ckpt
+			opts.Progress = func(string) { started++ }
+			ds, err := RunCampaign(cfg, tests, opts)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, tc.wantErr)
+				}
+				if tc.name == "dist" {
+					if _, statErr := os.Stat(ckpt); started != 0 || !os.IsNotExist(statErr) {
+						t.Fatalf("refused study ran %d cells (checkpoint stat: %v)", started, statErr)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.Interrupted || len(ds.Dropped) == 0 || len(ds.Records)+len(ds.Dropped) != len(plan.Spec.Cells) {
+				t.Fatalf("collected study: %d records, %d dropped of %d cells; want every cell resolved and some dropped",
+					len(ds.Records), len(ds.Dropped), len(plan.Spec.Cells))
+			}
+		})
+	}
 }

@@ -327,57 +327,14 @@ func environments(f Family, cfg *Config) []harness.Params {
 	}
 }
 
-// RunOptions configures campaign execution: parallelism, checkpointing
-// and progress. The zero value is a serial, checkpoint-free run.
-type RunOptions struct {
-	// Workers bounds the scheduler's pool; < 1 means serial. Any
-	// worker count produces bit-identical datasets.
-	Workers int
-	// CheckpointPath, when non-empty, records completed cells as JSONL
-	// so an interrupted run can resume.
-	CheckpointPath string
-	// Resume replays cells already present in the checkpoint instead
-	// of re-running them. Requires CheckpointPath.
-	Resume bool
-	// FsyncEvery tunes the checkpoint's bounded-loss durability policy:
-	// the file is fsynced after every N recorded cells. 0 means
-	// sched.DefaultFsyncEvery; negative syncs only at drain and close.
-	FsyncEvery int
-	// FS is the filesystem the checkpoint goes through; nil means the
-	// real filesystem. Tests inject a fault model (diskio.FaultFS).
-	FS diskio.FS
-	// Progress, when non-nil, receives one line as each cell starts.
-	Progress func(string)
-	// OnProgress, when non-nil, receives cumulative structured campaign
-	// snapshots — one every ProgressEvery plus a final settled one
-	// before the run returns (see sched.Progress). The serve
-	// subsystem's SSE hub and metrics feed from this hook.
-	OnProgress func(sched.Progress)
-	// ProgressEvery is the OnProgress cadence; zero means
-	// sched.DefaultProgressEvery.
-	ProgressEvery time.Duration
-	// Retries and Backoff configure transient-failure handling per
-	// cell.
-	Retries int
-	Backoff time.Duration
-	// CellTimeout, when positive, bounds each cell's wall-clock time
-	// and makes the campaign collect: an overrun fails that one cell (it
-	// lands in Dataset.Dropped) without interrupting the campaign.
-	CellTimeout time.Duration
-	// Breaker, when non-nil, enables the per-device circuit breaker:
-	// a device failing Threshold cells in a row is quarantined for
-	// Cooldown cells while the run continues on the surviving fleet.
-	// Failed and quarantined cells land in Dataset.Dropped instead of
-	// aborting the run.
-	Breaker *sched.BreakerOptions
-	// Cache, when non-nil, is the persistent result cache consulted
-	// before each cell executes and published to after a cell succeeds.
-	// The cache salt is derived from the full Config plus the retry
-	// policy, so two runs share entries exactly when they would compute
-	// identical measurements; a warm re-run of the same study skips the
-	// simulation entirely and still emits a byte-identical dataset.
-	Cache sched.ResultCache
-}
+// RunOptions configures a study's execution; it is
+// dist.CampaignOptions, the options of the campaign runner every kind
+// runs on. The zero value is a serial, checkpoint-free run. A study
+// collects when Collect, Breaker or CellTimeout is set: failed cells
+// land in Dataset.Dropped instead of aborting it. Dist is refused:
+// a distributed study runs through core's RunWorkSpec, which has the
+// descriptor workers rebuild it from.
+type RunOptions = dist.CampaignOptions
 
 // cachePayload names the layout of the value a tuning cell caches.
 // It is part of the cache salt, so entries of different layouts get
@@ -396,22 +353,6 @@ type cacheSaltPayload struct {
 	Retries       int    `json:"retries,omitempty"`
 	BackoffMS     int64  `json:"backoff_ms,omitempty"`
 	CellTimeoutMS int64  `json:"cell_timeout_ms,omitempty"`
-}
-
-// cacheSalt derives the result-cache salt of a tuning run, the
-// counterpart of core.WorkSpec.CacheSalt for the tuning study.
-func cacheSalt(cfg Config, opts RunOptions) (string, error) {
-	raw, err := json.Marshal(cacheSaltPayload{
-		Payload:       cachePayload,
-		Config:        cfg,
-		Retries:       opts.Retries,
-		BackoffMS:     opts.Backoff.Milliseconds(),
-		CellTimeoutMS: opts.CellTimeout.Milliseconds(),
-	})
-	if err != nil {
-		return "", fmt.Errorf("tuning: encode cache salt: %w", err)
-	}
-	return string(raw), nil
 }
 
 // tuningCell is one campaign cell's work order.
@@ -553,11 +494,12 @@ func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sc
 	}
 }
 
-// Campaign is a tuning study planned for execution: its scheduler spec
-// and every cell's work order. Run executes it locally; RunRange and
-// Dataset let a coordinator run it across worker processes with the
-// same exec, cache salt and dataset assembly, so a distributed study's
-// dataset is byte-identical to a local one.
+// Campaign is a tuning study planned for execution: its scheduler
+// spec, its measurement exec, its cache salt and the assembly of a
+// settled report into its dataset. Run executes it on the shared
+// campaign runner (dist.RunCampaign); core runs the same pieces
+// locally or across worker processes, so a distributed study's dataset
+// is byte-identical to a local one.
 type Campaign struct {
 	// Spec is the study's scheduler spec. Its Manifest identifies the
 	// cell grid: the serve subsystem derives idempotent job IDs from it,
@@ -594,6 +536,36 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 	return c.Run(ctx, opts)
 }
 
+// Exec returns the study's per-worker measurement exec factory (see
+// sched.Options.NewWorkerExec). Each worker gets private warm scratch —
+// a runner and a Result reused across that worker's cells — so the
+// steady-state campaign loop stops allocating. Cell randomness derives
+// purely from (seed, cell key), so which worker's scratch a cell lands
+// on cannot change its measurement.
+func (c *Campaign) Exec() func() sched.Exec[Measurement] {
+	return newWorkerExec(c.work, c.cfg.Faults)
+}
+
+// CacheSalt derives the study's result-cache salt under a retry
+// policy: the cached value's layout, the full Config and the policy, so
+// two runs share entries exactly when they would compute identical
+// measurements, and a warm re-run skips the simulation entirely and
+// still emits a byte-identical dataset. It is the counterpart of
+// core.WorkSpec.CacheSalt for the tuning study.
+func (c *Campaign) CacheSalt(retries int, backoff, cellTimeout time.Duration) (string, error) {
+	raw, err := json.Marshal(cacheSaltPayload{
+		Payload:       cachePayload,
+		Config:        c.cfg,
+		Retries:       retries,
+		BackoffMS:     backoff.Milliseconds(),
+		CellTimeoutMS: cellTimeout.Milliseconds(),
+	})
+	if err != nil {
+		return "", fmt.Errorf("tuning: encode cache salt: %w", err)
+	}
+	return string(raw), nil
+}
+
 // Run executes the tuning study as a scheduled campaign: every
 // (environment, device, test) cell derives its RNG stream purely from
 // the config seed and the cell's identity, so any worker count — and
@@ -606,71 +578,16 @@ func RunCampaignCtx(ctx context.Context, cfg Config, tests []*litmus.Test, opts 
 // in the checkpoint, so a resumed run finishes the dataset
 // byte-identical to an uninterrupted one.
 func (c *Campaign) Run(ctx context.Context, opts RunOptions) (*Dataset, error) {
-	schedOpts := sched.Options[Measurement]{
-		Workers:       opts.Workers,
-		MaxRetries:    opts.Retries,
-		Backoff:       opts.Backoff,
-		CellTimeout:   opts.CellTimeout,
-		Collect:       opts.CellTimeout > 0,
-		Breaker:       opts.Breaker,
-		OnProgress:    opts.OnProgress,
-		ProgressEvery: opts.ProgressEvery,
-		Instances:     func(m Measurement) int { return m.Instances },
-		// Each worker gets private warm scratch — a runner and a Result
-		// reused across that worker's cells — so the steady-state
-		// campaign loop stops allocating. Cell randomness derives purely
-		// from (seed, cell key), so which worker's scratch a cell lands
-		// on cannot change its measurement.
-		NewWorkerExec: newWorkerExec(c.work, c.cfg.Faults),
+	salt, err := c.CacheSalt(opts.Retries, opts.Backoff, opts.CellTimeout)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Cache != nil {
-		salt, err := cacheSalt(c.cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		schedOpts.Cache = opts.Cache
-		schedOpts.CacheSalt = salt
-	}
-	if opts.Progress != nil {
-		progress := opts.Progress
-		schedOpts.OnCellStart = func(cell sched.Cell) {
-			w := c.work[cell.Key]
-			progress(fmt.Sprintf("%s on %s: %s (%d iterations)", w.envID, w.device, w.test.Name, w.iters))
-		}
-	}
-	if opts.Resume && opts.CheckpointPath == "" {
-		return nil, fmt.Errorf("tuning: Resume requires CheckpointPath")
-	}
-	if opts.CheckpointPath != "" {
-		ck, err := sched.OpenCheckpointOpts(opts.CheckpointPath, c.Spec, opts.Resume,
-			sched.CheckpointOptions{FS: opts.FS, FsyncEvery: opts.FsyncEvery})
-		if err != nil {
-			return nil, err
-		}
-		defer ck.Close()
-		schedOpts.Checkpoint = ck
-	}
-	rep, err := sched.RunContext(ctx, c.Spec, nil, schedOpts)
+	rep, err := dist.RunCampaign(ctx, c.Spec, c.Exec(), opts, func(m Measurement) int { return m.Instances }, nil, salt)
 	interrupted := errors.Is(err, sched.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, err
 	}
 	return c.Dataset(rep, interrupted), nil
-}
-
-// RunRange returns the study's range runner for a distributed worker:
-// dist.SchedRunner over the exec Run uses, under the cache salt Run
-// derives from the same retry policy, so a leased cell measures and
-// caches exactly as a local one does.
-func (c *Campaign) RunRange(o dist.SchedRunnerOptions) (dist.RunRange, error) {
-	if o.Cache != nil {
-		salt, err := cacheSalt(c.cfg, RunOptions{Retries: o.Retries, Backoff: o.Backoff, CellTimeout: o.CellTimeout})
-		if err != nil {
-			return nil, err
-		}
-		o.CacheSalt = salt
-	}
-	return dist.SchedRunner(c.Spec, newWorkerExec(c.work, c.cfg.Faults), o), nil
 }
 
 // Dataset assembles a settled report of the campaign — a local run's
