@@ -398,11 +398,11 @@ type runFlags struct {
 }
 
 // addRunFlags registers the shared flags on fs with the verb's default
-// seed, output path and worker count.
-func addRunFlags(fs *flag.FlagSet, seed uint64, out string, parallel int) *runFlags {
-	return &runFlags{
+// seed, output path and worker count. fleet registers -devices, for
+// the kinds whose spec takes a device list.
+func addRunFlags(fs *flag.FlagSet, seed uint64, out string, parallel int, fleet bool) *runFlags {
+	rf := &runFlags{
 		out:        fs.String("out", out, "write the artifact (JSON report or dataset) to this path (atomic)"),
-		devices:    fs.String("devices", "", "comma-separated device names (default: the Table 3 fleet)"),
 		seed:       fs.Uint64("seed", seed, "campaign seed"),
 		parallel:   fs.Int("parallel", parallel, "scheduler workers (any count yields identical results)"),
 		checkpoint: fs.String("checkpoint", "", "checkpoint path for resumable runs (default <out>.ckpt when -resume is set)"),
@@ -424,14 +424,20 @@ func addRunFlags(fs *flag.FlagSet, seed uint64, out string, parallel int) *runFl
 		prof:       addProfileFlags(fs),
 		cache:      addCacheFlags(fs),
 	}
+	if fleet {
+		rf.devices = fs.String("devices", "", "comma-separated device names (default: the Table 3 fleet)")
+	}
+	return rf
 }
 
-// workSpec completes ws with the shared flags: devices, seed, retry
-// policy and fault model. Without -faults the model is the zero model
-// plus any explicit watchdog; with it, the fault stream is seeded from
-// the campaign seed.
+// workSpec completes ws with the shared flags: devices (when
+// registered), seed, retry policy and fault model. Without -faults the
+// model is the zero model plus any explicit watchdog; with it, the
+// fault stream is seeded from the campaign seed.
 func (rf *runFlags) workSpec(ws core.WorkSpec) core.WorkSpec {
-	ws.Devices = splitList(*rf.devices)
+	if rf.devices != nil {
+		ws.Devices = splitList(*rf.devices)
+	}
 	ws.Seed = *rf.seed
 	ws.Retries = *rf.retries
 	ws.CellTimeoutMS = core.DurationMS(*rf.cellTimeout)
@@ -724,7 +730,7 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	envNames := fs.String("envs", strings.Join(def.Envs, ","), "comma-separated environment presets")
 	iters := fs.Int("iters", def.Iters, "kernel launches per cell")
 	fenceBug := fs.Bool("fence-bug", false, "inject the fence-dropping driver on every platform")
-	rf := addRunFlags(fs, def.Seed, "", 4)
+	rf := addRunFlags(fs, def.Seed, "", 4, true)
 	df := addDistFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -815,7 +821,7 @@ func cmdTune(ctx context.Context, args []string) error {
 	siteIters := fs.Int("site-iters", def.SiteIters, "SITE iterations per test")
 	pteIters := fs.Int("pte-iters", def.PTEIters, "PTE iterations per test")
 	paperScale := fs.Bool("paper-scale", false, "use the paper's full environment sizes (slow)")
-	rf := addRunFlags(fs, def.Seed, "tuning.json", 1)
+	rf := addRunFlags(fs, def.Seed, "tuning.json", 1, true)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -832,7 +838,7 @@ func cmdCorrelate(ctx context.Context, args []string) error {
 	def := core.KindDefaults("correlate")
 	envs := fs.Int("envs", def.TuneEnvs, "random environments per bug case")
 	iters := fs.Int("iters", def.Iters, "kernel launches per cell")
-	rf := addRunFlags(fs, def.Seed, "", runtime.GOMAXPROCS(0))
+	rf := addRunFlags(fs, def.Seed, "", runtime.GOMAXPROCS(0), false)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

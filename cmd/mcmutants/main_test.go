@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -346,6 +348,27 @@ func TestCorrelateCommand(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("correlation output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCorrelateHasNoDevicesFlag checks that correlate, whose bug cases
+// fix their platforms, does not offer -devices: its usage does not list
+// the flag, and passing it fails at flag parsing, before any spec is
+// built.
+func TestCorrelateHasNoDevicesFlag(t *testing.T) {
+	usage, err := captureStderr(t, func() error { return run([]string{"correlate", "-h"}) })
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("correlate -h: %v, want flag.ErrHelp", err)
+	}
+	if !strings.Contains(usage, "-envs") || strings.Contains(usage, "-devices") {
+		t.Errorf("correlate -h should list -envs and not -devices:\n%s", usage)
+	}
+	_, err = captureStderr(t, func() error { return run([]string{"correlate", "-devices", "AMD"}) })
+	if err == nil || err.Error() != "flag provided but not defined: -devices" {
+		t.Fatalf("correlate -devices AMD: %v, want the flag parser's undefined-flag error", err)
+	}
+	if code := exitCode(err); code != 1 {
+		t.Errorf("correlate -devices AMD exit = %d, want 1", code)
 	}
 }
 

@@ -91,10 +91,14 @@ const (
 	entryTail = len(entrySum) + 2*sha256.Size + len(entryEnd)
 )
 
-// entryReadSize is Get's one read buffer: room for a typical entry
-// (about 800 bytes) plus the 512 bytes a final read asks for, so a hit
-// reads without growing it.
-const entryReadSize = 2 << 10
+// readBufs recycles Get's read buffers. A hit copies its payload out,
+// so no buffer outlives the call, and each settles at the size of the
+// entries it reads: a warm run reads without allocating one.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledRead bounds the buffers readBufs keeps, so one oversized
+// (typically corrupt) entry does not pin its memory for the process.
+const maxPooledRead = 64 << 10
 
 // Options configures a cache.
 type Options struct {
@@ -203,8 +207,13 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		c.count(&c.misses)
 		return nil, false, false
 	}
-	var buf bytes.Buffer
-	buf.Grow(entryReadSize)
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			buf.Reset()
+			readBufs.Put(buf)
+		}
+	}()
 	_, err = buf.ReadFrom(io.LimitReader(f, maxEntryBytes+1))
 	f.Close()
 	if err != nil {
@@ -233,7 +242,7 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		c.degrade(err)
 	}
 	c.count(&c.hits)
-	return payload, true, false
+	return bytes.Clone(payload), true, false
 }
 
 // envelope appends the entry for key around payload to dst, compacting

@@ -431,29 +431,46 @@ func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 }
 
 // BenchmarkCacheGetHit measures one verified warm hit — open, read,
-// layout and digest check, recency touch — on an entry the size of a
-// tuning record.
+// layout and digest check, recency touch — on two entry shapes: a
+// whole tuning record (about 790 bytes), as tuning cells cached before
+// they cached only their measurement, and a tuning measurement (about
+// 290 bytes), the entry a tuning cell caches today.
 func BenchmarkCacheGetHit(b *testing.B) {
-	c, err := Open(b.TempDir(), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := key("bench-cell")
-	payload := []byte(`{"family":"PTE","env_id":"pte-7","env":{"TestingWorkgroups":27,"MaxWorkgroups":44,` +
-		`"WorkgroupSize":32,"ShufflePct":82,"BarrierPct":74,"MemStressPct":0,"MemStressIterations":762,` +
-		`"MemStressStoreFirstPct":19,"MemStressStoreSecondPct":53,"PreStressPct":97,"PreStressIterations":38,` +
-		`"PreStressStoreFirstPct":0,"PreStressStoreSecondPct":48,"ScratchMemorySize":2048,"StressLineSize":64,` +
-		`"StressTargetLines":2,"StressStrategyBalancePct":50,"MemStride":4,"MemLocationOffset":1},` +
-		`"device":"Intel","test":"MP-relacq","mutator":"reversing po","is_mutant":true,"iterations":8,` +
-		`"instances":5632,"target_count":1,"violations":0,"sim_seconds":0.0123,"target_rate":81.3}`)
-	c.Put(k, payload)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, hit, _ := c.Get(k); !hit {
-			b.Fatal("miss")
-		}
+	for _, bc := range []struct {
+		name    string
+		payload string
+	}{
+		{"record", `{"family":"PTE","env_id":"pte-7","env":{"TestingWorkgroups":27,"MaxWorkgroups":44,` +
+			`"WorkgroupSize":32,"ShufflePct":82,"BarrierPct":74,"MemStressPct":0,"MemStressIterations":762,` +
+			`"MemStressStoreFirstPct":19,"MemStressStoreSecondPct":53,"PreStressPct":97,"PreStressIterations":38,` +
+			`"PreStressStoreFirstPct":0,"PreStressStoreSecondPct":48,"ScratchMemorySize":2048,"StressLineSize":64,` +
+			`"StressTargetLines":2,"StressStrategyBalancePct":50,"MemStride":4,"MemLocationOffset":1},` +
+			`"device":"Intel","test":"MP-relacq","mutator":"reversing po","is_mutant":true,"iterations":8,` +
+			`"instances":5632,"target_count":1,"violations":0,"sim_seconds":0.0123,"target_rate":81.3}`},
+		{"measurement", `{"iterations":8,"instances":5632,"target_count":1,"violations":0,` +
+			`"sim_seconds":0.0123,"target_rate":81.3}`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			c, err := Open(dir, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			k := key("bench-cell")
+			c.Put(k, []byte(bc.payload))
+			entry, err := os.ReadFile(filepath.Join(dir, objectsDir, k))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(entry)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, hit, _ := c.Get(k); !hit {
+					b.Fatal("miss")
+				}
+			}
+		})
 	}
 }
 

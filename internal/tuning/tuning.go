@@ -11,12 +11,15 @@ package tuning
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -213,39 +216,177 @@ type Dataset struct {
 }
 
 // Save writes the dataset as JSON indented by one space per level,
-// newline-terminated — the bytes json.Encoder with SetIndent("", " ")
-// writes. It marshals once and indents in one streaming pass, so the
-// indented document is never held in memory.
+// newline-terminated: the bytes json.Encoder with SetIndent("", " ")
+// writes, in one pass through a 64 KiB buffer.
+//
+// Records, the bulk of a dataset, are appended field by field without
+// reflection (see Record.appendJSON), and each distinct environment is
+// rendered once and its bytes reused by every record that runs in it.
+// The memo is keyed on the harness.Params value, so the output stays a
+// pure function of the struct whatever the records' EnvIDs say. The
+// config and the fields after the records, written once per dataset,
+// go through json.Marshal and indent. Everything that can fail — a NaN
+// or infinite float, which json.Marshal refuses — fails before the
+// first byte is written.
 func (ds *Dataset) Save(w io.Writer) error {
-	raw, err := json.Marshal(ds)
+	frame := *ds
+	frame.Records = nil
+	raw, err := json.Marshal(&frame)
 	if err != nil {
 		return err
 	}
+	for i := range ds.Records {
+		if err := ds.Records[i].checkFloats(); err != nil {
+			return err
+		}
+	}
+	// The records' slot splits the frame into the config before it and
+	// the optional fields after it. Its bytes occur nowhere else: inside
+	// a string every quote is escaped, and no nested object has a
+	// "records" key.
+	cut := bytes.Index(raw, recordsSlot)
 	bw := bufio.NewWriterSize(w, 64<<10)
-	indent(bw, raw)
-	bw.WriteByte('\n')
+	buf := indent(make([]byte, 0, 4<<10), raw[:cut], 0)
+	switch {
+	case ds.Records == nil:
+		buf = append(buf, ",\n \"records\": null"...)
+	case len(ds.Records) == 0:
+		buf = append(buf, ",\n \"records\": []"...)
+	default:
+		buf = append(buf, ",\n \"records\": ["...)
+		envs := map[harness.Params][]byte{}
+		for i := range ds.Records {
+			r := &ds.Records[i]
+			env, ok := envs[r.Env]
+			if !ok {
+				// Params holds only integers and booleans, so it always marshals.
+				compact, _ := json.Marshal(r.Env)
+				env = indent(nil, compact, 3)
+				envs[r.Env] = env
+			}
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = r.appendJSON(buf, env)
+			bw.Write(buf)
+			buf = buf[:0]
+		}
+		buf = append(buf, "\n ]"...)
+	}
+	buf = indent(buf, raw[cut+len(recordsSlot):], 1)
+	buf = append(buf, '\n')
+	bw.Write(buf)
 	return bw.Flush()
+}
+
+// recordsSlot is where the records sit in the compact rendering of a
+// dataset whose Records is nil.
+var recordsSlot = []byte(`,"records":null`)
+
+// checkFloats fails on a float json.Marshal refuses, with its error.
+func (r *Record) checkFloats() error {
+	for _, f := range [...]float64{r.SimSeconds, r.TargetRate} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			_, err := json.Marshal(f)
+			return err
+		}
+	}
+	return nil
+}
+
+// appendJSON appends the record as the indenting encoder lays out an
+// element of the dataset's records array — preceded by its newline and
+// indented two levels deep — with env as the rendering of r.Env. Its
+// floats must have passed checkFloats.
+func (r *Record) appendJSON(b, env []byte) []byte {
+	b = append(b, "\n  {\n   \"family\": "...)
+	b = appendString(b, r.Family)
+	b = append(b, ",\n   \"env_id\": "...)
+	b = appendString(b, r.EnvID)
+	b = append(b, ",\n   \"env\": "...)
+	b = append(b, env...)
+	b = append(b, ",\n   \"device\": "...)
+	b = appendString(b, r.Device)
+	b = append(b, ",\n   \"test\": "...)
+	b = appendString(b, r.Test)
+	b = append(b, ",\n   \"mutator\": "...)
+	b = appendString(b, r.Mutator)
+	b = append(b, ",\n   \"is_mutant\": "...)
+	b = strconv.AppendBool(b, r.IsMutant)
+	b = append(b, ",\n   \"iterations\": "...)
+	b = strconv.AppendInt(b, int64(r.Iterations), 10)
+	b = append(b, ",\n   \"instances\": "...)
+	b = strconv.AppendInt(b, int64(r.Instances), 10)
+	b = append(b, ",\n   \"target_count\": "...)
+	b = strconv.AppendInt(b, int64(r.TargetCount), 10)
+	b = append(b, ",\n   \"violations\": "...)
+	b = strconv.AppendInt(b, int64(r.Violations), 10)
+	b = append(b, ",\n   \"sim_seconds\": "...)
+	b = appendFloat(b, r.SimSeconds)
+	b = append(b, ",\n   \"target_rate\": "...)
+	b = appendFloat(b, r.TargetRate)
+	if r.Discarded != 0 {
+		b = append(b, ",\n   \"discarded\": "...)
+		b = strconv.AppendInt(b, int64(r.Discarded), 10)
+	}
+	return append(b, "\n  }"...)
+}
+
+// appendString appends s as encoding/json quotes it. Plain printable
+// ASCII is copied as it is; anything json.Marshal escapes — quote,
+// backslash, the HTML-escaped <, > and &, control bytes and non-ASCII
+// — is left to json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends a finite f as encoding/json renders a float64:
+// the shortest decimal that round-trips, in exponent form below 1e-6
+// and from 1e21 up, with a one-digit negative exponent unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7, as encoding/json writes it.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // indentSpaces serves the indentation runs indent writes.
 var indentSpaces = strings.Repeat(" ", 64)
 
-// indent writes src, compact JSON as encoding/json renders it, laid
-// out exactly as json.Indent(dst, src, "", " ") would: a newline and
-// one space per depth after every opening bracket, comma and before
-// every closing bracket, a space after every colon, and empty objects
-// and arrays kept as {} and []. Bytes inside strings are copied as
-// they are, runs at a time. Write errors stick in w and surface at its
-// Flush.
-func indent(w *bufio.Writer, src []byte) {
-	depth, start := 0, 0
+// indent appends src, compact JSON as encoding/json renders it, to dst
+// laid out exactly as json.Indent(dst, src, "", " ") would were src
+// nested depth levels deep: a newline and one space per level after
+// every opening bracket, comma and before every closing bracket, a
+// space after every colon, and empty objects and arrays kept as {} and
+// []. src may be a run of a larger document — its brackets need not
+// balance — as long as it starts and ends outside a string, between
+// tokens. Bytes inside strings are copied as they are, runs at a time.
+func indent(dst, src []byte, depth int) []byte {
+	start := 0
 	open, inString := false, false
 	newline := func(upTo int) {
-		w.Write(src[start:upTo])
+		dst = append(dst, src[start:upTo]...)
 		start = upTo
-		w.WriteByte('\n')
+		dst = append(dst, '\n')
 		for n := depth; n > 0; n -= len(indentSpaces) {
-			w.WriteString(indentSpaces[:min(n, len(indentSpaces))])
+			dst = append(dst, indentSpaces[:min(n, len(indentSpaces))]...)
 		}
 	}
 	for i := 0; i < len(src); i++ {
@@ -272,8 +413,8 @@ func indent(w *bufio.Writer, src []byte) {
 		case ',':
 			newline(i + 1)
 		case ':':
-			w.Write(src[start : i+1])
-			w.WriteByte(' ')
+			dst = append(dst, src[start:i+1]...)
+			dst = append(dst, ' ')
 			start = i + 1
 		case '}', ']':
 			if open {
@@ -284,7 +425,7 @@ func indent(w *bufio.Writer, src []byte) {
 			}
 		}
 	}
-	w.Write(src[start:])
+	return append(dst, src[start:]...)
 }
 
 // SaveAtomic publishes the dataset at path with all-or-nothing
