@@ -174,3 +174,59 @@ func TestEvaluateWorkSpecInterruptResume(t *testing.T) {
 		t.Fatalf("resumed artifact differs:\nclean:\n%s\nresumed:\n%s", want, got)
 	}
 }
+
+// TestCacheSaltGolden pins the result-cache salt of one spec per kind,
+// each under a non-zero retry policy. The salt keys every shared cache
+// entry of the CLI, serve and distributed workers, so a change to these
+// bytes orphans every cache filled before it. For conformance,
+// evaluate and correlate the salt is WorkSpec.CacheSalt; tune salts as
+// tuning.Campaign.CacheSalt does.
+func TestCacheSaltGolden(t *testing.T) {
+	st, err := NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := gpu.UniformFaults(3, 0.02)
+	for _, c := range []struct {
+		ws   WorkSpec
+		want string
+	}{
+		{
+			WorkSpec{Kind: "conformance", Devices: []string{"AMD", "Intel"}, Envs: []string{"pte"}, Iters: 4, Seed: 9,
+				FenceBug: true, Retries: 2, CellTimeoutMS: 1500},
+			`{"kind":"conformance","devices":["AMD","Intel"],"envs":["pte"],"iters":4,"seed":9,"fence_bug":true,"retries":2,"cell_timeout_ms":1500}`,
+		},
+		{
+			WorkSpec{Kind: "evaluate", Devices: []string{"M1"}, Envs: []string{"pte", "site-baseline"}, Iters: 2, Seed: 5,
+				Faults: &fm, Retries: 1, CellTimeoutMS: 250},
+			`{"kind":"evaluate","devices":["M1"],"envs":["pte","site-baseline"],"iters":2,"seed":5,"faults":{"Seed":3,"LaunchFailProb":0.02,"HangProb":0.02,"CorruptProb":0.02,"LossAfter":0,"WatchdogTicks":0},"retries":1,"cell_timeout_ms":250}`,
+		},
+		{
+			WorkSpec{Kind: "correlate", TuneEnvs: 6, Iters: 3, Seed: 2023, Retries: 3, CellTimeoutMS: 60000},
+			`{"kind":"correlate","devices":null,"envs":null,"iters":3,"seed":2023,"retries":3,"cell_timeout_ms":60000,"tune_envs":6}`,
+		},
+		{
+			WorkSpec{Kind: "tune", Devices: []string{"AMD"}, Seed: 7, TuneEnvs: 2, SiteIters: 3, PTEIters: 1,
+				Retries: 2, CellTimeoutMS: 1500},
+			`{"payload":"tuning-measurement/v1","config":{"Environments":2,"SITEIterations":3,"PTEIterations":1,"PTEWorkgroups":8,"PTEWorkgroupSize":16,"Scale":{"MinTestingWG":2,"MaxTestingWG":16,"MinWGSizeLog2":3,"MaxWGSizeLog2":6,"MaxStressWG":8,"MaxStressIters":24,"MaxPreStressIters":8},"Devices":["AMD"],"Seed":7},"retries":2,"cell_timeout_ms":1500}`,
+		},
+	} {
+		camp, err := st.expand(c.ws)
+		if err != nil {
+			t.Fatalf("%s: %v", c.ws.Kind, err)
+		}
+		got, err := camp.salt()
+		if err != nil {
+			t.Fatalf("%s: %v", c.ws.Kind, err)
+		}
+		if got != c.want {
+			t.Errorf("%s salt drifted:\n%s\nwant\n%s", c.ws.Kind, got, c.want)
+		}
+		if c.ws.Kind == "tune" {
+			continue
+		}
+		if direct, err := c.ws.CacheSalt(); err != nil || direct != got {
+			t.Errorf("%s: WorkSpec.CacheSalt() = %s, %v; the campaign salts with %s", c.ws.Kind, direct, err, got)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/sched"
@@ -140,5 +141,21 @@ func TestCacheSaltVersioned(t *testing.T) {
 	}
 	if string(rest) != wholeRecordSalt {
 		t.Fatalf("salt without its payload field drifted:\n%s\nwant\n%s", rest, wholeRecordSalt)
+	}
+}
+
+// TestCacheSaltGolden pins the study's salt under a non-zero retry
+// policy: it keys every tuning cache entry the CLI, serve and workers
+// share, so a change to these bytes orphans every cache filled before
+// it.
+func TestCacheSaltGolden(t *testing.T) {
+	const want = `{"payload":"tuning-measurement/v1","config":{"Environments":2,"SITEIterations":6,"PTEIterations":2,"PTEWorkgroups":8,"PTEWorkgroupSize":16,"Scale":{"MinTestingWG":2,"MaxTestingWG":16,"MinWGSizeLog2":3,"MaxWGSizeLog2":6,"MaxStressWG":8,"MaxStressIters":24,"MaxPreStressIters":8},"Devices":["AMD","Intel"],"Seed":2023},"retries":2,"cell_timeout_ms":1500}`
+	cfg, _ := campaignConfig()
+	salt, err := (&Campaign{cfg: cfg}).CacheSalt(2, 0, 1500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if salt != want {
+		t.Fatalf("salt drifted:\n%s\nwant\n%s", salt, want)
 	}
 }
