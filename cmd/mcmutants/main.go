@@ -334,17 +334,18 @@ func cmdConformance(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	// Each flag injects the defect of its Table 4 case, so the verb and
+	// the correlate kind share one definition of each bug.
 	p := core.Platform{Device: *device}
-	if *fenceBug {
-		p.Driver = wgsl.DriverFenceDropping
-	}
-	if *cohBug {
-		p.Bugs.CoherenceRR = true
-		p.Bugs.CoherenceRRProb = 0.4
-		p.Bugs.CoherenceRRPressure = 2
-	}
-	if *staleBug {
-		p.Bugs.StaleCache = true
+	for _, bc := range core.PaperBugCases() {
+		switch b := bc.Platform.Bugs; {
+		case bc.Name == "AMD/MP-relacq" && *fenceBug:
+			p.Driver = bc.Platform.Driver
+		case bc.Name == "Intel/CoRR" && *cohBug:
+			p.Bugs.CoherenceRR, p.Bugs.CoherenceRRProb, p.Bugs.CoherenceRRPressure = b.CoherenceRR, b.CoherenceRRProb, b.CoherenceRRPressure
+		case bc.Name == "NVIDIA/MP-CO" && *staleBug:
+			p.Bugs.StaleCache = b.StaleCache
+		}
 	}
 	env, err := core.EnvByName("pte", 16, 32)
 	if err != nil {

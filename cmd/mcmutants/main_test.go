@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,39 @@ func TestConformanceCommandFindsBug(t *testing.T) {
 	}
 	if !strings.Contains(out, "FAILED") {
 		t.Errorf("missing failure summary:\n%s", out)
+	}
+}
+
+// TestConformanceCommand: the Intel coherence defect is caught by CoRR
+// and explained as a happens-before cycle, a conformant M1 passes all
+// 20 tests, and an unknown device is a configuration error (exit 1).
+func TestConformanceCommand(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"conformance", "-device", "Intel", "-coherence-bug", "-iters", "6"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out, "\n")
+	corr := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(strings.TrimSpace(l), "CoRR ") })
+	if corr < 0 || corr+2 >= len(lines) || !strings.Contains(lines[corr], "VIOLATED") {
+		t.Fatalf("CoRR not reported violated on the coherence-defective Intel:\n%s", out)
+	}
+	if cycle := lines[corr+2]; !strings.Contains(cycle, "cycle:") || !strings.Contains(cycle, "-po-loc->") {
+		t.Errorf("CoRR violation lacks its happens-before cycle: %q", cycle)
+	}
+
+	out, err = capture(t, func() error { return run([]string{"conformance", "-device", "M1", "-iters", "6"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out, " ok\n"); n != 20 || !strings.Contains(out, "all conformance tests passed") {
+		t.Errorf("conformant M1: %d of 20 tests ok:\n%s", n, out)
+	}
+
+	err = run([]string{"conformance", "-device", "NoSuchGPU", "-iters", "1"})
+	if code := exitCode(err); err == nil || code != 1 {
+		t.Errorf("unknown device: err %v, exit %d, want exit 1", err, code)
 	}
 }
 

@@ -74,8 +74,8 @@ func (df *distFlags) serveHub() (*dist.Hub, func(), error) {
 
 // options builds the coordinator options; the campaign registers
 // under its kind.
-func (df *distFlags) options(hub *dist.Hub, logf func(string, ...any)) *core.DistOptions {
-	return &core.DistOptions{
+func (df *distFlags) options(hub *dist.Hub, logf func(string, ...any)) *dist.Options {
+	return &dist.Options{
 		Hub:          hub,
 		LeaseTTL:     *df.leaseTTL,
 		RangeCells:   *df.rangeCells,

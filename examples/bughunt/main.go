@@ -21,9 +21,7 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/harness"
-	"repro/internal/wgsl"
 )
 
 func main() {
@@ -42,40 +40,16 @@ func main() {
 	env.MemStride = 2
 	env.MemLocOffset = 1
 
-	platforms := []struct {
-		label string
-		p     core.Platform
-	}{
-		{
-			label: "Intel Iris Plus via Metal (coherence defect)",
-			p: core.Platform{
-				Device: "Intel",
-				Bugs: gpu.Bugs{
-					CoherenceRR:         true,
-					CoherenceRRProb:     0.4,
-					CoherenceRRPressure: 2,
-				},
-			},
-		},
-		{
-			label: "AMD Radeon Pro via Vulkan (fence-dropping compiler)",
-			p: core.Platform{
-				Device: "AMD",
-				Driver: wgsl.DriverFenceDropping,
-			},
-		},
-		{
-			label: "NVIDIA Kepler via Vulkan (non-coherent L1)",
-			p: core.Platform{
-				Device: "Kepler",
-				Bugs:   gpu.Bugs{StaleCache: true},
-			},
-		},
+	// The defective platforms are Table 4's bug cases, the one
+	// definition of each injected bug.
+	labels := map[string]string{
+		"Intel/CoRR":    "Intel Iris Plus via Metal (coherence defect)",
+		"AMD/MP-relacq": "AMD Radeon Pro via Vulkan (fence-dropping compiler)",
+		"NVIDIA/MP-CO":  "NVIDIA Kepler via Vulkan (non-coherent L1)",
 	}
-
-	for _, plat := range platforms {
-		fmt.Printf("=== %s ===\n", plat.label)
-		reps, err := study.CheckFleetConformanceCtx(ctx, []core.Platform{plat.p}, env, 20, 7, core.CampaignOptions{})
+	for _, bc := range core.PaperBugCases() {
+		fmt.Printf("=== %s ===\n", labels[bc.Name])
+		reps, err := study.CheckFleetConformanceCtx(ctx, []core.Platform{bc.Platform}, env, 20, 7, core.CampaignOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

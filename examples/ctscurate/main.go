@@ -8,18 +8,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/confidence"
 	"repro/internal/core"
-	"repro/internal/mutation"
 	"repro/internal/report"
-	"repro/internal/tuning"
 )
 
 func main() {
-	suite, err := mutation.Generate()
+	study, err := core.NewStudy()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -27,16 +26,13 @@ func main() {
 	// A small tuning study: a few random environments per family on two
 	// devices. (The paper uses 150 environments on four devices; see
 	// `mcmutants tune -paper-scale`.)
-	cfg := tuning.SmallConfig()
-	cfg.Environments = 4
-	cfg.SITEIterations = 16
-	cfg.PTEIterations = 3
-	cfg.Devices = []string{"AMD", "Intel"}
+	ws := core.WorkSpec{Kind: "tune", Devices: []string{"AMD", "Intel"}, Seed: 2023, TuneEnvs: 4, SiteIters: 16, PTEIters: 3}
 	fmt.Println("tuning environments over the 32-mutant suite...")
-	ds, err := tuning.RunCampaign(cfg, suite.Mutants, tuning.RunOptions{})
+	res, err := study.RunWorkSpec(context.Background(), ws, core.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := res.Dataset
 
 	// How does the achievable mutation score trade off against the
 	// per-test time budget? (Fig. 6.)

@@ -8,29 +8,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
-	"repro/internal/mutation"
+	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/tuning"
 )
 
 func main() {
-	suite, err := mutation.Generate()
+	study, err := core.NewStudy()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := tuning.SmallConfig()
-	cfg.Environments = 5
-	cfg.SITEIterations = 30
-	cfg.PTEIterations = 4
+	ws := core.WorkSpec{Kind: "tune", Seed: 2023, TuneEnvs: 5, SiteIters: 30, PTEIters: 4}
 	fmt.Fprintln(os.Stderr, "running the tuning study (4 families x 4 devices x 32 mutants)...")
-	ds, err := tuning.RunCampaign(cfg, suite.Mutants, tuning.RunOptions{})
+	res, err := study.RunWorkSpec(context.Background(), ws, core.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := res.Dataset
 
 	fmt.Print(report.Fig5(ds))
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/dist"
@@ -78,21 +76,21 @@ type evalCell struct {
 	test   *litmus.Test
 }
 
-// evaluateCampaign expands (platforms × environments × mutants) into
-// the scheduler spec and per-key work map of an evaluation campaign.
-// Cells are keyed <device>/env-NN/<mutant>, device-major then
+// evaluateWork plans an evaluation campaign: (platforms × environments
+// × mutants) at ws's seed and iterations, scored per platform in input
+// order. Cells are keyed <device>/env-NN/<mutant>, device-major then
 // env-major, so a device's cells and their RNG streams are the same
 // whatever else the fleet holds, and result i belongs to mutant i mod
 // len(mutants).
-func (st *Study) evaluateCampaign(platforms []Platform, envs []harness.Params, seed uint64) (sched.Spec, map[string]evalCell, error) {
+func (st *Study) evaluateWork(ws WorkSpec, platforms []Platform, envs []harness.Params) (*workCampaign, error) {
 	if len(envs) == 0 {
-		return sched.Spec{}, nil, fmt.Errorf("core: no environments")
+		return nil, fmt.Errorf("core: no environments")
 	}
-	spec := sched.Spec{Name: "evaluate", Seed: seed}
+	spec := sched.Spec{Name: "evaluate", Seed: ws.Seed}
 	work := map[string]evalCell{}
 	for _, p := range platforms {
 		if _, ok := gpu.ProfileByName(p.Device); !ok {
-			return sched.Spec{}, nil, fmt.Errorf("core: unknown device %q", p.Device)
+			return nil, fmt.Errorf("core: unknown device %q", p.Device)
 		}
 		for ei, env := range envs {
 			for _, mt := range st.Suite.Mutants {
@@ -102,8 +100,15 @@ func (st *Study) evaluateCampaign(platforms []Platform, envs []harness.Params, s
 			}
 		}
 	}
-	return spec, work, nil
+	return newWorkCampaign(ws, spec, st.evaluateExec(work, ws.Iters), resultInstances, ws.CacheSalt,
+		func(rep *sched.Report[*harness.Result], interrupted bool) (*WorkResult, error) {
+			entries, err := st.evaluateEntries(rep, platforms, interrupted)
+			return &WorkResult{Artifact: &CampaignArtifact{Kind: ws.Kind, Evaluate: entries}}, err
+		}), nil
 }
+
+// resultInstances counts a harness result's executed test instances.
+func resultInstances(r *harness.Result) int { return r.Instances }
 
 // evaluateExec returns the per-worker exec factory of an evaluation or
 // correlation campaign, shared verbatim by local runs and distributed
@@ -126,46 +131,19 @@ func (st *Study) evaluateExec(work map[string]evalCell, iterations int) func() s
 	}
 }
 
-// EvaluateEnvironmentsCtx runs every mutant in every environment on
-// the platform as one campaign and scores the ensemble: per-mutant
-// results are merged across environments (a mutant counts as killed
-// when any environment kills it), the multi-environment generalization
-// of the paper's single-environment mutation score. Its cells are
-// keyed as a fleet evaluation's, so the score equals the platform's
-// entry in any evaluate campaign with the same seed. Cancellation
-// drains the campaign: in-flight cells finish or are abandoned,
-// completed cells are checkpointed, and the partial score is returned
-// with Interrupted set alongside an error wrapping
-// sched.ErrInterrupted.
-func (st *Study) EvaluateEnvironmentsCtx(ctx context.Context, p Platform, envs []harness.Params, iterations int, seed uint64, opts CampaignOptions) (*EnvScore, error) {
-	platforms := []Platform{p}
-	spec, work, err := st.evaluateCampaign(platforms, envs, seed)
-	if err != nil {
-		return nil, err
-	}
-	entries, _, err := st.runEvaluate(ctx, spec, st.evaluateExec(work, iterations), platforms, opts, nil, "")
-	if entries == nil {
-		return nil, err
-	}
-	return entries[0].Score, err
-}
-
-// runEvaluate runs a planned evaluation campaign and scores each
-// platform, in input order; it also returns how many cells an
-// interruption left pending.
-func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[*harness.Result], platforms []Platform, opts CampaignOptions, desc json.RawMessage, salt string) ([]EvaluateEntry, int, error) {
-	rep, err := dist.RunCampaign(ctx, spec, newExec, opts, func(r *harness.Result) int { return r.Instances }, desc, salt)
-	interrupted := errors.Is(err, sched.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, 0, err
-	}
+// evaluateEntries scores each platform of a settled evaluation
+// campaign, in input order: per-mutant results are merged across
+// environments (a mutant counts as killed when any environment kills
+// it), the multi-environment generalization of the paper's
+// single-environment mutation score.
+func (st *Study) evaluateEntries(rep *sched.Report[*harness.Result], platforms []Platform, interrupted bool) ([]EvaluateEntry, error) {
 	// Fold each mutant's per-environment results into one, in suite
 	// order. Failed cells (possible under Collect or a breaker)
 	// contribute nothing to the merge but are reported in Failures;
 	// interrupted cells contribute nothing anywhere — they are pending,
 	// not failed.
 	nm := len(st.Suite.Mutants)
-	per := len(spec.Cells) / len(platforms)
+	per := len(rep.Results) / len(platforms)
 	entries := make([]EvaluateEntry, len(platforms))
 	for pi, p := range platforms {
 		results := rep.Results[pi*per : (pi+1)*per]
@@ -180,7 +158,7 @@ func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func(
 				continue
 			}
 			if err := merged[i%nm].Merge(cr.Value); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		score := &EnvScore{
@@ -200,10 +178,7 @@ func (st *Study) runEvaluate(ctx context.Context, spec sched.Spec, newExec func(
 		score.AvgDeathRate = rates / float64(nm)
 		entries[pi] = EvaluateEntry{Device: p.Device, Score: score}
 	}
-	if interrupted {
-		return entries, rep.Interrupted, fmt.Errorf("core: evaluation interrupted: %w", sched.ErrInterrupted)
-	}
-	return entries, 0, nil
+	return entries, nil
 }
 
 // confCell is one conformance campaign cell's work order.
@@ -212,18 +187,18 @@ type confCell struct {
 	test     *litmus.Test
 }
 
-// fleetConformanceCampaign expands (platforms × conformance tests)
-// into the scheduler spec and per-key work map of a fleet conformance
-// campaign.
-func (st *Study) fleetConformanceCampaign(platforms []Platform, seed uint64) (sched.Spec, map[string]confCell, error) {
+// conformanceWork plans a fleet conformance campaign: (platforms ×
+// conformance tests) in one environment at ws's seed and iterations,
+// reported per platform in input order.
+func (st *Study) conformanceWork(ws WorkSpec, platforms []Platform, env harness.Params) (*workCampaign, error) {
 	if len(platforms) == 0 {
-		return sched.Spec{}, nil, fmt.Errorf("core: no platforms")
+		return nil, fmt.Errorf("core: no platforms")
 	}
-	spec := sched.Spec{Name: "conformance", Seed: seed}
+	spec := sched.Spec{Name: "conformance", Seed: ws.Seed}
 	work := map[string]confCell{}
 	for pi, p := range platforms {
 		if _, ok := gpu.ProfileByName(p.Device); !ok {
-			return sched.Spec{}, nil, fmt.Errorf("core: unknown device %q", p.Device)
+			return nil, fmt.Errorf("core: unknown device %q", p.Device)
 		}
 		for _, test := range st.Suite.Conformance {
 			key := fmt.Sprintf("fleet-%02d-%s/%s", pi, p.Device, test.Name)
@@ -231,7 +206,11 @@ func (st *Study) fleetConformanceCampaign(platforms []Platform, seed uint64) (sc
 			work[key] = confCell{platform: p, test: test}
 		}
 	}
-	return spec, work, nil
+	return newWorkCampaign(ws, spec, st.conformanceExec(env, work, ws.Iters), func(f Finding) int { return f.Instances }, ws.CacheSalt,
+		func(rep *sched.Report[Finding], interrupted bool) (*WorkResult, error) {
+			reports := st.conformanceReports(rep, platforms, interrupted)
+			return &WorkResult{Artifact: &CampaignArtifact{Kind: ws.Kind, Conformance: reports}}, nil
+		}), nil
 }
 
 // conformanceExec returns the per-worker exec factory of a fleet
@@ -279,23 +258,23 @@ func (st *Study) conformanceExec(env harness.Params, work map[string]confCell, i
 // pending, report Interrupted set — with an error wrapping
 // sched.ErrInterrupted.
 func (st *Study) CheckFleetConformanceCtx(ctx context.Context, platforms []Platform, env harness.Params, iterations int, seed uint64, opts CampaignOptions) ([]*ConformanceReport, error) {
-	spec, work, err := st.fleetConformanceCampaign(platforms, seed)
+	c, err := st.conformanceWork(WorkSpec{Kind: "conformance", Iters: iterations, Seed: seed}, platforms, env)
 	if err != nil {
 		return nil, err
 	}
-	reports, _, err := st.runConformance(ctx, spec, st.conformanceExec(env, work, iterations), platforms, opts, nil, "")
-	return reports, err
+	res, err := c.run(ctx, opts, nil, "")
+	if err != nil {
+		return nil, err
+	}
+	if res.Interrupted {
+		return res.Artifact.Conformance, fmt.Errorf("core: conformance check interrupted: %w", sched.ErrInterrupted)
+	}
+	return res.Artifact.Conformance, nil
 }
 
-// runConformance runs a planned fleet conformance campaign and
-// assembles its per-platform reports; it also returns how many cells an
-// interruption left pending.
-func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec func() sched.Exec[Finding], platforms []Platform, opts CampaignOptions, desc json.RawMessage, salt string) ([]*ConformanceReport, int, error) {
-	rep, err := dist.RunCampaign(ctx, spec, newExec, opts, func(f Finding) int { return f.Instances }, desc, salt)
-	interrupted := errors.Is(err, sched.ErrInterrupted)
-	if err != nil && !interrupted {
-		return nil, 0, err
-	}
+// conformanceReports assembles a settled fleet conformance campaign
+// into its per-platform reports.
+func (st *Study) conformanceReports(rep *sched.Report[Finding], platforms []Platform, interrupted bool) []*ConformanceReport {
 	// Assemble per-platform reports from the per-cell results. A failed
 	// cell (possible under Collect or a breaker) becomes an
 	// error-carrying finding — recorded, never dropped. An interrupted
@@ -324,8 +303,5 @@ func (st *Study) runConformance(ctx context.Context, spec sched.Spec, newExec fu
 		r.Health = deviceHealth(rep.Health, platforms[pi].Device)
 		reports[pi] = r
 	}
-	if interrupted {
-		return reports, rep.Interrupted, fmt.Errorf("core: conformance check interrupted: %w", sched.ErrInterrupted)
-	}
-	return reports, 0, nil
+	return reports
 }

@@ -87,14 +87,12 @@ func TestEvaluateEnvironmentsMergesAcrossEnvs(t *testing.T) {
 	s := study(t)
 	weak := harness.SITEBaseline()
 	envs := []harness.Params{weak, testEnv()}
-	single, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "AMD"}, []harness.Params{testEnv()}, 3, 42, CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "AMD"}, envs, 3, 42, CampaignOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := WorkSpec{Kind: "evaluate", Iters: 3, Seed: 42}
+	amd := []Platform{{Device: "AMD"}}
+	c, err := s.evaluateWork(ws, amd, []harness.Params{testEnv()})
+	single := runWork(t, c, err, CampaignOptions{}).Artifact.Evaluate[0].Score
+	c, err = s.evaluateWork(ws, amd, envs)
+	multi := runWork(t, c, err, CampaignOptions{Workers: 4}).Artifact.Evaluate[0].Score
 	if multi.Total != 32 || len(multi.PerMutant) != 32 {
 		t.Fatalf("Total=%d PerMutant=%d", multi.Total, len(multi.PerMutant))
 	}
@@ -129,14 +127,9 @@ func TestEvaluateEnvironmentsMergesAcrossEnvs(t *testing.T) {
 func TestEvaluateEnvironmentsDeterministic(t *testing.T) {
 	s := study(t)
 	envs := []harness.Params{harness.SITEBaseline(), testEnv()}
-	a, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "Intel"}, envs, 2, 9, CampaignOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "Intel"}, envs, 2, 9, CampaignOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, err := s.evaluateWork(WorkSpec{Kind: "evaluate", Iters: 2, Seed: 9}, []Platform{{Device: "Intel"}}, envs)
+	a := runWork(t, c, err, CampaignOptions{Workers: 1}).Artifact.Evaluate[0].Score
+	b := runWork(t, c, nil, CampaignOptions{Workers: 8}).Artifact.Evaluate[0].Score
 	if a.Killed != b.Killed || a.Total != b.Total || a.AvgDeathRate != b.AvgDeathRate {
 		t.Fatalf("scores differ: %+v vs %+v", a, b)
 	}

@@ -34,6 +34,20 @@ func testEnv() harness.Params {
 	return p
 }
 
+// runWork runs a planned campaign locally to completion, failing the
+// test on a planning or run error.
+func runWork(t *testing.T, c *workCampaign, err error, opts CampaignOptions) *WorkResult {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.run(context.Background(), opts, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestNewStudy(t *testing.T) {
 	s := study(t)
 	if len(s.Suite.Conformance) != 20 || len(s.Suite.Mutants) != 32 {
@@ -43,10 +57,8 @@ func TestNewStudy(t *testing.T) {
 
 func TestEvaluateEnvironment(t *testing.T) {
 	s := study(t)
-	score, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "AMD"}, []harness.Params{testEnv()}, 3, 42, CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, err := s.evaluateWork(WorkSpec{Kind: "evaluate", Iters: 3, Seed: 42}, []Platform{{Device: "AMD"}}, []harness.Params{testEnv()})
+	score := runWork(t, c, err, CampaignOptions{}).Artifact.Evaluate[0].Score
 	if score.Total != 32 {
 		t.Fatalf("Total = %d, want 32", score.Total)
 	}
@@ -66,7 +78,7 @@ func TestEvaluateEnvironment(t *testing.T) {
 
 func TestEvaluateEnvironmentUnknownDevice(t *testing.T) {
 	s := study(t)
-	if _, err := s.EvaluateEnvironmentsCtx(context.Background(), Platform{Device: "hal9000"}, []harness.Params{testEnv()}, 1, 1, CampaignOptions{}); err == nil {
+	if _, err := s.evaluateWork(WorkSpec{Kind: "evaluate", Iters: 1, Seed: 1}, []Platform{{Device: "hal9000"}}, []harness.Params{testEnv()}); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -236,10 +248,8 @@ func TestPlatformRunnerUsesToolchain(t *testing.T) {
 	// The fence-dropping platform must kill MP-relacq's nofence mutant
 	// and its base at comparable rates since fences are gone either way.
 	p := Platform{Device: "AMD", Driver: wgsl.DriverFenceDropping}
-	score, err := s.EvaluateEnvironmentsCtx(context.Background(), p, []harness.Params{testEnv()}, 3, 17, CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, err := s.evaluateWork(WorkSpec{Kind: "evaluate", Iters: 3, Seed: 17}, []Platform{p}, []harness.Params{testEnv()})
+	score := runWork(t, c, err, CampaignOptions{}).Artifact.Evaluate[0].Score
 	if score.Killed == 0 {
 		t.Fatal("nothing killed through defective toolchain")
 	}

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 
-	"repro/internal/dist"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/sched"
@@ -129,26 +125,10 @@ func (st *Study) expandCorrelate(ws WorkSpec) (*workCampaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	newExec := st.evaluateExec(work, ws.Iters)
-	return &workCampaign{
-		ws:     ws,
-		spec:   spec,
-		salt:   ws.CacheSalt,
-		ranges: schedRanges(spec, newExec),
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
-			rep, err := dist.RunCampaign(ctx, spec, newExec, o, func(r *harness.Result) int { return r.Instances }, desc, salt)
-			interrupted := errors.Is(err, sched.ErrInterrupted)
-			if err != nil && !interrupted {
-				return 0, err
-			}
-			res.Artifact = &CampaignArtifact{Kind: ws.Kind, Correlation: correlationRows(cases, rep.Results)}
-			res.StorageErr = rep.StorageErr
-			if interrupted {
-				return rep.Interrupted, fmt.Errorf("core: correlation interrupted: %w", sched.ErrInterrupted)
-			}
-			return 0, nil
-		},
-	}, nil
+	return newWorkCampaign(ws, spec, st.evaluateExec(work, ws.Iters), resultInstances, ws.CacheSalt,
+		func(rep *sched.Report[*harness.Result], _ bool) (*WorkResult, error) {
+			return &WorkResult{Artifact: &CampaignArtifact{Kind: ws.Kind, Correlation: correlationRows(cases, rep.Results)}}, nil
+		}), nil
 }
 
 // correlationRows computes one row per case from a correlation

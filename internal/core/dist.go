@@ -40,7 +40,7 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) (WorkUnit, error) {
 		return WorkUnit{}, err
 	}
 	o := dist.SchedRunnerOptions{Parallel: wo.Parallel, Cache: wo.Cache}
-	o.Retries, o.Backoff, o.CellTimeout = ws.policy()
+	o.Retries, o.CellTimeout = ws.policy()
 	if o.Cache != nil {
 		if o.CacheSalt, err = c.salt(); err != nil {
 			return WorkUnit{}, err
@@ -48,7 +48,3 @@ func DistWork(ws WorkSpec, wo DistWorkOptions) (WorkUnit, error) {
 	}
 	return WorkUnit{Spec: c.spec, Run: c.ranges(o)}, nil
 }
-
-// DistOptions configures a campaign's distributed execution; it is
-// dist.Options, the Dist field of CampaignOptions.
-type DistOptions = dist.Options

@@ -126,7 +126,7 @@ func TestDistributedConformanceArtifactParity(t *testing.T) {
 	hub := dist.NewHub()
 	var remote *WorkResult
 	err = runDistributed(t, hub, ws, 2, 2, false, func() error {
-		opts := CampaignOptions{Dist: &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}}
+		opts := CampaignOptions{Dist: &dist.Options{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}}
 		var cerr error
 		remote, cerr = st.RunWorkSpec(context.Background(), ws, opts)
 		return cerr
@@ -145,10 +145,9 @@ func TestDistributedConformanceArtifactParity(t *testing.T) {
 // retries, quarantine verdicts, failure records — merges byte-
 // identically to a local run, because workers run the submitting
 // side's retry policy and the coordinator applies the same breaker
-// post-pass a local run would. Each device's entry also equals a
-// lone-device EvaluateEnvironmentsCtx of that device: cells are keyed
-// by device, so a device's score never depends on the rest of the
-// fleet.
+// post-pass a local run would. Each device's entry also equals the
+// entry of a one-device spec: cells are keyed by device, so a device's
+// score never depends on the rest of the fleet.
 func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	fm := gpu.UniformFaults(9, 0.05)
 	ws := WorkSpec{
@@ -165,20 +164,16 @@ func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	envs, err := ws.envParams()
-	if err != nil {
-		t.Fatal(err)
-	}
 	breaker := &sched.BreakerOptions{}
 	lone := &CampaignArtifact{Kind: "evaluate"}
-	for _, p := range ws.platforms() {
-		score, err := st.EvaluateEnvironmentsCtx(context.Background(), p, envs, ws.Iters, ws.Seed, CampaignOptions{
-			Workers: 3, Retries: ws.Retries, Collect: true, Breaker: breaker,
-		})
+	for _, d := range ws.Devices {
+		one := ws
+		one.Devices = []string{d}
+		res, err := st.RunWorkSpec(context.Background(), one, CampaignOptions{Workers: 3, Collect: true, Breaker: breaker})
 		if err != nil {
-			t.Fatalf("local %s: %v", p.Device, err)
+			t.Fatalf("local %s: %v", d, err)
 		}
-		lone.Evaluate = append(lone.Evaluate, EvaluateEntry{Device: p.Device, Score: score})
+		lone.Evaluate = append(lone.Evaluate, res.Artifact.Evaluate...)
 	}
 	want := encodeArtifact(t, lone)
 
@@ -195,7 +190,7 @@ func TestDistributedEvaluateArtifactParity(t *testing.T) {
 	err = runDistributed(t, hub, ws, 3, 2, false, func() error {
 		opts := CampaignOptions{
 			Collect: true, Breaker: breaker,
-			Dist: &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 4},
+			Dist: &dist.Options{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 4},
 		}
 		var cerr error
 		remote, cerr = st.RunWorkSpec(context.Background(), ws, opts)
@@ -237,7 +232,7 @@ func TestDistributedTuneMatchesLocal(t *testing.T) {
 			err := runDistributed(t, hub, ws, shards, 1, true, func() error {
 				var cerr error
 				remote, cerr = st.RunWorkSpec(context.Background(), ws, CampaignOptions{
-					Dist: &DistOptions{Hub: hub, LeaseTTL: 200 * time.Millisecond, RangeCells: 8},
+					Dist: &dist.Options{Hub: hub, LeaseTTL: 200 * time.Millisecond, RangeCells: 8},
 				})
 				return cerr
 			})
@@ -281,7 +276,7 @@ func TestDistributedResumeSeedsCheckpoint(t *testing.T) {
 	err = runDistributed(t, hub, ws, 1, 2, false, func() error {
 		_, cerr := st.RunWorkSpec(context.Background(), ws, CampaignOptions{
 			CheckpointPath: ckpt,
-			Dist:           &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second},
+			Dist:           &dist.Options{Hub: hub, LeaseTTL: 30 * time.Second},
 		})
 		return cerr
 	})
@@ -295,7 +290,7 @@ func TestDistributedResumeSeedsCheckpoint(t *testing.T) {
 	hub2 := dist.NewHub()
 	resumed, err := st.RunWorkSpec(context.Background(), ws, CampaignOptions{
 		CheckpointPath: ckpt, Resume: true,
-		Dist: &DistOptions{Hub: hub2, LeaseTTL: 30 * time.Second},
+		Dist: &dist.Options{Hub: hub2, LeaseTTL: 30 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("resumed distributed run: %v", err)
@@ -315,7 +310,7 @@ func TestWorkSpecDescriptorRoundTrip(t *testing.T) {
 	ws := WorkSpec{
 		Kind: "evaluate", Devices: []string{"AMD", "M1"}, Envs: []string{"pte", "site"},
 		Iters: 5, Seed: 42, FenceBug: true, Faults: &fm,
-		Retries: 2, BackoffMS: 50, CellTimeoutMS: 1000,
+		Retries: 2, CellTimeoutMS: 1000,
 	}
 	raw, err := ws.Descriptor()
 	if err != nil {
@@ -384,7 +379,7 @@ func TestFinalProgressLocalMatchesDistributed(t *testing.T) {
 				_, err = st.CheckFleetConformanceCtx(context.Background(), ws.platforms(), envs[0], ws.Iters, ws.Seed, opts)
 			} else {
 				hub := dist.NewHub()
-				opts.Dist = &DistOptions{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}
+				opts.Dist = &dist.Options{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}
 				err = runDistributed(t, hub, ws, tc.shards, 2, false, func() error {
 					_, err := st.RunWorkSpec(context.Background(), ws, opts)
 					return err

@@ -51,13 +51,13 @@ type WorkSpec struct {
 	// platform runs under (fault streams are seeded, so workers inject
 	// identical faults).
 	Faults *gpu.FaultModel `json:"faults,omitempty"`
-	// Retries, BackoffMS and CellTimeoutMS are the per-cell retry
-	// policy. They are part of the byte-identity contract — attempt
-	// counts and timeout failures appear in reports — so workers must
-	// run the submitting side's values, not their own defaults. A cell
-	// timeout makes the campaign collect: expiry fails that cell only.
+	// Retries and CellTimeoutMS are the per-cell retry policy; a retry
+	// runs at once, on its attempt's own split-seed stream. They are
+	// part of the byte-identity contract — attempt counts and timeout
+	// failures appear in reports — so workers must run the submitting
+	// side's values, not their own defaults. A cell timeout makes the
+	// campaign collect: expiry fails that cell only.
 	Retries       int   `json:"retries,omitempty"`
-	BackoffMS     int64 `json:"backoff_ms,omitempty"`
 	CellTimeoutMS int64 `json:"cell_timeout_ms,omitempty"`
 	// TuneEnvs, SiteIters and PTEIters size a tune study: random
 	// environments per tuned family and kernel launches per SITE and
@@ -148,8 +148,8 @@ func (ws WorkSpec) Validate() error {
 			return fmt.Errorf("device %q listed twice", d)
 		}
 	}
-	if ws.Retries < 0 || ws.BackoffMS < 0 || ws.CellTimeoutMS < 0 {
-		return fmt.Errorf("retries, backoff and cell timeout must be non-negative")
+	if ws.Retries < 0 || ws.CellTimeoutMS < 0 {
+		return fmt.Errorf("retries and cell timeout must be non-negative")
 	}
 	if ws.Kind == "tune" {
 		if len(ws.Envs) > 0 || ws.Iters != 0 || ws.FenceBug {
@@ -182,10 +182,9 @@ func (ws WorkSpec) Validate() error {
 	return nil
 }
 
-// policy returns the spec's per-cell retry policy as durations.
-func (ws WorkSpec) policy() (retries int, backoff, cellTimeout time.Duration) {
-	return ws.Retries, time.Duration(ws.BackoffMS) * time.Millisecond,
-		time.Duration(ws.CellTimeoutMS) * time.Millisecond
+// policy returns the spec's per-cell retry policy.
+func (ws WorkSpec) policy() (retries int, cellTimeout time.Duration) {
+	return ws.Retries, time.Duration(ws.CellTimeoutMS) * time.Millisecond
 }
 
 // tuneConfig is the tuning study a tune spec runs. The fault model is
@@ -248,23 +247,59 @@ type workCampaign struct {
 	salt func() (string, error)
 	// ranges builds a distributed worker's range runner.
 	ranges func(o dist.SchedRunnerOptions) dist.RunRange
-	// run executes the campaign on dist.RunCampaign, stores its
-	// artifact in res, and returns how many cells an interruption left
-	// pending (with an error wrapping sched.ErrInterrupted).
-	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error)
+	// run executes the campaign on dist.RunCampaign and returns its
+	// artifact and verdict; an interruption returns the partial result
+	// with Interrupted set and a nil error.
+	run func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string) (*WorkResult, error)
 }
 
-// schedRanges is a campaign's range runner: its exec under the
-// options DistWork sets, cache salt included.
-func schedRanges[R any](spec sched.Spec, newExec func() sched.Exec[R]) func(dist.SchedRunnerOptions) dist.RunRange {
-	return func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) }
+// newWorkCampaign builds a kind's campaign from its scheduler spec, its
+// per-worker exec factory (shared verbatim by local runs and
+// distributed workers), its cache salt and assemble, which turns a
+// settled report into the kind's artifact, partial when interrupted.
+// This is the one place a campaign runs and the one place its verdict
+// is read: a cell failed when it has an error and was not interrupted,
+// and the pending and storage verdicts are the report's, for every
+// kind alike.
+func newWorkCampaign[R any](ws WorkSpec, spec sched.Spec, newExec func() sched.Exec[R], instances func(R) int,
+	salt func() (string, error), assemble func(rep *sched.Report[R], interrupted bool) (*WorkResult, error)) *workCampaign {
+	return &workCampaign{
+		ws:     ws,
+		spec:   spec,
+		salt:   salt,
+		ranges: func(o dist.SchedRunnerOptions) dist.RunRange { return dist.SchedRunner(spec, newExec, o) },
+		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string) (*WorkResult, error) {
+			rep, err := dist.RunCampaign(ctx, spec, newExec, o, instances, desc, salt)
+			interrupted := errors.Is(err, sched.ErrInterrupted)
+			if err != nil && !interrupted {
+				return nil, err
+			}
+			res, err := assemble(rep, interrupted)
+			if err != nil {
+				return nil, err
+			}
+			res.Interrupted, res.Pending = interrupted, rep.Interrupted
+			res.StorageErr = rep.StorageErr
+			if res.Artifact != nil {
+				res.Artifact.StorageDegraded = rep.StorageDegraded
+			}
+			for _, r := range rep.Results {
+				if r.Err != nil && !r.Interrupted {
+					res.Failed++
+					if r.Quarantined {
+						res.Quarantined++
+					}
+				}
+			}
+			return res, nil
+		},
+	}
 }
 
 // expand validates ws and turns it into its one campaign: a fleet
 // campaign for conformance and evaluate, the tuning study for tune, the
 // bug-case campaign for correlate. It is the only place a WorkSpec's
-// kind is dispatched. Conformance, evaluate and correlate campaigns are
-// salted with the spec's descriptor.
+// kind is dispatched.
 func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
@@ -282,68 +317,26 @@ func (st *Study) expand(ws WorkSpec) (*workCampaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	platforms := ws.platforms()
 	if ws.Kind == "conformance" {
-		spec, work, err := st.fleetConformanceCampaign(platforms, ws.Seed)
-		if err != nil {
-			return nil, err
-		}
-		newExec := st.conformanceExec(envs[0], work, ws.Iters)
-		return &workCampaign{
-			ws:     ws,
-			spec:   spec,
-			salt:   ws.CacheSalt,
-			ranges: schedRanges(spec, newExec),
-			run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
-				reports, pending, err := st.runConformance(ctx, spec, newExec, platforms, o, desc, salt)
-				res.Artifact = &CampaignArtifact{Kind: ws.Kind, Conformance: reports}
-				return pending, err
-			},
-		}, nil
+		return st.conformanceWork(ws, ws.platforms(), envs[0])
 	}
-	spec, work, err := st.evaluateCampaign(platforms, envs, ws.Seed)
-	if err != nil {
-		return nil, err
-	}
-	newExec := st.evaluateExec(work, ws.Iters)
-	return &workCampaign{
-		ws:     ws,
-		spec:   spec,
-		salt:   ws.CacheSalt,
-		ranges: schedRanges(spec, newExec),
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
-			entries, pending, err := st.runEvaluate(ctx, spec, newExec, platforms, o, desc, salt)
-			res.Artifact = &CampaignArtifact{Kind: ws.Kind, Evaluate: entries}
-			return pending, err
-		},
-	}, nil
+	return st.evaluateWork(ws, ws.platforms(), envs)
 }
 
 // expandTune turns a tune spec into its tuning study, salted as tuning
 // salts it under the spec's retry policy, so the CLI, serve, workers
-// and tuning.RunCampaign share cache entries. Local or distributed,
+// and tuning.RunCampaignCtx share cache entries. Local or distributed,
 // the runner's report assembles into the same dataset.
 func (st *Study) expandTune(ws WorkSpec) (*workCampaign, error) {
 	camp, err := tuning.PlanCampaign(ws.tuneConfig(), st.Suite.Mutants)
 	if err != nil {
 		return nil, err
 	}
-	newExec := camp.Exec()
-	return &workCampaign{
-		ws:     ws,
-		spec:   camp.Spec,
-		salt:   func() (string, error) { return camp.CacheSalt(ws.policy()) },
-		ranges: schedRanges(camp.Spec, newExec),
-		run: func(ctx context.Context, o CampaignOptions, desc json.RawMessage, salt string, res *WorkResult) (int, error) {
-			rep, err := dist.RunCampaign(ctx, camp.Spec, newExec, o, func(m tuning.Measurement) int { return m.Instances }, desc, salt)
-			interrupted := errors.Is(err, sched.ErrInterrupted)
-			if err != nil && !interrupted {
-				return 0, err
-			}
-			res.Dataset = camp.Dataset(rep, interrupted)
-			return rep.Interrupted, err
-		},
-	}, nil
+	return newWorkCampaign(ws, camp.Spec, camp.Exec(), func(m tuning.Measurement) int { return m.Instances },
+		func() (string, error) { return camp.CacheSalt(ws.policy()) },
+		func(rep *sched.Report[tuning.Measurement], interrupted bool) (*WorkResult, error) {
+			return &WorkResult{Dataset: camp.Dataset(rep, interrupted)}, nil
+		}), nil
 }
 
 // PlanWorkSpec validates ws and returns its campaign's scheduler
@@ -358,7 +351,7 @@ func (st *Study) PlanWorkSpec(ws WorkSpec) (manifest string, cells int, err erro
 }
 
 // WorkResult is what RunWorkSpec returns: the artifact the spec's kind
-// produced and the verdict folded from it.
+// produced and the verdict read from the campaign's report.
 type WorkResult struct {
 	// Artifact is the conformance, evaluate or correlate report, Dataset
 	// the tune study's dataset; the other is nil. Either is partial when
@@ -395,8 +388,8 @@ func (r *WorkResult) Encode(w io.Writer) error {
 // RunWorkSpec runs the campaign ws describes, locally or — with
 // opts.Dist — through worker processes, and returns its artifact and
 // verdict. The spec supplies everything that shapes results: the
-// platforms, environments or study sizes, retry policy (opts.Retries,
-// Backoff and CellTimeout are overridden), and the descriptor and
+// platforms, environments or study sizes, retry policy (opts.Retries
+// and CellTimeout are overridden), and the descriptor and
 // cache salt. Every kind runs as one campaign, with one checkpoint at
 // opts.CheckpointPath and one coordinator named opts.Dist.Name (the
 // kind when empty). A spec with a cell timeout always collects, so an
@@ -407,7 +400,7 @@ func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOpti
 	if err != nil {
 		return nil, err
 	}
-	opts.Retries, opts.Backoff, opts.CellTimeout = ws.policy()
+	opts.Retries, opts.CellTimeout = ws.policy()
 	var desc json.RawMessage
 	if opts.Dist != nil {
 		if desc, err = c.ws.Descriptor(); err != nil {
@@ -423,55 +416,5 @@ func (st *Study) RunWorkSpec(ctx context.Context, ws WorkSpec, opts CampaignOpti
 			return nil, err
 		}
 	}
-	res := &WorkResult{}
-	pending, err := c.run(ctx, opts, desc, salt, res)
-	if errors.Is(err, sched.ErrInterrupted) {
-		res.Interrupted, res.Pending = true, pending
-	} else if err != nil {
-		return nil, err
-	}
-	res.tally()
-	return res, nil
-}
-
-// tally folds the artifact's failed cells and storage verdicts into r.
-func (r *WorkResult) tally() {
-	if ds := r.Dataset; ds != nil {
-		for _, d := range ds.Dropped {
-			r.fail(d.Quarantined)
-		}
-		r.StorageErr = ds.StorageErr
-		return
-	}
-	a := r.Artifact
-	for _, rep := range a.Conformance {
-		for _, f := range rep.Failed() {
-			r.fail(f.Quarantined)
-		}
-		if rep.StorageDegraded {
-			r.StorageErr = rep.StorageErr
-		}
-	}
-	for _, e := range a.Evaluate {
-		for _, f := range e.Score.Failures {
-			r.fail(f.Quarantined)
-		}
-		if e.Score.StorageDegraded {
-			r.StorageErr = e.Score.StorageErr
-		}
-	}
-	for _, row := range a.Correlation {
-		for _, f := range row.Failures {
-			r.fail(f.Quarantined)
-		}
-	}
-	a.StorageDegraded = r.StorageErr != ""
-}
-
-// fail counts one cell that produced no data.
-func (r *WorkResult) fail(quarantined bool) {
-	r.Failed++
-	if quarantined {
-		r.Quarantined++
-	}
+	return c.run(ctx, opts, desc, salt)
 }

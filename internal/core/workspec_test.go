@@ -45,7 +45,6 @@ func TestWorkSpecValidate(t *testing.T) {
 		{"no envs", with(conf, func(ws *WorkSpec) { ws.Envs = nil }), false},
 		{"zero iters", with(conf, func(ws *WorkSpec) { ws.Iters = 0 }), false},
 		{"negative retries", with(conf, func(ws *WorkSpec) { ws.Retries = -1 }), false},
-		{"negative backoff", with(conf, func(ws *WorkSpec) { ws.BackoffMS = -1 }), false},
 		{"negative cell timeout", with(conf, func(ws *WorkSpec) { ws.CellTimeoutMS = -1 }), false},
 		{"tune negative retries", with(tune, func(ws *WorkSpec) { ws.Retries = -1 }), false},
 		{"tune negative cell timeout", with(tune, func(ws *WorkSpec) { ws.CellTimeoutMS = -1 }), false},

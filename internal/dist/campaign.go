@@ -20,10 +20,9 @@ import (
 type CampaignOptions struct {
 	// Workers bounds the scheduler's pool; < 1 means serial.
 	Workers int
-	// Retries and Backoff configure transient-failure handling per cell.
-	// core.RunWorkSpec takes them, and CellTimeout, from the spec.
+	// Retries bounds the immediate re-runs of a transiently failing
+	// cell. core.RunWorkSpec takes it, and CellTimeout, from the spec.
 	Retries int
-	Backoff time.Duration
 	// CellTimeout bounds each cell attempt; expiry is an ordinary
 	// permanent cell failure (retried, reported, breaker-visible), not a
 	// campaign interruption, and makes the campaign collect. Zero means
@@ -145,7 +144,6 @@ func RunCampaign[R any](ctx context.Context, spec sched.Spec, newExec func() sch
 	schedOpts := sched.Options[R]{
 		Workers:       o.Workers,
 		MaxRetries:    o.Retries,
-		Backoff:       o.Backoff,
 		CellTimeout:   o.CellTimeout,
 		Collect:       o.Collect || o.CellTimeout > 0,
 		Breaker:       o.Breaker,

@@ -66,9 +66,7 @@ func baselineReport(t *testing.T, spec sched.Spec) *sched.Report[distVal] {
 	rep, err := sched.RunContext(context.Background(), spec, distExec, sched.Options[distVal]{
 		Workers:    2,
 		MaxRetries: testRetries,
-		Backoff:    time.Millisecond,
 		Collect:    true,
-		Clock:      newFakeClock(),
 	})
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
@@ -180,10 +178,7 @@ func (d distRun) runWithClock(t *testing.T, onClock func(*clock.Fake)) (*sched.R
 			tr = d.mkTransport(i, tr)
 		}
 		w := NewWorker(tr, d.spec,
-			SchedRunner(d.spec, distExecs, SchedRunnerOptions{
-				Parallel: 2, Retries: testRetries, Backoff: time.Millisecond,
-				Clock: newFakeClock(),
-			}),
+			SchedRunner(d.spec, distExecs, SchedRunnerOptions{Parallel: 2, Retries: testRetries}),
 			WorkerOptions{
 				ID:          fmt.Sprintf("w%d", i),
 				RPCBackoff:  50 * time.Millisecond,
@@ -257,10 +252,7 @@ func TestDistributedOverHTTP(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		w := NewWorker(&HTTPTransport{BaseURL: srv.URL, Campaign: "http-test"}, spec,
-			SchedRunner(spec, distExecs, SchedRunnerOptions{
-				Parallel: 2, Retries: testRetries, Backoff: time.Millisecond,
-				Clock: newFakeClock(),
-			}),
+			SchedRunner(spec, distExecs, SchedRunnerOptions{Parallel: 2, Retries: testRetries}),
 			WorkerOptions{ID: fmt.Sprintf("hw%d", i), AcquireWait: 20 * time.Millisecond})
 		wg.Add(1)
 		go func() {
@@ -331,7 +323,7 @@ func TestCoordinatorSeeding(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	w := NewWorker(hub.LocalTransport("seeded"), spec,
-		SchedRunner(spec, distExecs, SchedRunnerOptions{Parallel: 2, Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock()}),
+		SchedRunner(spec, distExecs, SchedRunnerOptions{Parallel: 2, Retries: testRetries}),
 		WorkerOptions{ID: "w0", Clock: clk})
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
@@ -373,7 +365,7 @@ func TestWorkerUnknownCampaignFailsFast(t *testing.T) {
 				defer srv.Close()
 				tr = &HTTPTransport{BaseURL: srv.URL, Campaign: "gone"}
 			}
-			inner := SchedRunner(spec, distExecs, SchedRunnerOptions{Retries: testRetries, Clock: newFakeClock()})
+			inner := SchedRunner(spec, distExecs, SchedRunnerOptions{Retries: testRetries})
 			// The campaign finishes without this worker mid-lease: its
 			// delivery is the first RPC to find the campaign gone.
 			run := func(ctx context.Context, cells []sched.Cell, onCellStart func()) ([]sched.Segment, error) {

@@ -31,9 +31,7 @@ func runRange(t *testing.T, spec sched.Spec, cells []int) []sched.Segment {
 	for i, ci := range cells {
 		sc[i] = spec.Cells[ci]
 	}
-	run := SchedRunner(spec, distExecs, SchedRunnerOptions{
-		Retries: testRetries, Backoff: time.Millisecond, Clock: newFakeClock(),
-	})
+	run := SchedRunner(spec, distExecs, SchedRunnerOptions{Retries: testRetries})
 	segs, err := run(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatalf("runRange: %v", err)

@@ -20,17 +20,14 @@ import (
 type RunRange func(ctx context.Context, cells []sched.Cell, onCellStart func()) ([]sched.Segment, error)
 
 // SchedRunnerOptions configures the scheduler behind SchedRunner.
-// Retries/Backoff/CellTimeout must match the submitting side's
+// Retries and CellTimeout must match the submitting side's
 // campaign options — they are part of the byte-identity contract
 // (attempt counts and timeout failures appear in reports) — so the
 // descriptor carries them and cmd/mcmutants plumbs them through.
 type SchedRunnerOptions struct {
 	Parallel    int
 	Retries     int
-	Backoff     time.Duration
 	CellTimeout time.Duration
-	// Clock waits out retry backoffs; nil means the system clock.
-	Clock clock.Clock
 	// Cache, when non-nil, is the worker's local result cache; CacheSalt
 	// must be derived from the campaign descriptor so every worker (and
 	// the submitting side) addresses the same entries. Hits are tagged
@@ -52,10 +49,8 @@ func SchedRunner[R any](spec sched.Spec, newExec func() sched.Exec[R], opts Sche
 		sopts := sched.Options[R]{
 			Workers:       opts.Parallel,
 			MaxRetries:    opts.Retries,
-			Backoff:       opts.Backoff,
 			CellTimeout:   opts.CellTimeout,
 			Collect:       true,
-			Clock:         opts.Clock,
 			Cache:         opts.Cache,
 			CacheSalt:     opts.CacheSalt,
 			NewWorkerExec: newExec,

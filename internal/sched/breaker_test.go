@@ -197,59 +197,6 @@ func TestBreakerImpliesCollect(t *testing.T) {
 	}
 }
 
-// sleepFunc is a Clock whose Sleep hands each wait to the function
-// instead of blocking.
-type sleepFunc func(time.Duration)
-
-func (sleepFunc) Now() time.Time { return time.Time{} }
-
-func (f sleepFunc) Sleep(ctx context.Context, d time.Duration) error {
-	f(d)
-	return ctx.Err()
-}
-
-// TestInjectedSleepBackoff: retry backoff goes through Options.Clock
-// with the jittered duration — base doubling per retry, jittered into
-// [d/2, d] by the cell's split-seed RNG — so tests never wall-clock
-// real sleeps.
-func TestInjectedSleepBackoff(t *testing.T) {
-	spec := testSpec(1)
-	base := 100 * time.Millisecond
-	var slept []time.Duration
-	start := time.Now()
-	rep, err := Run(spec, func(context.Context, Cell, *xrand.Rand) (int, error) {
-		return 0, Transient(fmt.Errorf("busy"))
-	}, Options[int]{
-		MaxRetries: 3,
-		Backoff:    base,
-		Clock:      sleepFunc(func(d time.Duration) { slept = append(slept, d) }),
-	})
-	if err == nil {
-		t.Fatal("exhausted retries did not fail")
-	}
-	if rep.Results[0].Attempts != 4 {
-		t.Fatalf("attempts = %d, want 4", rep.Results[0].Attempts)
-	}
-	if len(slept) != 3 {
-		t.Fatalf("slept %d times, want 3: %v", len(slept), slept)
-	}
-	for i, got := range slept {
-		// The wait is exactly what RetryBackoff computes for this attempt…
-		if want := spec.RetryBackoff("cell-000", i, base); got != want {
-			t.Fatalf("sleep %d = %v, want RetryBackoff's %v", i, got, want)
-		}
-		// …and stays within the jitter envelope around the doubled base.
-		nominal := base << uint(i)
-		if got < nominal/2 || got >= nominal*3/2 {
-			t.Fatalf("sleep %d = %v outside [%v, %v)", i, got, nominal/2, nominal*3/2)
-		}
-	}
-	// The nominal backoff must not have actually elapsed.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("fake sleep still wall-clocked %v", elapsed)
-	}
-}
-
 // TestRetryBackoffDeterministic: the jittered schedule is a pure
 // function of (seed, name, key, attempt) — identical across calls and
 // distinct across cells and attempts.

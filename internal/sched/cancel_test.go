@@ -163,39 +163,6 @@ func TestCellTimeoutIsOrdinaryFailure(t *testing.T) {
 	}
 }
 
-// TestBackoffWaitInterruptible: a cancellation arriving during a retry
-// backoff wait abandons the cell immediately instead of finishing the
-// wait and re-attempting.
-func TestBackoffWaitInterruptible(t *testing.T) {
-	spec := testSpec(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	attempts := 0
-	start := time.Now()
-	rep, err := RunContext(ctx, spec, func(context.Context, Cell, *xrand.Rand) (int, error) {
-		attempts++
-		return 0, Transient(fmt.Errorf("busy"))
-	}, Options[int]{
-		MaxRetries: 5,
-		Backoff:    time.Hour, // the test would hang if the wait were not interruptible
-		Clock: sleepFunc(func(time.Duration) {
-			cancel() // cancellation lands mid-wait
-		}),
-	})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("error does not wrap ErrInterrupted: %v", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("cell re-attempted after cancellation: %d attempts", attempts)
-	}
-	if rep.Results[0].Attempts != 1 || !rep.Results[0].Interrupted {
-		t.Fatalf("cell record: %+v", rep.Results[0])
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("backoff wall-clocked %v", elapsed)
-	}
-}
-
 // TestInterruptResumeByteIdentical is the determinism contract of the
 // drain: cancel a checkpointed campaign mid-way, resume it, and the
 // final values are byte-identical to a never-interrupted run — the

@@ -13,10 +13,11 @@
 //     workers=16 produce bit-identical aggregate results.
 //
 //   - Robustness. Every cell attempt runs under panic recovery; errors
-//     marked Transient are retried with exponential backoff up to a
-//     bound; the campaign-level error policy is either fail-fast
-//     (default: cancel outstanding work on the first permanent
-//     failure) or collect (run everything, report all failures).
+//     marked Transient are retried at once, each attempt on its own
+//     split-seed stream, up to a bound; the campaign-level error
+//     policy is either fail-fast (default: cancel outstanding work on
+//     the first permanent failure) or collect (run everything, report
+//     all failures).
 //
 //   - Resumability and observability. Completed cells are checkpointed
 //     as JSONL records under a manifest hash of the campaign spec, so
@@ -26,13 +27,13 @@
 //     one throughput line.
 //
 // Campaigns are cancellable: RunContext threads a context through the
-// pool, workers check it between cells, retry backoff waits on it, and
-// cancellation (or deadline expiry) drains the campaign — in-flight
-// cells finish or are abandoned as incomplete, the checkpoint is
-// synced, and the partial report counts the abandoned cells in
-// Report.Interrupted. Abandoned cells are never checkpointed, so a
-// resumed campaign re-runs them from their deterministic per-cell
-// streams and ends byte-identical to an uninterrupted run.
+// pool, workers check it between cells, and cancellation (or deadline
+// expiry) drains the campaign — in-flight cells finish or are
+// abandoned as incomplete, the checkpoint is synced, and the partial
+// report counts the abandoned cells in Report.Interrupted. Abandoned
+// cells are never checkpointed, so a resumed campaign re-runs them
+// from their deterministic per-cell streams and ends byte-identical to
+// an uninterrupted run.
 package sched
 
 import (
@@ -95,12 +96,13 @@ func (s *Spec) CellRand(key string, attempt int) *xrand.Rand {
 	return xrand.NewFromPath(s.Seed, s.Name, key, fmt.Sprintf("attempt-%d", attempt))
 }
 
-// RetryBackoff returns the wait before retrying a cell after failed
-// attempt (0-based): clock.Backoff of the base, uncapped, with its
-// jitter u drawn from the cell's split-seed RNG. The jitter
-// decorrelates retry timing across cells — no synchronized retry
-// stampede when many workers hit a transient condition at once — while
-// staying a pure function of (seed, name, key, attempt), so retry
+// RetryBackoff returns the wait before retrying the operation named by
+// key after failed attempt (0-based): clock.Backoff of the base,
+// uncapped, with its jitter u drawn from the key's split-seed RNG. The
+// dist worker paces its RPC retries and lease renewals with it. The
+// jitter decorrelates timing across a worker fleet — no synchronized
+// retry stampede when many workers hit a transient condition at once —
+// while staying a pure function of (seed, name, key, attempt), so the
 // schedules are reproducible run to run.
 func (s *Spec) RetryBackoff(key string, attempt int, base time.Duration) time.Duration {
 	u := xrand.NewFromPath(s.Seed, s.Name, key, fmt.Sprintf("backoff-%d", attempt)).Float64()
@@ -122,10 +124,6 @@ type Options[R any] struct {
 	// MaxRetries is how many times a transiently-failing cell is
 	// retried after its first attempt.
 	MaxRetries int
-	// Backoff is the base wait before the first retry; it doubles per
-	// retry and is jittered over [d/2, d] from the cell's split-seed RNG
-	// (see Spec.RetryBackoff). Zero means retry immediately (tests).
-	Backoff time.Duration
 	// CellTimeout, when positive, bounds each cell's wall-clock time:
 	// the cell's exec runs under a deadline-bounded child context and an
 	// overrun fails that one cell (it is not an interruption — the
@@ -140,10 +138,6 @@ type Options[R any] struct {
 	// A breaker implies the collect error policy — device failures
 	// feed the breaker instead of aborting the campaign.
 	Breaker *BreakerOptions
-	// Clock waits out retry backoffs, interruptibly; nil means the
-	// system clock. Tests inject clock.Fake so backoff paths run in
-	// microseconds.
-	Clock clock.Clock
 	// Checkpoint, when non-nil, records completed cells and replays
 	// cells already done in a previous run.
 	Checkpoint *Checkpoint
@@ -319,9 +313,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	}
 	if workers > len(spec.Cells) {
 		workers = len(spec.Cells)
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.System{}
 	}
 	rep := &Report[R]{Spec: spec, Results: make([]CellResult[R], len(spec.Cells))}
 	start := time.Now()
@@ -618,9 +609,8 @@ func isContextErr(err error) bool {
 }
 
 // runCell executes one cell's attempt/retry loop under panic recovery.
-// Retry waits are jittered (Spec.RetryBackoff) and interruptible: a
-// context cancellation during the wait abandons the cell immediately
-// with an error wrapping the context's.
+// A retry runs at once: its attempt draws a fresh split-seed stream, so
+// waiting could not change its outcome.
 func runCell[R any](ctx context.Context, spec *Spec, cell Cell, exec Exec[R], opts *Options[R]) (value R, attempts int, err error) {
 	for attempt := 0; ; attempt++ {
 		attempts++
@@ -630,11 +620,6 @@ func runCell[R any](ctx context.Context, spec *Spec, cell Cell, exec Exec[R], op
 		}
 		if !IsTransient(err) || attempt >= opts.MaxRetries {
 			return value, attempts, err
-		}
-		if wait := spec.RetryBackoff(cell.Key, attempt, opts.Backoff); wait > 0 {
-			if opts.Clock.Sleep(ctx, wait) != nil {
-				return value, attempts, fmt.Errorf("sched: cell %s: retry wait interrupted: %w", cell.Key, ctx.Err())
-			}
 		}
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/clock"
 	"repro/internal/xrand"
 )
 
@@ -47,10 +45,8 @@ func runSeg(t *testing.T, spec Spec, breaker *BreakerOptions) *Report[segVal] {
 	rep, err := RunContext(context.Background(), spec, segExec, Options[segVal]{
 		Workers:    3,
 		MaxRetries: 2,
-		Backoff:    time.Millisecond,
 		Collect:    true,
 		Breaker:    breaker,
-		Clock:      clock.NewFake(time.Time{}),
 	})
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)

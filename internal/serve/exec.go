@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/guard"
 	"repro/internal/sched"
 )
@@ -48,7 +49,7 @@ func (s *Server) execute(ctx context.Context, job *Job, eff guard.Budget, onProg
 		ProgressEvery: s.cfg.ProgressEvery,
 	}
 	if job.Spec.Distributed {
-		opts.Dist = &core.DistOptions{Hub: s.dist, Name: job.ID, LeaseTTL: s.cfg.DistLeaseTTL, Logf: s.cfg.Logf}
+		opts.Dist = &dist.Options{Hub: s.dist, Name: job.ID, LeaseTTL: s.cfg.DistLeaseTTL, Logf: s.cfg.Logf}
 	}
 	if s.cache != nil {
 		opts.Cache = s.cache

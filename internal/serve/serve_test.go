@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/sched"
 	"repro/internal/wgsl"
 )
@@ -164,31 +163,23 @@ func TestJobLifecycleAndByteIdentity(t *testing.T) {
 	}
 }
 
-// localEvaluateArtifact renders the evaluate artifact for the spec
-// through per-device EvaluateEnvironmentsCtx calls and a hand-built
-// CampaignArtifact.
+// localEvaluateArtifact renders the evaluate artifact for the spec by
+// stitching one-device RunWorkSpec runs into one CampaignArtifact: a
+// device's entry never depends on the rest of the fleet.
 func localEvaluateArtifact(t *testing.T, js JobSpec) []byte {
 	t.Helper()
 	study, err := core.NewStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var envs []harness.Params
-	for _, name := range js.Envs {
-		env, err := core.EnvByName(name, 16, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		envs = append(envs, env)
-	}
 	art := &core.CampaignArtifact{Kind: "evaluate"}
-	for _, p := range specPlatforms(js) {
-		score, err := study.EvaluateEnvironmentsCtx(context.Background(), p, envs, js.Iters, js.Seed,
-			core.CampaignOptions{Workers: 3})
+	for _, d := range js.Devices {
+		ws := core.WorkSpec{Kind: "evaluate", Devices: []string{d}, Envs: js.Envs, Iters: js.Iters, Seed: js.Seed, FenceBug: js.FenceBug}
+		res, err := study.RunWorkSpec(context.Background(), ws, core.CampaignOptions{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		art.Evaluate = append(art.Evaluate, core.EvaluateEntry{Device: p.Device, Score: score})
+		art.Evaluate = append(art.Evaluate, res.Artifact.Evaluate...)
 	}
 	var buf bytes.Buffer
 	if err := art.Encode(&buf); err != nil {

@@ -120,7 +120,7 @@ func TestCacheSaltVersioned(t *testing.T) {
 	cfg.SITEIterations = 1
 	cfg.PTEIterations = 1
 	cfg.Devices = []string{"AMD"}
-	salt, err := (&Campaign{cfg: cfg}).CacheSalt(0, 0, 0)
+	salt, err := (&Campaign{cfg: cfg}).CacheSalt(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCacheSaltVersioned(t *testing.T) {
 func TestCacheSaltGolden(t *testing.T) {
 	const want = `{"payload":"tuning-measurement/v1","config":{"Environments":2,"SITEIterations":6,"PTEIterations":2,"PTEWorkgroups":8,"PTEWorkgroupSize":16,"Scale":{"MinTestingWG":2,"MaxTestingWG":16,"MinWGSizeLog2":3,"MaxWGSizeLog2":6,"MaxStressWG":8,"MaxStressIters":24,"MaxPreStressIters":8},"Devices":["AMD","Intel"],"Seed":2023},"retries":2,"cell_timeout_ms":1500}`
 	cfg, _ := campaignConfig()
-	salt, err := (&Campaign{cfg: cfg}).CacheSalt(2, 0, 1500*time.Millisecond)
+	salt, err := (&Campaign{cfg: cfg}).CacheSalt(2, 1500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -492,7 +492,6 @@ type cacheSaltPayload struct {
 	Payload       string `json:"payload"`
 	Config        Config `json:"config"`
 	Retries       int    `json:"retries,omitempty"`
-	BackoffMS     int64  `json:"backoff_ms,omitempty"`
 	CellTimeoutMS int64  `json:"cell_timeout_ms,omitempty"`
 }
 
@@ -693,12 +692,11 @@ func (c *Campaign) Exec() func() sched.Exec[Measurement] {
 // measurements, and a warm re-run skips the simulation entirely and
 // still emits a byte-identical dataset. It is the counterpart of
 // core.WorkSpec.CacheSalt for the tuning study.
-func (c *Campaign) CacheSalt(retries int, backoff, cellTimeout time.Duration) (string, error) {
+func (c *Campaign) CacheSalt(retries int, cellTimeout time.Duration) (string, error) {
 	raw, err := json.Marshal(cacheSaltPayload{
 		Payload:       cachePayload,
 		Config:        c.cfg,
 		Retries:       retries,
-		BackoffMS:     backoff.Milliseconds(),
 		CellTimeoutMS: cellTimeout.Milliseconds(),
 	})
 	if err != nil {
@@ -719,7 +717,7 @@ func (c *Campaign) CacheSalt(retries int, backoff, cellTimeout time.Duration) (s
 // in the checkpoint, so a resumed run finishes the dataset
 // byte-identical to an uninterrupted one.
 func (c *Campaign) Run(ctx context.Context, opts RunOptions) (*Dataset, error) {
-	salt, err := c.CacheSalt(opts.Retries, opts.Backoff, opts.CellTimeout)
+	salt, err := c.CacheSalt(opts.Retries, opts.CellTimeout)
 	if err != nil {
 		return nil, err
 	}
