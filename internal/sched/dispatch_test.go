@@ -155,3 +155,58 @@ func TestDispatchRunsEachPendingCellOnce(t *testing.T) {
 		}
 	})
 }
+
+// mapCache is an in-memory ResultCache: a lock-guarded map that never
+// corrupts or degrades.
+type mapCache struct {
+	mu      sync.RWMutex
+	entries map[string][]byte
+}
+
+func (c *mapCache) Get(key string) ([]byte, bool, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	payload, ok := c.entries[key]
+	return payload, ok, false
+}
+
+func (c *mapCache) Put(key string, payload []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries[key] = payload
+}
+
+func (c *mapCache) Degraded() error { return nil }
+
+// BenchmarkDispatch measures the scheduler's own per-cell cost at two
+// workers over 4,096 cells: with a no-op exec, and with every cell a
+// hit in an in-memory result cache (digest, lookup, decode). Its
+// ns/cell metric is what the pool adds around an instant cell.
+func BenchmarkDispatch(b *testing.B) {
+	const cells = 4096
+	spec := Spec{Name: "dispatch", Seed: 1}
+	for i := 0; i < cells; i++ {
+		spec.Cells = append(spec.Cells, Cell{Key: fmt.Sprintf("cell-%04d", i), Device: "AMD"})
+	}
+	noop := func(context.Context, Cell, *xrand.Rand) (int, error) { return 1, nil }
+	run := func(b *testing.B, opts Options[int]) {
+		opts.Workers = 2
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(spec, noop, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+	}
+	b.Run("noop", func(b *testing.B) { run(b, Options[int]{}) })
+	b.Run("cachehit", func(b *testing.B) {
+		cache := &mapCache{entries: map[string][]byte{}}
+		opts := Options[int]{Cache: cache, CacheSalt: "bench"}
+		if _, err := Run(spec, noop, opts); err != nil {
+			b.Fatal(err)
+		}
+		run(b, opts)
+	})
+}

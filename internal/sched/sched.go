@@ -1,7 +1,10 @@
 // Package sched is the campaign scheduler of the simulated device
 // fleet: it turns any campaign — an ordered set of cells, typically
 // (test × device × environment × iteration-budget) — into a job list
-// executed by a bounded worker pool.
+// executed by a bounded worker pool. The workers claim the cells still
+// pending after checkpoint replay from one shared atomic cursor, in
+// spec order, so an instant cell (a result-cache hit) never waits for
+// a feeder goroutine to hand over the next one.
 //
 // The scheduler guarantees three properties the serial loops it
 // replaces could not offer together:
@@ -43,6 +46,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -296,7 +300,7 @@ func Run[R any](spec Spec, exec Exec[R], opts Options[R]) (*Report[R], error) {
 // caller inspects Report.Failed / FirstErr.
 //
 // Cancelling ctx (or letting its deadline expire) drains the campaign:
-// queued cells are abandoned without running, in-flight cells are
+// unclaimed cells are abandoned without running, in-flight cells are
 // abandoned as soon as they observe the cancellation, the checkpoint —
 // which holds only fully-completed cells — is synced, and RunContext
 // returns the partial report with an error wrapping ErrInterrupted.
@@ -364,7 +368,9 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	if opts.Cache != nil {
 		digests = spec.cellDigests(opts.CacheSalt)
 	}
-	jobs := make(chan int)
+	// Workers claim pending cells from one shared cursor, in spec order:
+	// no feeder goroutine stands between a finished cell and the next.
+	var cursor atomic.Int64
 	var abort bool       // fail-fast tripped; guarded by mu
 	var abortCause error // the failure that tripped it; guarded by mu
 	var wg sync.WaitGroup
@@ -380,7 +386,12 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 			if opts.Cache != nil {
 				cellDigest = digests.hasher()
 			}
-			for i := range jobs {
+			for {
+				n := cursor.Add(1) - 1
+				if n >= int64(len(pending)) {
+					return
+				}
+				i := pending[n]
 				cell := spec.Cells[i]
 				// Cancellation check between cells: once the campaign ctx
 				// is dead, remaining cells are abandoned as incomplete —
@@ -550,10 +561,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 			}
 		}()
 	}
-	for _, i := range pending {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
 	if opts.Breaker != nil {
 		// Settle quarantine verdicts in spec order: speculative results
