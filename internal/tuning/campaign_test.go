@@ -241,3 +241,61 @@ func TestCampaignRepeatByteIdentical(t *testing.T) {
 	}
 	datasetsIdentical(t, first, second, "repeat run")
 }
+
+// TestBuildCampaignKeysAndOrder: the planned cells are the
+// (family, environment, device, test) product in record order, each
+// key byte-identical to its fmt.Sprintf("%s/%s/%s") form, with its
+// work order under the same key; the plan is sized exactly; and an
+// unknown device is refused.
+func TestBuildCampaignKeysAndOrder(t *testing.T) {
+	cfg, tests := campaignConfig()
+	cfg.Devices = nil // the default fleet
+	spec, work, err := buildCampaign(&cfg, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, fam := range Families() {
+		for ei := range environments(fam, &cfg) {
+			envID := fmt.Sprintf("%s-%03d", fam, ei)
+			for _, dev := range cfg.devices() {
+				for _, test := range tests {
+					key := fmt.Sprintf("%s/%s/%s", envID, dev, test.Name)
+					if i >= len(spec.Cells) {
+						t.Fatalf("plan ends at %d cells", i)
+					}
+					if c := spec.Cells[i]; c.Key != key || c.Device != dev {
+						t.Fatalf("cell %d = %+v, want key %q on %s", i, c, key, dev)
+					}
+					w := work[key]
+					if w.family != fam || w.envID != envID || w.device != dev || w.test != test || w.iters != cfg.iterations(fam) {
+						t.Fatalf("work of %s: %+v", key, w)
+					}
+					i++
+				}
+			}
+		}
+	}
+	if len(spec.Cells) != i || cap(spec.Cells) != i || len(work) != i {
+		t.Fatalf("plan: %d cells (cap %d), %d work orders, want %d", len(spec.Cells), cap(spec.Cells), len(work), i)
+	}
+
+	cfg.Devices = []string{"AMD", "NoSuchGPU"}
+	if _, _, err := buildCampaign(&cfg, tests); err == nil || !strings.Contains(err.Error(), `unknown device "NoSuchGPU"`) {
+		t.Fatalf("unknown device: %v", err)
+	}
+}
+
+// BenchmarkBuildCampaign plans the warm tuning benchmark's campaign:
+// 16 environments per tuned family, the default fleet, the full suite.
+func BenchmarkBuildCampaign(b *testing.B) {
+	cfg := SmallConfig()
+	cfg.Environments = 16
+	tests := mutation.MustGenerate().All()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := buildCampaign(&cfg, tests); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

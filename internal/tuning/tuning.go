@@ -508,19 +508,28 @@ type tuningCell struct {
 // buildCampaign expands the config into the scheduler spec and the
 // per-key work map. Cell order is the dataset's record order.
 func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tuningCell, error) {
-	spec := sched.Spec{Name: "tune", Seed: cfg.Seed}
-	work := map[string]tuningCell{}
-	for _, fam := range Families() {
-		envs := environments(fam, cfg)
+	devices := cfg.devices()
+	for _, devName := range devices {
+		if _, ok := gpu.ProfileByName(devName); !ok {
+			return sched.Spec{}, nil, fmt.Errorf("tuning: unknown device %q", devName)
+		}
+	}
+	families := Families()
+	famEnvs := make([][]harness.Params, len(families))
+	n := 0
+	for fi, fam := range families {
+		famEnvs[fi] = environments(fam, cfg)
+		n += len(famEnvs[fi]) * len(devices) * len(tests)
+	}
+	spec := sched.Spec{Name: "tune", Seed: cfg.Seed, Cells: make([]sched.Cell, 0, n)}
+	work := make(map[string]tuningCell, n)
+	for fi, fam := range families {
 		iters := cfg.iterations(fam)
-		for ei, env := range envs {
+		for ei, env := range famEnvs[fi] {
 			envID := fmt.Sprintf("%s-%03d", fam, ei)
-			for _, devName := range cfg.devices() {
-				if _, ok := gpu.ProfileByName(devName); !ok {
-					return sched.Spec{}, nil, fmt.Errorf("tuning: unknown device %q", devName)
-				}
+			for _, devName := range devices {
 				for _, test := range tests {
-					key := fmt.Sprintf("%s/%s/%s", envID, devName, test.Name)
+					key := envID + "/" + devName + "/" + test.Name
 					spec.Cells = append(spec.Cells, sched.Cell{Key: key, Device: devName})
 					work[key] = tuningCell{
 						family: fam, envID: envID, env: env,
