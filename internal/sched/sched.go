@@ -368,8 +368,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	if opts.Cache != nil {
 		digests = spec.cellDigests(opts.CacheSalt)
 	}
-	// Workers claim pending cells from one shared cursor, in spec order:
-	// no feeder goroutine stands between a finished cell and the next.
+	// Workers claim pending[cursor] in turn; see the package comment.
 	var cursor atomic.Int64
 	var abort bool       // fail-fast tripped; guarded by mu
 	var abortCause error // the failure that tripped it; guarded by mu
