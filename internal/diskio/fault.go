@@ -249,6 +249,14 @@ func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
 	return ff.inner.Seek(offset, whence)
 }
 
+// Stat passes through unless the filesystem has crashed.
+func (ff *faultFile) Stat() (os.FileInfo, error) {
+	if ff.fs.frozen() {
+		return nil, pathErr("stat", ff.inner.Name(), ErrCrashed)
+	}
+	return Stat(ff.fs.inner, ff.inner)
+}
+
 // Write is gated; a crash or injected failure tears the write at a
 // split-seed byte offset — the prefix reaches the inner file, the rest
 // never existed.

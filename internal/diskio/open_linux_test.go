@@ -8,20 +8,11 @@ import (
 )
 
 // fcntl reads one descriptor flag word (F_GETFD or F_GETFL) of f
-// without touching its blocking mode, which (*os.File).Fd would.
+// through its Fd method.
 func fcntl(t *testing.T, f File, cmd int) int {
 	t.Helper()
-	rc, err := f.(*os.File).SyscallConn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flags uintptr
-	var errno syscall.Errno
-	if err := rc.Control(func(fd uintptr) {
-		flags, _, errno = syscall.Syscall(syscall.SYS_FCNTL, fd, uintptr(cmd), 0)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	fd := f.(interface{ Fd() uintptr }).Fd()
+	flags, _, errno := syscall.Syscall(syscall.SYS_FCNTL, fd, uintptr(cmd), 0)
 	if errno != 0 {
 		t.Fatal(errno)
 	}
