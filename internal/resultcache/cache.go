@@ -30,9 +30,10 @@
 //     is an optimization, not a dependency.
 //   - Bounded size. A deterministic oldest-first (last-use mtime, path
 //     tiebreak) compaction pass runs at Open when a byte budget is
-//     configured; Get refreshes an entry's mtime so reuse counts as
-//     recency. Without a budget, Open only lists objects/ to sweep
-//     crashed writers' temp files and stats no entry.
+//     configured; Get refreshes an entry's mtime, to within a minute,
+//     so reuse counts as recency. Without a budget, Open only lists
+//     objects/ to sweep crashed writers' temp files and stats no
+//     entry.
 package resultcache
 
 import (
@@ -99,6 +100,14 @@ var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // maxPooledRead bounds the buffers readBufs keeps, so one oversized
 // (typically corrupt) entry does not pin its memory for the process.
 const maxPooledRead = 64 << 10
+
+// recencyGrain is how old an entry's mtime must be before a hit
+// touches it. Compaction orders entries by mtime, so recency stays
+// exact to within the grain, while a campaign re-run within a minute
+// of its entries' last use makes no metadata write. A rule keyed to
+// the cache's Open would not help such re-runs: each opens its own
+// cache, after the previous run's touches.
+const recencyGrain = time.Minute
 
 // Options configures a cache.
 type Options struct {
@@ -215,6 +224,12 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		}
 	}()
 	_, err = buf.ReadFrom(io.LimitReader(f, maxEntryBytes+1))
+	var mtime time.Time // zero, and so touched, when the fstat fails
+	if err == nil {
+		if info, serr := diskio.Stat(c.fsys, f); serr == nil {
+			mtime = info.ModTime()
+		}
+	}
 	f.Close()
 	if err != nil {
 		if diskio.IsStorageErr(err) {
@@ -235,11 +250,13 @@ func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
 		return nil, false, true
 	}
 	// Refresh recency so the compaction pass sees reuse, not just
-	// publication age. Best-effort: a failed touch costs eviction
+	// publication age, unless the entry was stamped within the last
+	// recencyGrain. Best-effort: a failed touch costs eviction
 	// fidelity, never correctness.
-	t := c.clk.Now()
-	if err := c.fsys.Chtimes(path, t, t); err != nil && diskio.IsStorageErr(err) {
-		c.degrade(err)
+	if t := c.clk.Now(); t.Sub(mtime) >= recencyGrain {
+		if err := c.fsys.Chtimes(path, t, t); err != nil && diskio.IsStorageErr(err) {
+			c.degrade(err)
+		}
 	}
 	c.count(&c.hits)
 	return bytes.Clone(payload), true, false

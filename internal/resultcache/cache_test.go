@@ -367,6 +367,69 @@ func TestCompactionDeterministic(t *testing.T) {
 	}
 }
 
+// chtimesCountingFS counts Chtimes calls through the cache's
+// filesystem seam.
+type chtimesCountingFS struct {
+	diskio.FS
+	chtimes atomic.Int64
+}
+
+func (f *chtimesCountingFS) Chtimes(name string, atime, mtime time.Time) error {
+	f.chtimes.Add(1)
+	return f.FS.Chtimes(name, atime, mtime)
+}
+
+// TestCacheRecencyGrain: a hit touches its entry only when the entry's
+// mtime is at least recencyGrain older than now. A hit inside the grain
+// (or on an entry stamped in the future) leaves the mtime alone and
+// makes no metadata write; a hit after it stamps now.
+func TestCacheRecencyGrain(t *testing.T) {
+	dir := t.TempDir()
+	start := time.Unix(1_700_000_000, 0)
+	clk := clock.NewFake(start)
+	fsys := &chtimesCountingFS{FS: diskio.OS{}}
+	c := mustOpen(t, dir, Options{FS: fsys, Clock: clk})
+	k := key("recency")
+	path := filepath.Join(dir, objectsDir, k)
+	c.Put(k, []byte(`{"v":1}`))
+	if n := fsys.chtimes.Load(); n != 1 {
+		t.Fatalf("Put made %d Chtimes calls, want 1", n)
+	}
+	hit := func(wantTouches int64, wantMtime time.Time) {
+		t.Helper()
+		before := fsys.chtimes.Load()
+		if _, hit, _ := c.Get(k); !hit {
+			t.Fatal("Get missed")
+		}
+		if n := fsys.chtimes.Load() - before; n != wantTouches {
+			t.Fatalf("hit at %v made %d Chtimes calls, want %d", clk.Now().Sub(start), n, wantTouches)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.ModTime().Equal(wantMtime) {
+			t.Fatalf("mtime %v, want %v", info.ModTime(), wantMtime)
+		}
+	}
+	hit(0, start)
+	clk.Advance(recencyGrain - time.Nanosecond)
+	hit(0, start)
+	clk.Advance(time.Nanosecond)
+	hit(1, clk.Now())
+	stamped := clk.Now()
+	clk.Advance(30 * time.Second)
+	hit(0, stamped)
+	clk.Advance(time.Hour)
+	hit(1, clk.Now())
+
+	future := clk.Now().Add(time.Hour)
+	if err := os.Chtimes(path, future, future); err != nil {
+		t.Fatal(err)
+	}
+	hit(0, future)
+}
+
 func TestTmpLeftoversRemovedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	mustOpen(t, dir, Options{})
@@ -431,7 +494,9 @@ func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 }
 
 // BenchmarkCacheGetHit measures one verified warm hit — open, read,
-// layout and digest check, recency touch — on two entry shapes: a
+// fstat, layout and digest check — on two entry shapes. Its repeated
+// hits fall inside the recency grain of the entry's Put, so none of
+// them touches the entry's mtime. The shapes are a
 // whole tuning record (about 790 bytes), as tuning cells cached before
 // they cached only their measurement, and a tuning measurement (about
 // 290 bytes), the entry a tuning cell caches today.
