@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +98,7 @@ func (s *Spec) Validate() error {
 // function of (seed, campaign name, cell key, attempt): retries draw
 // fresh randomness, but nothing depends on scheduling order.
 func (s *Spec) CellRand(key string, attempt int) *xrand.Rand {
-	return xrand.NewFromPath(s.Seed, s.Name, key, fmt.Sprintf("attempt-%d", attempt))
+	return xrand.NewFromPath(s.Seed, s.Name, key, "attempt-"+strconv.Itoa(attempt))
 }
 
 // RetryBackoff returns the wait before retrying the operation named by
@@ -109,7 +110,7 @@ func (s *Spec) CellRand(key string, attempt int) *xrand.Rand {
 // while staying a pure function of (seed, name, key, attempt), so the
 // schedules are reproducible run to run.
 func (s *Spec) RetryBackoff(key string, attempt int, base time.Duration) time.Duration {
-	u := xrand.NewFromPath(s.Seed, s.Name, key, fmt.Sprintf("backoff-%d", attempt)).Float64()
+	u := xrand.NewFromPath(s.Seed, s.Name, key, "backoff-"+strconv.Itoa(attempt)).Float64()
 	return clock.Backoff(base, 0, attempt, u)
 }
 
@@ -348,7 +349,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 		if opts.Checkpoint != nil {
 			if raw, done := opts.Checkpoint.Done(cell.Key); done {
 				var v R
-				if err := json.Unmarshal(raw, &v); err != nil {
+				if err := decodeValue(raw, &v); err != nil {
 					return nil, fmt.Errorf("sched: checkpoint replay of %s: %w", cell.Key, err)
 				}
 				rep.Results[i].Value = v
@@ -440,7 +441,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					payload, hit, corrupt := opts.Cache.Get(cacheDigest)
 					if hit {
 						var v R
-						if uerr := json.Unmarshal(payload, &v); uerr != nil {
+						if uerr := decodeValue(payload, &v); uerr != nil {
 							// The envelope verified but the value no longer
 							// decodes as R: the result type moved underneath
 							// the cache. Same remedy as corruption.
@@ -606,6 +607,18 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 		return rep, syncErr
 	}
 	return rep, nil
+}
+
+// decodeValue decodes a checkpointed or cached cell value. A value
+// type with its own UnmarshalJSON is called directly, skipping
+// encoding/json's validity scan of the bytes, so such a method must
+// reject invalid JSON itself (tuning.Measurement's hands anything
+// outside its layout to json.Unmarshal).
+func decodeValue[R any](data []byte, v *R) error {
+	if u, ok := any(v).(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(data)
+	}
+	return json.Unmarshal(data, v)
 }
 
 // isContextErr reports whether err carries a context cancellation or

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/xrand"
 )
 
@@ -242,6 +244,25 @@ func TestOnCellStartAndReporter(t *testing.T) {
 	for _, want := range []string{"unit: 12/12 cells", "cells/s", "instances/s", "util", "AMD", "Intel", "done"} {
 		if !strings.Contains(last, want) {
 			t.Errorf("final line missing %q: %s", want, last)
+		}
+	}
+}
+
+// TestCellRandPathElements: CellRand and RetryBackoff derive from the
+// path elements "attempt-N" and "backoff-N" exactly as the
+// fmt.Sprintf("attempt-%d") and fmt.Sprintf("backoff-%d") forms every
+// checkpoint, cache key and golden was recorded with.
+func TestCellRandPathElements(t *testing.T) {
+	spec := testSpec(1)
+	const base = 50 * time.Millisecond
+	for attempt := 0; attempt <= 1000; attempt++ {
+		want := xrand.NewFromPath(spec.Seed, spec.Name, "cell-000", fmt.Sprintf("attempt-%d", attempt)).Uint64()
+		if got := spec.CellRand("cell-000", attempt).Uint64(); got != want {
+			t.Fatalf("attempt %d: CellRand drew %#x, the Sprintf path %#x", attempt, got, want)
+		}
+		u := xrand.NewFromPath(spec.Seed, spec.Name, "cell-000", fmt.Sprintf("backoff-%d", attempt)).Float64()
+		if got, want := spec.RetryBackoff("cell-000", attempt, base), clock.Backoff(base, 0, attempt, u); got != want {
+			t.Fatalf("attempt %d: RetryBackoff %v, the Sprintf path %v", attempt, got, want)
 		}
 	}
 }
