@@ -245,8 +245,8 @@ func TestCampaignRepeatByteIdentical(t *testing.T) {
 // TestBuildCampaignKeysAndOrder: the planned cells are the
 // (family, environment, device, test) product in record order, each
 // key byte-identical to its fmt.Sprintf("%s/%s/%s") form, with its
-// work order under the same key; the plan is sized exactly; and an
-// unknown device is refused.
+// work order under the same key and at the same position; the plan is
+// sized exactly; and an unknown device is refused.
 func TestBuildCampaignKeysAndOrder(t *testing.T) {
 	cfg, tests := campaignConfig()
 	cfg.Devices = nil // the default fleet
@@ -267,7 +267,10 @@ func TestBuildCampaignKeysAndOrder(t *testing.T) {
 					if c := spec.Cells[i]; c.Key != key || c.Device != dev {
 						t.Fatalf("cell %d = %+v, want key %q on %s", i, c, key, dev)
 					}
-					w := work[key]
+					w, ok := work.get(key)
+					if !ok || w != &work.cells[i] {
+						t.Fatalf("work of %s is not work order %d", key, i)
+					}
 					if w.family != fam || w.envID != envID || w.device != dev || w.test != test || w.iters != cfg.iterations(fam) {
 						t.Fatalf("work of %s: %+v", key, w)
 					}
@@ -276,8 +279,9 @@ func TestBuildCampaignKeysAndOrder(t *testing.T) {
 			}
 		}
 	}
-	if len(spec.Cells) != i || cap(spec.Cells) != i || len(work) != i {
-		t.Fatalf("plan: %d cells (cap %d), %d work orders, want %d", len(spec.Cells), cap(spec.Cells), len(work), i)
+	if len(spec.Cells) != i || cap(spec.Cells) != i || len(work.cells) != i || cap(work.cells) != i || len(work.index) != i {
+		t.Fatalf("plan: %d cells (cap %d), %d work orders (cap %d, %d indexed), want %d",
+			len(spec.Cells), cap(spec.Cells), len(work.cells), cap(work.cells), len(work.index), i)
 	}
 
 	cfg.Devices = []string{"AMD", "NoSuchGPU"}

@@ -505,9 +505,27 @@ type tuningCell struct {
 	iters  int
 }
 
-// buildCampaign expands the config into the scheduler spec and the
-// per-key work map. Cell order is the dataset's record order.
-func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tuningCell, error) {
+// cellWork holds the campaign's work orders: one per cell, in spec
+// order, found by cell key through index. A map of tuningCell values
+// would allocate every slot, the value being over the map's inline
+// limit.
+type cellWork struct {
+	cells []tuningCell
+	index map[string]int32
+}
+
+// get returns the work order of the cell under key.
+func (w *cellWork) get(key string) (*tuningCell, bool) {
+	i, ok := w.index[key]
+	if !ok {
+		return nil, false
+	}
+	return &w.cells[i], true
+}
+
+// buildCampaign expands the config into the scheduler spec and its
+// work orders. Cell order is the dataset's record order.
+func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, *cellWork, error) {
 	devices := cfg.devices()
 	for _, devName := range devices {
 		if _, ok := gpu.ProfileByName(devName); !ok {
@@ -522,7 +540,7 @@ func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tu
 		n += len(famEnvs[fi]) * len(devices) * len(tests)
 	}
 	spec := sched.Spec{Name: "tune", Seed: cfg.Seed, Cells: make([]sched.Cell, 0, n)}
-	work := make(map[string]tuningCell, n)
+	work := &cellWork{cells: make([]tuningCell, 0, n), index: make(map[string]int32, n)}
 	for fi, fam := range families {
 		iters := cfg.iterations(fam)
 		for ei, env := range famEnvs[fi] {
@@ -531,10 +549,11 @@ func buildCampaign(cfg *Config, tests []*litmus.Test) (sched.Spec, map[string]tu
 				for _, test := range tests {
 					key := envID + "/" + devName + "/" + test.Name
 					spec.Cells = append(spec.Cells, sched.Cell{Key: key, Device: devName})
-					work[key] = tuningCell{
+					work.index[key] = int32(len(work.cells))
+					work.cells = append(work.cells, tuningCell{
 						family: fam, envID: envID, env: env,
 						device: devName, test: test, iters: iters,
-					}
+					})
 				}
 			}
 		}
@@ -559,7 +578,7 @@ type Measurement struct {
 
 // measure runs the cell on the given (possibly warm) runner, writing
 // into the caller's reusable Result.
-func measure(ctx context.Context, w tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (Measurement, error) {
+func measure(ctx context.Context, w *tuningCell, runner *harness.Runner, res *harness.Result, rng *xrand.Rand) (Measurement, error) {
 	if err := runner.RunInto(ctx, res, w.test, w.iters, rng); err != nil {
 		return Measurement{}, fmt.Errorf("tuning: %s/%s/%s: %w", w.envID, w.device, w.test.Name, err)
 	}
@@ -575,7 +594,7 @@ func measure(ctx context.Context, w tuningCell, runner *harness.Runner, res *har
 }
 
 // record assembles the cell's dataset record from its measurement.
-func (w tuningCell) record(m Measurement) Record {
+func (w *tuningCell) record(m Measurement) Record {
 	return Record{
 		Family:      w.family.String(),
 		EnvID:       w.envID,
@@ -621,7 +640,7 @@ func newRunner(k runnerKey) (*harness.Runner, error) {
 // ordered (family, environment, device, test), so a worker sees long
 // runs of one key — and one reused Result, so cells on a warm runner
 // run allocation-free.
-func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sched.Exec[Measurement] {
+func newWorkerExec(work *cellWork, faults *gpu.FaultModel) func() sched.Exec[Measurement] {
 	var fm gpu.FaultModel
 	if faults != nil {
 		fm = *faults
@@ -630,7 +649,7 @@ func newWorkerExec(work map[string]tuningCell, faults *gpu.FaultModel) func() sc
 		warm := harness.WarmRunner[runnerKey]{New: newRunner}
 		var res harness.Result
 		return func(ctx context.Context, c sched.Cell, rng *xrand.Rand) (Measurement, error) {
-			w, ok := work[c.Key]
+			w, ok := work.get(c.Key)
 			if !ok {
 				return Measurement{}, fmt.Errorf("tuning: unknown cell %q", c.Key)
 			}
@@ -655,7 +674,7 @@ type Campaign struct {
 	// and it is the manifest the run's checkpoint carries.
 	Spec sched.Spec
 	cfg  Config
-	work map[string]tuningCell
+	work *cellWork
 }
 
 // PlanCampaign expands the config and tests into the study's campaign
@@ -761,7 +780,8 @@ func (c *Campaign) Dataset(rep *sched.Report[Measurement], interrupted bool) *Da
 				Attempts:    cr.Attempts,
 			})
 		default:
-			ds.Records = append(ds.Records, c.work[cr.Cell.Key].record(cr.Value))
+			w, _ := c.work.get(cr.Cell.Key)
+			ds.Records = append(ds.Records, w.record(cr.Value))
 		}
 	}
 	return ds
