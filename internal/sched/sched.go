@@ -609,14 +609,22 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	return rep, nil
 }
 
-// decodeValue decodes a checkpointed or cached cell value. A value
-// type with its own UnmarshalJSON is called directly, skipping
-// encoding/json's validity scan of the bytes, so such a method must
-// reject invalid JSON itself (tuning.Measurement's hands anything
-// outside its layout to json.Unmarshal).
+// CellDecoder is implemented by a cell value type that decodes its
+// own checkpointed and cached bytes. The scheduler calls DecodeCell in
+// place of json.Unmarshal, and so without encoding/json's validity
+// scan: DecodeCell must fail on every input json.Unmarshal fails on
+// and decode every other input to the value json.Unmarshal would. A
+// type with only an UnmarshalJSON method still goes through
+// json.Unmarshal, because encoding/json lets that method assume its
+// input is valid JSON.
+type CellDecoder interface {
+	DecodeCell(data []byte) error
+}
+
+// decodeValue decodes a checkpointed or cached cell value.
 func decodeValue[R any](data []byte, v *R) error {
-	if u, ok := any(v).(json.Unmarshaler); ok {
-		return u.UnmarshalJSON(data)
+	if d, ok := any(v).(CellDecoder); ok {
+		return d.DecodeCell(data)
 	}
 	return json.Unmarshal(data, v)
 }

@@ -267,6 +267,34 @@ func TestCellRandPathElements(t *testing.T) {
 	}
 }
 
+// laxValue has an UnmarshalJSON that, as encoding/json permits,
+// trusts its input to be valid JSON.
+type laxValue struct{ raw string }
+
+func (v *laxValue) UnmarshalJSON(data []byte) error { v.raw = string(data); return nil }
+
+// ownDecoder opts into direct decoding by implementing CellDecoder.
+type ownDecoder struct{ raw string }
+
+func (v *ownDecoder) DecodeCell(data []byte) error { v.raw = string(data); return nil }
+
+// TestDecodeValueCallsOnlyCellDecoders: a value type's UnmarshalJSON
+// still runs behind encoding/json's validity scan, so invalid bytes
+// fail; only a CellDecoder is handed the bytes directly.
+func TestDecodeValueCallsOnlyCellDecoders(t *testing.T) {
+	var lax laxValue
+	if err := decodeValue([]byte(`{"a":`), &lax); err == nil {
+		t.Fatalf("invalid JSON decoded into %q, want a syntax error", lax.raw)
+	}
+	if err := decodeValue([]byte(`{"a":1}`), &lax); err != nil || lax.raw != `{"a":1}` {
+		t.Fatalf("valid JSON: %q, %v", lax.raw, err)
+	}
+	var own ownDecoder
+	if err := decodeValue([]byte(`{"a":`), &own); err != nil || own.raw != `{"a":` {
+		t.Fatalf("CellDecoder was not called directly: %q, %v", own.raw, err)
+	}
+}
+
 func TestCellRandIndependentOfOrder(t *testing.T) {
 	spec := testSpec(2)
 	a1 := spec.CellRand("cell-000", 0).Uint64()

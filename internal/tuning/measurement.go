@@ -3,6 +3,8 @@ package tuning
 import (
 	"encoding/json"
 	"strconv"
+
+	"repro/internal/sched"
 )
 
 // measurementJSON is Measurement without its UnmarshalJSON method: the
@@ -16,8 +18,8 @@ type measurementJSON Measurement
 // encoding/json makes. Any other input goes to encoding/json: leading
 // or inner whitespace, another key order, unknown or repeated keys, a
 // whole checkpointed Record, null, or a number an int or float64 cannot
-// hold. The direct parse accepts only valid JSON, so a caller may skip
-// encoding/json's validity scan and call the method itself.
+// hold. The direct parse accepts only valid JSON, so the method may
+// also be called without encoding/json's validity scan.
 func (m *Measurement) UnmarshalJSON(data []byte) error {
 	if v, ok := m.decodeLayout(data); ok {
 		*m = v
@@ -25,6 +27,13 @@ func (m *Measurement) UnmarshalJSON(data []byte) error {
 	}
 	return json.Unmarshal(data, (*measurementJSON)(m))
 }
+
+// DecodeCell is UnmarshalJSON: the scheduler decodes checkpointed and
+// cached measurements with it, without encoding/json's validity scan.
+// FuzzMeasurementDecode holds it to sched.CellDecoder's contract.
+func (m *Measurement) DecodeCell(data []byte) error { return m.UnmarshalJSON(data) }
+
+var _ sched.CellDecoder = (*Measurement)(nil)
 
 // decodeLayout parses data in json.Marshal's layout into a copy of m,
 // so an absent discarded keeps m's value, as encoding/json keeps it.
