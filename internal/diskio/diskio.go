@@ -15,8 +15,8 @@
 //
 // The real filesystem opens files as bare descriptors on Linux rather
 // than as *os.File values: no network-poller registration, no
-// finalizer, no fcntl. A warm result-cache hit costs one openat, two
-// reads, one fstat and one close.
+// finalizer, no fcntl. A warm result-cache hit inside the cache's
+// recency grain costs one openat, two reads, one fstat and one close.
 //
 // The package also defines the error taxonomy the storage layer's
 // graceful degradation relies on: IsStorageErr recognizes the

@@ -36,7 +36,8 @@ func openFile(name string, flag int, perm os.FileMode) (File, error) {
 // as io.EOF, errors are *os.PathError under os.File's Op names, and
 // after Close every call fails matching os.ErrClosed. Unlike an
 // *os.File it has no finalizer, so an fdFile that is never closed leaks
-// its descriptor, and it is for one goroutine at a time.
+// its descriptor; it is for one goroutine at a time, Close included;
+// and net/http copies it through a buffer, not with sendfile.
 type fdFile struct {
 	fd   int // -1 once closed
 	name string

@@ -102,10 +102,17 @@ var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 const maxPooledRead = 64 << 10
 
 // recencyGrain is how old an entry's mtime must be before a hit
-// touches it. Compaction orders entries by mtime, so recency stays
-// exact to within the grain, while a campaign re-run within a minute
-// of its entries' last use makes no metadata write. A rule keyed to
-// the cache's Open would not help such re-runs: each opens its own
+// touches it, so an mtime trails its entry's last use by less than the
+// grain. Compaction, the only reader of these mtimes, runs at a
+// budgeted Open, so it chooses between the entries of earlier runs:
+// it still orders two runs' entries by their last use whenever the
+// runs lie at least a grain apart, and runs closer together than that
+// have both just used their entries. A minute is far longer than the
+// gap between back-to-back warm runs (milliseconds to seconds), which
+// then make no metadata write, and far shorter than the gap between
+// sessions that a budget must tell apart. A hit past the grain pays
+// the fstat that reads the mtime as well as the touch. A rule keyed
+// to the cache's Open would not help re-runs: each opens its own
 // cache, after the previous run's touches.
 const recencyGrain = time.Minute
 
