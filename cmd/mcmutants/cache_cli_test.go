@@ -112,6 +112,9 @@ func TestCampaignCacheWarmRerunByteIdentical(t *testing.T) {
 				t.Fatal("warm cached artifact differs from the cache-off artifact")
 			}
 			noTmpResidue(t, filepath.Join(cacheDir, "objects"))
+			if ents, err := os.ReadDir(filepath.Join(cacheDir, "tmp")); err != nil || len(ents) != 0 {
+				t.Fatalf("cache tmp/ not empty after publication: %v %v", ents, err)
+			}
 		})
 	}
 }

@@ -16,7 +16,8 @@
 // The real filesystem opens files as bare descriptors on Linux rather
 // than as *os.File values: no network-poller registration, no
 // finalizer, no fcntl. A warm result-cache hit inside the cache's
-// recency grain costs one openat, two reads, one fstat and one close.
+// recency grain costs one openat, one fstat, one read of exactly the
+// size the fstat reported, and one close.
 //
 // The package also defines the error taxonomy the storage layer's
 // graceful degradation relies on: IsStorageErr recognizes the
@@ -150,15 +151,24 @@ func IsStorageErr(err error) bool {
 }
 
 // WriteAtomic publishes a file at path with all-or-nothing visibility:
-// the content is written to a sibling temp file, fsynced, renamed over
-// path, and the containing directory fsynced. A reader — or a process
-// that crashes at any instant — observes either the complete previous
-// content or the complete new content, never a partial artifact.
+// the content is written to the sibling temp file path+".tmp",
+// fsynced, renamed over path, and the containing directory fsynced. A
+// reader — or a process that crashes at any instant — observes either
+// the complete previous content or the complete new content, never a
+// partial artifact.
 //
 // write receives the temp file; any error it returns aborts the
 // publication and removes the temp file, leaving path untouched.
 func WriteAtomic(fsys FS, path string, write func(w io.Writer) error) error {
-	tmp := path + ".tmp"
+	return WriteAtomicVia(fsys, path+".tmp", path, write)
+}
+
+// WriteAtomicVia is WriteAtomic through the temp file tmp, which must
+// lie on path's filesystem but may sit in another directory, so that a
+// crashed writer's leftover is found without listing path's directory.
+// Only path's directory is fsynced: a rename that is lost in a crash
+// leaves tmp behind, never a partial path.
+func WriteAtomicVia(fsys FS, tmp, path string, write func(w io.Writer) error) error {
 	f, err := Create(fsys, tmp)
 	if err != nil {
 		return fmt.Errorf("diskio: create %s: %w", tmp, err)

@@ -7,6 +7,10 @@
 // the scheduler computes (package sched); the store never interprets
 // them.
 //
+// A cache root holds three directories: objects/ (one file per
+// published entry, named by its key), corrupt/ (quarantined entries)
+// and tmp/ (entries being written).
+//
 // The cache is built as a robustness subsystem first and an
 // optimization second. Its contract:
 //
@@ -15,14 +19,16 @@
 //     and checked against the same constants and re-checked on every
 //     Get. A torn write, bit rot, version skew, a misfiled or
 //     hand-edited entry — even one re-laid-out as equivalent JSON — is
-//     detected, quarantined into a corrupt/ sidecar directory, and
-//     reported as a miss — never as an error and never as data.
-//   - Crash-safe publication. Entries are published with
-//     diskio.WriteFileAtomic (temp → fsync → rename → dir fsync), so a
-//     reader or a crash observes a complete entry or none. Concurrent
-//     writers of the same key race safely: the first published entry
-//     wins, later writers see it and stand down, and a cross-process
-//     tear that slips through the race is caught by verify-on-read.
+//     detected, quarantined into corrupt/, and reported as a miss —
+//     never as an error and never as data.
+//   - Crash-safe publication. Put writes an entry to tmp/<key>, fsyncs
+//     it, renames it to objects/<key> and fsyncs objects/
+//     (diskio.WriteAtomicVia), so a reader or a crash observes a
+//     complete entry or none, and a crashed writer leaves its temp file
+//     in tmp/. Concurrent writers of the same key race safely: the
+//     first published entry wins, later writers see it and stand down,
+//     and a cross-process tear that slips through the race is caught by
+//     verify-on-read.
 //   - Degrade to recompute. ENOSPC/EIO on any cache I/O flips a sticky
 //     pass-through degradation: every later Get is a miss and every Put
 //     a no-op, the campaign recomputes what it would have reused, and
@@ -31,9 +37,13 @@
 //   - Bounded size. A deterministic oldest-first (last-use mtime, path
 //     tiebreak) compaction pass runs at Open when a byte budget is
 //     configured; Get refreshes an entry's mtime, to within a minute,
-//     so reuse counts as recency. Without a budget, Open only lists
-//     objects/ to sweep crashed writers' temp files and stats no
-//     entry.
+//     so reuse counts as recency. Every Open sweeps tmp/, and only a
+//     budgeted Open lists objects/, so a budget-free Open costs the
+//     same whatever the store holds.
+//
+// A warm hit inside the recency grain makes four system calls on
+// Linux: the open of its entry, an fstat, one read of exactly the size
+// the fstat reported, and the close.
 package resultcache
 
 import (
@@ -49,6 +59,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -62,14 +73,17 @@ const FormatVersion = 1
 
 // maxEntryBytes bounds how large an entry Get will read — symmetric
 // with the checkpoint's record limit, and a backstop against a
-// corrupted length landing the reader in gigabytes of garbage.
+// corrupted length landing the reader in gigabytes of garbage. A
+// larger file is quarantined unread.
 const maxEntryBytes = 1 << 26
 
-// objectsDir and corruptDir are the two populations under the cache
-// root: verified-publishable entries and quarantined evidence.
+// objectsDir, corruptDir and tmpDir are the three directories under
+// the cache root: verified-publishable entries, quarantined evidence,
+// and entries being written.
 const (
 	objectsDir = "objects"
 	corruptDir = "corrupt"
+	tmpDir     = "tmp"
 )
 
 // An entry is one JSON object in exactly this layout:
@@ -95,7 +109,7 @@ const (
 // readBufs recycles Get's read buffers. A hit copies its payload out,
 // so no buffer outlives the call, and each settles at the size of the
 // entries it reads: a warm run reads without allocating one.
-var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledRead bounds the buffers readBufs keeps, so one oversized
 // (typically corrupt) entry does not pin its memory for the process.
@@ -110,10 +124,9 @@ const maxPooledRead = 64 << 10
 // have both just used their entries. A minute is far longer than the
 // gap between back-to-back warm runs (milliseconds to seconds), which
 // then make no metadata write, and far shorter than the gap between
-// sessions that a budget must tell apart. A hit past the grain pays
-// the fstat that reads the mtime as well as the touch. A rule keyed
-// to the cache's Open would not help re-runs: each opens its own
-// cache, after the previous run's touches.
+// sessions that a budget must tell apart. A rule keyed to the cache's
+// Open would not help re-runs: each opens its own cache, after the
+// previous run's touches.
 const recencyGrain = time.Minute
 
 // Options configures a cache.
@@ -128,7 +141,12 @@ type Options struct {
 	Clock clock.Clock
 }
 
-// Stats is a point-in-time counter snapshot.
+// Stats is a counter snapshot. Each field is exact when it is read,
+// but the fields are read one after another: a snapshot taken while
+// other goroutines use the cache may count an operation that finished
+// during the snapshot in some fields and not others, and never counts
+// one that has not finished. Once every call has returned, a snapshot
+// is exact.
 type Stats struct {
 	Hits    int64 // verified entries served
 	Misses  int64 // lookups with no entry (or a degraded cache)
@@ -143,33 +161,33 @@ type Stats struct {
 
 // Cache is a content-addressed result store rooted at one directory.
 // All methods are safe for concurrent use and none of them ever
-// returns an error: every failure mode resolves to "recompute".
+// returns an error: every failure mode resolves to "recompute". Gets
+// share no lock: the counters and the degradation are atomic.
 type Cache struct {
 	fsys diskio.FS
-	dir  string
 	clk  clock.Clock
+	// objects, corrupt and tmp are the root's three directories,
+	// joined once at Open.
+	objects, corrupt, tmp string
 
 	// locks serializes in-process same-key publication (64 stripes by
 	// the key's first hex byte). Cross-process races are resolved by
 	// first-wins rename plus verify-on-read.
 	locks [64]sync.Mutex
 
-	mu       sync.Mutex
-	degraded error
-	hits     int64
-	misses   int64
-	corrupt  int64
-	puts     int64
-	evicted  int64
+	// degraded holds the first storage error, once there is one.
+	degraded atomic.Pointer[error]
+
+	hits, misses, corrupted, puts, evicted atomic.Int64
 }
 
-// Open roots a cache at dir, creating its layout and running the
-// size-budget compaction pass. A storage error (ENOSPC/EIO) during
-// setup yields a usable cache already in its degraded pass-through
-// state — a full disk must not fail the campaign — while any other
-// error (permissions, a file where the directory should be) is
-// returned, so misconfiguration fails fast instead of silently running
-// uncached.
+// Open roots a cache at dir, creating its layout, sweeping tmp/ and,
+// under a byte budget, running the compaction pass. A storage error
+// (ENOSPC/EIO) during setup yields a usable cache already in its
+// degraded pass-through state — a full disk must not fail the campaign
+// — while any other error (permissions, a file where the directory
+// should be) is returned, so misconfiguration fails fast instead of
+// silently running uncached.
 func Open(dir string, opts Options) (*Cache, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -179,94 +197,114 @@ func Open(dir string, opts Options) (*Cache, error) {
 	if clk == nil {
 		clk = clock.System{}
 	}
-	c := &Cache{fsys: fsys, dir: dir, clk: clk}
-	for _, sub := range []string{objectsDir, corruptDir} {
-		if err := fsys.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			if diskio.IsStorageErr(err) {
-				c.degrade(err)
-				return c, nil
-			}
-			return nil, fmt.Errorf("resultcache: open %s: %w", dir, err)
+	c := &Cache{
+		fsys:    fsys,
+		clk:     clk,
+		objects: filepath.Join(dir, objectsDir),
+		corrupt: filepath.Join(dir, corruptDir),
+		tmp:     filepath.Join(dir, tmpDir),
+	}
+	var err error
+	for _, sub := range []string{c.objects, c.corrupt, c.tmp} {
+		if err = fsys.MkdirAll(sub, 0o755); err != nil {
+			break
 		}
 	}
-	if err := c.compact(opts.MaxBytes); err != nil {
-		if diskio.IsStorageErr(err) {
-			c.degrade(err)
+	if err == nil {
+		err = c.sweep()
+	}
+	if err == nil && opts.MaxBytes > 0 {
+		err = c.compact(opts.MaxBytes)
+	}
+	if err != nil {
+		if c.fault(err) {
 			return c, nil
 		}
-		return nil, fmt.Errorf("resultcache: compact %s: %w", dir, err)
+		return nil, fmt.Errorf("resultcache: open %s: %w", dir, err)
 	}
 	return c, nil
 }
 
-// objectPath is where key's entry lives.
-func (c *Cache) objectPath(key string) string {
-	return filepath.Join(c.dir, objectsDir, key)
+// join is filepath.Join for a clean directory and a bare file name,
+// without the re-cleaning.
+func join(dir, name string) string {
+	return dir + string(filepath.Separator) + name
 }
 
 // Get returns the verified payload cached under key. hit reports a
 // verified entry; corrupt reports that an entry existed but failed
 // verification and was quarantined (the caller should count it and
-// recompute). Get never returns an error: unreadable entries are
-// misses, and a storage error flips the sticky degradation.
+// recompute). Get never returns an error: a key that is not lowercase
+// hex, as Put publishes, and an unreadable entry are misses, and a
+// storage error flips the sticky degradation.
 func (c *Cache) Get(key string) (payload []byte, hit bool, corrupt bool) {
-	if c.Degraded() != nil {
-		c.count(&c.misses)
-		return nil, false, false
+	if !hexKey(key) || c.Degraded() != nil {
+		return c.miss(nil)
 	}
-	path := c.objectPath(key)
+	path := join(c.objects, key)
 	f, err := diskio.Open(c.fsys, path)
 	if err != nil {
-		if diskio.IsStorageErr(err) {
-			c.degrade(err)
-		}
-		c.count(&c.misses)
-		return nil, false, false
+		return c.miss(err)
 	}
-	buf := readBufs.Get().(*bytes.Buffer)
+	info, err := diskio.Stat(c.fsys, f)
+	if err != nil {
+		f.Close()
+		return c.miss(err)
+	}
+	if info.Size() > maxEntryBytes {
+		f.Close()
+		return c.reject(key)
+	}
+	bp := readBufs.Get().(*[]byte)
 	defer func() {
-		if buf.Cap() <= maxPooledRead {
-			buf.Reset()
-			readBufs.Put(buf)
+		if cap(*bp) <= maxPooledRead {
+			readBufs.Put(bp)
 		}
 	}()
-	_, err = buf.ReadFrom(io.LimitReader(f, maxEntryBytes+1))
-	var mtime time.Time // zero, and so touched, when the fstat fails
-	if err == nil {
-		if info, serr := diskio.Stat(c.fsys, f); serr == nil {
-			mtime = info.ModTime()
-		}
+	n := int(info.Size())
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
 	}
+	data := (*bp)[:n]
+	_, err = io.ReadFull(f, data)
 	f.Close()
 	if err != nil {
 		if diskio.IsStorageErr(err) {
-			c.degrade(err)
-			c.count(&c.misses)
-			return nil, false, false
+			return c.miss(err)
 		}
 		// A short or failed read of an existing entry is treated as
 		// corruption: quarantine it so the next run is not haunted too.
-		c.quarantine(path)
-		c.count(&c.corrupt)
-		return nil, false, true
+		return c.reject(key)
 	}
-	payload, ok := verify(key, buf.Bytes())
+	payload, ok := verify(key, data)
 	if !ok {
-		c.quarantine(path)
-		c.count(&c.corrupt)
-		return nil, false, true
+		return c.reject(key)
 	}
 	// Refresh recency so the compaction pass sees reuse, not just
 	// publication age, unless the entry was stamped within the last
 	// recencyGrain. Best-effort: a failed touch costs eviction
 	// fidelity, never correctness.
-	if t := c.clk.Now(); t.Sub(mtime) >= recencyGrain {
-		if err := c.fsys.Chtimes(path, t, t); err != nil && diskio.IsStorageErr(err) {
-			c.degrade(err)
-		}
+	if t := c.clk.Now(); t.Sub(info.ModTime()) >= recencyGrain {
+		c.fault(c.fsys.Chtimes(path, t, t))
 	}
-	c.count(&c.hits)
+	c.hits.Add(1)
 	return bytes.Clone(payload), true, false
+}
+
+// miss counts a lookup that served nothing, degrading the cache when
+// err is a storage error, and returns Get's miss.
+func (c *Cache) miss(err error) ([]byte, bool, bool) {
+	c.fault(err)
+	c.misses.Add(1)
+	return nil, false, false
+}
+
+// reject quarantines key's entry, counts it and returns Get's corrupt
+// result.
+func (c *Cache) reject(key string) ([]byte, bool, bool) {
+	c.quarantine(key)
+	c.corrupted.Add(1)
+	return nil, false, true
 }
 
 // envelope appends the entry for key around payload to dst, compacting
@@ -291,15 +329,12 @@ func envelope(dst *bytes.Buffer, key string, payload []byte) (int, error) {
 
 // verify checks data against the layout envelope writes for key and
 // returns the payload bytes. Every integrity claim the publisher
-// embedded is checked: the size bound, the format version, the key
-// and the payload digest. Anything else — including an equivalent JSON
-// document laid out differently — fails. The payload itself is not
-// parsed here: its digest proves it is the bytes Put compacted, and
-// the caller decodes it in full.
+// embedded is checked: the format version, the key and the payload
+// digest (Get has already bounded the size). Anything else — including
+// an equivalent JSON document laid out differently — fails. The
+// payload itself is not parsed here: its digest proves it is the bytes
+// Put compacted, and the caller decodes it in full.
 func verify(key string, data []byte) ([]byte, bool) {
-	if len(data) > maxEntryBytes {
-		return nil, false
-	}
 	head := len(entryFormat) + len(key) + len(entryPayload)
 	if len(data) <= head+entryTail ||
 		string(data[:len(entryFormat)]) != entryFormat ||
@@ -326,26 +361,21 @@ func digest(payload []byte) [2 * sha256.Size]byte {
 	return out
 }
 
-// quarantine moves a failed entry into corrupt/ so it stops poisoning
-// lookups but stays available as evidence. Best-effort on a cache that
-// may itself be dying: a failed rename falls back to removal, and a
-// storage error degrades; an entry that survives both is simply
-// re-quarantined by the next reader.
-func (c *Cache) quarantine(path string) {
-	dst := filepath.Join(c.dir, corruptDir, filepath.Base(path))
-	if err := c.fsys.MkdirAll(filepath.Join(c.dir, corruptDir), 0o755); err == nil {
-		if err := c.fsys.Rename(path, dst); err == nil {
-			return
-		} else if diskio.IsStorageErr(err) {
-			c.degrade(err)
+// quarantine moves key's failed entry into corrupt/ so it stops
+// poisoning lookups but stays available as evidence. Best-effort on a
+// cache that may itself be dying: a failed rename falls back to
+// removal, and a storage error degrades; an entry that survives both
+// is simply re-quarantined by the next reader.
+func (c *Cache) quarantine(key string) {
+	path := join(c.objects, key)
+	err := c.fsys.MkdirAll(c.corrupt, 0o755)
+	if err == nil {
+		if err = c.fsys.Rename(path, join(c.corrupt, key)); err == nil {
 			return
 		}
-	} else if diskio.IsStorageErr(err) {
-		c.degrade(err)
-		return
 	}
-	if err := c.fsys.Remove(path); err != nil && diskio.IsStorageErr(err) {
-		c.degrade(err)
+	if !c.fault(err) {
+		c.fault(c.fsys.Remove(path))
 	}
 }
 
@@ -368,30 +398,30 @@ func (c *Cache) Put(key string, payload []byte) {
 	if err != nil || n > maxEntryBytes/2 {
 		return
 	}
-	data := buf.Bytes()
 	lock := &c.locks[int(key[0])%len(c.locks)]
 	lock.Lock()
 	defer lock.Unlock()
-	path := c.objectPath(key)
+	path := join(c.objects, key)
 	if _, err := c.fsys.Stat(path); err == nil {
 		return // first writer already won
 	}
-	if err := diskio.WriteFileAtomic(c.fsys, path, data); err != nil {
-		if diskio.IsStorageErr(err) {
-			c.degrade(err)
-		}
+	err = diskio.WriteAtomicVia(c.fsys, join(c.tmp, key), path, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
+	if err != nil {
+		c.fault(err)
 		return
 	}
 	t := c.clk.Now()
-	if err := c.fsys.Chtimes(path, t, t); err != nil && diskio.IsStorageErr(err) {
-		c.degrade(err)
-	}
-	c.count(&c.puts)
+	c.fault(c.fsys.Chtimes(path, t, t))
+	c.puts.Add(1)
 }
 
 // hexKey reports whether key is non-empty lowercase hex, the shape of
-// sched's cell digests. Only such keys are published: they need no
-// JSON escaping inside the envelope and are safe as file names.
+// sched's cell digests. Only such keys are published or looked up:
+// they need no JSON escaping inside the envelope and are safe as file
+// names, so no key reaches outside objects/.
 func hexKey(key string) bool {
 	if key == "" {
 		return false
@@ -407,51 +437,68 @@ func hexKey(key string) bool {
 // Degraded returns the sticky storage error that switched the cache to
 // pass-through, or nil while it is healthy.
 func (c *Cache) Degraded() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
+	if err := c.degraded.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // Stats returns a counter snapshot.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s := Stats{
-		Hits:    c.hits,
-		Misses:  c.misses,
-		Corrupt: c.corrupt,
-		Puts:    c.puts,
-		Evicted: c.evicted,
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Corrupt: c.corrupted.Load(),
+		Puts:    c.puts.Load(),
+		Evicted: c.evicted.Load(),
 	}
-	if c.degraded != nil {
+	if err := c.Degraded(); err != nil {
 		s.Degraded = true
-		s.Err = c.degraded.Error()
+		s.Err = err.Error()
 	}
 	return s
 }
 
-func (c *Cache) degrade(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.degraded == nil {
-		c.degraded = err
+// fault flips the sticky degradation when err is a storage error, and
+// reports whether it was one. The first storage error is the one
+// reported.
+func (c *Cache) fault(err error) bool {
+	if err == nil || !diskio.IsStorageErr(err) {
+		return false
 	}
+	first := err // a copy, so that only a storage error escapes to the heap
+	c.degraded.CompareAndSwap(nil, &first)
+	return true
 }
 
-func (c *Cache) count(field *int64) {
-	c.mu.Lock()
-	*field++
-	c.mu.Unlock()
+// sweep removes the temp files of writers that died mid-publication.
+// They are all in tmp/, so Open never lists objects/ for them. A live
+// writer's temp file in another process may go too; its rename then
+// fails and that one entry is recomputed next time.
+func (c *Cache) sweep() error {
+	ents, err := c.fsys.ReadDir(c.tmp)
+	if err != nil {
+		return err
+	}
+	for _, de := range ents {
+		if de.IsDir() {
+			continue
+		}
+		if err := c.fsys.Remove(join(c.tmp, de.Name())); err != nil && !errorsIsNotExist(err) {
+			return err
+		}
+	}
+	return nil
 }
 
-// compact removes crashed writers' leftover temp files and, when a
-// budget is set, evicts entries oldest-first (mtime, then path, so the
-// pass is deterministic for a given directory state) until objects/
-// fits. It runs only at Open: campaigns in flight never lose entries
-// under them.
+// compact enforces a byte budget: it evicts entries oldest-first
+// (mtime, then path, so the pass is deterministic for a given
+// directory state) until objects/ fits. It also removes the
+// objects/*.tmp leftovers of builds that published through a temp file
+// beside the entry. It runs only at a budgeted Open: campaigns in
+// flight never lose entries under them.
 func (c *Cache) compact(maxBytes int64) error {
-	dir := filepath.Join(c.dir, objectsDir)
-	ents, err := c.fsys.ReadDir(dir)
+	ents, err := c.fsys.ReadDir(c.objects)
 	if err != nil {
 		return err
 	}
@@ -466,30 +513,24 @@ func (c *Cache) compact(maxBytes int64) error {
 		if de.IsDir() {
 			continue
 		}
-		name := de.Name()
-		if filepath.Ext(name) == ".tmp" {
-			// A writer died mid-publication; its temp file is garbage.
-			if err := c.fsys.Remove(filepath.Join(dir, name)); err != nil && !errorsIsNotExist(err) {
+		path := join(c.objects, de.Name())
+		if filepath.Ext(path) == ".tmp" {
+			if err := c.fsys.Remove(path); err != nil && !errorsIsNotExist(err) {
 				return err
 			}
 			continue
 		}
-		if maxBytes <= 0 {
-			// No budget: nothing is evicted, so sizes and ages are
-			// never needed.
-			continue
-		}
-		info, err := c.fsys.Stat(filepath.Join(dir, name))
+		info, err := c.fsys.Stat(path)
 		if err != nil {
 			if errorsIsNotExist(err) {
 				continue
 			}
 			return err
 		}
-		objs = append(objs, obj{name: name, size: info.Size(), mtime: info.ModTime()})
+		objs = append(objs, obj{name: de.Name(), size: info.Size(), mtime: info.ModTime()})
 		total += info.Size()
 	}
-	if maxBytes <= 0 || total <= maxBytes {
+	if total <= maxBytes {
 		return nil
 	}
 	sort.Slice(objs, func(i, j int) bool {
@@ -502,14 +543,14 @@ func (c *Cache) compact(maxBytes int64) error {
 		if total <= maxBytes {
 			break
 		}
-		if err := c.fsys.Remove(filepath.Join(dir, o.name)); err != nil {
+		if err := c.fsys.Remove(join(c.objects, o.name)); err != nil {
 			if errorsIsNotExist(err) {
 				continue
 			}
 			return err
 		}
 		total -= o.size
-		c.count(&c.evicted)
+		c.evicted.Add(1)
 	}
 	return nil
 }

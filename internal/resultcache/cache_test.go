@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -367,18 +366,6 @@ func TestCompactionDeterministic(t *testing.T) {
 	}
 }
 
-// chtimesCountingFS counts Chtimes calls through the cache's
-// filesystem seam.
-type chtimesCountingFS struct {
-	diskio.FS
-	chtimes atomic.Int64
-}
-
-func (f *chtimesCountingFS) Chtimes(name string, atime, mtime time.Time) error {
-	f.chtimes.Add(1)
-	return f.FS.Chtimes(name, atime, mtime)
-}
-
 // TestCacheRecencyGrain: a hit touches its entry only when the entry's
 // mtime is at least recencyGrain older than now. A hit inside the grain
 // (or on an entry stamped in the future) leaves the mtime alone and
@@ -387,21 +374,21 @@ func TestCacheRecencyGrain(t *testing.T) {
 	dir := t.TempDir()
 	start := time.Unix(1_700_000_000, 0)
 	clk := clock.NewFake(start)
-	fsys := &chtimesCountingFS{FS: diskio.OS{}}
+	fsys := &opLog{FS: diskio.OS{}}
 	c := mustOpen(t, dir, Options{FS: fsys, Clock: clk})
 	k := key("recency")
 	path := filepath.Join(dir, objectsDir, k)
+	fsys.take()
 	c.Put(k, []byte(`{"v":1}`))
-	if n := fsys.chtimes.Load(); n != 1 {
+	if n := countOps(fsys.take(), "chtimes"); n != 1 {
 		t.Fatalf("Put made %d Chtimes calls, want 1", n)
 	}
-	hit := func(wantTouches int64, wantMtime time.Time) {
+	hit := func(wantTouches int, wantMtime time.Time) {
 		t.Helper()
-		before := fsys.chtimes.Load()
 		if _, hit, _ := c.Get(k); !hit {
 			t.Fatal("Get missed")
 		}
-		if n := fsys.chtimes.Load() - before; n != wantTouches {
+		if n := countOps(fsys.take(), "chtimes"); n != wantTouches {
 			t.Fatalf("hit at %v made %d Chtimes calls, want %d", clk.Now().Sub(start), n, wantTouches)
 		}
 		info, err := os.Stat(path)
@@ -430,13 +417,48 @@ func TestCacheRecencyGrain(t *testing.T) {
 	hit(0, future)
 }
 
+// plantTmp leaves what a writer that died mid-publication leaves: a
+// torn temp file at tmp/<key>.
+func plantTmp(t *testing.T, dir string) string {
+	t.Helper()
+	tmp := filepath.Join(dir, tmpDir, key("cell-dead"))
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return tmp
+}
+
 func TestTmpLeftoversRemovedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	mustOpen(t, dir, Options{})
-	// A writer that died mid-publication leaves key.tmp behind.
-	tmp := filepath.Join(dir, "objects", key("cell-dead")+".tmp")
-	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
+	tmp := plantTmp(t, dir)
+	mustOpen(t, dir, Options{})
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp leftover survived reopen: %v", err)
+	}
+}
+
+// TestCrashedPutLeavesTempInTmp: a writer that dies between writing
+// its entry and renaming it leaves the temp file in tmp/, not beside
+// the entries in objects/, and the next Open removes it.
+func TestCrashedPutLeavesTempInTmp(t *testing.T) {
+	dir := t.TempDir()
+	ffs := diskio.NewFaultFS(diskio.OS{}, 1)
+	c := mustOpen(t, dir, Options{FS: ffs})
+	// Put's gated operations: create the temp file, write, fsync, and
+	// then the rename, where the crash lands.
+	ffs.CrashAfter(ffs.Ops() + 4)
+	k := key("cell-crash")
+	c.Put(k, []byte(`{"v":1}`))
+	if !ffs.Crashed() {
+		t.Fatal("crash point never reached")
+	}
+	tmp := filepath.Join(dir, tmpDir, k)
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("crashed Put left no temp file in tmp/: %v", err)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, objectsDir)); err != nil || len(ents) != 0 {
+		t.Fatalf("objects/ after a crashed Put: %v %v", ents, err)
 	}
 	mustOpen(t, dir, Options{})
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
@@ -444,21 +466,110 @@ func TestTmpLeftoversRemovedAtOpen(t *testing.T) {
 	}
 }
 
-// statCountingFS counts Stat calls through the cache's filesystem seam.
-type statCountingFS struct {
+// opLog records, in order, the calls the cache makes through its
+// filesystem seam and on the files it opens, each as "op path".
+type opLog struct {
 	diskio.FS
-	stats atomic.Int64
+	mu  sync.Mutex
+	ops []string
 }
 
-func (f *statCountingFS) Stat(name string) (os.FileInfo, error) {
-	f.stats.Add(1)
-	return f.FS.Stat(name)
+func (l *opLog) add(op, path string) {
+	l.mu.Lock()
+	l.ops = append(l.ops, op+" "+path)
+	l.mu.Unlock()
+}
+
+// take returns the calls recorded since the last take.
+func (l *opLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ops := l.ops
+	l.ops = nil
+	return ops
+}
+
+func (l *opLog) OpenFile(name string, flag int, perm os.FileMode) (diskio.File, error) {
+	l.add("open", name)
+	f, err := l.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &opLogFile{File: f, log: l}, nil
+}
+
+func (l *opLog) Rename(oldpath, newpath string) error {
+	l.add("rename", oldpath)
+	return l.FS.Rename(oldpath, newpath)
+}
+
+func (l *opLog) Remove(name string) error {
+	l.add("remove", name)
+	return l.FS.Remove(name)
+}
+
+func (l *opLog) SyncDir(dir string) error {
+	l.add("syncdir", dir)
+	return l.FS.SyncDir(dir)
+}
+
+func (l *opLog) MkdirAll(path string, perm os.FileMode) error {
+	l.add("mkdir", path)
+	return l.FS.MkdirAll(path, perm)
+}
+
+func (l *opLog) ReadDir(name string) ([]os.DirEntry, error) {
+	l.add("readdir", name)
+	return l.FS.ReadDir(name)
+}
+
+func (l *opLog) Stat(name string) (os.FileInfo, error) {
+	l.add("stat", name)
+	return l.FS.Stat(name)
+}
+
+func (l *opLog) Chtimes(name string, atime, mtime time.Time) error {
+	l.add("chtimes", name)
+	return l.FS.Chtimes(name, atime, mtime)
+}
+
+// opLogFile records its reads, fstats and close.
+type opLogFile struct {
+	diskio.File
+	log *opLog
+}
+
+func (f *opLogFile) Read(p []byte) (int, error) {
+	f.log.add("read", f.Name())
+	return f.File.Read(p)
+}
+
+func (f *opLogFile) Stat() (os.FileInfo, error) {
+	f.log.add("fstat", f.Name())
+	return diskio.Stat(f.log.FS, f.File)
+}
+
+func (f *opLogFile) Close() error {
+	f.log.add("close", f.Name())
+	return f.File.Close()
+}
+
+// countOps counts the calls in ops whose op is op.
+func countOps(ops []string, op string) int {
+	n := 0
+	for _, o := range ops {
+		if strings.HasPrefix(o, op+" ") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCompactionWithoutBudgetStatsNothing: with no byte budget, Open
-// lists objects/ to sweep temp leftovers but stats no entry — nothing
-// can be evicted, so sizes and ages are never needed. Under a budget
-// it stats every entry.
+// reads no directory but tmp/, where it sweeps temp leftovers, and
+// stats nothing — nothing can be evicted, so the entries' names, sizes
+// and ages are never needed. Under a budget it lists objects/ and
+// stats every entry.
 func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, dir, Options{})
@@ -466,15 +577,19 @@ func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 	for i := 0; i < entries; i++ {
 		c.Put(key(fmt.Sprintf("cell-%d", i)), []byte(fmt.Sprintf(`{"i":%d}`, i)))
 	}
-	tmp := filepath.Join(dir, "objects", key("cell-dead")+".tmp")
-	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tmp := plantTmp(t, dir)
 
-	fsys := &statCountingFS{FS: diskio.OS{}}
+	fsys := &opLog{FS: diskio.OS{}}
 	c2 := mustOpen(t, dir, Options{FS: fsys})
-	if n := fsys.stats.Load(); n != 0 {
-		t.Fatalf("Open without a budget made %d Stat calls, want 0", n)
+	ops := fsys.take()
+	if got, want := ops, []string{
+		"mkdir " + filepath.Join(dir, objectsDir),
+		"mkdir " + filepath.Join(dir, corruptDir),
+		"mkdir " + filepath.Join(dir, tmpDir),
+		"readdir " + filepath.Join(dir, tmpDir),
+		"remove " + tmp,
+	}; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Open without a budget made\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("temp leftover survived reopen: %v", err)
@@ -483,9 +598,13 @@ func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 		t.Fatal("entry lost by a budget-free Open")
 	}
 
-	budgeted := &statCountingFS{FS: diskio.OS{}}
+	budgeted := &opLog{FS: diskio.OS{}}
 	c3 := mustOpen(t, dir, Options{FS: budgeted, MaxBytes: 1 << 20})
-	if n := budgeted.stats.Load(); n != entries {
+	ops = budgeted.take()
+	if n := countOps(ops, "readdir"); n != 2 {
+		t.Fatalf("Open under a budget read %d directories, want tmp/ and objects/: %q", n, ops)
+	}
+	if n := countOps(ops, "stat"); n != entries {
 		t.Fatalf("Open under a budget made %d Stat calls, want %d", n, entries)
 	}
 	if st := c3.Stats(); st.Evicted != 0 {
@@ -493,8 +612,124 @@ func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheGetHit measures one verified warm hit — open, read,
-// fstat, layout and digest check — on two entry shapes. Its repeated
+// TestBudgetedOpenRemovesLegacyTmp: builds that published through
+// objects/<key>.tmp left that file behind when they crashed. A
+// budget-free Open no longer lists objects/, so it leaves the file
+// alone (no Get can reach it: its name is not a hex key); a budgeted
+// Open, which lists objects/ anyway, removes it and counts it against
+// nothing.
+func TestBudgetedOpenRemovesLegacyTmp(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	k := key("cell-legacy")
+	c.Put(k, []byte(`{"v":1}`))
+	legacy := filepath.Join(dir, objectsDir, key("cell-dead")+".tmp")
+	if err := os.WriteFile(legacy, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustOpen(t, dir, Options{})
+	if _, err := os.Stat(legacy); err != nil {
+		t.Fatalf("budget-free Open touched objects/: %v", err)
+	}
+	c2 := mustOpen(t, dir, Options{MaxBytes: 1 << 20})
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("legacy temp leftover survived a budgeted Open: %v", err)
+	}
+	if st := c2.Stats(); st.Evicted != 0 {
+		t.Fatalf("legacy temp file counted as an eviction: %+v", st)
+	}
+	if _, hit, _ := c2.Get(k); !hit {
+		t.Fatal("entry lost by a budgeted Open")
+	}
+}
+
+// TestCacheHitOneRead: a hit inside the recency grain opens its entry,
+// fstats it, reads it with exactly one Read of the fstat's size and
+// closes it — four calls, no path Stat and no touch — and serves the
+// bytes Put stored.
+func TestCacheHitOneRead(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &opLog{FS: diskio.OS{}}
+	c := mustOpen(t, dir, Options{FS: fsys})
+	k := key("cell-one-read")
+	payload := []byte(`{"iterations":8,"instances":5632,"violations":0}`)
+	c.Put(k, payload)
+	fsys.take()
+	for i := 0; i < 3; i++ {
+		got, hit, corrupt := c.Get(k)
+		if !hit || corrupt || !bytes.Equal(got, payload) {
+			t.Fatalf("hit %d: hit=%v corrupt=%v payload %q", i, hit, corrupt, got)
+		}
+		path := filepath.Join(dir, objectsDir, k)
+		want := []string{"open " + path, "fstat " + path, "read " + path, "close " + path}
+		if ops := fsys.take(); strings.Join(ops, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("hit %d made\n%s\nwant\n%s", i, strings.Join(ops, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// TestCacheOversizedEntryQuarantinedUnread: an entry larger than
+// maxEntryBytes cannot be one Put wrote, so Get quarantines it on the
+// size its fstat reports, without reading a byte.
+func TestCacheOversizedEntryQuarantinedUnread(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &opLog{FS: diskio.OS{}}
+	c := mustOpen(t, dir, Options{FS: fsys})
+	k := key("cell-huge-entry")
+	// A sparse file: the size is there, the blocks are not.
+	f, err := os.Create(filepath.Join(dir, objectsDir, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(maxEntryBytes + 1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	fsys.take()
+	if _, hit, corrupt := c.Get(k); hit || !corrupt {
+		t.Fatalf("oversized entry: hit=%v corrupt=%v", hit, corrupt)
+	}
+	if n := countOps(fsys.take(), "read"); n != 0 {
+		t.Fatalf("oversized entry read %d times, want 0", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, corruptDir, k)); err != nil {
+		t.Fatalf("oversized entry not quarantined: %v", err)
+	}
+}
+
+// TestCacheGetRefusesNonHexKey: Get looks up only keys Put could have
+// published. A key that is not lowercase hex — a path that climbs out
+// of objects/ above all — is a miss before any filesystem call, so a
+// file outside the cache is never opened, judged corrupt or moved into
+// corrupt/.
+func TestCacheGetRefusesNonHexKey(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	notes := filepath.Join(root, "notes.txt")
+	if err := os.WriteFile(notes, []byte("not a cache entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys := &opLog{FS: diskio.OS{}}
+	c := mustOpen(t, dir, Options{FS: fsys})
+	fsys.take()
+	for _, k := range []string{"../../notes.txt", "../notes.txt", "", "Key", strings.ToUpper(key("cell")), "ab/cd"} {
+		if got, hit, corrupt := c.Get(k); hit || corrupt || got != nil {
+			t.Fatalf("Get(%q): hit=%v corrupt=%v payload %q", k, hit, corrupt, got)
+		}
+	}
+	if ops := fsys.take(); len(ops) != 0 {
+		t.Fatalf("Get of non-hex keys touched the filesystem: %q", ops)
+	}
+	if data, err := os.ReadFile(notes); err != nil || string(data) != "not a cache entry" {
+		t.Fatalf("file outside the cache disturbed: %q %v", data, err)
+	}
+	if st := c.Stats(); st.Misses != 6 || st.Corrupt != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// BenchmarkCacheGetHit measures one verified warm hit — open, fstat,
+// read, layout and digest check — on two entry shapes. Its repeated
 // hits fall inside the recency grain of the entry's Put, so none of
 // them touches the entry's mtime. The shapes are a
 // whole tuning record (about 790 bytes), as tuning cells cached before
@@ -533,6 +768,41 @@ func BenchmarkCacheGetHit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, hit, _ := c.Get(k); !hit {
 					b.Fatal("miss")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCacheOpen measures a budget-free Open over stores of
+// growing size. It creates the layout and sweeps tmp/, and never lists
+// objects/, so its cost should not grow with the store. 4,352 entries
+// is the store of mcbench's tune-warm workload.
+func BenchmarkCacheOpen(b *testing.B) {
+	for _, n := range []int{1024, 4352, 16384} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			objects := filepath.Join(dir, objectsDir)
+			if err := os.MkdirAll(objects, 0o755); err != nil {
+				b.Fatal(err)
+			}
+			payload := []byte(`{"iterations":2,"instances":1408,"target_count":0,"violations":0,` +
+				`"sim_seconds":0.0031,"target_rate":0}`)
+			for i := 0; i < n; i++ {
+				k := key(fmt.Sprintf("bench-open-%d", i))
+				var entry bytes.Buffer
+				if _, err := envelope(&entry, k, payload); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(objects, k), entry.Bytes(), 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(dir, Options{}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
