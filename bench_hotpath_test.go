@@ -16,6 +16,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"math/bits"
 	"os"
 	"runtime"
 	"sort"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/litmus"
@@ -125,6 +127,129 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// prebuiltLaunch is one kernel launch ready to run on its device.
+type prebuiltLaunch struct {
+	dev  *gpu.Device
+	spec gpu.LaunchSpec
+}
+
+// conformanceLaunches prebuilds the launch mix of a fleet conformance
+// campaign: one kernel of each of the 20 conformance tests on each of
+// the four Table 3 devices (80 launches), in the campaign's "pte"
+// environment and lowered by the fence-dropping driver, as every
+// `mcmutants campaign -kind conformance -fence-bug` cell runs them.
+// Each device is shared by its 20 launches, so its executor is warm.
+func conformanceLaunches(tb testing.TB) []prebuiltLaunch {
+	tb.Helper()
+	suite := mutation.MustGenerate()
+	env, err := core.EnvByName("pte", 16, 32)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := xrand.New(1)
+	var out []prebuiltLaunch
+	for _, prof := range gpu.Profiles() {
+		dev, err := gpu.NewDevice(prof, gpu.Bugs{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lower := wgsl.NewToolchain(prof, wgsl.DriverFenceDropping).LowerFunc()
+		for _, test := range suite.Conformance {
+			spec, err := harness.BuildKernel(test, &env, rng)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for i, p := range spec.Programs {
+				spec.Programs[i] = lower(p)
+			}
+			out = append(out, prebuiltLaunch{dev: dev, spec: *spec})
+		}
+	}
+	return out
+}
+
+// BenchmarkConformanceLaunches runs the 80 prebuilt launches of
+// conformanceLaunches through Device.RunCtx; one op is all 80. Kernel
+// generation, lowering and classification are outside the loop, so
+// this is the executor's share of a conformance campaign: decode,
+// scheduling, issue and completion. Each op replays the same rng
+// state. It is recorded in BENCH_hotpath.json and not gated.
+func BenchmarkConformanceLaunches(b *testing.B) {
+	launches := conformanceLaunches(b)
+	ctx := context.Background()
+	rng := xrand.New(2)
+	state := *rng
+	for _, l := range launches { // warm every device's executor
+		if _, err := l.dev.RunCtx(ctx, l.spec, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		*rng = state
+		for _, l := range launches {
+			if _, err := l.dev.RunCtx(ctx, l.spec, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSteadyStateZeroAllocsAcrossTests is TestSteadyStateZeroAllocs for
+// a runner whose consecutive calls change test, as a conformance
+// worker's cells do (the 20 conformance tests on one platform):
+// validation, value domains and the classification memo are resolved
+// per test, so switching tests allocates nothing once each test has
+// been seen. The device is conformant and the lowering clean: a call
+// that does find a violation copies it out of the runner's arenas into
+// Result.FirstViolation, three allocations that are the cell's result,
+// not loop overhead.
+func TestSteadyStateZeroAllocsAcrossTests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	suite := mutation.MustGenerate()
+	prof, ok := gpu.ProfileByName("AMD")
+	if !ok {
+		t.Fatal("AMD profile missing")
+	}
+	dev, err := gpu.NewDevice(prof, gpu.Bugs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := harness.NewRunner(dev, pteEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Lower = wgsl.NewToolchain(prof, wgsl.DriverConformant).LowerFunc()
+	res := &harness.Result{}
+	ctx := context.Background()
+	runAll := func(rng *xrand.Rand) {
+		for _, test := range suite.Conformance {
+			if err := r.RunInto(ctx, res, test, 1, rng); err != nil {
+				t.Fatal(err)
+			}
+			if res.FirstViolation != nil {
+				t.Fatalf("%s violated on a conformant device", test.Name)
+			}
+		}
+	}
+	rng := xrand.New(1)
+	state := *rng
+	for i := 0; i < 4; i++ {
+		*rng = state
+		runAll(rng)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		*rng = state
+		runAll(rng)
+	})
+	if allocs != 0 {
+		t.Errorf("warm RunInto over %d alternating tests: %v allocs/run, want 0", len(suite.Conformance), allocs)
+	}
+}
+
 // benchTuneCampaign is a small-but-nontrivial tuning sweep shared by
 // the result-cache benchmarks: 2 environment families × 3 mutants on
 // one device, enough cells that the warm/cold gap measures cache
@@ -202,19 +327,57 @@ func benchTuneWarm(b *testing.B, age time.Duration) {
 // calibrationSink keeps BenchmarkCalibration's work observable.
 var calibrationSink uint64
 
+// calRand is BenchmarkCalibration's own xoshiro256** generator, seeded
+// like xrand.New(12345). Its step is a frozen copy of xrand's original
+// out-of-line step, so the calibration measures the same fixed work
+// whatever the simulator's generator compiles to: when xrand's step
+// became inlinable, calling it here would have shrunk the calibration,
+// and every budget scaled by it, with no change in machine speed.
+type calRand struct{ s [4]uint64 }
+
+func newCalRand(seed uint64) *calRand {
+	var r calRand
+	sm := seed
+	for i := range r.s {
+		sm += 0x9e3779b97f4a7c15
+		z := sm
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		r.s[i] = z ^ (z >> 31)
+	}
+	return &r
+}
+
+// next is one xoshiro256** step, kept out of line on purpose.
+//
+//go:noinline
+func (r *calRand) next() uint64 {
+	s := &r.s
+	result := bits.RotateLeft64(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = bits.RotateLeft64(s[3], 45)
+	return result
+}
+
 // BenchmarkCalibration is a fixed CPU-bound reference workload — 4096
 // xoshiro256** draws plus the float mixing the simulator's latency
 // path uses — whose ns/op tracks raw machine speed. The CI ns/op gate
 // divides the simulator benchmarks by this number, so a budget
 // expressed as a ratio holds across runner hardware generations and
-// noisy-neighbor slowdowns that scale the whole process uniformly.
+// noisy-neighbor slowdowns that scale the whole process uniformly. It
+// calls no simulator code (see calRand).
 func BenchmarkCalibration(b *testing.B) {
-	rng := xrand.New(12345)
+	rng := newCalRand(12345)
 	var acc uint64
 	var facc float64
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 4096; j++ {
-			acc += rng.Uint64()
+			acc += rng.next()
 			facc += float64(acc&0xffff) * 1.5e-5
 		}
 	}
@@ -281,6 +444,11 @@ func TestEmitHotpathBench(t *testing.T) {
 	fig4, steady, cal := median(runs[0]), median(runs[1]), median(runs[2])
 	tuneCold := measure(BenchmarkTuneColdNoCache)
 	tuneWarm := measure(BenchmarkTuneWarmCache)
+	launches := measure(BenchmarkConformanceLaunches)
+	// The executor before the inlinable RNG step and the leaner
+	// issue/complete path: median of six runs alternated with the
+	// change, on the same machine as the change's own six.
+	launchesBefore := hotpathNumbers{AllocsPerOp: 0, BytesPerOp: 0, NsPerOp: 38808500}
 	// History labels name the optimization that produced each point;
 	// each point was measured on that PR's builder, so compare trends,
 	// not machines. "before" is always measured on the same machine as
@@ -348,6 +516,17 @@ func TestEmitHotpathBench(t *testing.T) {
 					{Label: "warm result cache", hotpathNumbers: tuneWarm},
 				},
 				Note: "before = the same campaign with caching off, measured in the same emit run; the ratio is the simulation work the warm run skips",
+			},
+			{
+				Name:   "ConformanceLaunches",
+				Unit:   "80 prebuilt conformance launches (20 tests × 4 Table 3 devices, pte environment, fence-dropping lowering) through Device.RunCtx",
+				Before: &launchesBefore,
+				After:  launches,
+				History: []hotpathPoint{
+					{Label: "warm runner per worker + in-place decode", hotpathNumbers: launchesBefore},
+					{Label: "inlinable RNG step + leaner issue/complete", hotpathNumbers: launches},
+				},
+				Note: "not gated; the executor's share of a conformance campaign, without kernel generation, lowering or classification",
 			},
 		},
 	}

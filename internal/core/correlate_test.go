@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/harness"
+	"repro/internal/litmus"
 	"repro/internal/resultcache"
 	"repro/internal/sched"
+	"repro/internal/wgsl"
+	"repro/internal/xrand"
 )
 
 // TestCorrelationStudy runs a scaled-down Table 4 through the correlate
@@ -154,5 +160,79 @@ func TestCorrelateFailedCellsDropEnvironments(t *testing.T) {
 	}
 	if failed == 0 || res.Failed != failed || !res.Degraded() {
 		t.Fatalf("rows report %d failed cells, verdict %d (degraded %v); want the same nonzero count", failed, res.Failed, res.Degraded())
+	}
+}
+
+// TestAMDCaseIsOneKernel pins why Table 4's AMD row reads a PCC of
+// about .998: its two sides run the same kernel. The fence-dropping
+// driver zeroes every fence's semantics and then deletes the fence, so
+// MP-relacq lowered by that driver is, thread for thread, MP-relacq's
+// nofence mutant lowered cleanly, and the two tests share a target.
+// The row therefore correlates one kernel with itself on two rng
+// streams: its PCC is the method's noise floor, not evidence of a
+// correlation (EXPERIMENTS.md, Table 4).
+func TestAMDCaseIsOneKernel(t *testing.T) {
+	st := study(t)
+	var amd BugCase
+	for _, c := range PaperBugCases() {
+		if c.Platform.Device == "AMD" {
+			amd = c
+		}
+	}
+	if amd.Platform.Driver != wgsl.DriverFenceDropping {
+		t.Fatalf("the AMD case runs driver %v, want the fence-dropping one", amd.Platform.Driver)
+	}
+	conf, ok := st.Suite.ByName(amd.Conformance)
+	if !ok {
+		t.Fatalf("%s missing", amd.Conformance)
+	}
+	mut, ok := st.Suite.ByName(amd.Mutant)
+	if !ok {
+		t.Fatalf("%s missing", amd.Mutant)
+	}
+	if !reflect.DeepEqual(conf.Target, mut.Target) {
+		t.Fatalf("targets differ: %v vs %v", conf.Target, mut.Target)
+	}
+	prof, _ := gpu.ProfileByName(amd.Platform.Device)
+	buggy := wgsl.NewToolchain(prof, wgsl.DriverFenceDropping).LowerFunc()
+	clean := wgsl.NewToolchain(prof, wgsl.DriverConformant).LowerFunc()
+	// build lowers one kernel of test, drawn from a copy of rng's state.
+	build := func(test *litmus.Test, env harness.Params, rng xrand.Rand, lower func(gpu.Program) gpu.Program) *gpu.LaunchSpec {
+		t.Helper()
+		spec, err := harness.BuildKernel(test, &env, &rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range spec.Programs {
+			spec.Programs[i] = lower(p)
+		}
+		return spec
+	}
+	pte, err := EnvByName("pte", 16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := map[string]harness.Params{"PTEBaseline(8, 16)": harness.PTEBaseline(8, 16), "pte": pte}
+	for name, env := range envs {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := *xrand.New(seed)
+			got := build(conf, env, rng, buggy)
+			want := build(mut, env, rng, clean)
+			if got.Workgroups != want.Workgroups || got.WorkgroupSize != want.WorkgroupSize ||
+				got.MemWords != want.MemWords || len(got.Programs) != len(want.Programs) {
+				t.Fatalf("%s seed %d: launch shapes differ", name, seed)
+			}
+			for tid := range got.Programs {
+				if !slices.Equal(got.Programs[tid], want.Programs[tid]) {
+					t.Fatalf("%s seed %d thread %d: buggy %s lowering %v, clean %s lowering %v",
+						name, seed, tid, conf.Name, got.Programs[tid], mut.Name, want.Programs[tid])
+				}
+			}
+			// Not vacuous: a clean lowering of the conformance test keeps
+			// fences the buggy one drops.
+			if fenced := build(conf, env, rng, clean); reflect.DeepEqual(fenced.Programs, got.Programs) {
+				t.Fatalf("%s seed %d: the clean and buggy lowerings of %s agree", name, seed, conf.Name)
+			}
+		}
 	}
 }

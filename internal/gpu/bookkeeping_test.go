@@ -64,10 +64,10 @@ func TestPredMatchesBackwardScan(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for i, sh := range launchShapes {
 			spec := randomSpec(r, sh.memWords, sh.wgs, sh.wgSize)
-			if err := spec.Validate(); err != nil {
+			e, err := d.getExec(spec, xrand.New(1))
+			if err != nil {
 				t.Fatal(err)
 			}
-			e := d.getExec(spec, xrand.New(1))
 			for tid := range spec.Programs {
 				for ip := e.ipStart[tid]; ip < e.ipEnd[tid]; ip++ {
 					want := int32(-1)
@@ -137,7 +137,11 @@ func TestCULiveTracksRunnable(t *testing.T) {
 			d := dev(t, p, sc.bugs)
 			rng := xrand.New(sc.seed)
 			for i := 0; i < sc.runs; i++ {
-				if err := checkCULive(d.getExec(sc.spec, xrand.New(sc.seed))); err != nil {
+				e, err := d.getExec(sc.spec, xrand.New(sc.seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkCULive(e); err != nil {
 					t.Fatalf("%s on %s, after reset %d: %v", sc.name, p.ShortName, i, err)
 				}
 				if _, err := d.RunCtx(context.Background(), sc.spec, rng); err != nil {

@@ -98,7 +98,10 @@ func (d *Device) watchdogDeadline() int64 {
 // ctx.Err() and leaves the executor scratch reusable — the next run
 // resets it as usual.
 func (d *Device) RunCtx(ctx context.Context, spec LaunchSpec, rng *xrand.Rand) (*RunResult, error) {
-	if err := spec.Validate(); err != nil {
+	// Decoding validates every instruction and draws nothing, so an
+	// invalid spec fails here, before the fault model's draw.
+	e, err := d.getExec(spec, rng)
+	if err != nil {
 		return nil, err
 	}
 	var frng *xrand.Rand
@@ -121,9 +124,8 @@ func (d *Device) RunCtx(ctx context.Context, spec LaunchSpec, rng *xrand.Rand) (
 		}
 		corrupt = frng.Bool(d.faults.CorruptProb)
 	}
-	e := d.getExec(spec, rng)
 	e.ctx = ctx
-	err := e.run()
+	err = e.run()
 	e.ctx = nil
 	if err != nil {
 		return nil, err

@@ -115,11 +115,12 @@ type launchFrame struct {
 	warpsPerWG int
 	nWarps     int
 
-	warpStart []int32 // warp → first thread ID
-	warpEnd   []int32 // warp → one past last thread ID
-	warpWG    []int32 // warp → workgroup
-	wgOf      []int32 // thread → workgroup (no division at runtime)
-	warpOf    []int32 // thread → warp
+	warpStart []int32  // warp → first thread ID
+	warpEnd   []int32  // warp → one past last thread ID
+	warpWG    []int32  // warp → workgroup
+	wgOf      []int32  // thread → workgroup (no division at runtime)
+	warpOf    []int32  // thread → warp
+	laneBit   []uint64 // thread → its bit in its warp's lane masks
 
 	wgCU0    []int32   // wg → initially assigned CU, or -1 if pending
 	cuWarps0 [][]int32 // CU → initially resident warps, admission order
@@ -142,6 +143,7 @@ func buildFrame(workgroups, wgSize, warpSize, maxWGPerCU, nCUs int) *launchFrame
 		warpWG:     make([]int32, workgroups*warpsPerWG),
 		wgOf:       make([]int32, nThreads),
 		warpOf:     make([]int32, nThreads),
+		laneBit:    make([]uint64, nThreads),
 		wgCU0:      make([]int32, workgroups),
 		cuWarps0:   make([][]int32, nCUs),
 		cuFree0:    make([]int32, nCUs),
@@ -163,6 +165,7 @@ func buildFrame(workgroups, wgSize, warpSize, maxWGPerCU, nCUs int) *launchFrame
 			tid := wg*wgSize + l
 			f.wgOf[tid] = int32(wg)
 			f.warpOf[tid] = int32(wg*warpsPerWG + l/warpSize)
+			f.laneBit[tid] = 1 << uint(l%warpSize)
 		}
 	}
 	for c := range f.cuFree0 {
@@ -315,8 +318,13 @@ func (e *exec) emit(ev TraceEvent) {
 
 // getExec returns the device's reusable executor, reset for this
 // launch. The executor — including the RunResult it produces — is
-// scratch owned by the device and is clobbered by the next run.
-func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
+// scratch owned by the device and is clobbered by the next run. It
+// fails with LaunchSpec.Validate's error for an invalid spec, having
+// drawn nothing from rng.
+func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) (*exec, error) {
+	if err := spec.validateShape(); err != nil {
+		return nil, err
+	}
 	e := d.scratch
 	if e == nil {
 		e = &exec{d: d}
@@ -389,8 +397,10 @@ func (d *Device) getExec(spec LaunchSpec, rng *xrand.Rand) *exec {
 		}
 		d.scratch = e
 	}
-	e.reset(spec, rng)
-	return e
+	if err := e.reset(spec, rng); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // grow re-slices s to length n, growing capacity as needed. The
@@ -417,7 +427,12 @@ func growZero[T any](s []T, n int) []T {
 // shape matches the previous launch. Resetting consumes no randomness
 // and zeroes everything a fresh executor would zero, so a warm
 // executor is draw-for-draw and bit-for-bit identical to a cold one.
-func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
+//
+// The decode pass also validates every instruction, in Validate's order
+// and with its error text, so a launch walks its programs once. A spec
+// that fails leaves the executor half reset; the next reset rebuilds
+// everything it touched, so the device stays usable.
+func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) error {
 	e.rng = rng
 	e.spec = spec
 
@@ -461,7 +476,8 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 	// program once for NumRegs and again to build thread state) and
 	// links memory steps to their po-loc predecessors. A thread's steps
 	// are contiguous, so a lastAt entry past its start is its own. Only
-	// memory steps touch lastAt: Validate bounds no other op's Addr.
+	// memory steps touch lastAt, and only once their Addr is checked:
+	// Validate bounds no other op's Addr.
 	lw := e.lineWords
 	totalRegs := 0
 	pos := int32(0)
@@ -469,8 +485,11 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		start := pos
 		e.ipStart[tid] = start
 		n := int32(0)
-		for _, in := range p {
+		for i, in := range p {
 			fl := e.opFlags[in.Op&7]
+			if in.Op > OpStressStore || fl&stepMem != 0 && int(in.Addr) >= spec.MemWords {
+				return spec.instrError(tid, i, in)
+			}
 			pred := int32(-1)
 			if fl&stepMem != 0 {
 				if at := e.lastAt[in.Addr]; at > start {
@@ -529,8 +548,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 		} else {
 			e.done[tid] = false
 			e.wgActive[f.wgOf[tid]]++
-			w := f.warpOf[tid]
-			e.warpMask[w] |= 1 << uint(int32(tid)-f.warpStart[w])
+			e.warpMask[f.warpOf[tid]] |= f.laneBit[tid]
 		}
 	}
 
@@ -585,6 +603,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) {
 
 	e.lineInFlight = growZero(e.lineInFlight, (spec.MemWords+int(lw)-1)/int(lw))
 	e.stats = RunStats{}
+	return nil
 }
 
 // result assembles the run's outcome into the executor-owned scratch.
@@ -605,7 +624,7 @@ func (e *exec) result() *RunResult {
 // reached ipEnd or it parked at a barrier).
 func (e *exec) decRunnable(tid int32) {
 	w := e.frame.warpOf[tid]
-	m := e.warpMask[w] &^ (1 << uint(tid-e.frame.warpStart[w]))
+	m := e.warpMask[w] &^ e.frame.laneBit[tid]
 	e.warpMask[w] = m
 	if m == 0 {
 		c := e.wgCU[e.frame.warpWG[w]]
@@ -627,7 +646,7 @@ func (e *exec) incRunnable(tid int32) {
 		}
 		e.cuRunnable[c]++
 	}
-	e.warpMask[w] |= 1 << uint(tid-e.frame.warpStart[w])
+	e.warpMask[w] |= e.frame.laneBit[tid]
 }
 
 // cancelCheckSteps is the executor's cancellation poll granularity:
@@ -698,9 +717,17 @@ func (e *exec) run() error {
 					e.candBuf = cand
 				}
 				// cuRunnable > 0 guarantees candidates; Intn(0) would
-				// panic loudly on a bookkeeping bug. A drawn warp whose
-				// runnable lanes are all blocked cannot issue.
-				w := cand[e.rng.Intn(len(cand))]
+				// panic loudly on a bookkeeping bug. A lone candidate
+				// still takes its draw: Intn(1) is exactly one Uint64
+				// step, which inlines. A drawn warp whose runnable lanes
+				// are all blocked cannot issue.
+				var w int32
+				if len(cand) == 1 {
+					e.rng.Uint64()
+					w = cand[0]
+				} else {
+					w = cand[e.rng.Intn(len(cand))]
+				}
 				if e.warpMask[w]&^e.blocked[w] != 0 && e.issueWarp(w) {
 					issued = true
 				}
@@ -837,7 +864,19 @@ func (e *exec) issueMem(tid, ip int32, in *stepInstr) {
 		}
 	}
 	e.locTime[ip] = max(prev, ct)
-	e.pushEvent(ct, tid, ip)
+	// pushEvent, inlined: the latency bound keeps ct inside the wheel,
+	// and growWheel covers a future model that breaks it.
+	if ct-e.now > e.wheelMask {
+		e.growWheel(ct)
+	}
+	b := int(ct & e.wheelMask)
+	if e.bucketBits[b>>6]&(1<<(uint(b)&63)) == 0 {
+		e.bucketBits[b>>6] |= 1 << (uint(b) & 63)
+		e.bucketTime[b] = ct
+		e.buckets[b] = e.buckets[b][:0]
+	}
+	e.buckets[b] = append(e.buckets[b], wheelEvent{tid: tid, code: ip})
+	e.pendingEvents++
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: ip - e.ipStart[tid], Kind: TraceIssue, Op: in.op, Addr: in.addr})
 	}
@@ -919,16 +958,19 @@ func (e *exec) complete(tid, code int32) {
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: code - e.ipStart[tid], Kind: TraceComplete, Op: in.op, Addr: in.addr, Value: traced})
 	}
-	e.outst[tid]--
+	outst := e.outst[tid] - 1
+	e.outst[tid] = outst
 	// The head step may now issue. Clearing unconditionally is safe: a
 	// lane still waiting (a fence with ops left) just re-blocks on its
 	// next visit.
-	w := e.frame.warpOf[tid]
-	e.blocked[w] &^= 1 << uint(tid-e.frame.warpStart[w])
+	e.blocked[e.frame.warpOf[tid]] &^= e.frame.laneBit[tid]
 	e.inFlight--
 	e.lineInFlight[in.line]--
 	e.stats.MemOps++
-	e.maybeRetire(tid)
+	// Only a thread with nothing left to issue or await can retire.
+	if outst == 0 && e.ip[tid] == e.ipEnd[tid] {
+		e.maybeRetire(tid)
+	}
 }
 
 // loadValue resolves a load's value, via the (buggy) per-CU cache when
@@ -1089,7 +1131,8 @@ func (e *exec) admit(wg, c int32) {
 
 // ---- timing wheel ----
 
-// pushEvent schedules a completion at tick ct. Each bucket holds one
+// pushEvent schedules a completion at tick ct; issueMem carries an
+// inlined copy, so growWheel is its only caller. Each bucket holds one
 // distinct absolute time (the wheel spans past the maximum event
 // horizon), and append order within a bucket is issue order — exactly
 // the (time, seq) order the old binary heap produced.

@@ -113,7 +113,25 @@ type LaunchSpec struct {
 }
 
 // Validate checks the spec's structural invariants against a profile.
+// A launch checks the same invariants in two places: the shape before
+// the executor is touched, and every instruction while it is decoded
+// into the step table (see exec.reset), with the same error text.
 func (s *LaunchSpec) Validate() error {
+	if err := s.validateShape(); err != nil {
+		return err
+	}
+	for tid, p := range s.Programs {
+		for i, in := range p {
+			if in.Op > OpStressStore || in.Op.IsMemory() && int(in.Addr) >= s.MemWords {
+				return s.instrError(tid, i, in)
+			}
+		}
+	}
+	return nil
+}
+
+// validateShape checks the dispatch dimensions and the program count.
+func (s *LaunchSpec) validateShape() error {
 	if s.WorkgroupSize <= 0 {
 		return fmt.Errorf("gpu: workgroup size %d", s.WorkgroupSize)
 	}
@@ -127,19 +145,18 @@ func (s *LaunchSpec) Validate() error {
 	if len(s.Programs) != want {
 		return fmt.Errorf("gpu: %d programs for %d threads", len(s.Programs), want)
 	}
-	for tid, p := range s.Programs {
-		for i, in := range p {
-			if in.Op > OpStressStore {
-				return fmt.Errorf("gpu: thread %d instr %d: unknown opcode %d",
-					tid, i, uint8(in.Op))
-			}
-			if in.Op.IsMemory() && int(in.Addr) >= s.MemWords {
-				return fmt.Errorf("gpu: thread %d instr %d: address %d out of %d words",
-					tid, i, in.Addr, s.MemWords)
-			}
-		}
-	}
 	return nil
+}
+
+// instrError describes why instruction i of thread tid is invalid: an
+// unknown opcode, or a memory op whose address lies past MemWords.
+func (s *LaunchSpec) instrError(tid, i int, in Instr) error {
+	if in.Op > OpStressStore {
+		return fmt.Errorf("gpu: thread %d instr %d: unknown opcode %d",
+			tid, i, uint8(in.Op))
+	}
+	return fmt.Errorf("gpu: thread %d instr %d: address %d out of %d words",
+		tid, i, in.Addr, s.MemWords)
 }
 
 // Threads returns the total number of threads launched.

@@ -51,16 +51,16 @@ func (e TraceEvent) String() string {
 // for debugging and for the simulator's self-verification tests; it
 // roughly doubles the cost of a run.
 func (d *Device) RunTraced(spec LaunchSpec, rng *xrand.Rand) (*RunResult, []TraceEvent, error) {
-	if err := spec.Validate(); err != nil {
+	e, err := d.getExec(spec, rng)
+	if err != nil {
 		return nil, nil, err
 	}
-	e := d.getExec(spec, rng)
 	// The trace is freshly allocated per traced run and ownership
 	// transfers to the caller; only the executor itself is reused. This
 	// is a debug path, so it is exempt from the zero-alloc contract.
 	e.tracing = true
 	e.trace = make([]TraceEvent, 0, 1024)
-	err := e.run()
+	err = e.run()
 	trace := e.trace
 	e.tracing = false
 	e.trace = nil

@@ -101,6 +101,110 @@ func TestClassifierConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestClassifierConcurrentMisses: workers racing on a cold memo each
+// see every verdict correct, and each distinct outcome is classified,
+// and counted as a miss, exactly once: a miss re-checks the latest map
+// under the test's mutex before classifying.
+func TestClassifierConcurrentMisses(t *testing.T) {
+	c := &Classifier{}
+	test := litmus.CoRR()
+	var outcomes []litmus.Outcome
+	for _, r0 := range []mm.Val{0, 1} {
+		for _, r1 := range []mm.Val{0, 1} {
+			for _, f := range []mm.Val{0, 1} {
+				outcomes = append(outcomes, litmus.Outcome{Regs: []mm.Val{r0, r1}, Final: []mm.Val{f}})
+			}
+		}
+	}
+	want := make([][2]bool, len(outcomes))
+	for i, o := range outcomes {
+		v, err := test.Classify(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = [2]bool{test.Target.Matches(o), !v.Allowed}
+	}
+	const workers, rounds = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(outcomes); i++ {
+				k := (i + w*3) % len(outcomes)
+				tgt, vio, err := c.Classify(test, outcomes[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tgt != want[k][0] || vio != want[k][1] {
+					t.Errorf("worker %d: %s classified (%v, %v), want %v", w, outcomes[k].Key(), tgt, vio, want[k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	hits, misses := c.Stats()
+	if misses != int64(len(outcomes)) {
+		t.Fatalf("misses = %d, want one per distinct outcome (%d)", misses, len(outcomes))
+	}
+	if total := int64(workers * rounds * len(outcomes)); hits+misses != total {
+		t.Fatalf("hits+misses = %d, want %d classifications", hits+misses, total)
+	}
+}
+
+// TestRunnerStatsCountEveryOutcome: runners on several goroutines that
+// share a classifier add their hits and misses once per RunInto, and
+// the totals still count every classified instance once, with one miss
+// per distinct outcome.
+func TestRunnerStatsCountEveryOutcome(t *testing.T) {
+	c := &Classifier{}
+	test := litmus.CoRR()
+	prof, _ := gpu.ProfileByName("Intel")
+	bugs := gpu.Bugs{CoherenceRR: true, CoherenceRRProb: 1, CoherenceRRPressure: 2}
+	results := make([]*Result, 4)
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dev, err := gpu.NewDevice(prof, bugs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r, err := NewRunner(dev, PTEBaseline(4, 16))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			r.Classifier = c
+			results[w], err = r.RunCtx(context.Background(), test, 3, xrand.New(uint64(w+1)))
+			if err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	instances := 0
+	all := litmus.NewHistogram()
+	for _, res := range results {
+		instances += res.Instances
+		all.Merge(res.Hist)
+	}
+	hits, misses := c.Stats()
+	if hits+misses != int64(instances) {
+		t.Fatalf("hits+misses = %d, want one per instance (%d)", hits+misses, instances)
+	}
+	if misses != int64(all.Distinct()) || misses < 2 {
+		t.Fatalf("misses = %d, want one per distinct outcome (%d, at least 2)", misses, all.Distinct())
+	}
+}
+
 // TestRunnerSharesClassifier checks two runners reuse classifications
 // through the shared classifier.
 func TestRunnerSharesClassifier(t *testing.T) {

@@ -49,13 +49,12 @@ type runnerScratch struct {
 	finalVals []mm.Val
 	// keyBuf renders outcome keys for the classifier and histogram.
 	keyBuf []byte
-	// domTest/dom cache the value domain of the last test run, skipping
-	// a per-call map build when a runner stays on one test (keyed by
-	// pointer identity, like the classifier's memo).
-	domTest *litmus.Test
-	dom     map[mm.Val]bool
-	// validated remembers the last test that passed Validate.
-	validated *litmus.Test
+	// doms holds the value domain of every test this runner has run;
+	// an entry also means the test passed Validate. It is keyed by
+	// pointer identity, like the classifier's memo, so a runner whose
+	// cells alternate between tests validates and builds each domain
+	// once.
+	doms map[*litmus.Test]map[mm.Val]bool
 }
 
 // NewRunner validates the environment against the device and returns a
@@ -227,11 +226,16 @@ func (r *Runner) RunInto(ctx context.Context, res *Result, test *litmus.Test, it
 	if iterations <= 0 {
 		return fmt.Errorf("harness: iterations=%d", iterations)
 	}
-	if r.scratch.validated != test {
+	dom, ok := r.scratch.doms[test]
+	if !ok {
 		if err := test.Validate(); err != nil {
 			return err
 		}
-		r.scratch.validated = test
+		dom = test.ValueDomain()
+		if r.scratch.doms == nil {
+			r.scratch.doms = make(map[*litmus.Test]map[mm.Val]bool)
+		}
+		r.scratch.doms[test] = dom
 	}
 	hist := res.Hist
 	if hist == nil {
@@ -249,11 +253,10 @@ func (r *Runner) RunInto(ctx context.Context, res *Result, test *litmus.Test, it
 	if classifier == nil {
 		classifier = sharedClassifier
 	}
-	if r.scratch.domTest != test {
-		r.scratch.dom = test.ValueDomain()
-		r.scratch.domTest = test
-	}
-	dom := r.scratch.dom
+	// The test's memo is resolved once per call, and its hits and
+	// misses reach the shared counters once, on return (see Classifier).
+	memo := classifier.reader(test)
+	defer classifier.flush(&memo)
 	plan := &r.scratch.plan
 	cancelled := ctx.Done() // nil for context.Background(); the check is then branch-only
 	for iter := 0; iter < iterations; iter++ {
@@ -301,10 +304,11 @@ func (r *Runner) RunInto(ctx context.Context, res *Result, test *litmus.Test, it
 		res.SimSeconds += run.SimSeconds
 		for _, o := range outcomes {
 			r.scratch.keyBuf = o.AppendKey(r.scratch.keyBuf[:0])
-			target, violation, err := classifier.ClassifyKeyed(test, o, r.scratch.keyBuf)
+			cls, err := memo.classify(o, r.scratch.keyBuf)
 			if err != nil {
 				return err
 			}
+			target, violation := cls.target, cls.violation
 			if violation && res.FirstViolation == nil {
 				// Deep-copy: o's Regs/Final are windows into the
 				// runner's reusable arenas and are overwritten by the

@@ -163,6 +163,33 @@ func TestCellTimeoutIsOrdinaryFailure(t *testing.T) {
 	}
 }
 
+// TestCellTimeoutFailsLateFinisher: a cell that runs past its timeout
+// without polling its context fails as a timeout, even though it
+// returned a value before any cancellation reached it.
+func TestCellTimeoutFailsLateFinisher(t *testing.T) {
+	spec := testSpec(3)
+	rep, err := RunContext(context.Background(), spec, func(ctx context.Context, c Cell, _ *xrand.Rand) (int, error) {
+		if c.Key == "cell-001" {
+			time.Sleep(30 * time.Millisecond) // busy past the budget, never polling ctx
+		}
+		return 1, nil
+	}, Options[int]{Workers: 1, CellTimeout: 10 * time.Millisecond, Collect: true})
+	if err != nil {
+		t.Fatalf("cell timeout escalated to campaign error: %v", err)
+	}
+	if rep.Interrupted != 0 || rep.Failed != 1 {
+		t.Fatalf("Interrupted = %d, Failed = %d; want 0 and 1", rep.Interrupted, rep.Failed)
+	}
+	if r := rep.Results[1]; !errors.Is(r.Err, context.DeadlineExceeded) || r.Value != 0 {
+		t.Fatalf("late cell: value %d, error %v; want 0 and a deadline error", r.Value, r.Err)
+	}
+	for _, i := range []int{0, 2} {
+		if rep.Results[i].Err != nil {
+			t.Fatalf("cell %d failed: %v", i, rep.Results[i].Err)
+		}
+	}
+}
+
 // TestInterruptResumeByteIdentical is the determinism contract of the
 // drain: cancel a checkpointed campaign mid-way, resume it, and the
 // final values are byte-identical to a never-interrupted run — the

@@ -518,6 +518,17 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					}
 					continue
 				}
+				if err == nil && opts.CellTimeout > 0 && wall > opts.CellTimeout {
+					// The deadline passed between two of the exec's polls:
+					// the timer that cancels cellCtx runs only once a
+					// processor is free, which on a busy host can be many
+					// milliseconds late. An overrun fails the cell however
+					// late the cancellation would have landed.
+					var zero R
+					value = zero
+					err = fmt.Errorf("sched: cell %s overran its %v timeout: %w",
+						cell.Key, opts.CellTimeout, context.DeadlineExceeded)
+				}
 				rep.Results[i].Value = value
 				rep.Results[i].Err = err
 				rep.Results[i].Attempts = attempts

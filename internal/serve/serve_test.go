@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/wgsl"
@@ -346,9 +347,11 @@ func TestAdmissionControl(t *testing.T) {
 		return js
 	}
 	// Two distinct clients fill the queue without tripping their
-	// per-client caps.
-	c1 := &Client{BaseURL: c.BaseURL, APIKey: "alice"}
-	c2 := &Client{BaseURL: c.BaseURL, APIKey: "bob"}
+	// per-client caps. Their 429 retries sleep on a fake clock: every
+	// retry is still sent, without waiting out the backoff.
+	fake := clock.NewFake(time.Unix(0, 0))
+	c1 := &Client{BaseURL: c.BaseURL, APIKey: "alice", Clock: fake}
+	c2 := &Client{BaseURL: c.BaseURL, APIKey: "bob", Clock: fake}
 	if _, err := c1.Submit(ctx, mk(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -364,6 +367,9 @@ func TestAdmissionControl(t *testing.T) {
 	if !strings.Contains(apiErr.Message, "queue full") {
 		t.Fatalf("queue-full message: %q", apiErr.Message)
 	}
+	if !fake.Now().After(time.Unix(0, 0)) {
+		t.Fatal("the rejected submit was not retried after a backoff")
+	}
 	// Resubmitting an already-queued spec is not an admission event.
 	again, err := c1.Submit(ctx, mk(1))
 	if err != nil || !again.Existing {
@@ -374,7 +380,9 @@ func TestAdmissionControl(t *testing.T) {
 func TestPerClientCap(t *testing.T) {
 	_, c, _ := queuedServer(t, Config{QueueDepth: 16, PerClient: 2})
 	ctx := context.Background()
-	alice := &Client{BaseURL: c.BaseURL, APIKey: "alice"}
+	// 429 retries sleep on a fake clock (see TestAdmissionControl).
+	fake := clock.NewFake(time.Unix(0, 0))
+	alice := &Client{BaseURL: c.BaseURL, APIKey: "alice", Clock: fake}
 	for seed := uint64(1); seed <= 2; seed++ {
 		js := smallConformance()
 		js.Seed = seed
@@ -392,8 +400,11 @@ func TestPerClientCap(t *testing.T) {
 	if !strings.Contains(apiErr.Message, "in flight") {
 		t.Fatalf("per-client message: %q", apiErr.Message)
 	}
+	if !fake.Now().After(time.Unix(0, 0)) {
+		t.Fatal("the rejected submit was not retried after a backoff")
+	}
 	// Another client is unaffected.
-	bob := &Client{BaseURL: c.BaseURL, APIKey: "bob"}
+	bob := &Client{BaseURL: c.BaseURL, APIKey: "bob", Clock: fake}
 	if _, err := bob.Submit(ctx, js); err != nil {
 		t.Fatalf("bob blocked by alice's cap: %v", err)
 	}
@@ -447,7 +458,9 @@ func TestConcurrentDuplicateSubmit(t *testing.T) {
 func TestPerClientCapConcurrent(t *testing.T) {
 	s, c, _ := queuedServer(t, Config{QueueDepth: 64, PerClient: 3})
 	ctx := context.Background()
-	alice := &Client{BaseURL: c.BaseURL, APIKey: "alice"}
+	// 429 retries sleep on a fake clock (see TestAdmissionControl); it
+	// is safe for the racing submitters to share.
+	alice := &Client{BaseURL: c.BaseURL, APIKey: "alice", Clock: clock.NewFake(time.Unix(0, 0))}
 	const n = 12
 	var wg sync.WaitGroup
 	var accepted, rejected atomic.Int32

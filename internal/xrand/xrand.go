@@ -79,18 +79,15 @@ func NewFromPath(seed uint64, path ...string) *Rand {
 	return New(DeriveSeed(seed, path...))
 }
 
-// Uint64 returns the next value in the stream.
+// Uint64 returns the next value in the stream. The state is read into
+// locals and written back whole, which keeps the step under the
+// compiler's inlining budget, so hot callers pay no call per draw.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint32 returns a uniformly distributed 32-bit value.
@@ -105,17 +102,29 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Uint64n returns a uniformly distributed uint64 in [0, n) using Lemire's
-// multiply-shift rejection method. It panics if n == 0.
+// multiply-shift rejection method. It panics if n == 0. The common case,
+// one draw that needs no rejection, stays inline; the rejection loop and
+// the panic live in uint64nSlow.
 func (r *Rand) Uint64n(n uint64) uint64 {
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo <= n-1 { // lo < n, or n == 0
+		return r.uint64nSlow(n, hi, lo)
+	}
+	return hi
+}
+
+// uint64nSlow finishes a Uint64n draw whose low product word fell below
+// n: it panics for n == 0 and otherwise redraws while lo is under the
+// rejection threshold, exactly as the inline loop did.
+//
+//go:noinline
+func (r *Rand) uint64nSlow(n, hi, lo uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n called with n == 0")
 	}
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }
