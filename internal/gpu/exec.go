@@ -864,19 +864,12 @@ func (e *exec) issueMem(tid, ip int32, in *stepInstr) {
 		}
 	}
 	e.locTime[ip] = max(prev, ct)
-	// pushEvent, inlined: the latency bound keeps ct inside the wheel,
-	// and growWheel covers a future model that breaks it.
 	if ct-e.now > e.wheelMask {
+		// Unreachable by the latency bound; grow defensively so a
+		// future latency-model change degrades instead of corrupting.
 		e.growWheel(ct)
 	}
-	b := int(ct & e.wheelMask)
-	if e.bucketBits[b>>6]&(1<<(uint(b)&63)) == 0 {
-		e.bucketBits[b>>6] |= 1 << (uint(b) & 63)
-		e.bucketTime[b] = ct
-		e.buckets[b] = e.buckets[b][:0]
-	}
-	e.buckets[b] = append(e.buckets[b], wheelEvent{tid: tid, code: ip})
-	e.pendingEvents++
+	e.pushEvent(ct, tid, ip)
 	if e.tracing {
 		e.emit(TraceEvent{Tick: e.now, Thread: tid, Index: ip - e.ipStart[tid], Kind: TraceIssue, Op: in.op, Addr: in.addr})
 	}
@@ -1131,17 +1124,13 @@ func (e *exec) admit(wg, c int32) {
 
 // ---- timing wheel ----
 
-// pushEvent schedules a completion at tick ct; issueMem carries an
-// inlined copy, so growWheel is its only caller. Each bucket holds one
-// distinct absolute time (the wheel spans past the maximum event
-// horizon), and append order within a bucket is issue order — exactly
-// the (time, seq) order the old binary heap produced.
+// pushEvent schedules a completion at tick ct, which must lie within
+// the wheel's span: issueMem grows the wheel first when it does not.
+// Leaving that check to the caller keeps pushEvent inlinable. Each
+// bucket holds one distinct absolute time (the wheel spans past the
+// maximum event horizon), and append order within a bucket is issue
+// order — exactly the (time, seq) order the old binary heap produced.
 func (e *exec) pushEvent(ct int64, tid, code int32) {
-	if ct-e.now > e.wheelMask {
-		// Unreachable by the latency bound; grow defensively so a
-		// future latency-model change degrades instead of corrupting.
-		e.growWheel(ct)
-	}
 	b := int(ct & e.wheelMask)
 	if e.bucketBits[b>>6]&(1<<(uint(b)&63)) == 0 {
 		e.bucketBits[b>>6] |= 1 << (uint(b) & 63)

@@ -94,7 +94,7 @@ func TestUint64nMatchesReference(t *testing.T) {
 }
 
 // TestUint64nRejectionPathTaken makes sure the reference comparison
-// above exercises the out-of-line rejection loop: at n = 2^63+1 a first
+// above exercises the rejection loop: at n = 2^63+1 a first
 // draw is rejected with probability close to one half.
 func TestUint64nRejectionPathTaken(t *testing.T) {
 	const n = 1<<63 + 1
@@ -145,18 +145,22 @@ func TestIntnOneIsOneStep(t *testing.T) {
 	}
 }
 
-// TestUint64nZeroPanicsAtAnySeed: Uint64n(0) panics whatever the draw,
-// including on the inline path, where the low product word is 0 and
-// would otherwise pass the lo < n test.
+// TestUint64nZeroPanicsAtAnySeed: Uint64n(0) panics at every seed, and
+// before it draws, so a caller that recovers finds the state unmoved.
 func TestUint64nZeroPanicsAtAnySeed(t *testing.T) {
 	for seed := uint64(0); seed < 32; seed++ {
+		r := New(seed)
+		before := r.s
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("seed %d: Uint64n(0) did not panic", seed)
 				}
 			}()
-			New(seed).Uint64n(0)
+			r.Uint64n(0)
 		}()
+		if r.s != before {
+			t.Fatalf("seed %d: a panicking Uint64n(0) moved the state", seed)
+		}
 	}
 }

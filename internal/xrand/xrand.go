@@ -102,29 +102,17 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Uint64n returns a uniformly distributed uint64 in [0, n) using Lemire's
-// multiply-shift rejection method. It panics if n == 0. The common case,
-// one draw that needs no rejection, stays inline; the rejection loop and
-// the panic live in uint64nSlow.
+// multiply-shift rejection method. It panics if n == 0, before drawing.
 func (r *Rand) Uint64n(n uint64) uint64 {
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo <= n-1 { // lo < n, or n == 0
-		return r.uint64nSlow(n, hi, lo)
-	}
-	return hi
-}
-
-// uint64nSlow finishes a Uint64n draw whose low product word fell below
-// n: it panics for n == 0 and otherwise redraws while lo is under the
-// rejection threshold, exactly as the inline loop did.
-//
-//go:noinline
-func (r *Rand) uint64nSlow(n, hi, lo uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n called with n == 0")
 	}
-	thresh := -n % n
-	for lo < thresh {
-		hi, lo = bits.Mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
 	}
 	return hi
 }
