@@ -57,6 +57,10 @@ func (df *distFlags) validate() error {
 	return nil
 }
 
+// workerClock paces a work process's lease waits and RPC retries
+// (dist.WorkerOptions.Clock). Only tests replace it.
+var workerClock clock.Clock = clock.System{}
+
 // serveHub starts the coordination HTTP server. The bound address goes
 // to stdout (like serve) so scripts using port 0 learn the port. The
 // returned stop function must be deferred.
@@ -216,7 +220,7 @@ func cmdWork(ctx context.Context, args []string) error {
 			}
 			logf("joining campaign %s (%d cells, worker %s)", info.Name, info.Cells, *id)
 			w := dist.NewWorker(&dist.HTTPTransport{BaseURL: *coordinator, Campaign: info.Name, Client: client},
-				unit.Spec, unit.Run, dist.WorkerOptions{ID: *id, Logf: logf})
+				unit.Spec, unit.Run, dist.WorkerOptions{ID: *id, Logf: logf, Clock: workerClock})
 			if err := w.Run(ctx); err != nil {
 				if ctx.Err() != nil {
 					return &interruptedRun{"work: interrupted"}

@@ -28,7 +28,10 @@ func encodeArtifact(t *testing.T, a *CampaignArtifact) []byte {
 
 // runDistributed runs campaign — a RunWorkSpec call with o.Dist on
 // hub — while in-process workers drain the one campaign it registers,
-// and returns when the call returns. With crash set, one more worker
+// and returns when the call returns. The workers run under a context
+// cancelled then: a worker told to wait while the last ranges are
+// leased would otherwise sleep out a quarter of the lease TTL before
+// it learned the campaign was done. With crash set, one more worker
 // goes first and crashes through dist.FaultTransport while it holds a
 // leased range, so the coordinator must re-issue that range once its
 // lease expires; the others start only after the crash.
@@ -40,6 +43,8 @@ func runDistributed(t *testing.T, hub *dist.Hub, ws WorkSpec, workers, parallel 
 	}
 	done := make(chan error, 1)
 	go func() { done <- campaign() }()
+	wctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	// work polls the hub until the campaign registers, then drains it.
 	stop := make(chan struct{})
@@ -66,7 +71,7 @@ func runDistributed(t *testing.T, hub *dist.Hub, ws WorkSpec, workers, parallel 
 					ID:          id,
 					AcquireWait: 5 * time.Millisecond,
 					RPCBackoff:  time.Millisecond,
-				}).Run(context.Background())
+				}).Run(wctx)
 				// Unregistration races look like RPC failures; the
 				// campaign result is what the test asserts on.
 				if err == nil || errors.Is(err, dist.ErrWorkerCrashed) {
@@ -91,6 +96,7 @@ func runDistributed(t *testing.T, hub *dist.Hub, ws WorkSpec, workers, parallel 
 		}(w)
 	}
 	err = <-done
+	cancel()
 	close(stop)
 	wg.Wait()
 	return err

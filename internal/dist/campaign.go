@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/diskio"
@@ -193,41 +192,11 @@ func coordinate[R any](ctx context.Context, spec sched.Spec, o CampaignOptions, 
 			seed[c.Key] = sched.Segment{Key: c.Key, Value: raw, Replayed: true}
 		}
 	}
-	// Throttled live snapshots from coordinator status; the settled
-	// Final one is emitted exactly once after assembly, mirroring the
-	// local scheduler's progress contract (cumulative, Done monotonic).
-	every := o.ProgressEvery
-	if every <= 0 {
-		every = sched.DefaultProgressEvery
-	}
-	// progMu serializes OnProgress: status callbacks arrive on RPC
-	// handler goroutines (one per delivering worker), but progress
-	// consumers — like the serve aggregator — are written against the
-	// local scheduler's single-goroutine delivery. The callback runs
-	// under the lock, and progDone fences out any late zombie delivery
-	// after the Final snapshot.
-	var progMu sync.Mutex
-	var progDone bool
-	var lastEmit time.Time
-	onStatus := func(st Status) {
-		if o.OnProgress == nil {
-			return
-		}
-		progMu.Lock()
-		defer progMu.Unlock()
-		now := time.Now()
-		if progDone || (!lastEmit.IsZero() && now.Sub(lastEmit) < every) {
-			return
-		}
-		lastEmit = now
-		o.OnProgress(sched.LiveProgress(spec.Name, st.Total, st.Done, st.Replayed, st.CacheHits, time.Since(start).Seconds()))
-	}
 	coord, err := NewCoordinator(d.Name, spec, desc, seed, CoordinatorOptions{
 		LeaseTTL:     d.LeaseTTL,
 		RangeCells:   d.RangeCells,
 		StallTimeout: d.StallTimeout,
 		Logf:         d.Logf,
-		OnStatus:     onStatus,
 		OnSegment: func(seg sched.Segment) {
 			if o.Progress != nil {
 				o.Progress(fmt.Sprintf("%s on %s (delivered)", seg.Key, deviceOf[seg.Key]))
@@ -246,6 +215,14 @@ func coordinate[R any](ctx context.Context, spec sched.Spec, o CampaignOptions, 
 		return nil, err
 	}
 	defer d.Hub.Unregister(d.Name)
+	// Live snapshots pull the coordinator's status through the same
+	// stream a local run uses; RPC goroutines push nothing, so a late
+	// zombie delivery cannot emit after the Final snapshot.
+	stream := sched.StreamProgress(o.OnProgress, o.ProgressEvery, func() sched.Progress {
+		st := coord.Status()
+		return sched.LiveProgress(spec.Name, st.Total, st.Done, st.Replayed, st.CacheHits, time.Since(start).Seconds())
+	})
+	defer stream.Stop()
 	waitErr := coord.Wait(ctx)
 	rep, err := sched.AssembleReport[R](spec, coord.Segments(), o.Breaker)
 	if err != nil {
@@ -260,7 +237,7 @@ func coordinate[R any](ctx context.Context, spec sched.Spec, o CampaignOptions, 
 			rep.StorageErr = derr.Error()
 		}
 	}
-	if o.OnProgress != nil {
+	if stream != nil {
 		inst := 0
 		if instances != nil {
 			for _, r := range rep.Results {
@@ -269,11 +246,7 @@ func coordinate[R any](ctx context.Context, spec sched.Spec, o CampaignOptions, 
 				}
 			}
 		}
-		p := sched.FinalProgress(rep, inst, rep.WallSeconds)
-		progMu.Lock()
-		progDone = true
-		o.OnProgress(p)
-		progMu.Unlock()
+		stream.Finish(sched.FinalProgress(rep, inst, rep.WallSeconds))
 	}
 	if rep.Interrupted > 0 {
 		return rep, fmt.Errorf("dist: distributed campaign %q interrupted: %d of %d cells pending: %w (%v)",

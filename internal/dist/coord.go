@@ -43,9 +43,6 @@ type CoordinatorOptions struct {
 	// construction). The distributed campaign runner checkpoints
 	// successful segments from it.
 	OnSegment func(sched.Segment)
-	// OnStatus, when non-nil, observes a status snapshot after every
-	// state-changing RPC or sweep.
-	OnStatus func(Status)
 	// Logf, when non-nil, receives coordination events (expiries,
 	// quarantines, losses) as log lines.
 	Logf func(format string, args ...any)
@@ -183,9 +180,7 @@ func (c *Coordinator) Acquire(req AcquireRequest) *AcquireResponse {
 	c.sweepLocked(now)
 	resp := c.acquireLocked(req, now)
 	c.finishLocked()
-	st := c.statusLocked()
 	c.mu.Unlock()
-	c.emit(st)
 	return resp
 }
 
@@ -239,9 +234,7 @@ func (c *Coordinator) Renew(req RenewRequest) *RenewResponse {
 		l.deadline = now.Add(c.opts.leaseTTL())
 	}
 	c.finishLocked()
-	st := c.statusLocked()
 	c.mu.Unlock()
-	c.emit(st)
 	return &RenewResponse{OK: ok}
 }
 
@@ -285,9 +278,7 @@ func (c *Coordinator) Deliver(req DeliverRequest) *DeliverResponse {
 		ws.breaker.Observe(complete)
 	}
 	c.finishLocked()
-	st := c.statusLocked()
 	c.mu.Unlock()
-	c.emit(st)
 	return resp
 }
 
@@ -317,9 +308,7 @@ func (c *Coordinator) Sweep() {
 	c.mu.Lock()
 	c.sweepLocked(c.opts.Clock.Now())
 	c.finishLocked()
-	st := c.statusLocked()
 	c.mu.Unlock()
-	c.emit(st)
 }
 
 func (c *Coordinator) sweepLocked(now time.Time) {
@@ -390,19 +379,18 @@ func (c *Coordinator) finishLocked() {
 	c.cond.Broadcast()
 }
 
-func (c *Coordinator) emit(st Status) {
-	if c.opts.OnStatus != nil {
-		c.opts.OnStatus(st)
-	}
-}
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.opts.Logf != nil {
 		c.opts.Logf(format, args...)
 	}
 }
 
-func (c *Coordinator) statusLocked() Status {
+// Status returns a progress snapshot. It walks every resolved segment,
+// so the campaign's progress stream calls it once a tick and no RPC
+// pays for it.
+func (c *Coordinator) Status() Status {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := Status{
 		Name:         c.name,
 		Total:        len(c.spec.Cells),
@@ -429,13 +417,6 @@ func (c *Coordinator) statusLocked() Status {
 		}
 	}
 	return st
-}
-
-// Status returns a progress snapshot.
-func (c *Coordinator) Status() Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.statusLocked()
 }
 
 // Segments returns a copy of the resolved-segment map; once Wait has

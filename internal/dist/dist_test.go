@@ -134,7 +134,6 @@ type distRun struct {
 	leaseTTL    time.Duration
 	maxReissues int
 	mkTransport func(i int, inner Transport) Transport
-	onStatus    func(Status)
 }
 
 func (d distRun) run(t *testing.T) (*sched.Report[distVal], Status) {
@@ -160,7 +159,6 @@ func (d distRun) runWithClock(t *testing.T, onClock func(*clock.Fake)) (*sched.R
 		RangeCells:  rc,
 		MaxReissues: d.maxReissues,
 		Clock:       clk,
-		OnStatus:    d.onStatus,
 	})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)

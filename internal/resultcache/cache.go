@@ -493,10 +493,8 @@ func (c *Cache) sweep() error {
 
 // compact enforces a byte budget: it evicts entries oldest-first
 // (mtime, then path, so the pass is deterministic for a given
-// directory state) until objects/ fits. It also removes the
-// objects/*.tmp leftovers of builds that published through a temp file
-// beside the entry. It runs only at a budgeted Open: campaigns in
-// flight never lose entries under them.
+// directory state) until objects/ fits. It runs only at a budgeted
+// Open: campaigns in flight never lose entries under them.
 func (c *Cache) compact(maxBytes int64) error {
 	ents, err := c.fsys.ReadDir(c.objects)
 	if err != nil {
@@ -513,14 +511,7 @@ func (c *Cache) compact(maxBytes int64) error {
 		if de.IsDir() {
 			continue
 		}
-		path := join(c.objects, de.Name())
-		if filepath.Ext(path) == ".tmp" {
-			if err := c.fsys.Remove(path); err != nil && !errorsIsNotExist(err) {
-				return err
-			}
-			continue
-		}
-		info, err := c.fsys.Stat(path)
+		info, err := c.fsys.Stat(join(c.objects, de.Name()))
 		if err != nil {
 			if errorsIsNotExist(err) {
 				continue

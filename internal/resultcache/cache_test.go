@@ -612,37 +612,6 @@ func TestCompactionWithoutBudgetStatsNothing(t *testing.T) {
 	}
 }
 
-// TestBudgetedOpenRemovesLegacyTmp: builds that published through
-// objects/<key>.tmp left that file behind when they crashed. A
-// budget-free Open no longer lists objects/, so it leaves the file
-// alone (no Get can reach it: its name is not a hex key); a budgeted
-// Open, which lists objects/ anyway, removes it and counts it against
-// nothing.
-func TestBudgetedOpenRemovesLegacyTmp(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{})
-	k := key("cell-legacy")
-	c.Put(k, []byte(`{"v":1}`))
-	legacy := filepath.Join(dir, objectsDir, key("cell-dead")+".tmp")
-	if err := os.WriteFile(legacy, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mustOpen(t, dir, Options{})
-	if _, err := os.Stat(legacy); err != nil {
-		t.Fatalf("budget-free Open touched objects/: %v", err)
-	}
-	c2 := mustOpen(t, dir, Options{MaxBytes: 1 << 20})
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy temp leftover survived a budgeted Open: %v", err)
-	}
-	if st := c2.Stats(); st.Evicted != 0 {
-		t.Fatalf("legacy temp file counted as an eviction: %+v", st)
-	}
-	if _, hit, _ := c2.Get(k); !hit {
-		t.Fatal("entry lost by a budgeted Open")
-	}
-}
-
 // TestCacheHitOneRead: a hit inside the recency grain opens its entry,
 // fstats it, reads it with exactly one Read of the fstat's size and
 // closes it — four calls, no path Stat and no touch — and serves the

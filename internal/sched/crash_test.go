@@ -262,6 +262,58 @@ func TestCheckpointNonStorageErrorIsFatal(t *testing.T) {
 	}
 }
 
+// TestHardCheckpointFailureOneRule: a hard checkpoint failure fails
+// its cell and aborts the campaign under collect as under fail-fast,
+// whether the cell's value was executed or served from the result
+// cache. An all-hit run and an all-executed run over the same failing
+// disk therefore end with the same per-cell verdicts.
+func TestHardCheckpointFailureOneRule(t *testing.T) {
+	spec := testSpec(8)
+	cache := &mapCache{entries: map[string][]byte{}}
+	if _, err := Run(spec, drawValue, Options[cellValue]{Cache: cache, CacheSalt: testSalt}); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := func(label string, opts Options[cellValue]) string {
+		ffs := diskio.NewFaultFS(diskio.OS{}, 7)
+		ck, err := OpenCheckpointOpts(filepath.Join(t.TempDir(), "c.ckpt"), spec, false,
+			CheckpointOptions{FS: ffs, FsyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ck.Close()
+		// Each record is one write: the first two land, and the third
+		// and every later operation fail with a non-storage error.
+		ffs.FailFrom(ffs.Ops()+3, syscall.EACCES)
+		opts.Workers, opts.Collect, opts.Checkpoint = 1, true, ck
+		rep, err := Run(spec, drawValue, opts)
+		if err != nil && !errors.Is(err, syscall.EACCES) {
+			t.Fatalf("%s: error does not carry the cause: %v", label, err)
+		}
+		var v []string
+		for _, r := range rep.Results {
+			switch {
+			case r.Err == nil:
+				v = append(v, "ok")
+			case errors.Is(r.Err, ErrAborted):
+				v = append(v, "aborted")
+			case errors.Is(r.Err, syscall.EACCES):
+				v = append(v, "failed")
+			default:
+				t.Fatalf("%s: cell %s: unexpected error %v", label, r.Cell.Key, r.Err)
+			}
+		}
+		if rep.Failed != 1 || rep.Aborted != 5 {
+			t.Errorf("%s: %d failed, %d aborted, want 1 and 5 (%v)", label, rep.Failed, rep.Aborted, v)
+		}
+		return strings.Join(v, " ")
+	}
+	executed := verdicts("executed", Options[cellValue]{})
+	cached := verdicts("cached", Options[cellValue]{Cache: cache, CacheSalt: testSalt})
+	if executed != cached {
+		t.Fatalf("per-cell verdicts differ:\nexecuted: %s\ncached:   %s", executed, cached)
+	}
+}
+
 // TestCheckpointRejectsEmptyFile: the header is published atomically,
 // so our writer can never leave an empty checkpoint behind; an empty
 // file at the path is damage and -resume refuses it loudly instead of

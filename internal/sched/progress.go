@@ -2,16 +2,18 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
 // Progress is one structured snapshot of a running campaign and the
-// only place the campaign counter set is defined: the scheduler's live
-// tracker fills it, the distributed coordinator reports through it,
-// multi-campaign consumers fold it with Add, and String renders it as
-// the human-readable throughput line. Snapshots are cumulative: every
+// only place the campaign counter set is defined: the scheduler
+// projects its report onto it (progressOf), the distributed
+// coordinator reports through it, and String renders it as the
+// human-readable throughput line. Snapshots are cumulative: every
 // counter covers the campaign from its start, so a consumer may drop
 // intermediate snapshots and still hold a correct view.
 //
@@ -85,6 +87,34 @@ func Rate(n int, elapsedSeconds float64) float64 {
 	return float64(n) / elapsedSeconds
 }
 
+// progressOf projects a campaign's own counters onto a snapshot: the
+// report's counters, the instances its succeeded cells produced, each
+// device's busy seconds (copied), and the throughput over
+// elapsedSeconds. Live snapshots and FinalProgress are both this
+// projection, so the two can never disagree on what a counter means.
+func progressOf[R any](rep *Report[R], instances int, busy map[string]float64, elapsedSeconds float64) Progress {
+	p := Progress{
+		Campaign:     rep.Spec.Name,
+		Total:        len(rep.Spec.Cells),
+		Done:         rep.Executed + rep.Replayed + rep.Quarantined + rep.CacheHits,
+		Executed:     rep.Executed,
+		Replayed:     rep.Replayed,
+		Failed:       rep.Failed,
+		Quarantined:  rep.Quarantined,
+		Interrupted:  rep.Interrupted,
+		Retried:      rep.Retried,
+		Instances:    instances,
+		CacheHits:    rep.CacheHits,
+		CacheMisses:  rep.CacheMisses,
+		CacheCorrupt: rep.CacheCorrupt,
+	}
+	if len(busy) > 0 {
+		p.DeviceBusy = maps.Clone(busy)
+	}
+	p.setElapsed(elapsedSeconds)
+	return p
+}
+
 // setElapsed records the host time the snapshot covers and recomputes
 // both throughputs over it.
 func (p *Progress) setElapsed(seconds float64) {
@@ -94,30 +124,15 @@ func (p *Progress) setElapsed(seconds float64) {
 }
 
 // FinalProgress is the settled snapshot of a finished campaign: the
-// report's post-pass verdicts, the instances its executed cells
-// produced, and the throughput over elapsedSeconds of host time. Local
-// and distributed campaigns both end their progress streams with it.
+// projection of its report after the post-pass verdicts, plus Final,
+// the per-device Health and the degradation flags. Local and
+// distributed campaigns both end their progress streams with it.
 func FinalProgress[R any](rep *Report[R], instances int, elapsedSeconds float64) Progress {
-	p := Progress{
-		Campaign:        rep.Spec.Name,
-		Total:           len(rep.Spec.Cells),
-		Done:            rep.Executed + rep.Replayed + rep.Quarantined + rep.CacheHits,
-		Executed:        rep.Executed,
-		Replayed:        rep.Replayed,
-		Failed:          rep.Failed,
-		Quarantined:     rep.Quarantined,
-		Interrupted:     rep.Interrupted,
-		Retried:         rep.Retried,
-		Instances:       instances,
-		CacheHits:       rep.CacheHits,
-		CacheMisses:     rep.CacheMisses,
-		CacheCorrupt:    rep.CacheCorrupt,
-		CacheDegraded:   rep.CacheDegraded,
-		Final:           true,
-		Health:          rep.Health,
-		StorageDegraded: rep.StorageDegraded,
-	}
-	p.setElapsed(elapsedSeconds)
+	p := progressOf(rep, instances, nil, elapsedSeconds)
+	p.Final = true
+	p.Health = rep.Health
+	p.StorageDegraded = rep.StorageDegraded
+	p.CacheDegraded = rep.CacheDegraded
 	return p
 }
 
@@ -131,6 +146,70 @@ func LiveProgress(campaign string, total, done, replayed, cacheHits int, elapsed
 		Executed: done - replayed - cacheHits}
 	p.setElapsed(elapsedSeconds)
 	return p
+}
+
+// ProgressStream delivers one campaign's snapshots to an OnProgress
+// callback: a ticker goroutine calls it with a pulled snapshot every
+// interval, and Finish joins that goroutine before it emits the final
+// snapshot. Calls are therefore serialized and the final one is the
+// last, with no lock or fence of the callback's own. The local
+// scheduler and the distributed coordinator both stream through it.
+// Every method is a no-op on a nil stream.
+type ProgressStream struct {
+	cb   func(Progress)
+	stop func() // closes the ticker's quit channel, once
+	done chan struct{}
+}
+
+// StreamProgress starts a stream that calls cb(snap()) every interval
+// (DefaultProgressEvery when every is not positive). It returns nil
+// when cb is nil. snap runs on the ticker goroutine, so it must read
+// the counters it projects under their own lock.
+func StreamProgress(cb func(Progress), every time.Duration, snap func() Progress) *ProgressStream {
+	if cb == nil {
+		return nil
+	}
+	if every <= 0 {
+		every = DefaultProgressEvery
+	}
+	quit := make(chan struct{})
+	s := &ProgressStream{cb: cb, stop: sync.OnceFunc(func() { close(quit) }), done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		ticker := time.NewTicker(every)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
+				cb(snap())
+			}
+		}
+	}()
+	return s
+}
+
+// Stop joins the ticker goroutine without a final snapshot, and is
+// idempotent. The distributed runner defers it so that no error return
+// leaves the ticker running; the scheduler calls it once its workers
+// are done, so that its settling pass rewrites counters no tick reads.
+func (s *ProgressStream) Stop() {
+	if s == nil {
+		return
+	}
+	s.stop()
+	<-s.done
+}
+
+// Finish joins the ticker goroutine and emits final, the settled
+// snapshot (see FinalProgress).
+func (s *ProgressStream) Finish(final Progress) {
+	if s == nil {
+		return
+	}
+	s.Stop()
+	s.cb(final)
 }
 
 // Mark folds the snapshot into one monotone progress mark for stall

@@ -5,8 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/clock"
+	"time"
 )
 
 // TestRateZeroElapsed: the shared rate helper reports zero throughput
@@ -30,18 +29,11 @@ func TestRateZeroElapsed(t *testing.T) {
 // elapsed time is exactly zero. Rates must come out zero, finite, and
 // JSON-marshalable, not executed × 1e9.
 func TestInstantJobSnapshotRates(t *testing.T) {
-	var got []Progress
-	tr := newProgressTracker(func(p Progress) { got = append(got, p) }, "instant", 4, 0)
-	tr.clk = clock.NewFake(tr.start)
-
 	// A warm run: cells resolve by replay and cache hits, plus one
 	// executed cell — the case the epsilon clamp used to blow up on.
-	tr.cellReplayed()
-	tr.cellCacheHit()
-	tr.cellCacheHit()
-	tr.cellDone(Cell{Device: "AMD"}, 0, 7, true, 0)
-
-	p := tr.snapshot()
+	rep := &Report[int]{Spec: Spec{Name: "instant", Cells: make([]Cell, 4)},
+		Executed: 1, Replayed: 1, CacheHits: 2}
+	p := progressOf(rep, 7, map[string]float64{"AMD": 0}, 0)
 	if p.ElapsedSeconds != 0 {
 		t.Fatalf("elapsed = %v under a frozen clock", p.ElapsedSeconds)
 	}
@@ -49,9 +41,10 @@ func TestInstantJobSnapshotRates(t *testing.T) {
 		t.Fatalf("instant-job rates = %v cells/s, %v instances/s; want 0",
 			p.CellsPerSec, p.InstancesPerSec)
 	}
-	rep := &Report[int]{Spec: Spec{Name: "instant", Cells: make([]Cell, 4)},
-		Executed: 1, Replayed: 1, CacheHits: 2}
-	tr.finish(FinalProgress(rep, 0, 0))
+	var got []Progress
+	s := StreamProgress(func(p Progress) { got = append(got, p) }, time.Hour,
+		func() Progress { return p })
+	s.Finish(FinalProgress(rep, 7, 0))
 	final := got[len(got)-1]
 	if !final.Final {
 		t.Fatal("no final snapshot")

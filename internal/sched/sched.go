@@ -284,8 +284,9 @@ func (r *Report[R]) FirstErr() error {
 	return nil
 }
 
-// ErrAborted marks cells that never ran because fail-fast cancelled the
-// campaign.
+// ErrAborted marks cells that never ran because the campaign was
+// aborted: by fail-fast, or by a hard checkpoint failure under either
+// error policy.
 var ErrAborted = fmt.Errorf("sched: campaign aborted")
 
 // Run executes the campaign under context.Background(); see RunContext.
@@ -321,18 +322,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	}
 	rep := &Report[R]{Spec: spec, Results: make([]CellResult[R], len(spec.Cells))}
 	start := time.Now()
-	var prog *progressTracker
-	if opts.OnProgress != nil {
-		every := opts.ProgressEvery
-		if every <= 0 {
-			every = DefaultProgressEvery
-		}
-		prog = newProgressTracker(opts.OnProgress, spec.Name, len(spec.Cells), every)
-		// finish() emits the final snapshot on the ordinary return path;
-		// the defer only guarantees the ticker goroutine cannot outlive
-		// an early error return.
-		defer prog.stop()
-	}
 	// A breaker implies collect: device failures feed the breaker
 	// instead of aborting the campaign.
 	collect := opts.Collect || opts.Breaker != nil
@@ -341,8 +330,9 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 		breaker = newFleetBreaker(&spec, *opts.Breaker)
 	}
 
-	// Replay checkpointed cells and queue the rest.
-	var mu sync.Mutex // guards rep counters and checkpoint appends
+	// Replay checkpointed cells and queue the rest. Only this goroutine
+	// runs until the workers and the progress stream start below, so
+	// the replay counts need no lock.
 	pending := make([]int, 0, len(spec.Cells))
 	for i, cell := range spec.Cells {
 		rep.Results[i].Cell = cell
@@ -356,13 +346,47 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				rep.Results[i].Replayed = true
 				rep.Replayed++
 				breaker.resolve(cell.Device, i, true)
-				if prog != nil {
-					prog.cellReplayed()
-				}
 				continue
 			}
 		}
 		pending = append(pending, i)
+	}
+
+	// mu guards the report counters, the progress-only counters beside
+	// them (instances and per-device busy seconds), the abort flag and
+	// checkpoint appends. Every progress snapshot is a projection of
+	// these counters taken under mu.
+	var (
+		mu         sync.Mutex
+		instances  int
+		busy       map[string]float64
+		abort      bool  // fail-fast or a hard checkpoint failure tripped
+		abortCause error // the failure that tripped it
+	)
+	stream := StreamProgress(opts.OnProgress, opts.ProgressEvery, func() Progress {
+		mu.Lock()
+		defer mu.Unlock()
+		return progressOf(rep, instances, busy, time.Since(start).Seconds())
+	})
+	// record checkpoints cell i's resolved value, with mu held, and
+	// reports whether the cell stands. A checkpoint degrades on ENOSPC
+	// and EIO and returns nil; any other error is a hard failure, and it
+	// fails the cell and aborts the campaign under either error policy,
+	// whether the value was executed or served from the cache.
+	record := func(i int, v R) bool {
+		if opts.Checkpoint == nil {
+			return true
+		}
+		cerr := opts.Checkpoint.record(spec.Cells[i].Key, v)
+		if cerr == nil {
+			return true
+		}
+		rep.Results[i].Err = cerr
+		rep.Failed++
+		if !abort {
+			abort, abortCause = true, cerr
+		}
+		return false
 	}
 
 	var digests cellDigests
@@ -371,8 +395,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	}
 	// Workers claim pending[cursor] in turn; see the package comment.
 	var cursor atomic.Int64
-	var abort bool       // fail-fast tripped; guarded by mu
-	var abortCause error // the failure that tripped it; guarded by mu
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -403,9 +425,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					mu.Lock()
 					rep.Interrupted++
 					mu.Unlock()
-					if prog != nil {
-						prog.cellInterrupted()
-					}
 					continue
 				}
 				mu.Lock()
@@ -424,9 +443,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					mu.Lock()
 					rep.Quarantined++
 					mu.Unlock()
-					if prog != nil {
-						prog.cellQuarantined()
-					}
 					continue
 				}
 				// Consult the result cache before executing. A verified hit
@@ -448,30 +464,14 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 							hit, corrupt = false, true
 						} else {
 							rep.Results[i].Value = v
-							rep.Results[i].CacheHit = true
 							mu.Lock()
-							rep.CacheHits++
-							var cerr error
-							if opts.Checkpoint != nil {
-								cerr = opts.Checkpoint.record(cell.Key, v)
-							}
-							if cerr != nil {
-								rep.Results[i].Err = cerr
-								rep.Results[i].CacheHit = false
-								rep.CacheHits--
-								rep.Failed++
-								if !collect && !abort {
-									abort = true
-									abortCause = cerr
-								}
+							ok := record(i, v)
+							if ok {
+								rep.Results[i].CacheHit = true
+								rep.CacheHits++
 							}
 							mu.Unlock()
-							breaker.resolve(cell.Device, i, rep.Results[i].Err == nil)
-							if rep.Results[i].Err == nil {
-								if prog != nil {
-									prog.cellCacheHit()
-								}
-							}
+							breaker.resolve(cell.Device, i, ok)
 							continue
 						}
 					}
@@ -482,9 +482,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 						rep.CacheMisses++
 					}
 					mu.Unlock()
-					if prog != nil {
-						prog.cellCacheMiss(corrupt)
-					}
 				}
 				if opts.OnCellStart != nil {
 					mu.Lock()
@@ -513,9 +510,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					mu.Lock()
 					rep.Interrupted++
 					mu.Unlock()
-					if prog != nil {
-						prog.cellInterrupted()
-					}
 					continue
 				}
 				if err == nil && opts.CellTimeout > 0 && wall > opts.CellTimeout {
@@ -532,47 +526,44 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				rep.Results[i].Value = value
 				rep.Results[i].Err = err
 				rep.Results[i].Attempts = attempts
-				instances := 0
-				if err == nil && opts.Instances != nil {
-					instances = opts.Instances(value)
-				}
+				ok := err == nil
 				mu.Lock()
 				rep.Executed++
 				rep.Retried += attempts - 1
-				if err != nil {
+				if cell.Device != "" {
+					if busy == nil {
+						busy = map[string]float64{}
+					}
+					busy[cell.Device] += wall.Seconds()
+				}
+				if !ok {
 					rep.Failed++
 					if !collect && !abort {
 						abort = true
 						abortCause = fmt.Errorf("sched: cell %s: %w", cell.Key, err)
 					}
-				} else if opts.Checkpoint != nil {
-					if cerr := opts.Checkpoint.record(cell.Key, value); cerr != nil {
-						rep.Results[i].Err = cerr
-						rep.Failed++
-						if !abort {
-							abort = true
-							abortCause = cerr
-						}
-					}
+				} else if ok = record(i, value); ok && opts.Instances != nil {
+					instances += opts.Instances(value)
 				}
 				mu.Unlock()
 				// Publish after validation: only a cell that completed
 				// cleanly — executed without error and, when checkpointing,
 				// durably recorded — enters the cache. Failed, faulted,
 				// interrupted and aborted cells never do.
-				if opts.Cache != nil && rep.Results[i].Err == nil {
+				if opts.Cache != nil && ok {
 					if data, merr := json.Marshal(value); merr == nil {
 						opts.Cache.Put(cacheDigest, data)
 					}
 				}
-				breaker.resolve(cell.Device, i, rep.Results[i].Err == nil)
-				if prog != nil {
-					prog.cellDone(cell, wall, instances, rep.Results[i].Err == nil, attempts-1)
-				}
+				breaker.resolve(cell.Device, i, ok)
 			}
 		}()
 	}
 	wg.Wait()
+	// The workers are done; stopping the ticker too leaves this
+	// goroutine the counters' only reader and writer again, so the
+	// breaker post-pass below may rewrite them without mu.
+	stream.Stop()
 	if opts.Breaker != nil {
 		// Settle quarantine verdicts in spec order: speculative results
 		// of quarantined cells are discarded, counters recomputed, and
@@ -604,9 +595,9 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 			rep.CacheErr = derr.Error()
 		}
 	}
-	if prog != nil {
-		prog.finish(FinalProgress(rep, 0, 0))
-	}
+	final := FinalProgress(rep, instances, rep.WallSeconds)
+	final.DeviceBusy = busy
+	stream.Finish(final)
 	if !collect && abortCause != nil {
 		return rep, abortCause
 	}

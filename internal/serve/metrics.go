@@ -32,25 +32,19 @@ type metrics struct {
 	submissionsShed int64
 	jobsShed        int64
 	jobsPoisoned    int64
-	// perJob remembers each live job's last cumulative snapshot so a
-	// new snapshot contributes only its delta to the counters.
-	perJob map[string]sched.Progress
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		jobsCompleted: map[JobState]int64{},
-		perJob:        map[string]sched.Progress{},
-	}
+	return &metrics{jobsCompleted: map[JobState]int64{}}
 }
 
 // observe folds one job-level progress snapshot into the cell
 // counters. Snapshots are cumulative per job, so the delta against
-// the previous observation is what the totals gain.
-func (m *metrics) observe(id string, p sched.Progress) {
+// prev, the job's previous snapshot (zero for its first), is what the
+// totals gain.
+func (m *metrics) observe(prev, p sched.Progress) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev := m.perJob[id]
 	m.cellsExec += max64(0, p.Executed-prev.Executed)
 	m.cellsReplayed += max64(0, p.Replayed-prev.Replayed)
 	m.cellsRetried += max64(0, p.Retried-prev.Retried)
@@ -58,7 +52,6 @@ func (m *metrics) observe(id string, p sched.Progress) {
 	m.cacheHits += max64(0, p.CacheHits-prev.CacheHits)
 	m.cacheMisses += max64(0, p.CacheMisses-prev.CacheMisses)
 	m.cacheCorrupt += max64(0, p.CacheCorrupt-prev.CacheCorrupt)
-	m.perJob[id] = p
 }
 
 func max64(a, b int) int64 {
@@ -66,14 +59,6 @@ func max64(a, b int) int64 {
 		return int64(b)
 	}
 	return int64(a)
-}
-
-// forget drops a job's delta baseline once it leaves the running
-// state; a later re-run starts its cumulative counters from zero.
-func (m *metrics) forget(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.perJob, id)
 }
 
 // jobFinished bumps the terminal-state counter.

@@ -507,7 +507,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.mu.Lock()
 		delete(s.running, id)
 		s.mu.Unlock()
-		s.metrics.forget(id)
 	}()
 
 	job, err := s.store.update(id, func(j *Job) {
@@ -539,12 +538,15 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	eff := s.cfg.Budgets.Resolve(job.Spec.budget())
 	s.watchdog.Watch(id, eff.WallDeadline, eff.StallTimeout)
 
+	// Calls are serialized (sched.ProgressStream), so rj.last is this
+	// run's previous snapshot, the metrics' delta baseline.
 	onProgress := func(p sched.Progress) {
 		s.mu.Lock()
+		prev := rj.last
 		rj.last = p
 		s.mu.Unlock()
 		s.watchdog.Observe(id, p.Mark())
-		s.metrics.observe(id, p)
+		s.metrics.observe(prev, p)
 		if data, err := json.Marshal(p); err == nil {
 			s.hub.publish(id, event{name: "progress", data: data})
 		}
@@ -819,7 +821,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.hub.reset(id)
-			s.metrics.forget(id)
 			job, err := s.store.update(id, func(j *Job) {
 				j.State = StateQueued
 				j.Error = ""
