@@ -412,3 +412,78 @@ func TestFinalProgressLocalMatchesDistributed(t *testing.T) {
 		})
 	}
 }
+
+// TestFinalProgressUnderBreakerLocalMatchesDistributed: on a faulted
+// fleet that loses devices, the circuit breaker quarantines cells. A
+// local pool may execute some of them speculatively before their
+// verdict is known; a distributed campaign executes all of them on its
+// workers. Either way the Final snapshot counts each cell once and
+// agrees on every settled counter. Instances, like the host-time
+// fields, measures work done, speculative work included, so it is left
+// out.
+func TestFinalProgressUnderBreakerLocalMatchesDistributed(t *testing.T) {
+	fm := gpu.UniformFaults(7, 0.05)
+	fm.LossAfter = 3
+	ws := WorkSpec{
+		Kind:    "evaluate",
+		Devices: []string{"AMD", "Intel"},
+		Envs:    []string{"pte", "site-baseline"},
+		Iters:   2,
+		Seed:    7,
+		Faults:  &fm,
+	}
+	st, err := NewStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	breaker := &sched.BreakerOptions{}
+	var localFinal sched.Progress
+	for _, tc := range []struct {
+		name   string
+		shards int // 0 runs locally
+	}{
+		{"local", 0},
+		{"dist-1", 1},
+		{"dist-2", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var finals []sched.Progress
+			opts := CampaignOptions{
+				Workers: 4, Collect: true, Breaker: breaker,
+				OnProgress: func(p sched.Progress) {
+					if p.Final {
+						finals = append(finals, p)
+					}
+				},
+			}
+			if tc.shards == 0 {
+				_, err = st.RunWorkSpec(context.Background(), ws, opts)
+			} else {
+				hub := dist.NewHub()
+				opts.Dist = &dist.Options{Hub: hub, LeaseTTL: 30 * time.Second, RangeCells: 3}
+				err = runDistributed(t, hub, ws, tc.shards, 2, false, func() error {
+					_, err := st.RunWorkSpec(context.Background(), ws, opts)
+					return err
+				})
+			}
+			if err != nil {
+				t.Fatalf("campaign: %v", err)
+			}
+			if len(finals) != 1 {
+				t.Fatalf("%d final snapshots, want 1", len(finals))
+			}
+			got := finals[0]
+			got.ElapsedSeconds, got.CellsPerSec, got.InstancesPerSec, got.DeviceBusy, got.Instances = 0, 0, 0, nil, 0
+			if got.Done != got.Total || got.Quarantined == 0 {
+				t.Fatalf("final snapshot does not resolve every cell with some quarantined: %+v", got)
+			}
+			if tc.shards == 0 {
+				localFinal = got
+				return
+			}
+			if !reflect.DeepEqual(got, localFinal) {
+				t.Fatalf("settled counters differ:\nlocal:       %+v\ndistributed: %+v", localFinal, got)
+			}
+		})
+	}
+}

@@ -283,14 +283,8 @@ func newWorkCampaign[R any](ws WorkSpec, spec sched.Spec, newExec func() sched.E
 			if res.Artifact != nil {
 				res.Artifact.StorageDegraded = rep.StorageDegraded
 			}
-			for _, r := range rep.Results {
-				if r.Err != nil && !r.Interrupted {
-					res.Failed++
-					if r.Quarantined {
-						res.Quarantined++
-					}
-				}
-			}
+			res.Failed = rep.Failed + rep.Aborted + rep.Quarantined
+			res.Quarantined = rep.Quarantined
 			return res, nil
 		},
 	}

@@ -77,15 +77,6 @@ type lease struct {
 	deadline time.Time
 }
 
-// workerState is everything the coordinator remembers about one
-// worker identity.
-type workerState struct {
-	breaker   *sched.Breaker
-	granted   int
-	expired   int
-	completed int
-}
-
 // Coordinator owns one campaign's distribution state: which cells
 // are resolved (segments), which are leased, and which are waiting.
 // All methods are safe for concurrent use; the HTTP hub and the
@@ -102,7 +93,7 @@ type Coordinator struct {
 	segs    map[string]sched.Segment
 	pending []int // spec indexes waiting for a lease, ascending
 	leases  map[string]*lease
-	workers map[string]*workerState
+	workers map[string]*sched.Breaker // worker id -> its quarantine breaker
 
 	nextLease    int
 	reissueCount map[int]int // spec index -> times re-issued
@@ -131,7 +122,7 @@ func NewCoordinator(name string, spec sched.Spec, desc json.RawMessage, seed map
 		byKey:        make(map[string]int, len(spec.Cells)),
 		segs:         make(map[string]sched.Segment, len(spec.Cells)),
 		leases:       map[string]*lease{},
-		workers:      map[string]*workerState{},
+		workers:      map[string]*sched.Breaker{},
 		reissueCount: map[int]int{},
 		lastActivity: opts.Clock.Now(),
 	}
@@ -189,8 +180,7 @@ func (c *Coordinator) acquireLocked(req AcquireRequest, now time.Time) *AcquireR
 		return &AcquireResponse{State: StateDone}
 	}
 	ttl := c.opts.leaseTTL()
-	ws := c.workerLocked(req.Worker)
-	if !ws.breaker.Allow() {
+	if !c.workerLocked(req.Worker).Allow() {
 		// Quarantined: starved of ranges for the breaker's cooldown,
 		// then one probation lease decides. Waiting a full TTL keeps a
 		// flapping worker from consuming its cooldown instantly.
@@ -214,7 +204,6 @@ func (c *Coordinator) acquireLocked(req AcquireRequest, now time.Time) *AcquireR
 		deadline: now.Add(ttl),
 	}
 	c.leases[l.id] = l
-	ws.granted++
 	return &AcquireResponse{
 		State: StateLease,
 		Lease: &Lease{ID: l.id, Cells: cells, TTLMS: ttl.Milliseconds()},
@@ -261,7 +250,6 @@ func (c *Coordinator) Deliver(req DeliverRequest) *DeliverResponse {
 		resp.State = DeliverLost
 	} else {
 		delete(c.leases, req.Lease)
-		ws := c.workerLocked(req.Worker)
 		complete := true
 		for _, i := range l.cells {
 			if _, done := c.segs[c.spec.Cells[i].Key]; !done {
@@ -272,10 +260,8 @@ func (c *Coordinator) Deliver(req DeliverRequest) *DeliverResponse {
 		}
 		if !complete {
 			sort.Ints(c.pending)
-		} else {
-			ws.completed++
 		}
-		ws.breaker.Observe(complete)
+		c.workerLocked(req.Worker).Observe(complete)
 	}
 	c.finishLocked()
 	c.mu.Unlock()
@@ -317,9 +303,8 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		ws := c.workerLocked(l.worker)
-		ws.expired++
-		ws.breaker.Observe(false)
+		b := c.workerLocked(l.worker)
+		b.Observe(false)
 		expired := 0
 		for _, i := range l.cells {
 			key := c.spec.Cells[i].Key
@@ -338,7 +323,7 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		}
 		sort.Ints(c.pending)
 		c.logf("dist: lease %s (worker %s) expired; re-issuing %d cells", id, l.worker, expired)
-		if ws.breaker.Open() {
+		if b.Open() {
 			c.logf("dist: worker %s quarantined after repeated lease failures", l.worker)
 		}
 	}
@@ -361,13 +346,15 @@ func (c *Coordinator) loseLocked(i int, msg string) {
 	c.acceptLocked(sched.Segment{Key: c.spec.Cells[i].Key, Err: msg})
 }
 
-func (c *Coordinator) workerLocked(id string) *workerState {
-	ws := c.workers[id]
-	if ws == nil {
-		ws = &workerState{breaker: sched.NewBreaker(c.opts.Breaker)}
-		c.workers[id] = ws
+// workerLocked returns the worker's breaker, created closed on first
+// sight. Every Breaker call runs under c.mu.
+func (c *Coordinator) workerLocked(id string) *sched.Breaker {
+	b := c.workers[id]
+	if b == nil {
+		b = sched.NewBreaker(c.opts.Breaker)
+		c.workers[id] = b
 	}
-	return ws
+	return b
 }
 
 func (c *Coordinator) completeLocked() bool {
@@ -411,8 +398,8 @@ func (c *Coordinator) Status() Status {
 			st.CacheHits++
 		}
 	}
-	for _, ws := range c.workers {
-		if ws.breaker.Open() {
+	for _, b := range c.workers {
+		if b.Open() {
 			st.Quarantined++
 		}
 	}

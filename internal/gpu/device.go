@@ -48,9 +48,6 @@ func MustDevice(p Profile, bugs Bugs) *Device {
 // Profile returns the device's profile.
 func (d *Device) Profile() Profile { return d.prof }
 
-// Bugs returns the device's injected defects.
-func (d *Device) Bugs() Bugs { return d.bugs }
-
 // SetFaults installs a fault model (see FaultModel). The zero model
 // restores fault-free operation and consumes no launch randomness.
 func (d *Device) SetFaults(f FaultModel) error {

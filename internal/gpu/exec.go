@@ -448,8 +448,7 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) error {
 	nThreads := spec.Threads()
 
 	// Decode every program into the step table in one fused pass that
-	// also computes register demand (the old reset scanned each program
-	// twice more for NumRegs).
+	// also computes register demand.
 	e.ipStart = grow(e.ipStart, nThreads)
 	e.ip = grow(e.ip, nThreads)
 	e.ipEnd = grow(e.ipEnd, nThreads)
@@ -471,13 +470,12 @@ func (e *exec) reset(spec LaunchSpec, rng *xrand.Rand) error {
 	e.code = e.code[:total]
 	e.locTime = e.locTime[:total]
 
-	// One fused per-instruction pass decodes into the step table and
-	// computes register demand together (the old reset walked every
-	// program once for NumRegs and again to build thread state) and
-	// links memory steps to their po-loc predecessors. A thread's steps
-	// are contiguous, so a lastAt entry past its start is its own. Only
-	// memory steps touch lastAt, and only once their Addr is checked:
-	// Validate bounds no other op's Addr.
+	// One fused per-instruction pass decodes into the step table,
+	// computes register demand and links memory steps to their po-loc
+	// predecessors. A thread's steps are contiguous, so a lastAt entry
+	// past its start is its own. Only memory steps touch lastAt, and
+	// only once their Addr is checked: Validate bounds no other op's
+	// Addr.
 	lw := e.lineWords
 	totalRegs := 0
 	pos := int32(0)

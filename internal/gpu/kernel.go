@@ -72,9 +72,6 @@ func (o Op) IsMemory() bool {
 		o == OpStressLoad || o == OpStressStore
 }
 
-// readsValue reports whether the op produces a register value.
-func (o Op) readsValue() bool { return o == OpLoad || o == OpExchange }
-
 // Instr is one kernel instruction.
 type Instr struct {
 	Op   Op
@@ -85,17 +82,6 @@ type Instr struct {
 
 // Program is a straight-line per-thread instruction sequence.
 type Program []Instr
-
-// NumRegs returns the number of registers the program requires.
-func (p Program) NumRegs() int {
-	n := 0
-	for _, in := range p {
-		if in.Op.readsValue() && int(in.Reg)+1 > n {
-			n = int(in.Reg) + 1
-		}
-	}
-	return n
-}
 
 // LaunchSpec describes one kernel dispatch.
 type LaunchSpec struct {

@@ -272,8 +272,8 @@ func (plan *iterationPlan) buildInto(test *litmus.Test, p *Params, rng *xrand.Ra
 		shuffle[i] = i
 	}
 	if p.Parallel && rng.Intn(100) < p.ShufflePct {
-		// Fisher-Yates inlined (draw-identical to rng.Shuffle) so no
-		// swap closure escapes to the heap.
+		// Fisher-Yates in place (the same draws as rng.PermInto), with
+		// no swap closure to escape to the heap.
 		for i := len(shuffle) - 1; i > 0; i-- {
 			j := rng.Intn(i + 1)
 			shuffle[i], shuffle[j] = shuffle[j], shuffle[i]

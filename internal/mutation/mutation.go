@@ -227,20 +227,12 @@ type espec struct {
 	label   string
 }
 
-func eread(loc int, label string) espec {
-	return espec{kind: mm.Read, loc: loc, label: label}
-}
-
 func ereadV(loc int, v mm.Val, label string) espec {
 	return espec{kind: mm.Read, loc: loc, rval: v, hasRval: true, label: label}
 }
 
 func ewrite(loc int, v mm.Val, label string) espec {
 	return espec{kind: mm.Write, loc: loc, wval: v, label: label}
-}
-
-func ermw(loc int, wv mm.Val, label string) espec {
-	return espec{kind: mm.RMW, loc: loc, wval: wv, label: label}
 }
 
 func ermwV(loc int, wv, rv mm.Val, label string) espec {

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // BreakerOptions configures the fleet's per-device circuit breaker.
 // After Threshold consecutive cell failures on one device, the device
@@ -65,16 +62,6 @@ type DeviceHealth struct {
 	Open bool
 }
 
-// cellOutcome is one cell's resolution from the breaker's viewpoint.
-type cellOutcome int8
-
-const (
-	cellPending cellOutcome = iota
-	cellOK
-	cellFailed
-	cellSkipped
-)
-
 // breakerWalk is the breaker state machine. It consumes one device's
 // cells in spec order; quarantine() reports the verdict for the next
 // position, and the walk advances via skip() (position quarantined) or
@@ -110,17 +97,34 @@ func (w *breakerWalk) outcome(ok bool) {
 	}
 }
 
-// Breaker is the breaker state machine as a standalone, concurrency-
-// safe component, for callers that quarantine something other than a
-// device cell stream — the distributed coordinator applies one per
-// worker, so a worker whose leases repeatedly expire or fail is
-// starved of new ranges the same way a failing device is starved of
-// cells. Allow consumes one cooldown slot when the breaker is open
-// (mirroring how a quarantined device skips cells), so after Cooldown
-// refusals the next Allow is probation: its Observe verdict closes or
-// re-opens the breaker.
+// stepRecord advances the walk over one resolved record and reports
+// whether the walk quarantines the record's position. An interrupted
+// record never resolved, so it consumes nothing — exactly how a resumed
+// run, which re-executes it, walks this position. At a quarantined
+// position any recorded outcome is ignored: a speculative execution's
+// result does not feed the streak.
+func stepRecord[R any](w *breakerWalk, r *CellResult[R]) bool {
+	switch {
+	case r.Interrupted:
+		return false
+	case w.quarantine():
+		w.skip()
+		return true
+	}
+	w.outcome(r.Err == nil)
+	return false
+}
+
+// Breaker is the breaker state machine as a standalone component, for
+// callers that quarantine something other than a device cell stream —
+// the distributed coordinator applies one per worker, so a worker whose
+// leases repeatedly expire or fail is starved of new ranges the same
+// way a failing device is starved of cells. Allow consumes one cooldown
+// slot when the breaker is open (mirroring how a quarantined device
+// skips cells), so after Cooldown refusals the next Allow is probation:
+// its Observe verdict closes or re-opens the breaker. A Breaker is not
+// safe for concurrent use; the coordinator calls it under its own lock.
 type Breaker struct {
-	mu   sync.Mutex
 	walk breakerWalk
 }
 
@@ -132,8 +136,6 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 // Allow reports whether the next unit of work may proceed; a refusal
 // consumes one cooldown slot.
 func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.walk.quarantine() {
 		b.walk.skip()
 		return false
@@ -142,163 +144,101 @@ func (b *Breaker) Allow() bool {
 }
 
 // Observe records the outcome of a unit of work that was allowed.
-func (b *Breaker) Observe(ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.walk.outcome(ok)
-}
+func (b *Breaker) Observe(ok bool) { b.walk.outcome(ok) }
 
 // Open reports whether the breaker is currently refusing work.
-func (b *Breaker) Open() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.walk.quarantine()
-}
+func (b *Breaker) Open() bool { return b.walk.quarantine() }
 
-// fleetBreaker tracks live per-device resolutions so workers can skip
-// quarantined cells without executing them when the verdict is already
-// decidable (all earlier cells on the device resolved). When it is not,
-// the cell runs speculatively and the post-pass settles the record.
-type fleetBreaker struct {
-	mu   sync.Mutex
-	opts BreakerOptions
-	dev  map[string]*deviceCells
-}
-
-// deviceCells is one device's spec-ordered cell list and resolutions.
-type deviceCells struct {
-	cells []int       // spec indices in spec order
-	pos   map[int]int // spec index -> position in cells
-	res   []cellOutcome
-}
-
-// newFleetBreaker indexes the spec's cells by device. Cells without a
-// device label are outside the breaker's jurisdiction.
-func newFleetBreaker(spec *Spec, opts BreakerOptions) *fleetBreaker {
-	b := &fleetBreaker{opts: opts, dev: map[string]*deviceCells{}}
-	for i, c := range spec.Cells {
-		if c.Device == "" {
-			continue
+// deviceIndex lists each device's spec indexes in spec order. Cells
+// without a device label are outside the breaker's jurisdiction.
+func deviceIndex(cells []Cell) map[string][]int {
+	byDev := map[string][]int{}
+	for i, c := range cells {
+		if c.Device != "" {
+			byDev[c.Device] = append(byDev[c.Device], i)
 		}
-		dc := b.dev[c.Device]
-		if dc == nil {
-			dc = &deviceCells{pos: map[int]int{}}
-			b.dev[c.Device] = dc
-		}
-		dc.pos[i] = len(dc.cells)
-		dc.cells = append(dc.cells, i)
-		dc.res = append(dc.res, cellPending)
+	}
+	return byDev
+}
+
+// liveBreaker lets a running campaign's workers skip quarantined cells
+// without executing them when the verdict is already decidable. It
+// keeps no outcomes of its own: each device's cursor walks the
+// campaign's records in spec order over the prefix that has resolved,
+// so a live decision reads the same records the post-pass settles.
+// Callers hold the campaign's lock, under which every record is
+// written.
+type liveBreaker[R any] struct {
+	results []CellResult[R]
+	dev     map[string]*deviceCursor
+}
+
+// deviceCursor is one device's resolved-prefix walk: the records of
+// cells[:next] have been consumed into walk.
+type deviceCursor struct {
+	cells []int
+	next  int
+	walk  breakerWalk
+}
+
+func newLiveBreaker[R any](results []CellResult[R], cells []Cell, opts BreakerOptions) *liveBreaker[R] {
+	b := &liveBreaker[R]{results: results, dev: map[string]*deviceCursor{}}
+	for dev, idx := range deviceIndex(cells) {
+		b.dev[dev] = &deviceCursor{cells: idx, walk: breakerWalk{opts: opts}}
 	}
 	return b
 }
 
-// walkTo replays the state machine over positions [0, p) of dc. At
-// positions the machine quarantines, any recorded outcome is ignored —
-// a speculative execution's result does not feed the streak.
-func (b *fleetBreaker) walkTo(dc *deviceCells, p int) breakerWalk {
-	w := breakerWalk{opts: b.opts}
-	for q := 0; q < p; q++ {
-		if w.quarantine() {
-			w.skip()
-			continue
-		}
-		w.outcome(dc.res[q] == cellOK)
-	}
-	return w
-}
-
-// shouldSkip decides, if possible, whether spec cell i must be
-// quarantined before executing it. It returns true only when every
-// earlier cell on the device has resolved and the state machine says
-// skip; the cell is then resolved as skipped. Any undecidable case
-// returns false and the cell executes speculatively.
-func (b *fleetBreaker) shouldSkip(device string, i int) bool {
-	if b == nil || device == "" {
+// skip reports whether pending cell i must be quarantined before it
+// executes: every earlier cell on its device has resolved and the walk
+// over their records quarantines i's position. Otherwise the cell
+// executes speculatively and the post-pass settles its record.
+func (b *liveBreaker[R]) skip(cell Cell, i int) bool {
+	if b == nil || cell.Device == "" {
 		return false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	dc := b.dev[device]
-	p := dc.pos[i]
-	for q := 0; q < p; q++ {
-		if dc.res[q] == cellPending {
+	d := b.dev[cell.Device]
+	for ; d.cells[d.next] != i; d.next++ {
+		r := &b.results[d.cells[d.next]]
+		if r.pending() {
 			return false
 		}
+		stepRecord(&d.walk, r)
 	}
-	w := b.walkTo(dc, p)
-	if w.quarantine() {
-		dc.res[p] = cellSkipped
-		return true
-	}
-	return false
+	return d.walk.quarantine()
 }
 
-// resolve records cell i's executed outcome.
-func (b *fleetBreaker) resolve(device string, i int, ok bool) {
-	if b == nil || device == "" {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	dc := b.dev[device]
-	if ok {
-		dc.res[dc.pos[i]] = cellOK
-	} else {
-		dc.res[dc.pos[i]] = cellFailed
-	}
-}
-
-// applyBreaker settles the report: every device's cells are walked in
-// spec order, cells the machine quarantines have their (possibly
-// speculative) results replaced by ErrQuarantined, and the report's
-// failure/quarantine counters and per-device health are recomputed.
-// The pass is a pure function of per-cell outcomes, so its verdicts —
-// and therefore the whole report — are worker-count-independent.
+// applyBreaker settles the report: every device's records are walked
+// in spec order, records at positions the machine quarantines have
+// their (possibly speculative) results replaced by ErrQuarantined, and
+// per-device health is summarized. The pass is a pure function of
+// per-cell outcomes, so its verdicts — and therefore the whole report —
+// are worker-count-independent. The caller tallies the settled records.
 func applyBreaker[R any](rep *Report[R], opts BreakerOptions) {
-	byDev := map[string][]int{}
-	for i, r := range rep.Results {
-		if r.Cell.Device != "" {
-			byDev[r.Cell.Device] = append(byDev[r.Cell.Device], i)
-		}
-	}
+	byDev := deviceIndex(rep.Spec.Cells)
 	devices := make([]string, 0, len(byDev))
 	for d := range byDev {
 		devices = append(devices, d)
 	}
 	sort.Strings(devices)
-
 	rep.Health = rep.Health[:0]
 	for _, dev := range devices {
 		h := DeviceHealth{Device: dev, Cells: len(byDev[dev])}
 		w := breakerWalk{opts: opts}
 		for _, i := range byDev[dev] {
 			r := &rep.Results[i]
-			if r.Interrupted {
-				// Abandoned by cancellation: the cell never resolved, so it
-				// neither feeds the failure streak nor consumes a cooldown
-				// slot — exactly how a resumed run, which re-executes it,
-				// will walk this position.
-				continue
-			}
-			if w.quarantine() {
-				var zero R
-				r.Value = zero
-				r.Err = ErrQuarantined
-				r.Quarantined = true
-				// A speculative execution's attempt count would differ
-				// from a live skip's; zero it so quarantined records are
-				// identical either way. A speculative cache hit is
-				// likewise discarded.
-				r.Attempts = 0
-				r.CacheHit = false
+			if stepRecord(&w, r) {
+				// A speculative execution, cache hit or checkpoint replay
+				// is discarded whole, so a quarantined record is the same
+				// however its position was reached.
+				*r = CellResult[R]{Cell: r.Cell, Err: ErrQuarantined, Quarantined: true}
 				h.Quarantined++
-				w.skip()
 				continue
 			}
-			r.Quarantined = false
-			ok := r.Err == nil
-			w.outcome(ok)
-			if !ok {
+			if r.Interrupted {
+				continue
+			}
+			if r.Err != nil {
 				h.Failed++
 			}
 			if r.Attempts > 1 {
@@ -307,24 +247,5 @@ func applyBreaker[R any](rep *Report[R], opts BreakerOptions) {
 		}
 		h.Open = w.quarantine()
 		rep.Health = append(rep.Health, h)
-	}
-
-	// Recount the aggregates from the settled per-cell records.
-	rep.Failed, rep.Quarantined, rep.Retried, rep.CacheHits = 0, 0, 0, 0
-	for _, r := range rep.Results {
-		if r.CacheHit {
-			rep.CacheHits++
-		}
-		switch {
-		case r.Interrupted:
-			// Pending, not failed; counted in rep.Interrupted already.
-		case r.Quarantined:
-			rep.Quarantined++
-		case r.Err != nil:
-			rep.Failed++
-		}
-		if !r.Quarantined && !r.Interrupted && r.Attempts > 1 {
-			rep.Retried += r.Attempts - 1
-		}
 	}
 }

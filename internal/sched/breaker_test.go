@@ -278,3 +278,68 @@ func TestReporterQuarantineCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestBreakerCountersAcrossWorkers: a busy pool runs cells whose
+// verdict is not yet decidable speculatively, and the post-pass then
+// quarantines some of them. Each such cell counts once, as quarantined,
+// so every worker count yields the serial run's per-cell counters and a
+// final snapshot with every cell done. Assembling a breakerless run's
+// segments under the same breaker, as the distributed coordinator does,
+// yields those counters as well.
+func TestBreakerCountersAcrossWorkers(t *testing.T) {
+	spec := testSpec(64)
+	br := &BreakerOptions{Threshold: 3, Cooldown: 2}
+	slowFlaky := func(_ context.Context, c Cell, _ *xrand.Rand) (int, error) {
+		time.Sleep(100 * time.Microsecond)
+		if c.Device == "AMD" {
+			return 0, Transient(fmt.Errorf("amd is down"))
+		}
+		return 1, nil
+	}
+	type counters struct{ Executed, Replayed, Failed, Quarantined, Retried, CacheHits, Done int }
+	count := func(rep *Report[int], final Progress) counters {
+		if final.Done != len(spec.Cells)-rep.Interrupted-rep.Aborted {
+			t.Fatalf("final Done = %d, want %d cells less %d interrupted and %d aborted",
+				final.Done, len(spec.Cells), rep.Interrupted, rep.Aborted)
+		}
+		return counters{rep.Executed, rep.Replayed, rep.Failed, rep.Quarantined, rep.Retried, rep.CacheHits, final.Done}
+	}
+	var want counters
+	for _, workers := range []int{1, 2, 4, 8} {
+		var final Progress
+		rep, err := Run(spec, slowFlaky, Options[int]{
+			Workers: workers, MaxRetries: 1, Breaker: br,
+			OnProgress: func(p Progress) { final = p },
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := count(rep, final)
+		if workers == 1 {
+			want = got
+			if want.Quarantined == 0 || want.Retried == 0 {
+				t.Fatalf("test vacuous: %+v", want)
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("workers=%d: counters %+v, want the serial run's %+v", workers, got, want)
+		}
+	}
+
+	flat, err := Run(spec, slowFlaky, Options[int]{Workers: 4, MaxRetries: 1, Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ExportSegments(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asm, err := AssembleReport[int](spec, segMap(t, segs), br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := count(asm, FinalProgress(asm, 0, 0)); got != want {
+		t.Fatalf("assembled counters %+v, want the local run's %+v", got, want)
+	}
+}

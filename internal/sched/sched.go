@@ -213,11 +213,20 @@ type CellResult[R any] struct {
 	Interrupted bool
 }
 
+// pending reports whether the record is still zero: no worker has
+// resolved its cell yet.
+func (c *CellResult[R]) pending() bool {
+	return c.Err == nil && c.Attempts == 0 && !c.Replayed && !c.CacheHit
+}
+
 // Report is a completed campaign: per-cell results in spec order plus
-// aggregate counters.
+// aggregate counters. Every per-cell counter — Executed through Retried
+// and CacheHits — is a tally of Results (see tally).
 type Report[R any] struct {
-	Spec     Spec
-	Results  []CellResult[R]
+	Spec    Spec
+	Results []CellResult[R]
+	// Executed counts cells resolved by executing them; a speculative
+	// execution the breaker discards counts as quarantined instead.
 	Executed int
 	Replayed int
 	Failed   int
@@ -259,6 +268,44 @@ type Report[R any] struct {
 	Health []DeviceHealth
 	// WallSeconds is the campaign's host duration end to end.
 	WallSeconds float64
+}
+
+// tally recounts the per-cell counters from the records. A pending
+// (zero) record counts nowhere, so a live snapshot may tally mid-run.
+// Replayed, CacheHits, Quarantined and Executed partition the resolved
+// cells, and Failed is the resolved cells with an error that are not
+// quarantined; interrupted and aborted cells are not resolved.
+func (r *Report[R]) tally() {
+	r.Executed, r.Replayed, r.Failed, r.Aborted = 0, 0, 0, 0
+	r.Quarantined, r.Interrupted, r.Retried, r.CacheHits = 0, 0, 0, 0
+	for i := range r.Results {
+		c := &r.Results[i]
+		switch {
+		case c.pending():
+			continue
+		case c.Interrupted:
+			r.Interrupted++
+			continue
+		case c.Quarantined:
+			r.Quarantined++
+			continue
+		case errors.Is(c.Err, ErrAborted):
+			r.Aborted++
+			continue
+		case c.Replayed:
+			r.Replayed++
+		case c.CacheHit:
+			r.CacheHits++
+		default:
+			r.Executed++
+		}
+		if c.Err != nil {
+			r.Failed++
+		}
+		if c.Attempts > 1 {
+			r.Retried += c.Attempts - 1
+		}
+	}
 }
 
 // Values returns the result values in spec order; it panics if any cell
@@ -325,14 +372,14 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	// A breaker implies collect: device failures feed the breaker
 	// instead of aborting the campaign.
 	collect := opts.Collect || opts.Breaker != nil
-	var breaker *fleetBreaker
+	var breaker *liveBreaker[R]
 	if opts.Breaker != nil {
-		breaker = newFleetBreaker(&spec, *opts.Breaker)
+		breaker = newLiveBreaker(rep.Results, spec.Cells, *opts.Breaker)
 	}
 
 	// Replay checkpointed cells and queue the rest. Only this goroutine
 	// runs until the workers and the progress stream start below, so
-	// the replay counts need no lock.
+	// the replayed records need no lock.
 	pending := make([]int, 0, len(spec.Cells))
 	for i, cell := range spec.Cells {
 		rep.Results[i].Cell = cell
@@ -344,18 +391,17 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				}
 				rep.Results[i].Value = v
 				rep.Results[i].Replayed = true
-				rep.Replayed++
-				breaker.resolve(cell.Device, i, true)
 				continue
 			}
 		}
 		pending = append(pending, i)
 	}
 
-	// mu guards the report counters, the progress-only counters beside
-	// them (instances and per-device busy seconds), the abort flag and
-	// checkpoint appends. Every progress snapshot is a projection of
-	// these counters taken under mu.
+	// mu guards the records, the live breaker that reads them, the
+	// counters no record holds (cache misses and corruptions, instances
+	// and per-device busy seconds), the abort flag and checkpoint
+	// appends. Every progress snapshot is a tally of the records and a
+	// projection of those counters, taken under mu.
 	var (
 		mu         sync.Mutex
 		instances  int
@@ -366,6 +412,7 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 	stream := StreamProgress(opts.OnProgress, opts.ProgressEvery, func() Progress {
 		mu.Lock()
 		defer mu.Unlock()
+		rep.tally()
 		return progressOf(rep, instances, busy, time.Since(start).Seconds())
 	})
 	// record checkpoints cell i's resolved value, with mu held, and
@@ -382,7 +429,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 			return true
 		}
 		rep.Results[i].Err = cerr
-		rep.Failed++
 		if !abort {
 			abort, abortCause = true, cerr
 		}
@@ -415,34 +461,25 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 				}
 				i := pending[n]
 				cell := spec.Cells[i]
+				r := &rep.Results[i]
 				// Cancellation check between cells: once the campaign ctx
 				// is dead, remaining cells are abandoned as incomplete —
 				// never recorded as failures, never checkpointed — so the
-				// drain leaves a cleanly resumable state.
-				if ctx.Err() != nil {
-					rep.Results[i].Err = ErrInterrupted
-					rep.Results[i].Interrupted = true
-					mu.Lock()
-					rep.Interrupted++
-					mu.Unlock()
-					continue
-				}
+				// drain leaves a cleanly resumable state. An aborted
+				// campaign's cells never run, and neither do cells the
+				// breaker can already quarantine.
 				mu.Lock()
-				aborted := abort
-				mu.Unlock()
-				if aborted {
-					rep.Results[i].Err = ErrAborted
-					mu.Lock()
-					rep.Aborted++
-					mu.Unlock()
-					continue
+				switch {
+				case ctx.Err() != nil:
+					r.Err, r.Interrupted = ErrInterrupted, true
+				case abort:
+					r.Err = ErrAborted
+				case breaker.skip(cell, i):
+					r.Err, r.Quarantined = ErrQuarantined, true
 				}
-				if breaker.shouldSkip(cell.Device, i) {
-					rep.Results[i].Err = ErrQuarantined
-					rep.Results[i].Quarantined = true
-					mu.Lock()
-					rep.Quarantined++
-					mu.Unlock()
+				settled := r.Err != nil
+				mu.Unlock()
+				if settled {
 					continue
 				}
 				// Consult the result cache before executing. A verified hit
@@ -463,15 +500,10 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 							// the cache. Same remedy as corruption.
 							hit, corrupt = false, true
 						} else {
-							rep.Results[i].Value = v
 							mu.Lock()
-							ok := record(i, v)
-							if ok {
-								rep.Results[i].CacheHit = true
-								rep.CacheHits++
-							}
+							r.Value = v
+							r.CacheHit = record(i, v)
 							mu.Unlock()
-							breaker.resolve(cell.Device, i, ok)
 							continue
 						}
 					}
@@ -504,11 +536,8 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					// abandoned cell, not a failed one. (A cell-timeout
 					// overrun with the campaign ctx alive takes the ordinary
 					// failure path below instead.)
-					rep.Results[i].Err = ErrInterrupted
-					rep.Results[i].Interrupted = true
-					rep.Results[i].Attempts = attempts
 					mu.Lock()
-					rep.Interrupted++
+					r.Err, r.Interrupted, r.Attempts = ErrInterrupted, true, attempts
 					mu.Unlock()
 					continue
 				}
@@ -523,13 +552,9 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					err = fmt.Errorf("sched: cell %s overran its %v timeout: %w",
 						cell.Key, opts.CellTimeout, context.DeadlineExceeded)
 				}
-				rep.Results[i].Value = value
-				rep.Results[i].Err = err
-				rep.Results[i].Attempts = attempts
 				ok := err == nil
 				mu.Lock()
-				rep.Executed++
-				rep.Retried += attempts - 1
+				r.Value, r.Err, r.Attempts = value, err, attempts
 				if cell.Device != "" {
 					if busy == nil {
 						busy = map[string]float64{}
@@ -537,7 +562,6 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 					busy[cell.Device] += wall.Seconds()
 				}
 				if !ok {
-					rep.Failed++
 					if !collect && !abort {
 						abort = true
 						abortCause = fmt.Errorf("sched: cell %s: %w", cell.Key, err)
@@ -555,21 +579,21 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 						opts.Cache.Put(cacheDigest, data)
 					}
 				}
-				breaker.resolve(cell.Device, i, ok)
 			}
 		}()
 	}
 	wg.Wait()
 	// The workers are done; stopping the ticker too leaves this
-	// goroutine the counters' only reader and writer again, so the
+	// goroutine the records' only reader and writer again, so the
 	// breaker post-pass below may rewrite them without mu.
 	stream.Stop()
 	if opts.Breaker != nil {
 		// Settle quarantine verdicts in spec order: speculative results
-		// of quarantined cells are discarded, counters recomputed, and
-		// per-device health summarized — all worker-count-independent.
+		// of quarantined cells are discarded and per-device health
+		// summarized — all worker-count-independent.
 		applyBreaker(rep, *opts.Breaker)
 	}
+	rep.tally()
 	rep.WallSeconds = time.Since(start).Seconds()
 	var syncErr error
 	if opts.Checkpoint != nil {
@@ -612,18 +636,18 @@ func RunContext[R any](ctx context.Context, spec Spec, exec Exec[R], opts Option
 }
 
 // CellDecoder is implemented by a cell value type that decodes its
-// own checkpointed and cached bytes. The scheduler calls DecodeCell in
-// place of json.Unmarshal, and so without encoding/json's validity
-// scan: DecodeCell must fail on every input json.Unmarshal fails on
-// and decode every other input to the value json.Unmarshal would. A
-// type with only an UnmarshalJSON method still goes through
-// json.Unmarshal, because encoding/json lets that method assume its
-// input is valid JSON.
+// own checkpointed, cached and delivered bytes. The scheduler calls
+// DecodeCell in place of json.Unmarshal, and so without
+// encoding/json's validity scan: DecodeCell must fail on every input
+// json.Unmarshal fails on and decode every other input to the value
+// json.Unmarshal would. A type with only an UnmarshalJSON method still
+// goes through json.Unmarshal, because encoding/json lets that method
+// assume its input is valid JSON.
 type CellDecoder interface {
 	DecodeCell(data []byte) error
 }
 
-// decodeValue decodes a checkpointed or cached cell value.
+// decodeValue decodes a checkpointed, cached or delivered cell value.
 func decodeValue[R any](data []byte, v *R) error {
 	if d, ok := any(v).(CellDecoder); ok {
 		return d.DecodeCell(data)

@@ -40,22 +40,6 @@ type Segment struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
-// SubSpec returns the spec restricted to the cells at the given spec
-// indexes, preserving Name and Seed — and therefore every cell's
-// split-seed RNG stream. A worker running a sub-spec produces
-// per-cell results identical to the full campaign's, which is the
-// invariant that makes distributed merge byte-identical.
-func SubSpec(spec Spec, indexes []int) (Spec, error) {
-	sub := Spec{Name: spec.Name, Seed: spec.Seed, Cells: make([]Cell, 0, len(indexes))}
-	for _, i := range indexes {
-		if i < 0 || i >= len(spec.Cells) {
-			return Spec{}, fmt.Errorf("sched: sub-spec index %d outside campaign %q (%d cells)", i, spec.Name, len(spec.Cells))
-		}
-		sub.Cells = append(sub.Cells, spec.Cells[i])
-	}
-	return sub, sub.Validate()
-}
-
 // ExportSegments flattens a report's resolved cells into segments.
 // Interrupted and aborted cells are skipped — they carry no result to
 // deliver — so exporting a drained partial report is safe: the
@@ -85,12 +69,9 @@ func ExportSegments[R any](rep *Report[R]) ([]Segment, error) {
 // segments. Cells without a segment are marked Interrupted — pending,
 // exactly like cells abandoned by a local drain. When breaker is
 // non-nil the same deterministic post-pass a local breaker run ends
-// with settles quarantine verdicts, so per-cell records, Failed,
-// Quarantined, Retried and Health are identical to a single-process
-// run of the same spec. (Executed and Replayed describe the work this
-// assembly actually saw — a distributed run may execute cells a local
-// breaker would have skipped live — and are not part of the
-// byte-identity contract; no artifact encodes them.)
+// with settles quarantine verdicts, so the per-cell records, their
+// tally and Health are identical to a single-process run of the same
+// spec.
 func AssembleReport[R any](spec Spec, segs map[string]Segment, breaker *BreakerOptions) (*Report[R], error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -105,36 +86,25 @@ func AssembleReport[R any](spec Spec, segs map[string]Segment, breaker *BreakerO
 			// pending cell, carrying the bare sentinel.
 			r.Err = ErrInterrupted
 			r.Interrupted = true
-			rep.Interrupted++
 			continue
 		}
 		if seg.Replayed {
-			if err := json.Unmarshal(seg.Value, &r.Value); err != nil {
+			if err := decodeValue(seg.Value, &r.Value); err != nil {
 				return nil, fmt.Errorf("sched: decode replayed segment %s: %w", cell.Key, err)
 			}
 			r.Replayed = true
-			rep.Replayed++
 			continue
 		}
-		r.Attempts = seg.Attempts
-		if seg.CacheHit {
-			r.CacheHit = true
-			rep.CacheHits++
-		} else {
-			rep.Executed++
-		}
+		r.Attempts, r.CacheHit = seg.Attempts, seg.CacheHit
 		if seg.Err != "" {
 			r.Err = errors.New(seg.Err)
-			rep.Failed++
-		} else if err := json.Unmarshal(seg.Value, &r.Value); err != nil {
+		} else if err := decodeValue(seg.Value, &r.Value); err != nil {
 			return nil, fmt.Errorf("sched: decode segment %s: %w", cell.Key, err)
-		}
-		if seg.Attempts > 1 {
-			rep.Retried += seg.Attempts - 1
 		}
 	}
 	if breaker != nil {
 		applyBreaker(rep, *breaker)
 	}
+	rep.tally()
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -56,8 +57,8 @@ func runSeg(t *testing.T, spec Spec, breaker *BreakerOptions) *Report[segVal] {
 
 // diffReports compares the byte-identity-relevant projection of two
 // reports: per-cell values, error text, attempts and flags, plus the
-// settled aggregate counters. Executed/Replayed are deliberately
-// excluded (see AssembleReport).
+// settled aggregate counters. TestBreakerCountersAcrossWorkers
+// compares the other tallied counters.
 func diffReports(t *testing.T, want, got *Report[segVal]) {
 	t.Helper()
 	if len(want.Results) != len(got.Results) {
@@ -173,29 +174,6 @@ func TestAssembleMissingSegmentInterrupted(t *testing.T) {
 	}
 }
 
-// TestSubSpec: the sub-spec preserves identity-relevant fields and
-// rejects out-of-range indexes.
-func TestSubSpec(t *testing.T) {
-	spec := segSpec(8)
-	sub, err := SubSpec(spec, []int{2, 5})
-	if err != nil {
-		t.Fatalf("SubSpec: %v", err)
-	}
-	if sub.Name != spec.Name || sub.Seed != spec.Seed || len(sub.Cells) != 2 {
-		t.Fatalf("sub = %+v", sub)
-	}
-	if sub.Cells[0] != spec.Cells[2] || sub.Cells[1] != spec.Cells[5] {
-		t.Fatalf("sub cells = %+v", sub.Cells)
-	}
-	// The split-seed stream for a cell is identical under the sub-spec.
-	if sub.CellRand("cell-05", 0).Intn(1000) != spec.CellRand("cell-05", 0).Intn(1000) {
-		t.Fatal("sub-spec cell RNG diverged from full spec")
-	}
-	if _, err := SubSpec(spec, []int{8}); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
 // TestBreakerStateMachine: the exported wrapper walks the same
 // threshold → cooldown → probation cycle the device breaker does.
 func TestBreakerStateMachine(t *testing.T) {
@@ -235,5 +213,22 @@ func TestBreakerStateMachine(t *testing.T) {
 	b.Observe(false)
 	if !b.Open() {
 		t.Fatal("probation failure did not re-open the breaker")
+	}
+}
+
+// TestAssembleDecodesThroughCellDecoder: replayed and delivered
+// segment values decode by the same rule as checkpoint replay and cache
+// hits, so a CellDecoder is handed its bytes directly.
+func TestAssembleDecodesThroughCellDecoder(t *testing.T) {
+	spec := segSpec(2)
+	got, err := AssembleReport[ownDecoder](spec, map[string]Segment{
+		"cell-00": {Key: "cell-00", Value: json.RawMessage(`{"a":`), Replayed: true},
+		"cell-01": {Key: "cell-01", Value: json.RawMessage(`{"b":`), Attempts: 1},
+	}, nil)
+	if err != nil {
+		t.Fatalf("AssembleReport: %v", err)
+	}
+	if a, b := got.Results[0].Value.raw, got.Results[1].Value.raw; a != `{"a":` || b != `{"b":` {
+		t.Fatalf("CellDecoder was not called directly: %q, %q", a, b)
 	}
 }

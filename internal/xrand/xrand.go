@@ -161,22 +161,13 @@ func (r *Rand) PermInto(buf []int, n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	// Fisher-Yates inlined (draw-identical to Shuffle) so no closure
-	// escapes to the heap.
+	// Fisher-Yates in place, with no swap closure to escape to the
+	// heap.
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomizes the order of n elements using swap, as in
-// math/rand.Shuffle.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Geometric returns a sample from a geometric distribution with success
